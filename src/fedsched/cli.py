@@ -107,13 +107,35 @@ def _coerce_value(text: str):
 
 
 def _set_dotted(raw: dict, dotted: str, value) -> None:
+    """Set one config field by dotted path; an integer part indexes a list.
+
+    Missing or non-object fields on the way become empty objects, but list
+    elements are never created: a bad list index is a ConfigError.
+    """
     parts = dotted.split(".")
     target = raw
-    for part in parts[:-1]:
-        if not isinstance(target.get(part), dict):
-            target[part] = {}
-        target = target[part]
-    target[parts[-1]] = value
+    for depth, part in enumerate(parts):
+        last = depth == len(parts) - 1
+        if isinstance(target, list):
+            if not part.isdecimal() or int(part) >= len(target):
+                raise ConfigError(
+                    f"no element {part!r} in a list of {len(target)}",
+                    ".".join(parts[: depth + 1]),
+                )
+            key = int(part)
+        elif isinstance(target, dict):
+            key = part
+            if not last and not isinstance(target.get(part), (dict, list)):
+                target[part] = {}
+        else:
+            raise ConfigError(
+                f"cannot set a field inside a {type(target).__name__}",
+                ".".join(parts[:depth]),
+            )
+        if last:
+            target[key] = value
+        else:
+            target = target[key]
 
 
 def cmd_run(args) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from .errors import (
     BindConflict,
@@ -29,7 +29,6 @@ class NodePool(Enum):
 
 class NodeState(Enum):
     READY = "Ready"
-    DRAINING = "Draining"
     REPURPOSING = "Repurposing"
 
 
@@ -143,6 +142,16 @@ class ClusterState:
     reservations, plus per-namespace totals for quota enforcement.
     Reservations count against both node capacity and namespace quota so a
     reserved candidate can always be promoted to a bind.
+
+    Incremental invariant: after every reserve, release_reservation, bind
+    and unbind, for every node n
+
+        _unbound[n]     == capacity(n) - sum(bound[n])
+        _allocatable[n] == capacity(n) - sum(bound[n]) - sum(reserved[n])
+
+    so `allocatable` is a dict read. The per-pod `bound` and `reserved`
+    maps stay the record of truth: `_assert_node_capacity` recomputes from
+    them after every bind, independently of the cached vectors.
     """
 
     def __init__(self, spec: ClusterSpec):
@@ -151,7 +160,12 @@ class ClusterState:
         self.reserved: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
         self.ns_usage: Dict[str, ResourceVector] = {}
         self.pods: Dict[str, PodSpec] = {}
-        self._reservation_ns: Dict[str, str] = {}
+        # pod id -> (node id, namespace) of its reservation.
+        self._reservations: Dict[str, Tuple[str, str]] = {}
+        self._unbound: Dict[str, ResourceVector] = {
+            n: node.capacity for n, node in spec.nodes.items()
+        }
+        self._allocatable: Dict[str, ResourceVector] = dict(self._unbound)
 
     @property
     def cluster_id(self) -> str:
@@ -160,15 +174,10 @@ class ClusterState:
     def nodes(self) -> Dict[str, NodeSpec]:
         return self.spec.nodes
 
-    def bound_pods_on(self, node_id: str) -> Dict[str, ResourceVector]:
-        return self.bound[node_id]
-
     def allocatable(self, node_id: str, include_reservations: bool = True) -> ResourceVector:
-        node = self.spec.nodes[node_id]
-        used = sum_vectors(self.bound[node_id].values())
         if include_reservations:
-            used = used + sum_vectors(self.reserved[node_id].values())
-        return node.capacity.subtract(used)
+            return self._allocatable[node_id]
+        return self._unbound[node_id]
 
     def aggregate_capacity(self) -> ResourceVector:
         """Capacity summed over Ready container nodes."""
@@ -185,11 +194,11 @@ class ClusterState:
         artifacts, and reporting them would double-count a pod against its
         own candidate when the proxy scores aggregates.
         """
-        total = ResourceVector.zero()
-        for node_id, node in self.spec.nodes.items():
-            if node.pool is NodePool.CONTAINER and node.state is NodeState.READY:
-                total = total + self.allocatable(node_id, include_reservations=False)
-        return total
+        return sum_vectors(
+            self.allocatable(node_id, include_reservations=False)
+            for node_id, node in self.spec.nodes.items()
+            if node.pool is NodePool.CONTAINER and node.state is NodeState.READY
+        )
 
     def namespace_used(self, namespace: str) -> ResourceVector:
         return self.ns_usage.get(namespace, ResourceVector.zero())
@@ -224,23 +233,24 @@ class ClusterState:
                 f"reservation for {pod.pod_id} no longer fits node {node_id}"
             )
         self._check_admission(pod)
+        self._allocatable[node_id] = self._allocatable[node_id].subtract(pod.request)
         self.reserved[node_id][pod.pod_id] = pod.request
-        self._reservation_ns[pod.pod_id] = pod.namespace
+        self._reservations[pod.pod_id] = (node_id, pod.namespace)
         self._ns_add(pod.namespace, pod.request)
 
     def release_reservation(self, pod_id: str) -> bool:
-        for node_id, holds in self.reserved.items():
-            if pod_id in holds:
-                request = holds.pop(pod_id)
-                self._ns_sub(self._reservation_ns.pop(pod_id), request)
-                return True
-        return False
+        held = self._reservations.pop(pod_id, None)
+        if held is None:
+            return False
+        node_id, namespace = held
+        request = self.reserved[node_id].pop(pod_id)
+        self._allocatable[node_id] = self._allocatable[node_id] + request
+        self._ns_sub(namespace, request)
+        return True
 
     def reservation_node(self, pod_id: str) -> Optional[str]:
-        for node_id, holds in self.reserved.items():
-            if pod_id in holds:
-                return node_id
-        return None
+        held = self._reservations.get(pod_id)
+        return None if held is None else held[0]
 
     def bind(self, pod: PodSpec, node_id: str, at: int) -> None:
         """Bind a pod to a node, re-validating feasibility at time `at`.
@@ -254,7 +264,7 @@ class ClusterState:
         if had_reservation:
             # The reservation already holds the resources and quota.
             request = self.reserved[node_id].pop(pod.pod_id)
-            self._reservation_ns.pop(pod.pod_id, None)
+            del self._reservations[pod.pod_id]
         else:
             if not fits(pod, node, self.allocatable(node_id)):
                 raise BindConflict(
@@ -263,6 +273,8 @@ class ClusterState:
             self._check_admission(pod)
             request = pod.request
             self._ns_add(pod.namespace, request)
+            self._allocatable[node_id] = self._allocatable[node_id].subtract(request)
+        self._unbound[node_id] = self._unbound[node_id].subtract(request)
         self.bound[node_id][pod.pod_id] = request
         self.pods[pod.pod_id] = pod
         pod.transition(PodPhase.BOUND)
@@ -275,6 +287,8 @@ class ClusterState:
         pod = self.pods.pop(pod_id)
         node_id = pod.bound_node
         request = self.bound[node_id].pop(pod_id)
+        self._unbound[node_id] = self._unbound[node_id] + request
+        self._allocatable[node_id] = self._allocatable[node_id] + request
         self._ns_sub(pod.namespace, request)
         return pod
 

@@ -9,6 +9,7 @@ milliseconds.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -78,7 +79,12 @@ def _get_float(section: dict, key: str, default: float, path: str, lo=None, hi=N
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"must be a number, got {value!r}", f"{path}.{key}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"must be a finite number, got {value}", f"{path}.{key}")
     if lo is not None and value < lo:
         raise ConfigError(f"must be >= {lo}, got {value}", f"{path}.{key}")
     if hi is not None and value > hi:

@@ -60,6 +60,10 @@ class ChaperonState(Enum):
     DELETED = "Deleted"
 
 
+# States from which a chaperon never returns to PendingSchedule.
+_SETTLED = (ChaperonState.DELEGATE, ChaperonState.DELETED)
+
+
 @dataclass
 class FederationParams:
     election_timeout_ms: int = 5_000
@@ -134,6 +138,9 @@ class FederationProtocol:
         self.params: FederationParams = ctx.federation_params
         self.proxies: Dict[str, ProxyPod] = {}
         self.chaperons: Dict[Tuple[str, str], PodChaperon] = {}
+        # Per target, in creation order, every chaperon not yet seen settled;
+        # `pending_in` drops the settled ones as it walks a target.
+        self._unsettled: Dict[str, Dict[str, PodChaperon]] = {}
         self.virtual_nodes: Dict[Tuple[str, str], VirtualNode] = {}
         self._timer_ids = 0
 
@@ -199,6 +206,7 @@ class FederationProtocol:
         chaperon = PodChaperon(pod=proxy.pod.clone(), parent_source=source, target=target)
         chaperon.annotations.append({"at": self.ctx.now, "dir": "in", "kind": "create"})
         self.chaperons[(pod_id, target)] = chaperon
+        self._unsettled.setdefault(target, {})[pod_id] = chaperon
         self.ctx.effect(op="chaperon", pod=pod_id, cluster=target, state=chaperon.state.value)
         self.try_candidate_schedule(chaperon)
 
@@ -229,11 +237,21 @@ class FederationProtocol:
         elif chaperon.last_reported != REPORT_UNSCHEDULABLE:
             self._report(chaperon, REPORT_UNSCHEDULABLE)
 
+    def pending_in(self, target: str) -> List[PodChaperon]:
+        """Chaperons waiting in PendingSchedule in `target`, in creation order."""
+        unsettled = self._unsettled.get(target, {})
+        pending = []
+        for pod_id, chaperon in list(unsettled.items()):
+            if chaperon.state is ChaperonState.PENDING_SCHEDULE:
+                pending.append(chaperon)
+            elif chaperon.state in _SETTLED:
+                del unsettled[pod_id]
+        return pending
+
     def retry_pending(self, cluster_id: str) -> None:
         """Re-run candidate scheduling after the cluster's state changed."""
-        for (pod_id, target), chaperon in list(self.chaperons.items()):
-            if target == cluster_id and chaperon.state is ChaperonState.PENDING_SCHEDULE:
-                self.try_candidate_schedule(chaperon)
+        for chaperon in self.pending_in(cluster_id):
+            self.try_candidate_schedule(chaperon)
 
     def _report(self, chaperon: PodChaperon, status: str, node: str = None, reason: str = None) -> None:
         chaperon.last_reported = status
@@ -443,10 +461,13 @@ class FederationProtocol:
 
     def broadcast_aggregates(self, target: str) -> None:
         """Send target's aggregate capacity/allocatable to all its sources."""
+        sources = self.ctx.graph.sources_of(target)
+        if not sources:
+            return
         state = self.ctx.clusters[target]
         capacity = state.aggregate_capacity()
         allocatable = state.aggregate_allocatable()
-        for source in self.ctx.graph.sources_of(target):
+        for source in sources:
             edge = self.ctx.graph.edge(source, target)
             self.ctx.send(
                 edge,

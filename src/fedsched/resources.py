@@ -87,9 +87,6 @@ class ResourceVector:
             and self.gpu_count <= other.gpu_count
         )
 
-    def is_zero(self) -> bool:
-        return self == ResourceVector.zero()
-
     def as_tuple(self) -> tuple:
         return (self.cpu_millicores, self.memory_bytes, self.gpu_count)
 

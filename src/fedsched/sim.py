@@ -17,7 +17,7 @@ from .cluster import ClusterState, PodPhase, PodSpec
 from .config import RunConfig
 from .engine import Event, EventQueue, LatencyChannels, RngStreams
 from .errors import CausalityError, ConfigError
-from .federation import ChaperonState, FederationProtocol
+from .federation import FederationProtocol
 from .graph import FederationEdge
 from .metascale import BatchJob, MetaScaler
 from .metrics import MetricsReport, build_report, static_info_of
@@ -162,9 +162,7 @@ class Simulation:
         """Unmet container demand a cluster can see: its pending local pods
         plus chaperons currently waiting in it."""
         pods = list(self.pending_local[cluster_id])
-        for (pod_id, target), chaperon in self.protocol.chaperons.items():
-            if target == cluster_id and chaperon.state is ChaperonState.PENDING_SCHEDULE:
-                pods.append(chaperon.pod)
+        pods.extend(chaperon.pod for chaperon in self.protocol.pending_in(cluster_id))
         return pods
 
     def submit_pod(self, pod: PodSpec, cluster: str, role: str) -> None:

@@ -119,6 +119,39 @@ def test_sweep_value_actually_changes_behavior(config_path, tmp_path, capsys):
     assert a != b
 
 
+def test_sweep_indexes_list_elements(config_path, tmp_path, capsys):
+    # An integer path part selects a list element instead of replacing the
+    # list with an object.
+    out = tmp_path / "sweep"
+    rc = main([
+        "sweep", "--config", config_path,
+        "--param", "topology.clusters.1.nodes.0.cpu",
+        "--values", "6000,100",
+        "--seed", "3", "--out", str(out),
+    ])
+    assert rc == EXIT_OK
+    a = (out / "topology.clusters.1.nodes.0.cpu=6000" / "events.jsonl").read_bytes()
+    b = (out / "topology.clusters.1.nodes.0.cpu=100" / "events.jsonl").read_bytes()
+    assert a != b
+    capsys.readouterr()
+    assert main(["sweep", "--config", config_path,
+                 "--param", "topology.clusters.0.scale_divisor",
+                 "--values", "7"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("param,location", [
+    ("topology.clusters.2.scale_divisor", "topology.clusters.2"),
+    ("topology.clusters.first.scale_divisor", "topology.clusters.first"),
+    ("topology.pairs.0.0.x", "topology.pairs.0.0"),
+])
+def test_sweep_bad_list_path_is_config_error(config_path, capsys, param, location):
+    rc = main(["sweep", "--config", config_path, "--param", param, "--values", "7"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {location}: ")
+    assert "Traceback" not in err
+
+
 def test_invariant_violation_exits_two(config_path, monkeypatch, capsys):
     from fedsched import cli as cli_module
 

@@ -191,6 +191,86 @@ class TestReservations:
         assert state.allocatable("n1") == ResourceVector(500, 3 * GIB, 0)
 
 
+class TestIncrementalAccounting:
+    """The cached per-node vectors against sums recomputed from scratch."""
+
+    @staticmethod
+    def scratch_allocatable(state, node_id, include_reservations):
+        holds = list(state.bound[node_id].values())
+        if include_reservations:
+            holds += list(state.reserved[node_id].values())
+        capacity = state.nodes()[node_id].capacity.as_tuple()
+        return ResourceVector(*(
+            capacity[d] - sum(h.as_tuple()[d] for h in holds) for d in range(3)
+        ))
+
+    def assert_matches_scratch(self, state):
+        aggregate = [0, 0, 0]
+        for node_id, node in state.nodes().items():
+            for include in (True, False):
+                assert state.allocatable(node_id, include) == \
+                    self.scratch_allocatable(state, node_id, include)
+            if node.pool is NodePool.CONTAINER and node.state is NodeState.READY:
+                free = self.scratch_allocatable(state, node_id, False).as_tuple()
+                aggregate = [a + f for a, f in zip(aggregate, free)]
+        assert state.aggregate_allocatable() == ResourceVector(*aggregate)
+
+    def test_random_operation_sequences_match_scratch_sums(self):
+        rng = random.Random(624)
+        nodes = [
+            make_node(f"n{i}", cpu=rng.choice([2000, 4000, 8000]),
+                      mem=rng.choice([4, 8]) * GIB, gpu=rng.choice([0, 2]))
+            for i in range(4)
+        ]
+        nodes.append(make_node("b0", cpu=8000, mem=8 * GIB, pool="Batch"))
+        state = state_of(*nodes, quota={"capped": ResourceVector(6000, 6 * GIB, 1)})
+        reserved = {}  # pod id -> (pod, node id)
+        bound = []
+        most_reserved = most_bound = 0
+        for step in range(3000):
+            op = rng.choice(("reserve", "bind", "bind_reserved", "release",
+                             "unbind", "release_unknown", "toggle_ready"))
+            if op in ("reserve", "bind"):
+                pod = make_pod(f"p{step}", cpu=rng.choice([500, 1000, 2000]),
+                               mem=rng.choice([1, 2]) * GIB, gpu=rng.choice([0, 0, 1]),
+                               ns=rng.choice(["default", "capped"]))
+                node_id = rng.choice(sorted(state.nodes()))
+                try:
+                    if op == "reserve":
+                        state.reserve(pod, node_id)
+                        reserved[pod.pod_id] = (pod, node_id)
+                    else:
+                        state.bind(pod, node_id, at=step)
+                        bound.append(pod.pod_id)
+                except (BindConflict, QuotaExceeded):
+                    pass
+            elif op == "bind_reserved" and reserved:
+                pod, node_id = reserved.pop(rng.choice(sorted(reserved)))
+                state.bind(pod, node_id, at=step)
+                bound.append(pod.pod_id)
+            elif op == "release" and reserved:
+                pod_id = rng.choice(sorted(reserved))
+                del reserved[pod_id]
+                assert state.release_reservation(pod_id)
+                assert not state.release_reservation(pod_id)
+            elif op == "unbind" and bound:
+                pod_id = bound.pop(rng.randrange(len(bound)))
+                state.unbind(pod_id)
+                assert not state.release_reservation(pod_id)
+            elif op == "release_unknown":
+                assert not state.release_reservation(f"ghost{step}")
+            elif op == "toggle_ready":
+                node = state.nodes()[rng.choice(sorted(state.nodes()))]
+                node.state = (NodeState.REPURPOSING if node.state is NodeState.READY
+                              else NodeState.READY)
+            self.assert_matches_scratch(state)
+            for pod_id, (_, node_id) in reserved.items():
+                assert state.reservation_node(pod_id) == node_id
+            most_reserved = max(most_reserved, len(reserved))
+            most_bound = max(most_bound, len(bound))
+        assert most_reserved >= 3 and most_bound >= 3, (most_reserved, most_bound)
+
+
 class TestPodPhases:
     def test_legal_lifecycle_paths(self):
         pod = make_pod("p")

@@ -1,5 +1,7 @@
 import copy
 import importlib.resources
+import json
+import math
 
 import pytest
 
@@ -103,6 +105,36 @@ class TestValidation:
         raw["federation"] = {"hop_limit": 2}
         with pytest.raises(ConfigError, match="hop_limit"):
             validate_config(raw)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["nan", "inf", "-inf", "huge-int"])
+    def test_non_finite_rate_rejected_with_location(self, bad):
+        # An infinite arrival rate used to validate and then hang the trace
+        # generator, since expovariate(inf) never advances time.
+        raw = base_config([{"id": "a", "nodes": [node_cfg("n1")]}])
+        raw["scenario"]["rate_per_hour"] = bad
+        with pytest.raises(ConfigError, match="finite") as err:
+            validate_config(raw)
+        assert err.value.location == "scenario.rate_per_hour"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_score_weight_rejected_with_location(self, bad):
+        # A NaN weight used to make every score comparison false, so the
+        # scheduler silently took the first feasible node.
+        cluster = {"id": "a", "nodes": [node_cfg("n1")],
+                   "pipeline": {"scores": [{"name": "LeastAllocated", "weight": bad}]}}
+        with pytest.raises(ConfigError, match="finite") as err:
+            validate_config(base_config([cluster]))
+        assert err.value.location == "topology.clusters[0].pipeline.scores[0].weight"
+
+    def test_json_infinity_literal_rejected(self, tmp_path):
+        path = tmp_path / "inf.json"
+        raw = base_config([{"id": "a", "nodes": [node_cfg("n1")]}])
+        raw["scenario"]["rate_per_hour"] = math.inf
+        path.write_text(json.dumps(raw))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(ConfigError, match="scenario.rate_per_hour"):
+            parse_config(str(path))
 
     def test_unknown_election_policy_rejected(self):
         raw = base_config([{"id": "a", "nodes": [node_cfg("n1")]}])

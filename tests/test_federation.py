@@ -293,6 +293,40 @@ class TestFinalize:
         assert len(conflict_reports) == 1
 
 
+class TestRetryOrder:
+    def test_pending_chaperons_retry_in_creation_order(self):
+        # Reservations disabled. p0's chaperon is created first, reserves,
+        # and is elected; a local blocker fills the node before the delegate
+        # bind lands, so the bind conflicts and p0 goes back to
+        # PendingSchedule after p1-p3 already wait there. When the blocker
+        # completes, one retry pass must try them in creation order.
+        clusters = [
+            {"id": "s", "nodes": [node_cfg("s-n1", cpu=100)]},
+            {"id": "t", "nodes": [node_cfg("t-n1", cpu=10_000)]},
+        ]
+        pods = [pod_cfg("p0", "s", submit=0, duration="1m")]
+        pods += [pod_cfg(f"p{i}", "s", submit=15 + i, duration="1m") for i in (1, 2, 3)]
+        pods.append(pod_cfg("blocker", "t", cpu=10_000, federated=False,
+                            submit=25, duration="20s"))
+        raw = base_config(clusters, pairs=[("s", "t")], pods=pods, duration="2m")
+        raw["federation"] = {"reservations": False}
+        sim, report = run_raw(raw)
+
+        created = [fx["pod"] for _, fx in effects_of(sim, "chaperon")
+                   if fx["state"] == "PendingSchedule"]
+        assert created == ["p0", "p1", "p2", "p3", "p0"]
+        conflict = [e for e in events_of(sim, engine.CANDIDATE_REPORT)
+                    if e.payload.get("reason") == "bind_conflict"]
+        assert [e.payload["pod"] for e in conflict] == ["p0"]
+
+        freed = next(e for e in events_of(sim, engine.POD_COMPLETE)
+                     if e.payload["pod"] == "blocker")
+        retried = [fx["pod"] for fx in freed.effects
+                   if fx["op"] == "chaperon" and fx["state"] == "CandidateReserved"]
+        assert retried == ["p0", "p1", "p2", "p3"]
+        assert all(report.pod(f"p{i}").bound_cluster == "t" for i in range(4))
+
+
 class TestMirror:
     def test_mirror_trace_is_delegate_trace_shifted_by_latency(self):
         clusters = [
