@@ -14,6 +14,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from .errors import (
     BindConflict,
+    BindError,
     NamespaceNotAllowed,
     OvercommitError,
     PhaseTransitionError,
@@ -109,8 +110,30 @@ class ClusterSpec:
             raise ValueError(f"duplicate node id {node.node_id} in {self.cluster_id}")
         self.nodes[node.node_id] = node
 
-    def admits(self, namespace: str) -> bool:
-        return self.namespace_allowlist is None or namespace in self.namespace_allowlist
+    def admission_error(
+        self, pod: PodSpec, ns_usage: Dict[str, ResourceVector]
+    ) -> Optional[BindError]:
+        """The error refusing `pod`'s namespace here, or None if admitted.
+
+        Admitted means on the allowlist and, with `ns_usage` the requests
+        each namespace already holds, within the namespace's quota once the
+        pod's request is added. `schedule_one`, `ClusterState.reserve` and
+        `ClusterState.bind` all decide admission here, so they cannot
+        disagree.
+        """
+        namespace = pod.namespace
+        if self.namespace_allowlist is not None and namespace not in self.namespace_allowlist:
+            return NamespaceNotAllowed(
+                f"namespace {namespace!r} not admitted by cluster {self.cluster_id}"
+            )
+        quota = self.namespace_quota.get(namespace)
+        if quota is not None and not (
+            ns_usage.get(namespace, ResourceVector.zero()) + pod.request
+        ).fits_within(quota):
+            return QuotaExceeded(
+                f"namespace {namespace!r} over quota in cluster {self.cluster_id}"
+            )
+        return None
 
 
 def node_allocatable(node: NodeSpec, bound_pods: Iterable[PodSpec]) -> ResourceVector:
@@ -203,21 +226,15 @@ class ClusterState:
     def namespace_used(self, namespace: str) -> ResourceVector:
         return self.ns_usage.get(namespace, ResourceVector.zero())
 
-    def within_quota(self, namespace: str, request: ResourceVector) -> bool:
-        quota = self.spec.namespace_quota.get(namespace)
-        if quota is None:
-            return True
-        return (self.namespace_used(namespace) + request).fits_within(quota)
-
-    def _check_admission(self, pod: PodSpec) -> None:
-        if not self.spec.admits(pod.namespace):
-            raise NamespaceNotAllowed(
-                f"namespace {pod.namespace!r} not admitted by cluster {self.cluster_id}"
-            )
-        if not self.within_quota(pod.namespace, pod.request):
-            raise QuotaExceeded(
-                f"namespace {pod.namespace!r} over quota in cluster {self.cluster_id}"
-            )
+    def _check_feasible(self, pod: PodSpec, node_id: str, conflict: str) -> None:
+        """Raise unless `pod` may take `node_id` now, by the same rule as
+        `schedule_one`: BindConflict (with message `conflict`) when it does
+        not fit the node, else the namespace's admission error."""
+        if not fits(pod, self.spec.nodes[node_id], self.allocatable(node_id)):
+            raise BindConflict(conflict)
+        refusal = self.spec.admission_error(pod, self.ns_usage)
+        if refusal is not None:
+            raise refusal
 
     def _ns_add(self, namespace: str, request: ResourceVector) -> None:
         self.ns_usage[namespace] = self.namespace_used(namespace) + request
@@ -227,12 +244,9 @@ class ClusterState:
 
     def reserve(self, pod: PodSpec, node_id: str) -> None:
         """Hold node resources for a candidate until election resolves."""
-        node = self.spec.nodes[node_id]
-        if not fits(pod, node, self.allocatable(node_id)):
-            raise BindConflict(
-                f"reservation for {pod.pod_id} no longer fits node {node_id}"
-            )
-        self._check_admission(pod)
+        self._check_feasible(
+            pod, node_id, f"reservation for {pod.pod_id} no longer fits node {node_id}"
+        )
         self._allocatable[node_id] = self._allocatable[node_id].subtract(pod.request)
         self.reserved[node_id][pod.pod_id] = pod.request
         self._reservations[pod.pod_id] = (node_id, pod.namespace)
@@ -248,10 +262,6 @@ class ClusterState:
         self._ns_sub(namespace, request)
         return True
 
-    def reservation_node(self, pod_id: str) -> Optional[str]:
-        held = self._reservations.get(pod_id)
-        return None if held is None else held[0]
-
     def bind(self, pod: PodSpec, node_id: str, at: int) -> None:
         """Bind a pod to a node, re-validating feasibility at time `at`.
 
@@ -259,18 +269,14 @@ class ClusterState:
         precondition no longer holds; the caller must re-queue the pod.
         A reservation held by the same pod is consumed by the bind.
         """
-        node = self.spec.nodes[node_id]
-        had_reservation = pod.pod_id in self.reserved[node_id]
-        if had_reservation:
+        if pod.pod_id in self.reserved[node_id]:
             # The reservation already holds the resources and quota.
             request = self.reserved[node_id].pop(pod.pod_id)
             del self._reservations[pod.pod_id]
         else:
-            if not fits(pod, node, self.allocatable(node_id)):
-                raise BindConflict(
-                    f"pod {pod.pod_id} no longer fits node {node_id} at t={at}"
-                )
-            self._check_admission(pod)
+            self._check_feasible(
+                pod, node_id, f"pod {pod.pod_id} no longer fits node {node_id} at t={at}"
+            )
             request = pod.request
             self._ns_add(pod.namespace, request)
             self._allocatable[node_id] = self._allocatable[node_id].subtract(request)

@@ -32,12 +32,7 @@ from .metascale import BatchJob, MetaScaleParams
 from .profiles import PROFILES, expanse_sscu, nautilus_mini
 from .resources import ResourceVector, parse_memory
 from .scenario import CameraEvent, PodTemplate, TriggerRule, load_trace
-from .scheduling import (
-    DEFAULT_FILTERS,
-    DEFAULT_SCORES,
-    FILTER_PLUGINS,
-    SCORE_PLUGINS,
-)
+from .scheduling import DEFAULT_SCORES, SCORE_PLUGINS
 
 _TIME_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ms|s|m|h)?\s*$")
 _TIME_UNITS = {None: 1, "ms": 1, "s": 1_000, "m": 60_000, "h": 3_600_000}
@@ -140,7 +135,6 @@ class ClusterConfig:
     initial_batch_nodes: int
     namespace_allowlist: Optional[List[str]]
     namespace_quota: Dict[str, ResourceVector]
-    filter_names: Tuple[str, ...]
     score_weights: Tuple[Tuple[str, float], ...]
 
     def build_nodes(self) -> List[NodeSpec]:
@@ -249,33 +243,27 @@ class RunConfig:
         return [c.cluster_id for c in self.clusters]
 
 
-def _parse_pipeline(section: Optional[dict], path: str):
+def _parse_pipeline(section: Optional[dict], path: str) -> Tuple[Tuple[str, float], ...]:
+    """The score weights; node feasibility is fixed, so scores are all a
+    pipeline configures."""
     if section is None:
-        return tuple(DEFAULT_FILTERS), tuple(DEFAULT_SCORES)
-    _check_keys(section, ("filters", "scores"), path)
-    filters = section.get("filters", list(DEFAULT_FILTERS))
-    if not isinstance(filters, list):
-        raise ConfigError("must be a list of plugin names", f"{path}.filters")
-    for i, name in enumerate(filters):
-        if name not in FILTER_PLUGINS:
-            raise ConfigError(f"unknown filter plugin {name!r}", f"{path}.filters[{i}]")
+        return tuple(DEFAULT_SCORES)
+    _check_keys(section, ("scores",), path)
     scores_raw = section.get("scores")
     if scores_raw is None:
-        scores = tuple(DEFAULT_SCORES)
-    else:
-        if not isinstance(scores_raw, list):
-            raise ConfigError("must be a list of {name, weight}", f"{path}.scores")
-        scores = []
-        for i, entry in enumerate(scores_raw):
-            spath = f"{path}.scores[{i}]"
-            _check_keys(entry, ("name", "weight"), spath)
-            name = _get_str(entry, "name", spath, required=True)
-            if name not in SCORE_PLUGINS:
-                raise ConfigError(f"unknown score plugin {name!r}", f"{spath}.name")
-            weight = _get_float(entry, "weight", 1.0, spath, lo=0.0)
-            scores.append((name, weight))
-        scores = tuple(scores)
-    return tuple(filters), scores
+        return tuple(DEFAULT_SCORES)
+    if not isinstance(scores_raw, list):
+        raise ConfigError("must be a list of {name, weight}", f"{path}.scores")
+    scores = []
+    for i, entry in enumerate(scores_raw):
+        spath = f"{path}.scores[{i}]"
+        _check_keys(entry, ("name", "weight"), spath)
+        name = _get_str(entry, "name", spath, required=True)
+        if name not in SCORE_PLUGINS:
+            raise ConfigError(f"unknown score plugin {name!r}", f"{spath}.name")
+        weight = _get_float(entry, "weight", 1.0, spath, lo=0.0)
+        scores.append((name, weight))
+    return tuple(scores)
 
 
 def _parse_cluster(entry: dict, path: str) -> ClusterConfig:
@@ -330,7 +318,7 @@ def _parse_cluster(entry: dict, path: str) -> ClusterConfig:
     quota = {}
     for ns, q in entry.get("namespace_quota", {}).items():
         quota[ns] = parse_resources(q, f"{path}.namespace_quota.{ns}")
-    filters, scores = _parse_pipeline(entry.get("pipeline"), f"{path}.pipeline")
+    scores = _parse_pipeline(entry.get("pipeline"), f"{path}.pipeline")
     return ClusterConfig(
         cluster_id=cluster_id,
         profile=profile,
@@ -339,7 +327,6 @@ def _parse_cluster(entry: dict, path: str) -> ClusterConfig:
         initial_batch_nodes=_get_int(entry, "initial_batch_nodes", 0, path),
         namespace_allowlist=allowlist,
         namespace_quota=quota,
-        filter_names=filters,
         score_weights=scores,
     )
 
@@ -426,7 +413,7 @@ def _parse_federation(section: dict, path: str) -> FederationParams:
         section,
         (
             "election_timeout", "retry_backoff", "max_retries", "heartbeat",
-            "reservations", "election_policy", "hop_limit",
+            "reservations", "election_policy",
         ),
         path,
     )
@@ -435,12 +422,6 @@ def _parse_federation(section: dict, path: str) -> FederationParams:
         raise ConfigError(
             f"unknown election policy {policy!r}", f"{path}.election_policy"
         )
-    hop_limit = _get_int(section, "hop_limit", 1, path, minimum=1)
-    if hop_limit != 1:
-        raise ConfigError(
-            "only hop_limit 1 is supported: delegates are never re-federated",
-            f"{path}.hop_limit",
-        )
     return FederationParams(
         election_timeout_ms=parse_time(section.get("election_timeout", "5s"), f"{path}.election_timeout"),
         retry_backoff_ms=parse_time(section.get("retry_backoff", "1s"), f"{path}.retry_backoff"),
@@ -448,7 +429,6 @@ def _parse_federation(section: dict, path: str) -> FederationParams:
         heartbeat_ms=parse_time(section.get("heartbeat", "10s"), f"{path}.heartbeat"),
         reservations=_get_bool(section, "reservations", True, path),
         election_policy=policy,
-        hop_limit=hop_limit,
     )
 
 

@@ -5,8 +5,8 @@ Lifecycle of one federated pod:
   1. fan-out: the source replaces the pod with a proxy (which never consumes
      node resources) and sends a chaperon-creation message to every target
      it has an edge to, including itself when a self-edge exists.
-  2. candidate scheduling: each target runs its own filter/score pipeline
-     over its real nodes. A feasible candidate reserves its chosen node and
+  2. candidate scheduling: each target runs its own scheduler over its real
+     nodes. A feasible candidate reserves its chosen node and
      reports "reserved"; an infeasible one reports "unschedulable" and is
      retried whenever the target's state changes.
   3. election: once at least one reserved report is in and either every
@@ -72,7 +72,6 @@ class FederationParams:
     heartbeat_ms: int = 10_000
     reservations: bool = True
     election_policy: str = ELECTION_LEAST_ALLOCATED
-    hop_limit: int = 1
 
 
 @dataclass
@@ -93,14 +92,6 @@ class VirtualNode:
 
 
 @dataclass
-class CandidateReport:
-    target: str
-    status: str
-    node: Optional[str] = None
-    at: int = 0
-
-
-@dataclass
 class ProxyPod:
     pod: PodSpec
     source: str
@@ -108,7 +99,7 @@ class ProxyPod:
     fanout_time: int
     state: ProxyState = ProxyState.CANDIDATES_PENDING
     elected_target: Optional[str] = None
-    reports: Dict[str, CandidateReport] = field(default_factory=dict)
+    reports: Dict[str, str] = field(default_factory=dict)  # target -> latest report status
     retries: int = 0
     pending_timer: Optional[int] = None
     mirrored_phase: Optional[str] = None
@@ -121,7 +112,6 @@ class PodChaperon:
     target: str
     state: ChaperonState = ChaperonState.PENDING_SCHEDULE
     reserved_node: Optional[str] = None
-    annotations: List[dict] = field(default_factory=list)
     last_reported: Optional[str] = None
 
 
@@ -204,7 +194,6 @@ class FederationProtocol:
         pod_id, source, target = payload["pod"], payload["source"], payload["target"]
         proxy = self.proxies[pod_id]
         chaperon = PodChaperon(pod=proxy.pod.clone(), parent_source=source, target=target)
-        chaperon.annotations.append({"at": self.ctx.now, "dir": "in", "kind": "create"})
         self.chaperons[(pod_id, target)] = chaperon
         self._unsettled.setdefault(target, {})[pod_id] = chaperon
         self.ctx.effect(op="chaperon", pod=pod_id, cluster=target, state=chaperon.state.value)
@@ -255,9 +244,6 @@ class FederationProtocol:
 
     def _report(self, chaperon: PodChaperon, status: str, node: str = None, reason: str = None) -> None:
         chaperon.last_reported = status
-        chaperon.annotations.append(
-            {"at": self.ctx.now, "dir": "out", "kind": "report", "status": status}
-        )
         proxy = self.proxies[chaperon.pod.pod_id]
         payload = {"pod": chaperon.pod.pod_id, "target": chaperon.target, "status": status}
         if node is not None:
@@ -271,9 +257,7 @@ class FederationProtocol:
     def on_candidate_report(self, payload: dict) -> None:
         pod_id, target, status = payload["pod"], payload["target"], payload["status"]
         proxy = self.proxies[pod_id]
-        proxy.reports[target] = CandidateReport(
-            target=target, status=status, node=payload.get("node"), at=self.ctx.now
-        )
+        proxy.reports[target] = status
         if payload.get("reason") == "bind_conflict":
             self._on_bind_conflict(proxy, target)
             return
@@ -291,7 +275,7 @@ class FederationProtocol:
 
     def _reserved_targets(self, proxy: ProxyPod) -> List[str]:
         return sorted(
-            t for t, r in proxy.reports.items() if r.status == REPORT_RESERVED
+            t for t, status in proxy.reports.items() if status == REPORT_RESERVED
         )
 
     def _maybe_elect(self, proxy: ProxyPod) -> bool:
@@ -387,7 +371,6 @@ class FederationProtocol:
         pod_id, target = payload["pod"], payload["target"]
         proxy = self.proxies[pod_id]
         chaperon = self.chaperons[(pod_id, target)]
-        chaperon.annotations.append({"at": self.ctx.now, "dir": "in", "kind": "bind"})
         cluster = self.ctx.clusters[target]
         node = chaperon.reserved_node
         try:
@@ -431,7 +414,6 @@ class FederationProtocol:
         chaperon = self.chaperons.get((payload["pod"], payload["target"]))
         if chaperon is None or chaperon.state is ChaperonState.DELETED:
             return
-        chaperon.annotations.append({"at": self.ctx.now, "dir": "in", "kind": "delete"})
         chaperon.state = ChaperonState.DELETED
         if chaperon.reserved_node is not None and self.params.reservations:
             cluster = self.ctx.clusters[chaperon.target]

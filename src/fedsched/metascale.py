@@ -49,7 +49,6 @@ class BatchJob:
 class PoolDemand:
     batch_queue_depth: int  # queued demand in node-count terms
     container_pending: ResourceVector
-    window: int
 
 
 @dataclass
@@ -127,7 +126,6 @@ class MetaScaler:
         return PoolDemand(
             batch_queue_depth=queued_nodes,
             container_pending=pending,
-            window=self.params.tick_ms,
         )
 
     def _reference_capacity(self) -> ResourceVector:

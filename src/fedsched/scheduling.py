@@ -1,9 +1,13 @@
-"""Pluggable filter/score scheduler used inside each cluster.
+"""Fixed-feasibility, weighted-score scheduler used inside each cluster.
 
-All plugins are pure functions over an immutable snapshot, so a scheduling
-decision is fully determined by (pod, snapshot, pipeline). Ties between
-equally scored nodes go to the lexicographically smallest node id, which
-keeps runs replayable.
+Feasibility is one rule, not a plugin list: a node is feasible when
+`cluster.fits` holds and the cluster admits the pod's namespace
+(`ClusterSpec.admission_error`). `ClusterState.reserve` and `bind` apply
+the same rule, so a node chosen here is one they accept. Among feasible
+nodes the weighted score plugins decide. Scores are pure functions over a
+snapshot, so a decision is fully determined by (pod, snapshot, pipeline).
+Ties between equally scored nodes go to the lexicographically smallest node
+id, which keeps runs replayable.
 """
 
 from __future__ import annotations
@@ -11,53 +15,33 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .cluster import ClusterState, NodeSpec, PodSpec, fits, selector_matches
+from .cluster import ClusterSpec, ClusterState, NodeSpec, PodSpec, fits
 from .resources import ResourceVector
 
-FilterFn = Callable[[PodSpec, NodeSpec, "SchedulingSnapshot"], bool]
 ScoreFn = Callable[[PodSpec, NodeSpec, "SchedulingSnapshot"], int]
 
 
 @dataclass(frozen=True)
 class SchedulingSnapshot:
-    """Point-in-time view of one cluster for a scheduling decision."""
+    """Point-in-time view of one cluster for a scheduling decision.
 
-    cluster_id: str
+    `spec` supplies the namespace allowlist and quotas, which stay fixed for
+    a run; the per-node and per-namespace figures are copies.
+    """
+
+    spec: ClusterSpec
     nodes: Dict[str, NodeSpec]
     allocatable: Dict[str, ResourceVector]
     namespace_used: Dict[str, ResourceVector]
-    namespace_quota: Dict[str, ResourceVector]
-    namespace_allowlist: Optional[frozenset]
 
 
 def snapshot_of(state: ClusterState) -> SchedulingSnapshot:
-    allowlist = state.spec.namespace_allowlist
     return SchedulingSnapshot(
-        cluster_id=state.cluster_id,
+        spec=state.spec,
         nodes=dict(state.spec.nodes),
         allocatable={n: state.allocatable(n) for n in state.spec.nodes},
         namespace_used=dict(state.ns_usage),
-        namespace_quota=dict(state.spec.namespace_quota),
-        namespace_allowlist=None if allowlist is None else frozenset(allowlist),
     )
-
-
-def resource_fit(pod: PodSpec, node: NodeSpec, snap: SchedulingSnapshot) -> bool:
-    return fits(pod, node, snap.allocatable[node.node_id])
-
-
-def label_selector(pod: PodSpec, node: NodeSpec, snap: SchedulingSnapshot) -> bool:
-    return selector_matches(pod.node_selector, node.labels)
-
-
-def namespace_policy(pod: PodSpec, node: NodeSpec, snap: SchedulingSnapshot) -> bool:
-    if snap.namespace_allowlist is not None and pod.namespace not in snap.namespace_allowlist:
-        return False
-    quota = snap.namespace_quota.get(pod.namespace)
-    if quota is None:
-        return True
-    used = snap.namespace_used.get(pod.namespace, ResourceVector.zero())
-    return (used + pod.request).fits_within(quota)
 
 
 def least_allocated_score(free_after: ResourceVector, capacity: ResourceVector) -> int:
@@ -89,44 +73,29 @@ def gpu_binpack(pod: PodSpec, node: NodeSpec, snap: SchedulingSnapshot) -> int:
     return round(100 * (cap - free_after) / cap)
 
 
-FILTER_PLUGINS: Dict[str, FilterFn] = {
-    "ResourceFit": resource_fit,
-    "LabelSelector": label_selector,
-    "NamespacePolicy": namespace_policy,
-}
-
 SCORE_PLUGINS: Dict[str, ScoreFn] = {
     "LeastAllocated": least_allocated,
     "GpuBinpack": gpu_binpack,
 }
 
-DEFAULT_FILTERS = ("ResourceFit", "LabelSelector", "NamespacePolicy")
 DEFAULT_SCORES = (("LeastAllocated", 1),)
 
 
 @dataclass
 class PluginPipeline:
-    filters: List[Tuple[str, FilterFn]] = field(default_factory=list)
     scores: List[Tuple[str, ScoreFn, float]] = field(default_factory=list)
-
-    def feasible(self, pod: PodSpec, node: NodeSpec, snap: SchedulingSnapshot) -> bool:
-        return all(fn(pod, node, snap) for _, fn in self.filters)
 
     def total_score(self, pod: PodSpec, node: NodeSpec, snap: SchedulingSnapshot) -> float:
         return sum(weight * fn(pod, node, snap) for _, fn, weight in self.scores)
 
 
-def builtin_pipeline(
-    filter_names=DEFAULT_FILTERS,
-    score_weights=DEFAULT_SCORES,
-) -> PluginPipeline:
-    filters = [(name, FILTER_PLUGINS[name]) for name in filter_names]
+def builtin_pipeline(score_weights=DEFAULT_SCORES) -> PluginPipeline:
     scores = []
     for name, weight in score_weights:
         if weight < 0:
             raise ValueError(f"score weight for {name} must be >= 0")
         scores.append((name, SCORE_PLUGINS[name], weight))
-    return PluginPipeline(filters=filters, scores=scores)
+    return PluginPipeline(scores=scores)
 
 
 def schedule_one(
@@ -134,14 +103,18 @@ def schedule_one(
 ) -> Optional[str]:
     """Pick the feasible node with maximal total score, or None.
 
-    Nodes are visited in sorted id order with a strict improvement test, so
-    score ties resolve to the lexicographically smallest node id.
+    Namespace admission does not depend on the node, so it is decided once,
+    before the node loop. Nodes are visited in sorted id order with a strict
+    improvement test, so score ties resolve to the lexicographically
+    smallest node id.
     """
+    if snap.spec.admission_error(pod, snap.namespace_used) is not None:
+        return None
     best_node = None
     best_score = None
     for node_id in sorted(snap.nodes):
         node = snap.nodes[node_id]
-        if not pipeline.feasible(pod, node, snap):
+        if not fits(pod, node, snap.allocatable[node_id]):
             continue
         score = pipeline.total_score(pod, node, snap)
         if best_score is None or score > best_score:

@@ -43,9 +43,7 @@ class Simulation:
         self.pipelines: Dict[str, PluginPipeline] = {}
         for cluster_cfg in config.clusters:
             self.clusters[cluster_cfg.cluster_id] = ClusterState(cluster_cfg.build_spec())
-            self.pipelines[cluster_cfg.cluster_id] = builtin_pipeline(
-                cluster_cfg.filter_names, cluster_cfg.score_weights
-            )
+            self.pipelines[cluster_cfg.cluster_id] = builtin_pipeline(cluster_cfg.score_weights)
 
         self.federation_params = config.federation
         self.protocol = FederationProtocol(self)

@@ -187,7 +187,7 @@ class TestReservations:
         pod = make_pod("r1", 1500, GIB)
         state.reserve(pod, "n1")
         state.bind(pod, "n1", at=0)
-        assert state.reservation_node("r1") is None
+        assert "r1" not in state.reserved["n1"]
         assert state.allocatable("n1") == ResourceVector(500, 3 * GIB, 0)
 
 
@@ -265,7 +265,7 @@ class TestIncrementalAccounting:
                               else NodeState.READY)
             self.assert_matches_scratch(state)
             for pod_id, (_, node_id) in reserved.items():
-                assert state.reservation_node(pod_id) == node_id
+                assert pod_id in state.reserved[node_id]
             most_reserved = max(most_reserved, len(reserved))
             most_bound = max(most_bound, len(bound))
         assert most_reserved >= 3 and most_bound >= 3, (most_reserved, most_bound)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from fedsched.cli import EXIT_CONFIG, main
 from fedsched.config import parse_config, parse_time, validate_config
 from fedsched.errors import ConfigError
 from fedsched.sim import Simulation
@@ -12,6 +13,24 @@ from fedsched.sim import Simulation
 from conftest import base_config, node_cfg, pod_cfg, run_raw
 
 BUNDLED = importlib.resources.files("fedsched") / "data" / "expanse-nautilus.json"
+
+# Configs that chose their own filter list, which the scheduler used to
+# accept. Without ResourceFit the LeastAllocated score subtracted past zero
+# on a node too small for the pod (a false invariant violation, exit 2);
+# without NamespacePolicy the scheduler picked a node that bind then refused
+# (exit 1 mid-run, with no config location).
+FILTER_CONFIGS = {
+    "no-resource-fit": base_config(
+        [{"id": "a", "nodes": [node_cfg("n1", cpu=1000)],
+          "pipeline": {"filters": ["LabelSelector", "NamespacePolicy"]}}],
+        pods=[pod_cfg("p", "a", cpu=2000, federated=False)],
+    ),
+    "no-namespace-policy": base_config(
+        [{"id": "a", "nodes": [node_cfg("n1")], "namespace_allowlist": ["prod"],
+          "pipeline": {"filters": ["ResourceFit", "LabelSelector"]}}],
+        pods=[pod_cfg("p", "a", ns="dev", federated=False)],
+    ),
+}
 
 
 class TestParseTime:
@@ -105,6 +124,21 @@ class TestValidation:
         raw["federation"] = {"hop_limit": 2}
         with pytest.raises(ConfigError, match="hop_limit"):
             validate_config(raw)
+
+    @pytest.mark.parametrize("name", sorted(FILTER_CONFIGS))
+    def test_pipeline_filters_rejected_with_location(self, name):
+        with pytest.raises(ConfigError, match="unknown keys: filters") as err:
+            validate_config(copy.deepcopy(FILTER_CONFIGS[name]))
+        assert err.value.location == "topology.clusters[0].pipeline"
+
+    @pytest.mark.parametrize("name", sorted(FILTER_CONFIGS))
+    def test_validate_cli_rejects_pipeline_filters(self, name, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(FILTER_CONFIGS[name]))
+        assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: topology.clusters[0].pipeline: unknown keys: filters")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400],
                              ids=["nan", "inf", "-inf", "huge-int"])

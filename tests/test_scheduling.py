@@ -1,6 +1,9 @@
 import random
 
-from fedsched.cluster import ClusterSpec, ClusterState, NodePool, NodeState
+import pytest
+
+from fedsched.cluster import ClusterSpec, ClusterState, NodePool, NodeState, fits
+from fedsched.errors import BindError
 from fedsched.resources import GIB, ResourceVector
 from fedsched.scheduling import (
     builtin_pipeline,
@@ -87,15 +90,22 @@ class TestGpuBinpack:
 class TestFilters:
     def test_zero_request_passes_resource_fit_on_all_ready_container_nodes(self):
         state = cluster_with(
-            [make_node("n1"), make_node("n2"), make_node("b1", pool="Batch")]
+            [make_node("n1"), make_node("n2"), make_node("b1", pool="Batch"),
+             make_node("r1")]
         )
+        state.nodes()["r1"].state = NodeState.REPURPOSING
         snap = snapshot_of(state)
-        pipeline = builtin_pipeline(filter_names=("ResourceFit",))
         pod = make_pod("p", 0, 0)
-        passing = [
-            n for n in snap.nodes.values() if pipeline.feasible(pod, n, snap)
-        ]
-        assert sorted(x.node_id for x in passing) == ["n1", "n2"]
+        passing = [n for n, node in snap.nodes.items() if fits(pod, node, snap.allocatable[n])]
+        assert sorted(passing) == ["n1", "n2"]
+        # The empty Batch and non-Ready nodes would score highest, yet are
+        # never chosen: not over two nearly full nodes, not when only they
+        # could hold the request.
+        state.bind(make_pod("f1", 9000, 0), "n1", at=0)
+        state.bind(make_pod("f2", 9000, 0), "n2", at=0)
+        assert schedule_one(pod, snapshot_of(state), builtin_pipeline()) == "n1"
+        big = make_pod("big", 5000, 0)
+        assert schedule_one(big, snapshot_of(state), builtin_pipeline()) is None
 
     def test_namespace_policy_rejects_unlisted_namespace(self):
         state = cluster_with([make_node("n1")], allowlist={"prod"})
@@ -184,6 +194,52 @@ class TestScheduleOne:
             assert chosen == expected, f"step {i}: {chosen} != {expected}"
             if chosen is not None:
                 state.bind(pod, chosen, at=i)
+
+
+class TestBindAgreement:
+    def test_chosen_node_always_binds_and_none_means_no_node_binds(self):
+        # Random nodes, quotas, allowlists and pods; reservations and binds
+        # accumulate. schedule_one and ClusterState apply one feasibility
+        # rule, so a chosen node is always accepted, and when nothing is
+        # chosen every node is refused.
+        rng = random.Random(41)
+        namespaces = ("prod", "dev", "team")
+        chosen_count = refused_count = 0
+        for trial in range(150):
+            nodes = [
+                make_node(f"n{i}", cpu=rng.randint(1, 8) * 1000, mem=rng.randint(1, 8) * GIB,
+                          gpu=rng.choice([0, 0, 2]), labels=rng.choice([{}, {"zone": "a"}]),
+                          pool=rng.choice(["Container", "Container", "Batch"]))
+                for i in range(rng.randint(1, 4))
+            ]
+            for node in nodes:
+                if rng.random() < 0.2:
+                    node.state = NodeState.REPURPOSING
+            quota = {
+                ns: ResourceVector(rng.randint(1, 8) * 1000, rng.randint(1, 8) * GIB,
+                                   rng.randint(0, 2))
+                for ns in namespaces if rng.random() < 0.5
+            }
+            allowlist = rng.choice([None, {"prod"}, {"prod", "team"}])
+            state = cluster_with(nodes, allowlist=allowlist, quota=quota)
+            for step in range(8):
+                pod = make_pod(f"p{trial}-{step}", cpu=rng.choice([0, 500, 1000, 3000]),
+                               mem=rng.choice([0, 1, 2]) * GIB, gpu=rng.choice([0, 0, 1]),
+                               ns=rng.choice(namespaces),
+                               selector=rng.choice([{}, {}, {"zone": "a"}]))
+                chosen = schedule_one(pod, snapshot_of(state), builtin_pipeline())
+                if chosen is None:
+                    refused_count += 1
+                    for node_id in sorted(state.nodes()):
+                        with pytest.raises(BindError):
+                            state.bind(pod, node_id, at=step)
+                    continue
+                chosen_count += 1
+                if rng.random() < 0.3:
+                    state.reserve(pod, chosen)
+                else:
+                    state.bind(pod, chosen, at=step)
+        assert chosen_count >= 200 and refused_count >= 200, (chosen_count, refused_count)
 
 
 class TestWeightScaling:
