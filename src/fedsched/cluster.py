@@ -149,9 +149,15 @@ def selector_matches(selector: Dict[str, str], labels: Dict[str, str]) -> bool:
     return all(labels.get(k) == v for k, v in selector.items())
 
 
+def schedulable(node: NodeSpec) -> bool:
+    """Ready and in the container pool: the nodes pods may take, and the
+    ones a cluster's virtual-node aggregates cover."""
+    return node.state is NodeState.READY and node.pool is NodePool.CONTAINER
+
+
 def fits(pod: PodSpec, node: NodeSpec, allocatable: ResourceVector) -> bool:
     """Pure feasibility predicate for one pod on one container node."""
-    if node.state is not NodeState.READY or node.pool is not NodePool.CONTAINER:
+    if not schedulable(node):
         return False
     if not selector_matches(pod.node_selector, node.labels):
         return False
@@ -175,6 +181,15 @@ class ClusterState:
     so `allocatable` is a dict read. The per-pod `bound` and `reserved`
     maps stay the record of truth: `_assert_node_capacity` recomputes from
     them after every bind, independently of the cached vectors.
+
+    Aggregate invariant: after every bind, unbind and `set_node`, with S the
+    Ready container nodes (`schedulable`),
+
+        _aggregate_capacity == sum(capacity(n) for n in S)
+        _aggregate_unbound  == sum(_unbound[n] for n in S)
+
+    so the virtual-node aggregates are reads. Node pool and state change
+    only through `set_node`, which moves the node's share in or out.
     """
 
     def __init__(self, spec: ClusterSpec):
@@ -189,6 +204,9 @@ class ClusterState:
             n: node.capacity for n, node in spec.nodes.items()
         }
         self._allocatable: Dict[str, ResourceVector] = dict(self._unbound)
+        in_aggregate = [n for n in spec.nodes.values() if schedulable(n)]
+        self._aggregate_capacity = sum_vectors(n.capacity for n in in_aggregate)
+        self._aggregate_unbound = self._aggregate_capacity
 
     @property
     def cluster_id(self) -> str:
@@ -204,11 +222,7 @@ class ClusterState:
 
     def aggregate_capacity(self) -> ResourceVector:
         """Capacity summed over Ready container nodes."""
-        return sum_vectors(
-            n.capacity
-            for n in self.spec.nodes.values()
-            if n.pool is NodePool.CONTAINER and n.state is NodeState.READY
-        )
+        return self._aggregate_capacity
 
     def aggregate_allocatable(self) -> ResourceVector:
         """Allocatable (net of bound pods only) over Ready container nodes.
@@ -217,11 +231,29 @@ class ClusterState:
         artifacts, and reporting them would double-count a pod against its
         own candidate when the proxy scores aggregates.
         """
-        return sum_vectors(
-            self.allocatable(node_id, include_reservations=False)
-            for node_id, node in self.spec.nodes.items()
-            if node.pool is NodePool.CONTAINER and node.state is NodeState.READY
-        )
+        return self._aggregate_unbound
+
+    def set_node(
+        self,
+        node_id: str,
+        pool: Optional[NodePool] = None,
+        state: Optional[NodeState] = None,
+    ) -> None:
+        """Move a node to `pool` and/or `state`, keeping the aggregates.
+
+        The only way a node's pool or state changes once the cluster runs.
+        """
+        node = self.spec.nodes[node_id]
+        if schedulable(node):
+            self._aggregate_capacity = self._aggregate_capacity.subtract(node.capacity)
+            self._aggregate_unbound = self._aggregate_unbound.subtract(self._unbound[node_id])
+        if pool is not None:
+            node.pool = pool
+        if state is not None:
+            node.state = state
+        if schedulable(node):
+            self._aggregate_capacity = self._aggregate_capacity + node.capacity
+            self._aggregate_unbound = self._aggregate_unbound + self._unbound[node_id]
 
     def namespace_used(self, namespace: str) -> ResourceVector:
         return self.ns_usage.get(namespace, ResourceVector.zero())
@@ -281,6 +313,8 @@ class ClusterState:
             self._ns_add(pod.namespace, request)
             self._allocatable[node_id] = self._allocatable[node_id].subtract(request)
         self._unbound[node_id] = self._unbound[node_id].subtract(request)
+        if schedulable(self.spec.nodes[node_id]):
+            self._aggregate_unbound = self._aggregate_unbound.subtract(request)
         self.bound[node_id][pod.pod_id] = request
         self.pods[pod.pod_id] = pod
         pod.transition(PodPhase.BOUND)
@@ -294,6 +328,8 @@ class ClusterState:
         node_id = pod.bound_node
         request = self.bound[node_id].pop(pod_id)
         self._unbound[node_id] = self._unbound[node_id] + request
+        if schedulable(self.spec.nodes[node_id]):
+            self._aggregate_unbound = self._aggregate_unbound + request
         self._allocatable[node_id] = self._allocatable[node_id] + request
         self._ns_sub(pod.namespace, request)
         return pod

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -510,7 +511,7 @@ def _parse_scenario(section: dict, path: str, known_clusters: set) -> ScenarioCo
         trace_file = _get_str(section, "trace_file", path)
         try:
             trace += load_trace(trace_file, parse_time)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, ConfigError) as exc:
             raise ConfigError(str(exc), f"{path}.trace_file") from None
     trace.sort(key=lambda e: (e.time, e.camera_id))
 
@@ -654,6 +655,7 @@ def validate_config(raw: dict, base_seed: Optional[int] = None) -> RunConfig:
 
 
 def load_raw(path: str) -> dict:
+    """Read a config file into the dict `validate_config` takes."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -667,6 +669,12 @@ def load_raw(path: str) -> dict:
         raise ConfigError(f"invalid JSON: {exc}", path) from None
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object", path)
+    # A relative trace file names a file next to the config, wherever the
+    # command runs from.
+    scenario = raw.get("scenario")
+    trace_file = scenario.get("trace_file") if isinstance(scenario, dict) else None
+    if isinstance(trace_file, str) and trace_file:
+        scenario["trace_file"] = os.path.join(os.path.dirname(path), trace_file)
     return raw
 
 

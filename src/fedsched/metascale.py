@@ -210,9 +210,7 @@ class MetaScaler:
         log.debug("t=%d %s: moving %d node(s) %s -> %s",
                   self.ctx.now, self.cluster_id, count, src.value, dst.value)
         for node_id in self._movable(src)[:count]:
-            node = state.nodes()[node_id]
-            node.pool = dst
-            node.state = NodeState.REPURPOSING
+            state.set_node(node_id, pool=dst, state=NodeState.REPURPOSING)
             self.pinned_until[node_id] = self.ctx.now + self.params.cooldown_ms
             self.ctx.effect(
                 op="pool_move", cluster=self.cluster_id, node=node_id,
@@ -232,7 +230,7 @@ class MetaScaler:
     def on_node_ready(self, payload: dict) -> None:
         state = self.ctx.clusters[self.cluster_id]
         node = state.nodes()[payload["node"]]
-        node.state = NodeState.READY
+        state.set_node(node.node_id, state=NodeState.READY)
         self.ctx.effect(
             op="node_ready", cluster=self.cluster_id, node=node.node_id, pool=node.pool.value
         )

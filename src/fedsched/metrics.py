@@ -142,8 +142,13 @@ def record_of(event) -> dict:
     return event
 
 
+# One encoder for every line: `json.dumps` with non-default separators builds
+# a new JSONEncoder per call, and an encoder keeps no state between calls.
+_EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def serialize_event(event) -> str:
-    return json.dumps(record_of(event), separators=(",", ":"))
+    return _EVENT_ENCODER.encode(record_of(event))
 
 
 def write_event_log(path: str, events) -> None:

@@ -173,16 +173,26 @@ def generate_trace(
 
 
 def load_trace(path: str, parse_time) -> List[CameraEvent]:
-    """Read 'camera_id, time, probability' lines; '#' starts a comment."""
+    """Read 'camera_id, time, probability' lines; '#' starts a comment.
+
+    `parse_time(value, location)` turns a time field into milliseconds and
+    raises an error located at `location`, here `<path>:<line>`; every other
+    malformed row raises ValueError starting with `<path>:<line>`.
+    """
     events: List[CameraEvent] = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'camera_id, time, probability'")
-            events.append(CameraEvent(parts[0], parse_time(parts[1]), float(parts[2])))
+                raise ValueError(f"{where}: expected 'camera_id, time, probability'")
+            time = parse_time(parts[1], where)
+            try:
+                events.append(CameraEvent(parts[0], time, float(parts[2])))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
     events.sort(key=lambda e: (e.time, e.camera_id))
     return events

@@ -206,6 +206,7 @@ class TestIncrementalAccounting:
 
     def assert_matches_scratch(self, state):
         aggregate = [0, 0, 0]
+        capacity = [0, 0, 0]
         for node_id, node in state.nodes().items():
             for include in (True, False):
                 assert state.allocatable(node_id, include) == \
@@ -213,7 +214,9 @@ class TestIncrementalAccounting:
             if node.pool is NodePool.CONTAINER and node.state is NodeState.READY:
                 free = self.scratch_allocatable(state, node_id, False).as_tuple()
                 aggregate = [a + f for a, f in zip(aggregate, free)]
+                capacity = [a + c for a, c in zip(capacity, node.capacity.as_tuple())]
         assert state.aggregate_allocatable() == ResourceVector(*aggregate)
+        assert state.aggregate_capacity() == ResourceVector(*capacity)
 
     def test_random_operation_sequences_match_scratch_sums(self):
         rng = random.Random(624)
@@ -226,10 +229,10 @@ class TestIncrementalAccounting:
         state = state_of(*nodes, quota={"capped": ResourceVector(6000, 6 * GIB, 1)})
         reserved = {}  # pod id -> (pod, node id)
         bound = []
-        most_reserved = most_bound = 0
+        most_reserved = most_bound = moves = 0
         for step in range(3000):
             op = rng.choice(("reserve", "bind", "bind_reserved", "release",
-                             "unbind", "release_unknown", "toggle_ready"))
+                             "unbind", "release_unknown", "set_node"))
             if op in ("reserve", "bind"):
                 pod = make_pod(f"p{step}", cpu=rng.choice([500, 1000, 2000]),
                                mem=rng.choice([1, 2]) * GIB, gpu=rng.choice([0, 0, 1]),
@@ -259,16 +262,31 @@ class TestIncrementalAccounting:
                 assert not state.release_reservation(pod_id)
             elif op == "release_unknown":
                 assert not state.release_reservation(f"ghost{step}")
-            elif op == "toggle_ready":
+            elif op == "set_node":
+                # Toggle Ready, or move Container<->Batch, alone or (as
+                # metascale moves a node) together with going Repurposing.
                 node = state.nodes()[rng.choice(sorted(state.nodes()))]
-                node.state = (NodeState.REPURPOSING if node.state is NodeState.READY
-                              else NodeState.READY)
+                change = rng.choice(("state", "pool", "pool_and_state"))
+                pool = node_state = None
+                if change != "state":
+                    pool = (NodePool.BATCH if node.pool is NodePool.CONTAINER
+                            else NodePool.CONTAINER)
+                    moves += 1
+                if change == "state":
+                    node_state = (NodeState.REPURPOSING if node.state is NodeState.READY
+                                  else NodeState.READY)
+                elif change == "pool_and_state":
+                    node_state = NodeState.REPURPOSING
+                before = (node.pool, node.state)
+                state.set_node(node.node_id, pool=pool, state=node_state)
+                assert (node.pool, node.state) == (pool or before[0], node_state or before[1])
             self.assert_matches_scratch(state)
             for pod_id, (_, node_id) in reserved.items():
                 assert pod_id in state.reserved[node_id]
             most_reserved = max(most_reserved, len(reserved))
             most_bound = max(most_bound, len(bound))
         assert most_reserved >= 3 and most_bound >= 3, (most_reserved, most_bound)
+        assert moves >= 100, moves
 
 
 class TestPodPhases:

@@ -1,6 +1,11 @@
 """Batch FIFO and pool-rebalancing behavior."""
 
-from fedsched.cluster import NodePool
+import copy
+
+from fedsched.cluster import NodePool, NodeState
+from fedsched.config import validate_config
+from fedsched.resources import ResourceVector
+from fedsched.sim import Simulation
 
 from conftest import base_config, node_cfg, pod_cfg, run_raw
 
@@ -198,3 +203,39 @@ class TestRebalance:
                 assert later - earlier >= 600_000, (
                     f"{node} moved twice within the cooldown window: {times}"
                 )
+
+
+class TestAggregatesUnderRebalance:
+    def test_aggregates_equal_scratch_sums_after_every_step(self):
+        # Demand alternates between batch jobs and container pods, so nodes
+        # move both ways and come back Ready. After every event, each
+        # cluster's maintained aggregates must equal sums over its nodes.
+        jobs = [job_cfg(f"j{i}", 3, submit=i * 240_000, duration="30s")
+                for i in range(6)]
+        pods = [
+            pod_cfg(f"p{i}-{k}", "c", cpu=4000, mem="1GiB", federated=False,
+                    submit=120_000 + i * 240_000, duration="90s")
+            for i in range(6) for k in range(3)
+        ]
+        raw = metascale_raw(jobs=jobs, pods=pods, duration="30m",
+                            cooldown="3m", tick="60s")
+        raw["topology"]["clusters"] = [batch_cluster(n_batch=2, n_container=2)]
+        sim = Simulation(validate_config(copy.deepcopy(raw)))
+        ops = set()
+        while len(sim.queue) and sim.queue.peek_time() <= sim.config.duration_ms:
+            event = sim.step()
+            ops.update((fx["op"], fx.get("dst") or fx.get("pool"))
+                       for fx in event.effects if fx["op"] in ("pool_move", "node_ready"))
+            for state in sim.clusters.values():
+                capacity = ResourceVector.zero()
+                free = ResourceVector.zero()
+                for node_id, node in state.nodes().items():
+                    if node.pool is NodePool.CONTAINER and node.state is NodeState.READY:
+                        capacity = capacity + node.capacity
+                        free = free + node.capacity.subtract(
+                            sum(state.bound[node_id].values(), ResourceVector.zero())
+                        )
+                assert state.aggregate_capacity() == capacity, (event.time, event.kind)
+                assert state.aggregate_allocatable() == free, (event.time, event.kind)
+        assert ops >= {("pool_move", "Batch"), ("pool_move", "Container"),
+                       ("node_ready", "Batch"), ("node_ready", "Container")}, ops

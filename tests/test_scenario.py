@@ -209,3 +209,37 @@ class TestTraceFile:
         raw["scenario"]["trace_file"] = str(path)
         with pytest.raises(ConfigError, match="trace_file"):
             run_raw(raw)
+
+    @pytest.mark.parametrize("row", ["cam-2, 20x, 0.5", "cam-2, 20s, 1.5", "cam-2, 20s, high"])
+    def test_bad_row_is_located_at_trace_file_with_file_and_line(self, tmp_path, row):
+        from fedsched.errors import ConfigError
+
+        path = tmp_path / "trace.csv"
+        path.write_text(f"# camera_id, time, probability\ncam-1, 10s, 0.95\n{row}\n")
+        raw = wildfire_raw(trace=[])
+        raw["scenario"]["trace_file"] = str(path)
+        with pytest.raises(ConfigError) as info:
+            run_raw(raw)
+        assert info.value.location == "scenario.trace_file"
+        assert f"{path}:3: " in str(info.value)
+
+    def test_relative_trace_file_resolves_against_the_config_file(self, tmp_path, monkeypatch):
+        import json
+
+        from fedsched.cli import EXIT_OK, main
+        from fedsched.config import parse_config
+
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        (config_dir / "trace.csv").write_text("cam-1, 10s, 0.95\ncam-1, 3m, 0.97\n")
+        raw = wildfire_raw(trace=[])
+        raw["scenario"]["trace_file"] = "trace.csv"
+        config_path = config_dir / "run.json"
+        config_path.write_text(json.dumps(raw))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        config = parse_config(str(config_path))
+        assert [e.time for e in config.scenario.trace] == [10_000, 180_000]
+        assert main(["validate", "--config", str(config_path)]) == EXIT_OK
+        assert main(["validate", "--config", "../configs/run.json"]) == EXIT_OK

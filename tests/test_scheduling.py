@@ -93,7 +93,7 @@ class TestFilters:
             [make_node("n1"), make_node("n2"), make_node("b1", pool="Batch"),
              make_node("r1")]
         )
-        state.nodes()["r1"].state = NodeState.REPURPOSING
+        state.set_node("r1", state=NodeState.REPURPOSING)
         snap = snapshot_of(state)
         pod = make_pod("p", 0, 0)
         passing = [n for n, node in snap.nodes.items() if fits(pod, node, snap.allocatable[n])]
