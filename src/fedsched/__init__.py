@@ -28,7 +28,7 @@ from .metrics import MetricsReport, build_report
 from .resources import ResourceVector
 from .scenario import CameraEvent, ModelRegistry, TriggerRule, generate_trace
 from .scheduling import PluginPipeline, SchedulingSnapshot, builtin_pipeline, schedule_one
-from .sim import Simulation, run_config
+from .sim import Simulation
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "generate_trace",
     "node_allocatable",
     "parse_config",
-    "run_config",
     "schedule_one",
     "validate_config",
 ]

@@ -1,7 +1,14 @@
 """Run configuration: JSON schema, validation, and object construction.
 
-Validation is strict: unknown keys, negative quantities and dangling cluster
-references are rejected with the dotted location of the offending field.
+Each record of the config is declared once, as a table that maps each of
+its keys to a `(parser, default)` pair, plus the field name of the object
+built from the record where that differs from the key (see `record`). A
+parser takes `(value, path)`, with `path` the value's dotted location, and
+returns the parsed value or raises a `ConfigError` at `path`. A record's
+allowed keys are its table's keys; a key that is absent or null takes the
+default, which is written as in a config file and parsed once, at import.
+Rules that relate several fields follow the tables as plain code.
+
 Time values accept human units (ms, s, m, h) and normalize to integer
 milliseconds.
 """
@@ -12,119 +19,234 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from contextvars import ContextVar
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .cluster import ClusterSpec, NodePool, NodeSpec, PodSpec
 from .errors import ConfigError
-from .federation import (
-    ELECTION_LEAST_ALLOCATED,
-    ELECTION_PREFER_LOCAL,
-    FederationParams,
-)
-from .graph import (
-    FederationGraph,
-    LatencyModel,
-    build_burst,
-    build_central,
-    build_decentralized,
-)
+from .federation import ELECTION_LEAST_ALLOCATED, ELECTION_PREFER_LOCAL, FederationParams
+from .graph import FederationGraph, LatencyModel, build_burst, build_central, build_decentralized
 from .metascale import BatchJob, MetaScaleParams
-from .profiles import PROFILES, expanse_sscu, nautilus_mini
+from .profiles import PROFILES
 from .resources import ResourceVector, parse_memory
 from .scenario import CameraEvent, PodTemplate, TriggerRule, load_trace
 from .scheduling import DEFAULT_SCORES, SCORE_PLUGINS
+
+Parser = Callable[[Any, str], Any]
+
+# The default of a key that must be given.
+REQUIRED = object()
 
 _TIME_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(ms|s|m|h)?\s*$")
 _TIME_UNITS = {None: 1, "ms": 1, "s": 1_000, "m": 60_000, "h": 3_600_000}
 
 
+# -- parsers -------------------------------------------------------------------
+
+
 def parse_time(value, path: str = "time") -> int:
     """Normalize '10ms' / '5s' / '2h' / bare integers to milliseconds."""
-    if isinstance(value, bool):
-        raise ConfigError(f"not a time value: {value!r}", path)
-    if isinstance(value, int):
+    if type(value) is int:
         if value < 0:
             raise ConfigError(f"time must be >= 0, got {value}", path)
         return value
-    if isinstance(value, str):
+    if type(value) is str:
         m = _TIME_RE.match(value)
         if not m:
             raise ConfigError(f"bad time value {value!r} (expected e.g. '500ms', '5s', '2h')", path)
-        return int(float(m.group(1)) * _TIME_UNITS[m.group(2)])
+        ms = float(m.group(1)) * _TIME_UNITS[m.group(2)]
+        if not math.isfinite(ms):
+            raise ConfigError(f"time value too large: {value!r}", path)
+        return int(ms)
     raise ConfigError(f"not a time value: {value!r}", path)
 
 
-def _check_keys(section: dict, allowed, path: str) -> None:
-    if not isinstance(section, dict):
+def integer(minimum: int) -> Parser:
+    def parse(value, path):
+        if type(value) is not int:
+            raise ConfigError(f"must be an integer, got {value!r}", path)
+        if value < minimum:
+            raise ConfigError(f"must be >= {minimum}, got {value}", path)
+        return value
+    return parse
+
+
+def number(lo: Optional[float] = None, hi: Optional[float] = None) -> Parser:
+    """A finite float within [lo, hi]; an int too large for a float is infinite."""
+    def parse(value, path):
+        if type(value) is not float and type(value) is not int:
+            raise ConfigError(f"must be a number, got {value!r}", path)
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"must be a finite number, got {value}", path)
+        if lo is not None and value < lo:
+            raise ConfigError(f"must be >= {lo}, got {value}", path)
+        if hi is not None and value > hi:
+            raise ConfigError(f"must be <= {hi}, got {value}", path)
+        return value
+    return parse
+
+
+def boolean(value, path) -> bool:
+    if type(value) is not bool:
+        raise ConfigError(f"must be true or false, got {value!r}", path)
+    return value
+
+
+def string(value, path) -> str:
+    """A non-empty string."""
+    if type(value) is not str or not value:
+        raise ConfigError(f"must be a non-empty string, got {value!r}", path)
+    return value
+
+
+def one_of(what: str, choices) -> Parser:
+    choices = tuple(choices)
+
+    def parse(value, path):
+        if type(value) is not str or value not in choices:
+            raise ConfigError(f"unknown {what} {value!r} (known: {', '.join(choices)})", path)
+        return value
+    return parse
+
+
+def list_of(item: Parser, non_empty: bool = False) -> Parser:
+    def parse(value, path):
+        if type(value) is not list or (non_empty and not value):
+            raise ConfigError("must be a non-empty list" if non_empty else "must be a list", path)
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return parse
+
+
+def map_of(item: Parser) -> Parser:
+    """An object whose every value `item` parses, located at its key."""
+    def parse(value, path):
+        if type(value) is not dict:
+            raise ConfigError(f"expected an object, got {type(value).__name__}", path)
+        return {k: item(v, f"{path}.{k}") for k, v in value.items()}
+    return parse
+
+
+def string_map(value, path) -> Dict[str, str]:
+    """Node labels and pod selectors."""
+    if type(value) is not dict or not all(
+        type(k) is str and type(v) is str for k, v in value.items()
+    ):
+        raise ConfigError("must map strings to strings", path)
+    return value
+
+
+def memory_size(value, path) -> int:
+    try:
+        return parse_memory(value)
+    except ValueError as exc:
+        raise ConfigError(str(exc), path) from None
+
+
+_probability = number(0.0, 1.0)
+
+
+def probability_range(value, path) -> Tuple[float, float]:
+    if type(value) is not list or len(value) != 2:
+        raise ConfigError("must be [low, high] probabilities", path)
+    lo, hi = _probability(value[0], path), _probability(value[1], path)
+    if lo > hi:
+        raise ConfigError(f"must satisfy 0 <= low <= high <= 1, got {value}", path)
+    return lo, hi
+
+
+# The cluster references read by the `validate_config` call in progress, as
+# (cluster id, location). They are checked against the declared clusters once
+# the whole document is read, so a parser needs no cluster list.
+_cluster_refs: ContextVar[List[Tuple[str, str]]] = ContextVar("cluster_refs")
+
+
+def cluster_ref(value, path) -> str:
+    cluster_id = string(value, path)
+    _cluster_refs.get().append((cluster_id, path))
+    return cluster_id
+
+
+def cluster_pair(value, path) -> Tuple[str, str]:
+    if type(value) is not list or len(value) != 2:
+        raise ConfigError("each pair must be [source, target]", path)
+    return cluster_ref(value[0], path), cluster_ref(value[1], path)
+
+
+def camera_event(value, path) -> CameraEvent:
+    if type(value) is not list or len(value) != 3:
+        raise ConfigError("each trace row is [camera_id, time, probability]", path)
+    camera, when, probability = value
+    return CameraEvent(string(camera, path), parse_time(when, path), _probability(probability, path))
+
+
+def _check_keys(section, table, path: str) -> None:
+    if type(section) is not dict:
         raise ConfigError(f"expected an object, got {type(section).__name__}", path)
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
+    if not section.keys() <= table.keys():
+        unknown = sorted(str(k) for k in section if k not in table)
         raise ConfigError(f"unknown keys: {', '.join(unknown)}", path)
 
-def _get_int(section: dict, key: str, default: int, path: str, minimum: int = 0) -> int:
-    value = section.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"must be an integer, got {value!r}", f"{path}.{key}")
-    if value < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {value}", f"{path}.{key}")
-    return value
+
+def record(table: Dict[str, tuple], build: Callable = dict) -> Parser:
+    """The parser of one record, built from its table.
+
+    Each row is `key: (parser, default)` or `key: (parser, default, name)`,
+    where `name` is the keyword `build` takes the value as (the key itself
+    when not given). The record is `build(**values)`.
+    """
+    rows, defaults, required = {}, {}, []
+    for key, (parse, default, *name) in table.items():
+        name = name[0] if name else key
+        rows[key] = (name, parse)
+        if default is REQUIRED:
+            required.append((key, name))
+        else:
+            defaults[name] = default if default is None else parse(default, key)
+
+    def parse_record(value, path):
+        _check_keys(value, rows, path)
+        values = defaults.copy()
+        for key, raw in value.items():
+            if raw is not None:
+                name, parse = rows[key]
+                values[name] = parse(raw, f"{path}.{key}")
+        for key, name in required:
+            if name not in values:
+                raise ConfigError("missing required key", f"{path}.{key}")
+        return build(**values)
+    return parse_record
 
 
-def _get_float(section: dict, key: str, default: float, path: str, lo=None, hi=None) -> float:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"must be a number, got {value!r}", f"{path}.{key}")
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"must be a finite number, got {value}", f"{path}.{key}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"must be >= {lo}, got {value}", f"{path}.{key}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"must be <= {hi}, got {value}", f"{path}.{key}")
-    return value
+def _unique(ids: List[str], what: str, path: str) -> None:
+    seen = set()
+    for i, item_id in enumerate(ids):
+        if item_id in seen:
+            raise ConfigError(f"duplicate {what} ids: {item_id!r}", f"{path}[{i}]")
+        seen.add(item_id)
 
 
-def _get_bool(section: dict, key: str, default: bool, path: str) -> bool:
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"must be true or false, got {value!r}", f"{path}.{key}")
-    return value
+# -- records -------------------------------------------------------------------
+
+RESOURCES = {
+    "cpu": (integer(0), 0),
+    "memory": (memory_size, 0),
+    "gpu": (integer(0), 0),
+}
 
 
-def _get_str(section: dict, key: str, path: str, default=None, required=False) -> Optional[str]:
-    if required and key not in section:
-        raise ConfigError("missing required key", f"{path}.{key}")
-    value = section.get(key, default)
-    if value is None and not required:
-        return default
-    if not isinstance(value, str) or not value:
-        raise ConfigError(f"must be a non-empty string, got {value!r}", f"{path}.{key}")
-    return value
+def _with_vector(build: Callable, name: str) -> Callable:
+    """`build` given the record's cpu, memory and gpu as one vector `name`."""
+    def build_with(cpu, memory, gpu, **values):
+        return build(**values, **{name: ResourceVector(cpu, memory, gpu)})
+    return build_with
 
 
-def parse_resources(section: dict, path: str) -> ResourceVector:
-    _check_keys(section, ("cpu", "memory", "gpu"), path)
-    cpu = _get_int(section, "cpu", 0, path)
-    gpu = _get_int(section, "gpu", 0, path)
-    try:
-        memory = parse_memory(section.get("memory", 0))
-    except ValueError as exc:
-        raise ConfigError(str(exc), f"{path}.memory") from None
-    return ResourceVector(cpu, memory, gpu)
-
-
-def _parse_latency(section: Optional[dict], path: str, default: LatencyModel) -> LatencyModel:
-    if section is None:
-        return default
-    _check_keys(section, ("base", "jitter"), path)
-    return LatencyModel(
-        base_ms=parse_time(section.get("base", default.base_ms), f"{path}.base"),
-        jitter_ms=parse_time(section.get("jitter", default.jitter_ms), f"{path}.jitter"),
-    )
+resources = record(RESOURCES, lambda cpu, memory, gpu: ResourceVector(cpu, memory, gpu))
 
 
 @dataclass
@@ -132,7 +254,7 @@ class ClusterConfig:
     cluster_id: str
     profile: Optional[str]
     scale_divisor: int
-    explicit_nodes: List[dict]
+    explicit_nodes: Optional[List[dict]]
     initial_batch_nodes: int
     namespace_allowlist: Optional[List[str]]
     namespace_quota: Dict[str, ResourceVector]
@@ -140,10 +262,7 @@ class ClusterConfig:
 
     def build_nodes(self) -> List[NodeSpec]:
         if self.profile is not None:
-            if self.profile == "expanse-sscu":
-                nodes = expanse_sscu(self.cluster_id, self.scale_divisor)
-            else:
-                nodes = nautilus_mini(self.cluster_id)
+            nodes = PROFILES[self.profile](self.cluster_id, self.scale_divisor)
         else:
             nodes = [
                 NodeSpec(
@@ -172,6 +291,111 @@ class ClusterConfig:
         return spec
 
 
+NODE = {
+    "id": (string, REQUIRED),
+    **RESOURCES,
+    "labels": (string_map, {}),
+    "pool": (one_of("pool", (pool.value for pool in NodePool)), "Container"),
+}
+
+SCORE = {
+    "name": (one_of("score plugin", SCORE_PLUGINS), REQUIRED),
+    "weight": (number(lo=0.0), 1.0),
+}
+
+# Node feasibility is fixed, so score weights are all a pipeline configures.
+PIPELINE = {
+    "scores": (list_of(record(SCORE, lambda name, weight: (name, weight))), None),
+}
+
+# A cluster has exactly one of `profile` and `nodes`; `validate_config`
+# checks that and the node ids.
+CLUSTER = {
+    "id": (string, REQUIRED, "cluster_id"),
+    "profile": (one_of("profile", PROFILES), None),
+    "scale_divisor": (integer(1), 14),
+    "nodes": (list_of(record(NODE, _with_vector(dict, "capacity")), non_empty=True), None,
+              "explicit_nodes"),
+    "initial_batch_nodes": (integer(0), 0),
+    "namespace_allowlist": (list_of(string), None),
+    "namespace_quota": (map_of(resources), {}),
+    "pipeline": (
+        record(PIPELINE, lambda scores: tuple(DEFAULT_SCORES if scores is None else scores)),
+        {}, "score_weights",
+    ),
+}
+
+# An absent part of an edge's latency is the topology's default latency.
+LATENCY = {
+    "base": (parse_time, None),
+    "jitter": (parse_time, None),
+}
+
+
+def _latency(parts: Optional[dict], default: LatencyModel) -> LatencyModel:
+    if parts is None:
+        return default
+    base, jitter = parts["base"], parts["jitter"]
+    return LatencyModel(
+        default.base_ms if base is None else base,
+        default.jitter_ms if jitter is None else jitter,
+    )
+
+
+EDGE = {
+    "source": (cluster_ref, REQUIRED),
+    "target": (cluster_ref, REQUIRED),
+    "latency": (record(LATENCY), None),
+}
+
+# Which of hub, leaves, local, cloud, self_target, pairs and edges apply
+# depends on the kind; `_graph` reads them.
+TOPOLOGY = {
+    "clusters": (list_of(record(CLUSTER, ClusterConfig), non_empty=True), REQUIRED),
+    "kind": (one_of("topology kind", ("central", "burst", "decentralized", "explicit")), "explicit"),
+    "default_latency": (record(LATENCY), None),
+    "pairs": (list_of(cluster_pair), None),
+    "hub": (cluster_ref, None),
+    "leaves": (list_of(cluster_ref), None),
+    "local": (cluster_ref, None),
+    "cloud": (cluster_ref, None),
+    "self_target": (boolean, True),
+    "edges": (list_of(record(EDGE)), []),
+}
+
+SIM = {
+    "seed": (integer(0), 0),
+    "duration": (parse_time, "1h"),
+}
+
+FEDERATION = {
+    "election_timeout": (parse_time, "5s", "election_timeout_ms"),
+    "retry_backoff": (parse_time, "1s", "retry_backoff_ms"),
+    "max_retries": (integer(0), 5),
+    "heartbeat": (parse_time, "10s", "heartbeat_ms"),
+    "reservations": (boolean, True),
+    "election_policy": (
+        one_of("election policy", (ELECTION_LEAST_ALLOCATED, ELECTION_PREFER_LOCAL)),
+        ELECTION_LEAST_ALLOCATED,
+    ),
+}
+
+METASCALE = {
+    "enabled": (boolean, False),
+    "tick": (parse_time, "60s", "tick_ms"),
+    "provisioning_delay": (parse_time, "120s", "provisioning_delay_ms"),
+    "cooldown": (parse_time, "10m", "cooldown_ms"),
+    "min_batch_nodes": (integer(0), 0),
+    "min_container_nodes": (integer(0), 0),
+}
+
+TEMPLATE = {
+    **RESOURCES,
+    "duration": (parse_time, "10m"),
+    "selector": (string_map, {}, "node_selector"),
+}
+
+
 @dataclass
 class PodEntry:
     pod_id: str
@@ -195,24 +419,44 @@ class PodEntry:
         )
 
 
+POD = {
+    "id": (string, REQUIRED, "pod_id"),
+    "cluster": (cluster_ref, REQUIRED),
+    "namespace": (string, "default"),
+    "submit": (parse_time, 0, "submit_time"),
+    "duration": (parse_time, "5m"),
+    **RESOURCES,
+    "selector": (string_map, {}, "node_selector"),
+    "federated": (boolean, False),
+}
+
+BATCH_JOB = {
+    "id": (string, REQUIRED, "job_id"),
+    "cluster": (cluster_ref, REQUIRED),
+    "submit": (parse_time, 0, "submit_time"),
+    "node_count": (integer(1), 1),
+    "duration": (parse_time, "10m"),
+}
+
+
 @dataclass
 class ScenarioConfig:
-    namespace: str = "default"
-    submit_cluster: Optional[str] = None
-    cameras: int = 0
-    rate_per_hour: float = 0.0
-    threshold: float = 0.9
-    ensemble_size: int = 8
-    high_probability: float = 0.05
-    high_range: Tuple[float, float] = (0.9, 1.0)
-    low_range: Tuple[float, float] = (0.0, 0.5)
-    camera_cooldown_ms: int = 0
-    trace: List[CameraEvent] = field(default_factory=list)
-    trace_file: Optional[str] = None
-    retrain: Optional[PodTemplate] = None
-    ensemble_member: Optional[PodTemplate] = None
-    pods: List[PodEntry] = field(default_factory=list)
-    batch_jobs: List[BatchJob] = field(default_factory=list)
+    namespace: str
+    submit_cluster: Optional[str]
+    cameras: int
+    rate_per_hour: float
+    threshold: float
+    ensemble_size: int
+    high_probability: float
+    high_range: Tuple[float, float]
+    low_range: Tuple[float, float]
+    camera_cooldown_ms: int
+    trace: List[CameraEvent]
+    trace_file: Optional[str]
+    retrain: Optional[PodTemplate]
+    ensemble_member: Optional[PodTemplate]
+    pods: List[PodEntry]
+    batch_jobs: List[BatchJob]
 
     def rule(self) -> TriggerRule:
         return TriggerRule(
@@ -230,6 +474,61 @@ class ScenarioConfig:
         )
 
 
+def _scenario(trace, trace_file, pods, batch_jobs, **values) -> ScenarioConfig:
+    if trace_file is not None:
+        try:
+            trace = trace + load_trace(trace_file, parse_time)
+        except (OSError, ValueError, ConfigError) as exc:
+            raise ConfigError(str(exc), "scenario.trace_file") from None
+    _unique([p.pod_id for p in pods], "pod", "scenario.pods")
+    _unique([j.job_id for j in batch_jobs], "job", "scenario.batch_jobs")
+    config = ScenarioConfig(
+        trace=sorted(trace, key=lambda e: (e.time, e.camera_id)),
+        trace_file=trace_file, pods=list(pods), batch_jobs=list(batch_jobs), **values,
+    )
+    if config.wildfire_enabled:
+        if config.submit_cluster is None:
+            raise ConfigError(
+                "a wildfire scenario needs 'submit_cluster'", "scenario.submit_cluster"
+            )
+        if config.retrain is None or config.ensemble_member is None:
+            raise ConfigError(
+                "a wildfire scenario needs 'retrain' and 'ensemble_member' templates", "scenario"
+            )
+    return config
+
+
+template = record(TEMPLATE, _with_vector(PodTemplate, "request"))
+
+SCENARIO = {
+    "namespace": (string, "default"),
+    "submit_cluster": (cluster_ref, None),
+    "cameras": (integer(0), 0),
+    "rate_per_hour": (number(lo=0.0), 0),
+    "threshold": (_probability, 0.9),
+    "ensemble_size": (integer(1), 8),
+    "high_probability": (_probability, 0.05),
+    "high_range": (probability_range, [0.9, 1.0]),
+    "low_range": (probability_range, [0.0, 0.5]),
+    "camera_cooldown": (parse_time, 0, "camera_cooldown_ms"),
+    "trace": (list_of(camera_event), []),
+    "trace_file": (string, None),
+    "retrain": (template, None),
+    "ensemble_member": (template, None),
+    "pods": (list_of(record(POD, _with_vector(PodEntry, "request"))), []),
+    "batch_jobs": (list_of(record(BATCH_JOB, BatchJob)), []),
+}
+
+# The top-level sections; an absent or null section reads as {}.
+SECTIONS = {
+    "sim": record(SIM),
+    "topology": record(TOPOLOGY),
+    "federation": record(FEDERATION, FederationParams),
+    "metascale": record(METASCALE, MetaScaleParams),
+    "scenario": record(SCENARIO, _scenario),
+}
+
+
 @dataclass
 class RunConfig:
     seed: int
@@ -240,414 +539,86 @@ class RunConfig:
     metascale: MetaScaleParams
     scenario: ScenarioConfig
 
-    def cluster_ids(self) -> List[str]:
-        return [c.cluster_id for c in self.clusters]
+
+# -- rules across fields -------------------------------------------------------
 
 
-def _parse_pipeline(section: Optional[dict], path: str) -> Tuple[Tuple[str, float], ...]:
-    """The score weights; node feasibility is fixed, so scores are all a
-    pipeline configures."""
-    if section is None:
-        return tuple(DEFAULT_SCORES)
-    _check_keys(section, ("scores",), path)
-    scores_raw = section.get("scores")
-    if scores_raw is None:
-        return tuple(DEFAULT_SCORES)
-    if not isinstance(scores_raw, list):
-        raise ConfigError("must be a list of {name, weight}", f"{path}.scores")
-    scores = []
-    for i, entry in enumerate(scores_raw):
-        spath = f"{path}.scores[{i}]"
-        _check_keys(entry, ("name", "weight"), spath)
-        name = _get_str(entry, "name", spath, required=True)
-        if name not in SCORE_PLUGINS:
-            raise ConfigError(f"unknown score plugin {name!r}", f"{spath}.name")
-        weight = _get_float(entry, "weight", 1.0, spath, lo=0.0)
-        scores.append((name, weight))
-    return tuple(scores)
+def _needed(topology: dict, key: str):
+    value = topology[key]
+    if value is None:
+        raise ConfigError(f"a {topology['kind']} topology needs '{key}'", f"topology.{key}")
+    return value
 
 
-def _parse_cluster(entry: dict, path: str) -> ClusterConfig:
-    _check_keys(
-        entry,
-        (
-            "id", "profile", "scale_divisor", "nodes", "initial_batch_nodes",
-            "namespace_allowlist", "namespace_quota", "pipeline",
-        ),
-        path,
-    )
-    cluster_id = _get_str(entry, "id", path, required=True)
-    profile = entry.get("profile")
-    explicit = entry.get("nodes")
-    if profile is None and explicit is None:
-        raise ConfigError("needs either 'profile' or 'nodes'", path)
-    if profile is not None and explicit is not None:
-        raise ConfigError("'profile' and 'nodes' are mutually exclusive", path)
-    if profile is not None and profile not in PROFILES:
-        raise ConfigError(
-            f"unknown profile {profile!r} (known: {', '.join(sorted(PROFILES))})",
-            f"{path}.profile",
-        )
-    nodes = []
-    if explicit is not None:
-        if not isinstance(explicit, list) or not explicit:
-            raise ConfigError("must be a non-empty list of nodes", f"{path}.nodes")
-        seen = set()
-        for i, node in enumerate(explicit):
-            npath = f"{path}.nodes[{i}]"
-            _check_keys(node, ("id", "cpu", "memory", "gpu", "labels", "pool"), npath)
-            node_id = _get_str(node, "id", npath, required=True)
-            if node_id in seen:
-                raise ConfigError(f"duplicate node id {node_id!r}", npath)
-            seen.add(node_id)
-            labels = node.get("labels", {})
-            if not isinstance(labels, dict) or not all(
-                isinstance(k, str) and isinstance(v, str) for k, v in labels.items()
-            ):
-                raise ConfigError("labels must map strings to strings", f"{npath}.labels")
-            pool = node.get("pool", "Container")
-            if pool not in ("Container", "Batch"):
-                raise ConfigError(f"pool must be 'Container' or 'Batch', got {pool!r}", f"{npath}.pool")
-            capacity = parse_resources(
-                {k: node[k] for k in ("cpu", "memory", "gpu") if k in node}, npath
-            )
-            nodes.append({"id": node_id, "capacity": capacity, "labels": labels, "pool": pool})
-    allowlist = entry.get("namespace_allowlist")
-    if allowlist is not None:
-        if not isinstance(allowlist, list) or not all(isinstance(ns, str) for ns in allowlist):
-            raise ConfigError("must be a list of namespace names", f"{path}.namespace_allowlist")
-    quota = {}
-    for ns, q in entry.get("namespace_quota", {}).items():
-        quota[ns] = parse_resources(q, f"{path}.namespace_quota.{ns}")
-    scores = _parse_pipeline(entry.get("pipeline"), f"{path}.pipeline")
-    return ClusterConfig(
-        cluster_id=cluster_id,
-        profile=profile,
-        scale_divisor=_get_int(entry, "scale_divisor", 14, path, minimum=1),
-        explicit_nodes=nodes,
-        initial_batch_nodes=_get_int(entry, "initial_batch_nodes", 0, path),
-        namespace_allowlist=allowlist,
-        namespace_quota=quota,
-        score_weights=scores,
-    )
-
-
-def _parse_topology(section: dict, path: str) -> Tuple[List[ClusterConfig], FederationGraph]:
-    _check_keys(
-        section,
-        (
-            "clusters", "kind", "default_latency", "pairs", "hub", "leaves",
-            "local", "cloud", "self_target", "edges",
-        ),
-        path,
-    )
-    raw_clusters = section.get("clusters")
-    if not isinstance(raw_clusters, list) or not raw_clusters:
-        raise ConfigError("must declare a non-empty 'clusters' list", path)
-    clusters = [
-        _parse_cluster(entry, f"{path}.clusters[{i}]") for i, entry in enumerate(raw_clusters)
-    ]
-    ids = [c.cluster_id for c in clusters]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("duplicate cluster ids", f"{path}.clusters")
-    known = set(ids)
-    default_latency = _parse_latency(
-        section.get("default_latency"), f"{path}.default_latency", LatencyModel()
-    )
-
-    def check_cluster(name: str, where: str) -> str:
-        if name not in known:
-            raise ConfigError(f"unknown cluster {name!r}", where)
-        return name
-
-    kind = section.get("kind", "explicit")
+def _graph(topology: dict, cluster_ids: set) -> FederationGraph:
+    default = _latency(topology["default_latency"], LatencyModel())
+    kind = topology["kind"]
+    if kind == "explicit":
+        graph = FederationGraph(cluster_ids)
+        for edge in topology["edges"]:
+            graph.add_edge(edge["source"], edge["target"], _latency(edge["latency"], default))
+        return graph
+    if kind == "decentralized":
+        return build_decentralized(cluster_ids, _needed(topology, "pairs"), default)
     if kind == "central":
-        hub = check_cluster(_get_str(section, "hub", path, required=True), f"{path}.hub")
-        leaves_raw = section.get("leaves")
-        if not isinstance(leaves_raw, list):
-            raise ConfigError("central topology needs a 'leaves' list", f"{path}.leaves")
-        leaves = [check_cluster(l, f"{path}.leaves[{i}]") for i, l in enumerate(leaves_raw)]
+        hub, leaves = _needed(topology, "hub"), _needed(topology, "leaves")
         if hub in leaves:
-            raise ConfigError("hub must not appear among leaves", f"{path}.leaves")
-        graph = build_central(hub, leaves, default_latency)
-        for extra in known - {hub, *leaves}:
-            graph.add_cluster(extra)
-    elif kind == "burst":
-        local = check_cluster(_get_str(section, "local", path, required=True), f"{path}.local")
-        cloud = check_cluster(_get_str(section, "cloud", path, required=True), f"{path}.cloud")
-        graph = build_burst(local, cloud, _get_bool(section, "self_target", True, path), default_latency)
-        for extra in known - {local, cloud}:
-            graph.add_cluster(extra)
-    elif kind == "decentralized":
-        pairs_raw = section.get("pairs")
-        if not isinstance(pairs_raw, list):
-            raise ConfigError("decentralized topology needs a 'pairs' list", f"{path}.pairs")
-        pairs = []
-        for i, pair in enumerate(pairs_raw):
-            ppath = f"{path}.pairs[{i}]"
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError("each pair must be [source, target]", ppath)
-            pairs.append(
-                (check_cluster(pair[0], ppath), check_cluster(pair[1], ppath))
-            )
-        graph = build_decentralized(known, pairs, default_latency)
-    elif kind == "explicit":
-        graph = FederationGraph(known)
-        for i, edge in enumerate(section.get("edges", [])):
-            epath = f"{path}.edges[{i}]"
-            _check_keys(edge, ("source", "target", "latency"), epath)
-            source = check_cluster(_get_str(edge, "source", epath, required=True), f"{epath}.source")
-            target = check_cluster(_get_str(edge, "target", epath, required=True), f"{epath}.target")
-            graph.add_edge(
-                source, target, _parse_latency(edge.get("latency"), f"{epath}.latency", default_latency)
-            )
+            raise ConfigError("hub must not appear among leaves", "topology.leaves")
+        graph = build_central(hub, leaves, default)
     else:
-        raise ConfigError(
-            f"unknown topology kind {kind!r} (central, burst, decentralized, explicit)",
-            f"{path}.kind",
+        graph = build_burst(
+            _needed(topology, "local"), _needed(topology, "cloud"), topology["self_target"], default
         )
-    return clusters, graph
-
-
-def _parse_federation(section: dict, path: str) -> FederationParams:
-    _check_keys(
-        section,
-        (
-            "election_timeout", "retry_backoff", "max_retries", "heartbeat",
-            "reservations", "election_policy",
-        ),
-        path,
-    )
-    policy = section.get("election_policy", ELECTION_LEAST_ALLOCATED)
-    if policy not in (ELECTION_LEAST_ALLOCATED, ELECTION_PREFER_LOCAL):
-        raise ConfigError(
-            f"unknown election policy {policy!r}", f"{path}.election_policy"
-        )
-    return FederationParams(
-        election_timeout_ms=parse_time(section.get("election_timeout", "5s"), f"{path}.election_timeout"),
-        retry_backoff_ms=parse_time(section.get("retry_backoff", "1s"), f"{path}.retry_backoff"),
-        max_retries=_get_int(section, "max_retries", 5, path),
-        heartbeat_ms=parse_time(section.get("heartbeat", "10s"), f"{path}.heartbeat"),
-        reservations=_get_bool(section, "reservations", True, path),
-        election_policy=policy,
-    )
-
-
-def _parse_metascale(section: dict, path: str) -> MetaScaleParams:
-    _check_keys(
-        section,
-        (
-            "enabled", "tick", "provisioning_delay", "cooldown",
-            "min_batch_nodes", "min_container_nodes",
-        ),
-        path,
-    )
-    return MetaScaleParams(
-        enabled=_get_bool(section, "enabled", False, path),
-        tick_ms=parse_time(section.get("tick", "60s"), f"{path}.tick"),
-        provisioning_delay_ms=parse_time(section.get("provisioning_delay", "120s"), f"{path}.provisioning_delay"),
-        cooldown_ms=parse_time(section.get("cooldown", "10m"), f"{path}.cooldown"),
-        min_batch_nodes=_get_int(section, "min_batch_nodes", 0, path),
-        min_container_nodes=_get_int(section, "min_container_nodes", 0, path),
-    )
-
-
-def _parse_template(section: Optional[dict], path: str) -> Optional[PodTemplate]:
-    if section is None:
-        return None
-    _check_keys(section, ("cpu", "memory", "gpu", "duration", "selector"), path)
-    selector = section.get("selector", {})
-    if not isinstance(selector, dict):
-        raise ConfigError("selector must be an object", f"{path}.selector")
-    request = parse_resources(
-        {k: section[k] for k in ("cpu", "memory", "gpu") if k in section}, path
-    )
-    return PodTemplate(
-        request=request,
-        node_selector=selector,
-        duration=parse_time(section.get("duration", "10m"), f"{path}.duration"),
-    )
-
-
-def _parse_range(section: dict, key: str, default, path: str) -> Tuple[float, float]:
-    raw = section.get(key, list(default))
-    if (
-        not isinstance(raw, list) or len(raw) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-    ):
-        raise ConfigError("must be [low, high] probabilities", f"{path}.{key}")
-    lo, hi = float(raw[0]), float(raw[1])
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise ConfigError(f"must satisfy 0 <= low <= high <= 1, got {raw}", f"{path}.{key}")
-    return lo, hi
-
-
-def _parse_scenario(section: dict, path: str, known_clusters: set) -> ScenarioConfig:
-    _check_keys(
-        section,
-        (
-            "namespace", "submit_cluster", "cameras", "rate_per_hour", "threshold",
-            "ensemble_size", "high_probability", "high_range", "low_range",
-            "camera_cooldown", "trace", "trace_file", "retrain", "ensemble_member",
-            "pods", "batch_jobs",
-        ),
-        path,
-    )
-    submit_cluster = section.get("submit_cluster")
-    if submit_cluster is not None and submit_cluster not in known_clusters:
-        raise ConfigError(f"unknown cluster {submit_cluster!r}", f"{path}.submit_cluster")
-
-    trace = []
-    for i, row in enumerate(section.get("trace", [])):
-        tpath = f"{path}.trace[{i}]"
-        if not isinstance(row, list) or len(row) != 3:
-            raise ConfigError("each trace row is [camera_id, time, probability]", tpath)
-        camera, when, prob = row
-        if not isinstance(prob, (int, float)) or isinstance(prob, bool) or not 0 <= prob <= 1:
-            raise ConfigError(f"probability must be in [0,1], got {prob!r}", tpath)
-        trace.append(CameraEvent(str(camera), parse_time(when, tpath), float(prob)))
-    trace_file = section.get("trace_file")
-    if trace_file is not None:
-        trace_file = _get_str(section, "trace_file", path)
-        try:
-            trace += load_trace(trace_file, parse_time)
-        except (OSError, ValueError, ConfigError) as exc:
-            raise ConfigError(str(exc), f"{path}.trace_file") from None
-    trace.sort(key=lambda e: (e.time, e.camera_id))
-
-    pods = []
-    seen_pods = set()
-    for i, entry in enumerate(section.get("pods", [])):
-        ppath = f"{path}.pods[{i}]"
-        _check_keys(
-            entry,
-            ("id", "cluster", "namespace", "submit", "duration", "cpu", "memory",
-             "gpu", "selector", "federated"),
-            ppath,
-        )
-        pod_id = _get_str(entry, "id", ppath, required=True)
-        if pod_id in seen_pods:
-            raise ConfigError(f"duplicate pod id {pod_id!r}", ppath)
-        seen_pods.add(pod_id)
-        cluster = _get_str(entry, "cluster", ppath, required=True)
-        if cluster not in known_clusters:
-            raise ConfigError(f"unknown cluster {cluster!r}", f"{ppath}.cluster")
-        selector = entry.get("selector", {})
-        if not isinstance(selector, dict):
-            raise ConfigError("selector must be an object", f"{ppath}.selector")
-        pods.append(
-            PodEntry(
-                pod_id=pod_id,
-                cluster=cluster,
-                namespace=_get_str(entry, "namespace", ppath, default="default"),
-                submit_time=parse_time(entry.get("submit", 0), f"{ppath}.submit"),
-                duration=parse_time(entry.get("duration", "5m"), f"{ppath}.duration"),
-                request=parse_resources(
-                    {k: entry[k] for k in ("cpu", "memory", "gpu") if k in entry}, ppath
-                ),
-                node_selector=selector,
-                federated=_get_bool(entry, "federated", False, ppath),
-            )
-        )
-
-    jobs = []
-    seen_jobs = set()
-    for i, entry in enumerate(section.get("batch_jobs", [])):
-        jpath = f"{path}.batch_jobs[{i}]"
-        _check_keys(entry, ("id", "cluster", "submit", "node_count", "duration"), jpath)
-        job_id = _get_str(entry, "id", jpath, required=True)
-        if job_id in seen_jobs:
-            raise ConfigError(f"duplicate job id {job_id!r}", jpath)
-        seen_jobs.add(job_id)
-        cluster = _get_str(entry, "cluster", jpath, required=True)
-        if cluster not in known_clusters:
-            raise ConfigError(f"unknown cluster {cluster!r}", f"{jpath}.cluster")
-        jobs.append(
-            BatchJob(
-                job_id=job_id,
-                cluster=cluster,
-                node_count=_get_int(entry, "node_count", 1, jpath, minimum=1),
-                duration=parse_time(entry.get("duration", "10m"), f"{jpath}.duration"),
-                submit_time=parse_time(entry.get("submit", 0), f"{jpath}.submit"),
-            )
-        )
-
-    config = ScenarioConfig(
-        namespace=_get_str(section, "namespace", path, default="default"),
-        submit_cluster=submit_cluster,
-        cameras=_get_int(section, "cameras", 0, path),
-        rate_per_hour=_get_float(section, "rate_per_hour", 0.0, path, lo=0.0),
-        threshold=_get_float(section, "threshold", 0.9, path, lo=0.0, hi=1.0),
-        ensemble_size=_get_int(section, "ensemble_size", 8, path, minimum=1),
-        high_probability=_get_float(section, "high_probability", 0.05, path, lo=0.0, hi=1.0),
-        high_range=_parse_range(section, "high_range", (0.9, 1.0), path),
-        low_range=_parse_range(section, "low_range", (0.0, 0.5), path),
-        camera_cooldown_ms=parse_time(section.get("camera_cooldown", 0), f"{path}.camera_cooldown"),
-        trace=trace,
-        trace_file=trace_file,
-        retrain=_parse_template(section.get("retrain"), f"{path}.retrain"),
-        ensemble_member=_parse_template(section.get("ensemble_member"), f"{path}.ensemble_member"),
-        pods=pods,
-        batch_jobs=jobs,
-    )
-    if config.wildfire_enabled:
-        if config.submit_cluster is None:
-            raise ConfigError(
-                "a wildfire scenario needs 'submit_cluster'", f"{path}.submit_cluster"
-            )
-        if config.retrain is None or config.ensemble_member is None:
-            raise ConfigError(
-                "a wildfire scenario needs 'retrain' and 'ensemble_member' templates", path
-            )
-    return config
+    for cluster_id in cluster_ids:
+        graph.add_cluster(cluster_id)
+    return graph
 
 
 def validate_config(raw: dict, base_seed: Optional[int] = None) -> RunConfig:
     """Validate a parsed JSON document and construct the run configuration."""
-    _check_keys(raw, ("sim", "topology", "federation", "metascale", "scenario"), "config")
-    if "topology" not in raw:
+    _check_keys(raw, SECTIONS, "config")
+    if raw.get("topology") is None:
         raise ConfigError("missing required section", "config.topology")
+    refs: List[Tuple[str, str]] = []
+    token = _cluster_refs.set(refs)
+    try:
+        sim, topology, federation, metascale, scenario = [
+            parse({} if raw.get(name) is None else raw[name], name)
+            for name, parse in SECTIONS.items()
+        ]
+    finally:
+        _cluster_refs.reset(token)
 
-    sim = raw.get("sim", {})
-    _check_keys(sim, ("seed", "duration"), "sim")
-    seed = base_seed if base_seed is not None else _get_int(sim, "seed", 0, "sim")
-    duration = parse_time(sim.get("duration", "1h"), "sim.duration")
-
-    clusters, graph = _parse_topology(raw["topology"], "topology")
-    federation = _parse_federation(raw.get("federation", {}), "federation")
-    metascale = _parse_metascale(raw.get("metascale", {}), "metascale")
-    scenario = _parse_scenario(
-        raw.get("scenario", {}), "scenario", {c.cluster_id for c in clusters}
-    )
+    clusters = topology["clusters"]
+    cluster_ids = [c.cluster_id for c in clusters]
+    _unique(cluster_ids, "cluster", "topology.clusters")
+    for i, cluster in enumerate(clusters):
+        path = f"topology.clusters[{i}]"
+        if (cluster.profile is None) == (cluster.explicit_nodes is None):
+            raise ConfigError("needs exactly one of 'profile' and 'nodes'", path)
+        _unique([n["id"] for n in cluster.explicit_nodes or ()], "node", f"{path}.nodes")
+    known = set(cluster_ids)
+    for cluster_id, location in refs:
+        if cluster_id not in known:
+            raise ConfigError(f"unknown cluster {cluster_id!r}", location)
 
     # Anything submitted after the end of the run would silently vanish
     # from the metrics, so reject it up front.
-    for entry in scenario.pods:
-        if entry.submit_time > duration:
-            raise ConfigError(
-                f"pod {entry.pod_id!r} submits at {entry.submit_time} ms, "
-                f"after the run ends ({duration} ms)", "scenario.pods"
-            )
-    for job in scenario.batch_jobs:
-        if job.submit_time > duration:
-            raise ConfigError(
-                f"batch job {job.job_id!r} submits after the run ends", "scenario.batch_jobs"
-            )
+    duration = sim["duration"]
+    for what, entries in (("pods", scenario.pods), ("batch_jobs", scenario.batch_jobs)):
+        for i, entry in enumerate(entries):
+            if entry.submit_time > duration:
+                raise ConfigError(f"submits after the run ends ({duration} ms)",
+                                  f"scenario.{what}[{i}].submit")
     for event in scenario.trace:
         if event.time > duration:
-            raise ConfigError(
-                f"trace event at {event.time} ms is after the run ends", "scenario.trace"
-            )
-
-    # Build the specs once so profile/node problems surface at validate time.
-    for cluster in clusters:
-        cluster.build_spec()
+            raise ConfigError(f"event at {event.time} ms is after the run ends", "scenario.trace")
 
     return RunConfig(
-        seed=seed,
+        seed=base_seed if base_seed is not None else sim["seed"],
         duration_ms=duration,
         clusters=clusters,
-        graph=graph,
+        graph=_graph(topology, known),
         federation=federation,
         metascale=metascale,
         scenario=scenario,
@@ -665,7 +636,9 @@ def load_raw(path: str) -> dict:
         raise ConfigError("config file is empty", path)
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers too long to convert;
+        # RecursionError, nesting deeper than the decoder can follow.
         raise ConfigError(f"invalid JSON: {exc}", path) from None
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object", path)

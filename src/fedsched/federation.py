@@ -66,12 +66,14 @@ _SETTLED = (ChaperonState.DELEGATE, ChaperonState.DELETED)
 
 @dataclass
 class FederationParams:
-    election_timeout_ms: int = 5_000
-    retry_backoff_ms: int = 1_000
-    max_retries: int = 5
-    heartbeat_ms: int = 10_000
-    reservations: bool = True
-    election_policy: str = ELECTION_LEAST_ALLOCATED
+    """The `federation` config section; `config.FEDERATION` holds the defaults."""
+
+    election_timeout_ms: int
+    retry_backoff_ms: int
+    max_retries: int
+    heartbeat_ms: int
+    reservations: bool
+    election_policy: str
 
 
 @dataclass

@@ -53,12 +53,14 @@ class PoolDemand:
 
 @dataclass
 class MetaScaleParams:
-    enabled: bool = False
-    tick_ms: int = 60_000
-    provisioning_delay_ms: int = 120_000
-    cooldown_ms: int = 600_000
-    min_batch_nodes: int = 0
-    min_container_nodes: int = 0
+    """The `metascale` config section; `config.METASCALE` holds the defaults."""
+
+    enabled: bool
+    tick_ms: int
+    provisioning_delay_ms: int
+    cooldown_ms: int
+    min_batch_nodes: int
+    min_container_nodes: int
 
 
 class MetaScaler:

@@ -42,7 +42,8 @@ def expanse_sscu(cluster_id: str, divisor: int = 14) -> List[NodeSpec]:
     return nodes
 
 
-def nautilus_mini(cluster_id: str) -> List[NodeSpec]:
+def nautilus_mini(cluster_id: str, divisor: int = 1) -> List[NodeSpec]:
+    """The mix is fixed: `divisor` is taken, like every profile's, and unused."""
     def node(suffix, cpu, mem, gpu, labels):
         return NodeSpec(
             node_id=f"{cluster_id}-{suffix}",

@@ -7,6 +7,7 @@ The comparison is a component-wise partial order, so vectors expose
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -35,7 +36,10 @@ def parse_memory(value) -> int:
         m = _MEMORY_RE.match(value)
         if not m:
             raise ValueError(f"bad memory quantity: {value!r}")
-        return int(float(m.group(1)) * _MEMORY_UNITS[m.group(2)])
+        size = float(m.group(1)) * _MEMORY_UNITS[m.group(2)]
+        if not math.isfinite(size):
+            raise ValueError(f"memory quantity too large: {value!r}")
+        return int(size)
     raise ValueError(f"not a memory quantity: {value!r}")
 
 

@@ -312,9 +312,3 @@ class Simulation:
         engine.STATUS_MIRROR: lambda self, p: self.protocol.on_status_mirror(p),
     }
 
-
-def run_config(config: RunConfig):
-    """Convenience wrapper: build, run, and return (simulation, report)."""
-    sim = Simulation(config)
-    report = sim.run()
-    return sim, report

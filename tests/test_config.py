@@ -2,11 +2,14 @@ import copy
 import importlib.resources
 import json
 import math
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedsched.cli import EXIT_CONFIG, main
-from fedsched.config import parse_config, parse_time, validate_config
+from fedsched.config import RunConfig, parse_config, parse_time, validate_config
 from fedsched.errors import ConfigError
 from fedsched.sim import Simulation
 
@@ -43,7 +46,7 @@ class TestParseTime:
         assert parse_time(text) == expected
 
     def test_rejects_junk(self):
-        for bad in ("", "fast", "-5s", "5 hours", None, True, -1):
+        for bad in ("", "fast", "-5s", "5 hours", None, True, -1, "9" * 400 + "s"):
             with pytest.raises(ConfigError):
                 parse_time(bad)
 
@@ -51,7 +54,7 @@ class TestParseTime:
 class TestBundledConfig:
     def test_parses_two_clusters_with_mutual_edges(self):
         config = parse_config(str(BUNDLED))
-        assert sorted(config.cluster_ids()) == ["expanse", "nautilus"]
+        assert sorted(c.cluster_id for c in config.clusters) == ["expanse", "nautilus"]
         assert config.graph.has_edge("expanse", "nautilus")
         assert config.graph.has_edge("nautilus", "expanse")
 
@@ -269,3 +272,289 @@ def test_explicit_burst_topology_builds_expected_edges():
     )
     config = validate_config(raw)
     assert set(config.graph.edges) == {("l", "c")}
+
+
+def rich_config():
+    """A valid config that sets every record type: explicit and profile
+    clusters, a quota, an allowlist, a pipeline, an edge with its own
+    latency, federation and metascale sections, pods, batch jobs, templates
+    and a camera trace."""
+    raw = base_config(
+        [{"id": "a", "nodes": [node_cfg("n1", labels={"zone": "x"}), node_cfg("n2")],
+          "initial_batch_nodes": 1,
+          "namespace_allowlist": ["default"],
+          "namespace_quota": {"default": {"cpu": 8000, "memory": "16GiB", "gpu": 0}},
+          "pipeline": {"scores": [{"name": "LeastAllocated", "weight": 1}]}},
+         {"id": "b", "profile": "expanse-sscu", "scale_divisor": 28}],
+        edges=[("a", "b")],
+        pods=[pod_cfg("p1", "a", selector={"zone": "x"}), pod_cfg("p2", "a", submit="1m")],
+        duration="1h",
+    )
+    raw["topology"]["edges"][0]["latency"] = {"base": "5ms", "jitter": "1ms"}
+    raw["federation"] = {"election_timeout": "5s", "retry_backoff": "1s", "max_retries": 5,
+                         "heartbeat": "10s", "reservations": True,
+                         "election_policy": "least_allocated"}
+    raw["metascale"] = {"enabled": True, "tick": "60s", "provisioning_delay": "2m",
+                        "cooldown": "10m", "min_batch_nodes": 0, "min_container_nodes": 1}
+    raw["scenario"].update({
+        "namespace": "default", "submit_cluster": "a", "cameras": 0, "rate_per_hour": 0,
+        "threshold": 0.9, "ensemble_size": 2, "high_probability": 0.05,
+        "high_range": [0.9, 1.0], "low_range": [0.0, 0.5], "camera_cooldown": "0s",
+        "trace": [["cam-1", "2m", 0.95], ["cam-2", "3m", 0.1]],
+        "retrain": {"cpu": 1000, "memory": "1GiB", "gpu": 0, "duration": "5m",
+                    "selector": {"zone": "x"}},
+        "ensemble_member": {"cpu": 1000, "memory": "1GiB", "duration": "5m"},
+        "batch_jobs": [{"id": "j1", "cluster": "b", "submit": "1m", "node_count": 1,
+                        "duration": "10m"}],
+    })
+    return raw
+
+
+def kind_config(kind):
+    """A valid config for each topology kind other than explicit."""
+    clusters = [{"id": "a", "nodes": [node_cfg("n1")]}, {"id": "b", "nodes": [node_cfg("n2")]}]
+    if kind == "decentralized":
+        return base_config(clusters, pairs=[("a", "b")])
+    extra = {"central": {"hub": "a", "leaves": ["b"]},
+             "burst": {"local": "a", "cloud": "b", "self_target": True}}[kind]
+    return base_config(clusters, kind=kind, topology_extra=extra)
+
+
+def set_at(raw, location, value):
+    """Set the field at a dotted location such as `topology.clusters[0].id`."""
+    parts = [int(p[1:-1]) if p.startswith("[") else p
+             for p in re.findall(r"\[\d+\]|[^.\[\]]+", location)]
+    target = raw
+    for part in parts[:-1]:
+        target = target[part]
+    target[parts[-1]] = value
+    return raw
+
+
+# For every field of every record: one wrong-type or out-of-range value, set
+# at the location the error must name. (base, location, value)
+LOCATION_CASES = [
+    ("rich", "sim", 5),
+    ("rich", "sim.seed", "x"),
+    ("rich", "sim.duration", "soon"),
+    ("rich", "topology", 5),
+    ("rich", "topology.clusters[0]", 5),
+    ("rich", "topology.kind", "ring"),
+    ("rich", "topology.default_latency", 5),
+    ("rich", "topology.default_latency.base", "x"),
+    ("rich", "topology.default_latency.jitter", -1),
+    ("rich", "topology.edges[0]", 5),
+    ("rich", "topology.edges[0].source", "ghost"),
+    ("rich", "topology.edges[0].target", 5),
+    ("rich", "topology.edges[0].latency", 5),
+    ("decentralized", "topology.pairs", 5),
+    ("decentralized", "topology.pairs[0]", ["a"]),
+    ("central", "topology.hub", 5),
+    ("central", "topology.leaves", 5),
+    ("burst", "topology.local", 5),
+    ("burst", "topology.cloud", "ghost"),
+    ("burst", "topology.self_target", "yes"),
+    ("rich", "topology.clusters[0].id", 5),
+    ("rich", "topology.clusters[1].profile", "mystery-machine"),
+    ("rich", "topology.clusters[1].scale_divisor", 0),
+    ("rich", "topology.clusters[0].nodes", 5),
+    ("rich", "topology.clusters[0].initial_batch_nodes", -1),
+    ("rich", "topology.clusters[0].namespace_allowlist", "default"),
+    ("rich", "topology.clusters[0].namespace_quota.default", 5),
+    ("rich", "topology.clusters[0].namespace_quota.default.cpu", -1),
+    ("rich", "topology.clusters[0].namespace_quota.default.memory", "lots"),
+    ("rich", "topology.clusters[0].namespace_quota.default.gpu", "x"),
+    ("rich", "topology.clusters[0].pipeline", 5),
+    ("rich", "topology.clusters[0].pipeline.scores", 5),
+    ("rich", "topology.clusters[0].pipeline.scores[0]", 5),
+    ("rich", "topology.clusters[0].pipeline.scores[0].name", "Nope"),
+    ("rich", "topology.clusters[0].pipeline.scores[0].weight", -1),
+    ("rich", "topology.clusters[0].nodes[0]", 5),
+    ("rich", "topology.clusters[0].nodes[0].id", 5),
+    ("rich", "topology.clusters[0].nodes[0].cpu", "x"),
+    ("rich", "topology.clusters[0].nodes[0].memory", "lots"),
+    ("rich", "topology.clusters[0].nodes[0].gpu", -1),
+    ("rich", "topology.clusters[0].nodes[0].labels", {"zone": 5}),
+    ("rich", "topology.clusters[0].nodes[0].pool", "Spot"),
+    ("rich", "federation", 5),
+    ("rich", "federation.election_timeout", "x"),
+    ("rich", "federation.retry_backoff", -1),
+    ("rich", "federation.max_retries", -1),
+    ("rich", "federation.heartbeat", 1.5),
+    ("rich", "federation.reservations", "yes"),
+    ("rich", "federation.election_policy", "random"),
+    ("rich", "metascale", 5),
+    ("rich", "metascale.enabled", 1),
+    ("rich", "metascale.tick", "x"),
+    ("rich", "metascale.provisioning_delay", "x"),
+    ("rich", "metascale.cooldown", "x"),
+    ("rich", "metascale.min_batch_nodes", -1),
+    ("rich", "metascale.min_container_nodes", "x"),
+    ("rich", "scenario", 5),
+    ("rich", "scenario.namespace", ""),
+    ("rich", "scenario.submit_cluster", "ghost"),
+    ("rich", "scenario.cameras", -1),
+    ("rich", "scenario.rate_per_hour", "x"),
+    ("rich", "scenario.threshold", 2),
+    ("rich", "scenario.ensemble_size", 0),
+    ("rich", "scenario.high_probability", "x"),
+    ("rich", "scenario.high_range", [0.9]),
+    ("rich", "scenario.low_range", [0.5, 0.1]),
+    ("rich", "scenario.camera_cooldown", "x"),
+    ("rich", "scenario.trace[0]", ["cam-1", "x", 0.5]),
+    ("rich", "scenario.trace[1]", ["cam-2", "3m", 2]),
+    ("rich", "scenario.trace_file", 5),
+    ("rich", "scenario.retrain", 5),
+    ("rich", "scenario.retrain.cpu", "x"),
+    ("rich", "scenario.retrain.memory", "x"),
+    ("rich", "scenario.retrain.gpu", -1),
+    ("rich", "scenario.retrain.duration", "x"),
+    ("rich", "scenario.retrain.selector", 5),
+    ("rich", "scenario.ensemble_member", 5),
+    ("rich", "scenario.pods[0]", 5),
+    ("rich", "scenario.pods[0].id", 5),
+    ("rich", "scenario.pods[0].cluster", "ghost"),
+    ("rich", "scenario.pods[0].namespace", ""),
+    ("rich", "scenario.pods[0].submit", "x"),
+    ("rich", "scenario.pods[0].duration", "x"),
+    ("rich", "scenario.pods[0].cpu", -1),
+    ("rich", "scenario.pods[0].memory", "x"),
+    ("rich", "scenario.pods[0].gpu", "x"),
+    ("rich", "scenario.pods[0].selector", 5),
+    ("rich", "scenario.pods[0].federated", "yes"),
+    ("rich", "scenario.batch_jobs[0]", 5),
+    ("rich", "scenario.batch_jobs[0].id", ""),
+    ("rich", "scenario.batch_jobs[0].cluster", "ghost"),
+    ("rich", "scenario.batch_jobs[0].submit", "x"),
+    ("rich", "scenario.batch_jobs[0].node_count", 0),
+    ("rich", "scenario.batch_jobs[0].duration", "x"),
+]
+
+BASES = {"rich": rich_config, "central": lambda: kind_config("central"),
+         "burst": lambda: kind_config("burst"),
+         "decentralized": lambda: kind_config("decentralized"),
+         "profile": lambda: base_config([{"id": "a", "profile": "nautilus-mini"}])}
+
+
+@pytest.mark.parametrize("base", sorted(BASES))
+def test_location_case_bases_are_valid(base):
+    validate_config(BASES[base]())
+
+
+@pytest.mark.parametrize("base,location,value", LOCATION_CASES,
+                         ids=[f"{b}:{loc}" for b, loc, _ in LOCATION_CASES])
+def test_wrong_value_is_located(base, location, value):
+    raw = set_at(BASES[base](), location, value)
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.location == location
+
+
+HUGE_DIGITS = "9" * 400
+
+# Malformed configs that once escaped `validate` as a Python traceback.
+# (base config, location of the bad value, bad value)
+TRACEBACK_CASES = [
+    ("rich", "topology.clusters[0].namespace_quota", []),
+    ("rich", "scenario.pods", 5),
+    ("rich", "scenario.batch_jobs", 5),
+    ("rich", "scenario.trace", 5),
+    ("rich", "topology.edges", 5),
+    ("profile", "topology.clusters[0].profile", ["x"]),
+    ("central", "topology.leaves[0]", ["b"]),
+    ("decentralized", "topology.pairs[0]", [["a"], "a"]),
+    ("rich", "scenario.submit_cluster", ["a"]),
+    ("rich", "topology.clusters[0].nodes[0].memory", HUGE_DIGITS + "GiB"),
+    ("rich", "scenario.pods[0].duration", HUGE_DIGITS + "s"),
+]
+
+
+@pytest.mark.parametrize("base,location,value", TRACEBACK_CASES,
+                         ids=[loc for _, loc, _ in TRACEBACK_CASES])
+def test_malformed_value_is_a_located_config_error(base, location, value, tmp_path, capsys):
+    raw = set_at(BASES[base](), location, value)
+    with pytest.raises(ConfigError) as err:
+        validate_config(copy.deepcopy(raw))
+    assert err.value.location == location
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err_text = capsys.readouterr().err
+    assert err_text.startswith(f"error: {location}: ")
+    assert "Traceback" not in err_text
+
+
+@pytest.mark.parametrize("location", ["scenario.pods[0].selector",
+                                      "scenario.retrain.selector",
+                                      "scenario.ensemble_member.selector"])
+def test_selector_values_must_be_strings(location):
+    # A non-string selector value never equals a node label, so the pod
+    # would validate and then stay Pending for the whole run.
+    raw = set_at(rich_config(), location, {"zone": 5})
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.location == location
+
+
+@pytest.mark.parametrize("text", [
+    '{"sim": {"seed": ' + "1" * 5000 + "}}",  # too many digits to convert to an int
+    '{"sim": ' + "[" * 100_000 + "]" * 100_000 + "}",  # nested past the decoder's depth
+], ids=["long-int", "deep-nesting"])
+def test_json_the_decoder_refuses_is_a_config_error(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="invalid JSON") as err:
+        parse_config(str(path))
+    assert err.value.location == str(path)
+
+
+def _json_values():
+    scalars = (
+        st.none() | st.booleans()
+        | st.integers(min_value=-(10 ** 6), max_value=10 ** 6)
+        | st.sampled_from([10 ** 400, -(10 ** 400), 2 ** 63])
+        | st.floats(allow_nan=True, allow_infinity=True)
+        | st.text(max_size=6)
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+def _paths(value, prefix=()):
+    """Every path to a value or subtree inside a JSON document."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from _paths(child, prefix + (key,))
+    elif isinstance(value, list):
+        for index, child in enumerate(value):
+            yield from _paths(child, prefix + (index,))
+
+
+FUZZ_BASES = [json.loads(BUNDLED.read_text()), rich_config()]
+FUZZ_TARGETS = [(i, path) for i, base in enumerate(FUZZ_BASES) for path in _paths(base)]
+
+
+@settings(max_examples=600, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(FUZZ_TARGETS), value=_json_values())
+def test_fuzzed_config_validates_or_raises_config_error(target, value):
+    # One value or subtree of a valid config replaced by random JSON must
+    # give a RunConfig or a ConfigError, never another exception.
+    index, path = target
+    raw = copy.deepcopy(FUZZ_BASES[index])
+    if path:
+        parent = raw
+        for part in path[:-1]:
+            parent = parent[part]
+        parent[path[-1]] = value
+    else:
+        raw = value
+    try:
+        assert isinstance(validate_config(raw), RunConfig)
+    except ConfigError:
+        pass

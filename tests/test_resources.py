@@ -82,6 +82,6 @@ def test_parse_memory(text, expected):
 
 
 def test_parse_memory_rejects_junk():
-    for bad in ("", "fast", "-1GiB", "1GB extra", None, True):
+    for bad in ("", "fast", "-1GiB", "1GB extra", None, True, "9" * 400 + "GiB"):
         with pytest.raises(ValueError):
             parse_memory(bad)
