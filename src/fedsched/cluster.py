@@ -159,7 +159,7 @@ def fits(pod: PodSpec, node: NodeSpec, allocatable: ResourceVector) -> bool:
     """Pure feasibility predicate for one pod on one container node."""
     if not schedulable(node):
         return False
-    if not selector_matches(pod.node_selector, node.labels):
+    if pod.node_selector and not selector_matches(pod.node_selector, node.labels):
         return False
     return pod.request.fits_within(allocatable)
 
@@ -262,7 +262,7 @@ class ClusterState:
         """Raise unless `pod` may take `node_id` now, by the same rule as
         `schedule_one`: BindConflict (with message `conflict`) when it does
         not fit the node, else the namespace's admission error."""
-        if not fits(pod, self.spec.nodes[node_id], self.allocatable(node_id)):
+        if not fits(pod, self.spec.nodes[node_id], self._allocatable[node_id]):
             raise BindConflict(conflict)
         refusal = self.spec.admission_error(pod, self.ns_usage)
         if refusal is not None:
@@ -335,11 +335,19 @@ class ClusterState:
         return pod
 
     def _assert_node_capacity(self, node_id: str) -> None:
-        node = self.spec.nodes[node_id]
-        total = sum_vectors(self.bound[node_id].values()) + sum_vectors(
-            self.reserved[node_id].values()
-        )
-        if not total.fits_within(node.capacity):
+        cpu = memory = gpu = 0
+        for held in (self.bound[node_id], self.reserved[node_id]):
+            for request in held.values():
+                cpu += request.cpu_millicores
+                memory += request.memory_bytes
+                gpu += request.gpu_count
+        capacity = self.spec.nodes[node_id].capacity
+        if (
+            cpu > capacity.cpu_millicores
+            or memory > capacity.memory_bytes
+            or gpu > capacity.gpu_count
+        ):
+            total = ResourceVector(cpu, memory, gpu)
             raise OvercommitError(
-                f"node {node_id} in {self.cluster_id} overcommitted: {total} > {node.capacity}"
+                f"node {node_id} in {self.cluster_id} overcommitted: {total} > {capacity}"
             )

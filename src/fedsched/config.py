@@ -360,7 +360,7 @@ TOPOLOGY = {
     "local": (cluster_ref, None),
     "cloud": (cluster_ref, None),
     "self_target": (boolean, True),
-    "edges": (list_of(record(EDGE)), []),
+    "edges": (list_of(record(EDGE)), None),
 }
 
 SIM = {
@@ -555,9 +555,11 @@ def _graph(topology: dict, cluster_ids: set) -> FederationGraph:
     kind = topology["kind"]
     if kind == "explicit":
         graph = FederationGraph(cluster_ids)
-        for edge in topology["edges"]:
+        for edge in topology["edges"] or ():
             graph.add_edge(edge["source"], edge["target"], _latency(edge["latency"], default))
         return graph
+    if topology["edges"] is not None:
+        raise ConfigError(f"a {kind} topology takes no 'edges'", "topology.edges")
     if kind == "decentralized":
         return build_decentralized(cluster_ids, _needed(topology, "pairs"), default)
     if kind == "central":

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Tuple
 from . import engine
 from .cluster import PodPhase, PodSpec
 from .errors import BindError
-from .resources import ResourceVector
 from .scheduling import least_allocated_score, schedule_one, snapshot_of
 
 log = logging.getLogger("fedsched.federation")
@@ -81,12 +80,13 @@ class VirtualNode:
     """A target cluster as seen from inside a source cluster.
 
     The aggregates are reports, not ground truth; `last_update` bounds the
-    staleness (heartbeat period + edge latency).
+    staleness (heartbeat period + edge latency). `capacity` and
+    `allocatable` are the reported (cpu, memory, gpu) int triples.
     """
 
     target: str
-    capacity: ResourceVector
-    allocatable: ResourceVector
+    capacity: Tuple[int, int, int]
+    allocatable: Tuple[int, int, int]
     last_update: int = 0
 
     def staleness(self, now: int) -> int:
@@ -145,8 +145,8 @@ class FederationProtocol:
             state = self.ctx.clusters[target]
             self.virtual_nodes[(source, target)] = VirtualNode(
                 target=target,
-                capacity=state.aggregate_capacity(),
-                allocatable=state.aggregate_allocatable(),
+                capacity=state.aggregate_capacity().as_tuple(),
+                allocatable=state.aggregate_allocatable().as_tuple(),
                 last_update=0,
             )
 
@@ -293,11 +293,12 @@ class FederationProtocol:
 
     def _aggregate_score(self, proxy: ProxyPod, target: str) -> int:
         vnode = self.virtual_nodes[(proxy.source, target)]
+        cpu, memory, gpu = vnode.allocatable
         request = proxy.pod.request
-        free_after = ResourceVector(
-            max(0, vnode.allocatable.cpu_millicores - request.cpu_millicores),
-            max(0, vnode.allocatable.memory_bytes - request.memory_bytes),
-            max(0, vnode.allocatable.gpu_count - request.gpu_count),
+        free_after = (
+            max(0, cpu - request.cpu_millicores),
+            max(0, memory - request.memory_bytes),
+            max(0, gpu - request.gpu_count),
         )
         return least_allocated_score(free_after, vnode.capacity)
 
@@ -471,8 +472,8 @@ class FederationProtocol:
             key = (payload["source"], payload["target"])
             self.virtual_nodes[key] = VirtualNode(
                 target=payload["target"],
-                capacity=ResourceVector(*payload["capacity"]),
-                allocatable=ResourceVector(*payload["allocatable"]),
+                capacity=tuple(payload["capacity"]),
+                allocatable=tuple(payload["allocatable"]),
                 last_update=self.ctx.now,
             )
         else:

@@ -61,10 +61,6 @@ class ResourceVector:
     def zero(cls) -> "ResourceVector":
         return cls(0, 0, 0)
 
-    @classmethod
-    def of(cls, cpu: int = 0, memory=0, gpu: int = 0) -> "ResourceVector":
-        return cls(cpu, parse_memory(memory), gpu)
-
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(
             self.cpu_millicores + other.cpu_millicores,

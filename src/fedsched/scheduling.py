@@ -4,10 +4,11 @@ Feasibility is one rule, not a plugin list: a node is feasible when
 `cluster.fits` holds and the cluster admits the pod's namespace
 (`ClusterSpec.admission_error`). `ClusterState.reserve` and `bind` apply
 the same rule, so a node chosen here is one they accept. Among feasible
-nodes the weighted score plugins decide. Scores are pure functions over a
-snapshot, so a decision is fully determined by (pod, snapshot, pipeline).
-Ties between equally scored nodes go to the lexicographically smallest node
-id, which keeps runs replayable.
+nodes the weighted score plugins decide. A score is a pure function of the
+pod's request, the node's capacity and the node's free resources, computed
+in plain int arithmetic, so a decision is fully determined by (pod,
+snapshot, pipeline) and builds no vector. Ties between equally scored nodes
+go to the lexicographically smallest node id, which keeps runs replayable.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .cluster import ClusterSpec, ClusterState, NodeSpec, PodSpec, fits
 from .resources import ResourceVector
 
-ScoreFn = Callable[[PodSpec, NodeSpec, "SchedulingSnapshot"], int]
+# (request, capacity, free) -> score; `free` is net of bound pods and
+# reservations, and the request fits within it.
+ScoreFn = Callable[[ResourceVector, ResourceVector, ResourceVector], int]
 
 
 @dataclass(frozen=True)
@@ -39,37 +42,46 @@ def snapshot_of(state: ClusterState) -> SchedulingSnapshot:
     return SchedulingSnapshot(
         spec=state.spec,
         nodes=dict(state.spec.nodes),
-        allocatable={n: state.allocatable(n) for n in state.spec.nodes},
+        allocatable=dict(state._allocatable),
         namespace_used=dict(state.ns_usage),
     )
 
 
-def least_allocated_score(free_after: ResourceVector, capacity: ResourceVector) -> int:
+def least_allocated_score(
+    free_after: Tuple[int, int, int], capacity: Tuple[int, int, int]
+) -> int:
     """round(100 * mean over dimensions of free/capacity after placement).
 
-    Dimensions with zero capacity are excluded so CPU-only nodes do not
-    divide by zero on the GPU axis. Rounding is Python's round-half-to-even.
+    Both arguments are (cpu, memory, gpu) int triples. Dimensions with zero
+    capacity are excluded so CPU-only nodes do not divide by zero on the GPU
+    axis. Rounding is Python's round-half-to-even.
     """
-    fractions = []
-    for free, cap in zip(free_after.as_tuple(), capacity.as_tuple()):
+    total = 0
+    dims = 0
+    for free, cap in zip(free_after, capacity):
         if cap > 0:
-            fractions.append(free / cap)
-    if not fractions:
+            total += free / cap
+            dims += 1
+    if not dims:
         return 0
-    return round(100 * sum(fractions) / len(fractions))
+    return round(100 * total / dims)
 
 
-def least_allocated(pod: PodSpec, node: NodeSpec, snap: SchedulingSnapshot) -> int:
-    free_after = snap.allocatable[node.node_id].subtract(pod.request)
-    return least_allocated_score(free_after, node.capacity)
+def least_allocated(request: ResourceVector, capacity: ResourceVector, free: ResourceVector) -> int:
+    free_after = (
+        free.cpu_millicores - request.cpu_millicores,
+        free.memory_bytes - request.memory_bytes,
+        free.gpu_count - request.gpu_count,
+    )
+    return least_allocated_score(free_after, capacity.as_tuple())
 
 
-def gpu_binpack(pod: PodSpec, node: NodeSpec, snap: SchedulingSnapshot) -> int:
+def gpu_binpack(request: ResourceVector, capacity: ResourceVector, free: ResourceVector) -> int:
     """Prefer the fullest GPU node after placement, to limit fragmentation."""
-    cap = node.capacity.gpu_count
+    cap = capacity.gpu_count
     if cap == 0:
         return 0
-    free_after = snap.allocatable[node.node_id].gpu_count - pod.request.gpu_count
+    free_after = free.gpu_count - request.gpu_count
     return round(100 * (cap - free_after) / cap)
 
 
@@ -84,9 +96,6 @@ DEFAULT_SCORES = (("LeastAllocated", 1),)
 @dataclass
 class PluginPipeline:
     scores: List[Tuple[str, ScoreFn, float]] = field(default_factory=list)
-
-    def total_score(self, pod: PodSpec, node: NodeSpec, snap: SchedulingSnapshot) -> float:
-        return sum(weight * fn(pod, node, snap) for _, fn, weight in self.scores)
 
 
 def builtin_pipeline(score_weights=DEFAULT_SCORES) -> PluginPipeline:
@@ -104,19 +113,27 @@ def schedule_one(
     """Pick the feasible node with maximal total score, or None.
 
     Namespace admission does not depend on the node, so it is decided once,
-    before the node loop. Nodes are visited in sorted id order with a strict
-    improvement test, so score ties resolve to the lexicographically
-    smallest node id.
+    before the node loop. A node's total score is the sum, from int 0 in
+    pipeline order, of weight * score. Nodes are visited in sorted id order
+    with a strict improvement test, so score ties resolve to the
+    lexicographically smallest node id.
     """
     if snap.spec.admission_error(pod, snap.namespace_used) is not None:
         return None
+    request = pod.request
+    scores = pipeline.scores
+    nodes, allocatable = snap.nodes, snap.allocatable
     best_node = None
     best_score = None
-    for node_id in sorted(snap.nodes):
-        node = snap.nodes[node_id]
-        if not fits(pod, node, snap.allocatable[node_id]):
+    for node_id in sorted(nodes):
+        node = nodes[node_id]
+        free = allocatable[node_id]
+        if not fits(pod, node, free):
             continue
-        score = pipeline.total_score(pod, node, snap)
+        capacity = node.capacity
+        score = 0
+        for _, fn, weight in scores:
+            score += weight * fn(request, capacity, free)
         if best_score is None or score > best_score:
             best_node, best_score = node_id, score
     return best_node

@@ -288,6 +288,19 @@ class TestIncrementalAccounting:
         assert most_reserved >= 3 and most_bound >= 3, (most_reserved, most_bound)
         assert moves >= 100, moves
 
+    def test_capacity_oracle_catches_stale_cached_vectors(self):
+        # The per-bind oracle sums the per-pod maps, not the cached vectors:
+        # with the node's caches reset to full capacity, bind's own checks
+        # pass and only the oracle sees the overfilled node. The second
+        # node keeps the cluster aggregate from underflowing first.
+        state = state_of(make_node("n1", cpu=4000, mem=4 * GIB), make_node("n2"))
+        state.bind(make_pod("p1", 3000, GIB), "n1", at=0)
+        capacity = state.nodes()["n1"].capacity
+        state._allocatable["n1"] = capacity
+        state._unbound["n1"] = capacity
+        with pytest.raises(OvercommitError, match="overcommitted"):
+            state.bind(make_pod("p2", 2000, GIB), "n1", at=1)
+
 
 class TestPodPhases:
     def test_legal_lifecycle_paths(self):

@@ -484,6 +484,22 @@ def test_malformed_value_is_a_located_config_error(base, location, value, tmp_pa
     assert "Traceback" not in err_text
 
 
+@pytest.mark.parametrize("kind", ["central", "burst", "decentralized"])
+def test_edges_need_an_explicit_topology(kind, tmp_path, capsys):
+    # Only an explicit topology reads `edges`; elsewhere they were dropped.
+    raw = kind_config(kind)
+    raw["topology"]["edges"] = [{"source": "a", "target": "b"}]
+    with pytest.raises(ConfigError) as err:
+        validate_config(copy.deepcopy(raw))
+    assert err.value.location == "topology.edges"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("error: topology.edges: ")
+    assert "Traceback" not in err_text
+
+
 @pytest.mark.parametrize("location", ["scenario.pods[0].selector",
                                       "scenario.retrain.selector",
                                       "scenario.ensemble_member.selector"])

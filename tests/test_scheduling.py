@@ -33,23 +33,17 @@ class TestLeastAllocated:
     def test_hand_computed_three_nodes(self):
         # capacity (8000, 16GiB), free after placement (4000, 6GiB):
         # fractions 0.5 and 0.375, mean 0.4375 -> 44.
-        score = least_allocated_score(
-            ResourceVector(4000, 6 * GIB, 0), ResourceVector(8000, 16 * GIB, 0)
-        )
+        score = least_allocated_score((4000, 6 * GIB, 0), (8000, 16 * GIB, 0))
         assert score == 44
         # free (1000, 16GiB) of (10000, 16GiB): (0.1 + 1.0)/2 -> 55.
-        assert least_allocated_score(
-            ResourceVector(1000, 16 * GIB, 0), ResourceVector(10_000, 16 * GIB, 0)
-        ) == 55
+        assert least_allocated_score((1000, 16 * GIB, 0), (10_000, 16 * GIB, 0)) == 55
         # Full node free -> 100, exhausted node -> 0.
-        cap = ResourceVector(4000, GIB, 2)
+        cap = (4000, GIB, 2)
         assert least_allocated_score(cap, cap) == 100
-        assert least_allocated_score(ResourceVector.zero(), cap) == 0
+        assert least_allocated_score((0, 0, 0), cap) == 0
 
     def test_zero_capacity_gpu_dimension_excluded(self):
-        score = least_allocated_score(
-            ResourceVector(5000, 5 * GIB, 0), ResourceVector(10_000, 10 * GIB, 0)
-        )
+        score = least_allocated_score((5000, 5 * GIB, 0), (10_000, 10 * GIB, 0))
         assert score == 50  # not dragged down by the absent GPU axis
 
     def test_matches_independent_formula_on_random_inputs(self):
@@ -57,7 +51,7 @@ class TestLeastAllocated:
         for _ in range(300):
             cap = [rng.randint(0, 100), rng.randint(0, 100), rng.randint(0, 4)]
             free = [rng.randint(0, c) if c else 0 for c in cap]
-            got = least_allocated_score(ResourceVector(*free), ResourceVector(*cap))
+            got = least_allocated_score(tuple(free), tuple(cap))
             assert got == oracle_least_allocated(free, cap)
 
     def test_picks_emptiest_of_three_nodes(self):
@@ -194,6 +188,102 @@ class TestScheduleOne:
             assert chosen == expected, f"step {i}: {chosen} != {expected}"
             if chosen is not None:
                 state.bind(pod, chosen, at=i)
+
+
+class TestWeightedOracle:
+    """schedule_one against a brute-force argmax kept with the test's own
+    node model: free resources, pool, state and labels per node."""
+
+    NODE_IDS = ("a", "b", "n1", "n10", "n2", "n9", "x")
+
+    def test_weighted_placements_match_brute_force_argmax(self):
+        rng = random.Random(707)
+        weights = (0, 0.25, 0.5, 1, 1.5, 2, 3)
+        decisions = ties = refused = 0
+        for trial in range(80):
+            ids = rng.sample(self.NODE_IDS, rng.randint(1, len(self.NODE_IDS)))
+            nodes = [
+                make_node(node_id, cpu=rng.choice([4000, 8000]), mem=rng.choice([4, 8]) * GIB,
+                          gpu=rng.choice([0, 0, 2, 4]), labels=rng.choice([{}, {"zone": "a"}]),
+                          pool=rng.choice(["Container", "Container", "Container", "Batch"]))
+                for node_id in ids
+            ]
+            state = cluster_with(nodes)
+            model = {
+                node.node_id: {
+                    "cap": list(node.capacity.as_tuple()),
+                    "free": list(node.capacity.as_tuple()),
+                    "labels": dict(node.labels),
+                    "container": node.pool is NodePool.CONTAINER,
+                    "ready": True,
+                }
+                for node in nodes
+            }
+            plugins = rng.choice([["LeastAllocated"], ["GpuBinpack"],
+                                  ["LeastAllocated", "GpuBinpack"],
+                                  ["GpuBinpack", "LeastAllocated"]])
+            score_weights = tuple((name, rng.choice(weights)) for name in plugins)
+            pipeline = builtin_pipeline(score_weights=score_weights)
+            held = []  # (pod, node id, "reserve" | "bind")
+            for step in range(12):
+                if held and rng.random() < 0.25:
+                    pod, node_id, how = held.pop(rng.randrange(len(held)))
+                    if how == "reserve":
+                        assert state.release_reservation(pod.pod_id)
+                    else:
+                        state.unbind(pod.pod_id)
+                    free = model[node_id]["free"]
+                    for d, r in enumerate(pod.request.as_tuple()):
+                        free[d] += r
+                if rng.random() < 0.15:
+                    node_id = rng.choice(ids)
+                    ready = not model[node_id]["ready"]
+                    model[node_id]["ready"] = ready
+                    state.set_node(
+                        node_id, state=NodeState.READY if ready else NodeState.REPURPOSING
+                    )
+                pod = make_pod(f"p{trial}-{step}", cpu=rng.choice([0, 1000, 2000, 4000]),
+                               mem=rng.choice([0, 1, 2, 4]) * GIB, gpu=rng.choice([0, 0, 1, 2]),
+                               selector=rng.choice([{}, {}, {"zone": "a"}]))
+                request = pod.request.as_tuple()
+                best, best_score, tied = None, None, False
+                for node_id in sorted(model):
+                    m = model[node_id]
+                    if not (m["ready"] and m["container"]
+                            and all(m["labels"].get(k) == v for k, v in pod.node_selector.items())
+                            and all(r <= f for r, f in zip(request, m["free"]))):
+                        continue
+                    free_after = [f - r for f, r in zip(m["free"], request)]
+                    gpu_cap = m["cap"][2]
+                    total = 0
+                    for name, weight in score_weights:
+                        if name == "LeastAllocated":
+                            score = oracle_least_allocated(free_after, m["cap"])
+                        else:
+                            score = (round(100 * (gpu_cap - free_after[2]) / gpu_cap)
+                                     if gpu_cap else 0)
+                        total += weight * score
+                    if best_score is not None and total == best_score:
+                        tied = True
+                    if best_score is None or total > best_score:
+                        best, best_score = node_id, total
+                chosen = schedule_one(pod, snapshot_of(state), pipeline)
+                assert chosen == best, f"trial {trial} step {step}: {chosen} != {best}"
+                if chosen is None:
+                    refused += 1
+                    continue
+                decisions += 1
+                ties += tied
+                how = rng.choice(["reserve", "bind", "bind"])
+                if how == "reserve":
+                    state.reserve(pod, chosen)
+                else:
+                    state.bind(pod, chosen, at=step)
+                held.append((pod, chosen, how))
+                free = model[chosen]["free"]
+                for d, r in enumerate(request):
+                    free[d] -= r
+        assert decisions >= 400 and ties >= 100 and refused >= 50, (decisions, ties, refused)
 
 
 class TestBindAgreement:
