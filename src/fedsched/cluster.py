@@ -20,7 +20,7 @@ from .errors import (
     PhaseTransitionError,
     QuotaExceeded,
 )
-from .resources import ResourceVector, sum_vectors
+from .resources import ZERO, ResourceVector, Triple, add_triples, subtract_triples, sum_vectors
 
 
 class NodePool(Enum):
@@ -111,15 +111,15 @@ class ClusterSpec:
         self.nodes[node.node_id] = node
 
     def admission_error(
-        self, pod: PodSpec, ns_usage: Dict[str, ResourceVector]
+        self, pod: PodSpec, ns_usage: Dict[str, Triple]
     ) -> Optional[BindError]:
         """The error refusing `pod`'s namespace here, or None if admitted.
 
         Admitted means on the allowlist and, with `ns_usage` the requests
-        each namespace already holds, within the namespace's quota once the
-        pod's request is added. `schedule_one`, `ClusterState.reserve` and
-        `ClusterState.bind` all decide admission here, so they cannot
-        disagree.
+        each namespace already holds as (cpu, memory, gpu) triples, within
+        the namespace's quota once the pod's request is added.
+        `schedule_one`, `ClusterState.reserve` and `ClusterState.bind` all
+        decide admission here, so they cannot disagree.
         """
         namespace = pod.namespace
         if self.namespace_allowlist is not None and namespace not in self.namespace_allowlist:
@@ -127,12 +127,17 @@ class ClusterSpec:
                 f"namespace {namespace!r} not admitted by cluster {self.cluster_id}"
             )
         quota = self.namespace_quota.get(namespace)
-        if quota is not None and not (
-            ns_usage.get(namespace, ResourceVector.zero()) + pod.request
-        ).fits_within(quota):
-            return QuotaExceeded(
-                f"namespace {namespace!r} over quota in cluster {self.cluster_id}"
-            )
+        if quota is not None:
+            cpu, memory, gpu = ns_usage.get(namespace, ZERO)
+            request = pod.request
+            if (
+                cpu + request.cpu_millicores > quota.cpu_millicores
+                or memory + request.memory_bytes > quota.memory_bytes
+                or gpu + request.gpu_count > quota.gpu_count
+            ):
+                return QuotaExceeded(
+                    f"namespace {namespace!r} over quota in cluster {self.cluster_id}"
+                )
         return None
 
 
@@ -155,13 +160,20 @@ def schedulable(node: NodeSpec) -> bool:
     return node.state is NodeState.READY and node.pool is NodePool.CONTAINER
 
 
-def fits(pod: PodSpec, node: NodeSpec, allocatable: ResourceVector) -> bool:
-    """Pure feasibility predicate for one pod on one container node."""
+def fits(pod: PodSpec, node: NodeSpec, free: Triple) -> bool:
+    """Pure feasibility predicate for one pod on one container node with
+    `free` (cpu, memory, gpu) left."""
     if not schedulable(node):
         return False
     if pod.node_selector and not selector_matches(pod.node_selector, node.labels):
         return False
-    return pod.request.fits_within(allocatable)
+    request = pod.request
+    cpu, memory, gpu = free
+    return (
+        request.cpu_millicores <= cpu
+        and request.memory_bytes <= memory
+        and request.gpu_count <= gpu
+    )
 
 
 class ClusterState:
@@ -172,15 +184,20 @@ class ClusterState:
     Reservations count against both node capacity and namespace quota so a
     reserved candidate can always be promoted to a bind.
 
+    Every figure it keeps is a (cpu, memory, gpu) int triple; only the
+    per-pod `bound` and `reserved` maps hold the pods' `ResourceVector`
+    requests. Every subtraction raises OvercommitError on underflow.
+
     Incremental invariant: after every reserve, release_reservation, bind
     and unbind, for every node n
 
         _unbound[n]     == capacity(n) - sum(bound[n])
         _allocatable[n] == capacity(n) - sum(bound[n]) - sum(reserved[n])
+        ns_usage[ns]    == sum of bound and reserved requests in namespace ns
 
     so `allocatable` is a dict read. The per-pod `bound` and `reserved`
     maps stay the record of truth: `_assert_node_capacity` recomputes from
-    them after every bind, independently of the cached vectors.
+    them after every bind, independently of the cached triples.
 
     Aggregate invariant: after every bind, unbind and `set_node`, with S the
     Ready container nodes (`schedulable`),
@@ -196,16 +213,21 @@ class ClusterState:
         self.spec = spec
         self.bound: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
         self.reserved: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
-        self.ns_usage: Dict[str, ResourceVector] = {}
+        self.ns_usage: Dict[str, Triple] = {}
         self.pods: Dict[str, PodSpec] = {}
         # pod id -> (node id, namespace) of its reservation.
         self._reservations: Dict[str, Tuple[str, str]] = {}
-        self._unbound: Dict[str, ResourceVector] = {
-            n: node.capacity for n, node in spec.nodes.items()
+        self._capacity: Dict[str, Triple] = {
+            n: node.capacity.as_tuple() for n, node in spec.nodes.items()
         }
-        self._allocatable: Dict[str, ResourceVector] = dict(self._unbound)
-        in_aggregate = [n for n in spec.nodes.values() if schedulable(n)]
-        self._aggregate_capacity = sum_vectors(n.capacity for n in in_aggregate)
+        self._unbound: Dict[str, Triple] = dict(self._capacity)
+        self._allocatable: Dict[str, Triple] = dict(self._capacity)
+        self._aggregate_capacity = ZERO
+        for node_id, node in spec.nodes.items():
+            if schedulable(node):
+                self._aggregate_capacity = add_triples(
+                    self._aggregate_capacity, self._capacity[node_id]
+                )
         self._aggregate_unbound = self._aggregate_capacity
 
     @property
@@ -215,16 +237,16 @@ class ClusterState:
     def nodes(self) -> Dict[str, NodeSpec]:
         return self.spec.nodes
 
-    def allocatable(self, node_id: str, include_reservations: bool = True) -> ResourceVector:
+    def allocatable(self, node_id: str, include_reservations: bool = True) -> Triple:
         if include_reservations:
             return self._allocatable[node_id]
         return self._unbound[node_id]
 
-    def aggregate_capacity(self) -> ResourceVector:
+    def aggregate_capacity(self) -> Triple:
         """Capacity summed over Ready container nodes."""
         return self._aggregate_capacity
 
-    def aggregate_allocatable(self) -> ResourceVector:
+    def aggregate_allocatable(self) -> Triple:
         """Allocatable (net of bound pods only) over Ready container nodes.
 
         Reservations are deliberately excluded: they are short-lived election
@@ -244,19 +266,20 @@ class ClusterState:
         The only way a node's pool or state changes once the cluster runs.
         """
         node = self.spec.nodes[node_id]
+        capacity, unbound = self._capacity[node_id], self._unbound[node_id]
         if schedulable(node):
-            self._aggregate_capacity = self._aggregate_capacity.subtract(node.capacity)
-            self._aggregate_unbound = self._aggregate_unbound.subtract(self._unbound[node_id])
+            self._aggregate_capacity = subtract_triples(self._aggregate_capacity, capacity)
+            self._aggregate_unbound = subtract_triples(self._aggregate_unbound, unbound)
         if pool is not None:
             node.pool = pool
         if state is not None:
             node.state = state
         if schedulable(node):
-            self._aggregate_capacity = self._aggregate_capacity + node.capacity
-            self._aggregate_unbound = self._aggregate_unbound + self._unbound[node_id]
+            self._aggregate_capacity = add_triples(self._aggregate_capacity, capacity)
+            self._aggregate_unbound = add_triples(self._aggregate_unbound, unbound)
 
-    def namespace_used(self, namespace: str) -> ResourceVector:
-        return self.ns_usage.get(namespace, ResourceVector.zero())
+    def namespace_used(self, namespace: str) -> Triple:
+        return self.ns_usage.get(namespace, ZERO)
 
     def _check_feasible(self, pod: PodSpec, node_id: str, conflict: str) -> None:
         """Raise unless `pod` may take `node_id` now, by the same rule as
@@ -268,29 +291,30 @@ class ClusterState:
         if refusal is not None:
             raise refusal
 
-    def _ns_add(self, namespace: str, request: ResourceVector) -> None:
-        self.ns_usage[namespace] = self.namespace_used(namespace) + request
+    def _ns_add(self, namespace: str, request: Triple) -> None:
+        self.ns_usage[namespace] = add_triples(self.namespace_used(namespace), request)
 
-    def _ns_sub(self, namespace: str, request: ResourceVector) -> None:
-        self.ns_usage[namespace] = self.namespace_used(namespace).subtract(request)
+    def _ns_sub(self, namespace: str, request: Triple) -> None:
+        self.ns_usage[namespace] = subtract_triples(self.namespace_used(namespace), request)
 
     def reserve(self, pod: PodSpec, node_id: str) -> None:
         """Hold node resources for a candidate until election resolves."""
         self._check_feasible(
             pod, node_id, f"reservation for {pod.pod_id} no longer fits node {node_id}"
         )
-        self._allocatable[node_id] = self._allocatable[node_id].subtract(pod.request)
+        request = pod.request.as_tuple()
+        self._allocatable[node_id] = subtract_triples(self._allocatable[node_id], request)
         self.reserved[node_id][pod.pod_id] = pod.request
         self._reservations[pod.pod_id] = (node_id, pod.namespace)
-        self._ns_add(pod.namespace, pod.request)
+        self._ns_add(pod.namespace, request)
 
     def release_reservation(self, pod_id: str) -> bool:
         held = self._reservations.pop(pod_id, None)
         if held is None:
             return False
         node_id, namespace = held
-        request = self.reserved[node_id].pop(pod_id)
-        self._allocatable[node_id] = self._allocatable[node_id] + request
+        request = self.reserved[node_id].pop(pod_id).as_tuple()
+        self._allocatable[node_id] = add_triples(self._allocatable[node_id], request)
         self._ns_sub(namespace, request)
         return True
 
@@ -301,21 +325,23 @@ class ClusterState:
         precondition no longer holds; the caller must re-queue the pod.
         A reservation held by the same pod is consumed by the bind.
         """
-        if pod.pod_id in self.reserved[node_id]:
+        held = self.reserved[node_id].pop(pod.pod_id, None)
+        if held is not None:
             # The reservation already holds the resources and quota.
-            request = self.reserved[node_id].pop(pod.pod_id)
             del self._reservations[pod.pod_id]
+            request = held.as_tuple()
         else:
             self._check_feasible(
                 pod, node_id, f"pod {pod.pod_id} no longer fits node {node_id} at t={at}"
             )
-            request = pod.request
+            held = pod.request
+            request = held.as_tuple()
             self._ns_add(pod.namespace, request)
-            self._allocatable[node_id] = self._allocatable[node_id].subtract(request)
-        self._unbound[node_id] = self._unbound[node_id].subtract(request)
+            self._allocatable[node_id] = subtract_triples(self._allocatable[node_id], request)
+        self._unbound[node_id] = subtract_triples(self._unbound[node_id], request)
         if schedulable(self.spec.nodes[node_id]):
-            self._aggregate_unbound = self._aggregate_unbound.subtract(request)
-        self.bound[node_id][pod.pod_id] = request
+            self._aggregate_unbound = subtract_triples(self._aggregate_unbound, request)
+        self.bound[node_id][pod.pod_id] = held
         self.pods[pod.pod_id] = pod
         pod.transition(PodPhase.BOUND)
         pod.bound_cluster = self.cluster_id
@@ -326,11 +352,11 @@ class ClusterState:
         """Release a bound pod's resources (completion or failure)."""
         pod = self.pods.pop(pod_id)
         node_id = pod.bound_node
-        request = self.bound[node_id].pop(pod_id)
-        self._unbound[node_id] = self._unbound[node_id] + request
+        request = self.bound[node_id].pop(pod_id).as_tuple()
+        self._unbound[node_id] = add_triples(self._unbound[node_id], request)
         if schedulable(self.spec.nodes[node_id]):
-            self._aggregate_unbound = self._aggregate_unbound + request
-        self._allocatable[node_id] = self._allocatable[node_id] + request
+            self._aggregate_unbound = add_triples(self._aggregate_unbound, request)
+        self._allocatable[node_id] = add_triples(self._allocatable[node_id], request)
         self._ns_sub(pod.namespace, request)
         return pod
 

@@ -28,7 +28,7 @@ from .errors import ConfigError
 from .federation import ELECTION_LEAST_ALLOCATED, ELECTION_PREFER_LOCAL, FederationParams
 from .graph import FederationGraph, LatencyModel, build_burst, build_central, build_decentralized
 from .metascale import BatchJob, MetaScaleParams
-from .profiles import PROFILES
+from .profiles import PROFILES, SCALED_PROFILES
 from .resources import ResourceVector, parse_memory
 from .scenario import CameraEvent, PodTemplate, TriggerRule, load_trace
 from .scheduling import DEFAULT_SCORES, SCORE_PLUGINS
@@ -253,7 +253,7 @@ resources = record(RESOURCES, lambda cpu, memory, gpu: ResourceVector(cpu, memor
 class ClusterConfig:
     cluster_id: str
     profile: Optional[str]
-    scale_divisor: int
+    scale_divisor: Optional[int]
     explicit_nodes: Optional[List[dict]]
     initial_batch_nodes: int
     namespace_allowlist: Optional[List[str]]
@@ -262,7 +262,8 @@ class ClusterConfig:
 
     def build_nodes(self) -> List[NodeSpec]:
         if self.profile is not None:
-            nodes = PROFILES[self.profile](self.cluster_id, self.scale_divisor)
+            scale = {} if self.scale_divisor is None else {"divisor": self.scale_divisor}
+            nodes = PROFILES[self.profile](self.cluster_id, **scale)
         else:
             nodes = [
                 NodeSpec(
@@ -308,12 +309,13 @@ PIPELINE = {
     "scores": (list_of(record(SCORE, lambda name, weight: (name, weight))), None),
 }
 
-# A cluster has exactly one of `profile` and `nodes`; `validate_config`
-# checks that and the node ids.
+# A cluster has exactly one of `profile` and `nodes`, and only a profile in
+# SCALED_PROFILES takes `scale_divisor`; `validate_config` checks those and
+# the node ids.
 CLUSTER = {
     "id": (string, REQUIRED, "cluster_id"),
     "profile": (one_of("profile", PROFILES), None),
-    "scale_divisor": (integer(1), 14),
+    "scale_divisor": (integer(1), None),
     "nodes": (list_of(record(NODE, _with_vector(dict, "capacity")), non_empty=True), None,
               "explicit_nodes"),
     "initial_batch_nodes": (integer(0), 0),
@@ -598,6 +600,11 @@ def validate_config(raw: dict, base_seed: Optional[int] = None) -> RunConfig:
         path = f"topology.clusters[{i}]"
         if (cluster.profile is None) == (cluster.explicit_nodes is None):
             raise ConfigError("needs exactly one of 'profile' and 'nodes'", path)
+        if cluster.scale_divisor is not None and cluster.profile not in SCALED_PROFILES:
+            raise ConfigError(
+                f"only the {', '.join(sorted(SCALED_PROFILES))} profile takes a scale_divisor",
+                f"{path}.scale_divisor",
+            )
         _unique([n["id"] for n in cluster.explicit_nodes or ()], "node", f"{path}.nodes")
     known = set(cluster_ids)
     for cluster_id, location in refs:

@@ -145,8 +145,8 @@ class FederationProtocol:
             state = self.ctx.clusters[target]
             self.virtual_nodes[(source, target)] = VirtualNode(
                 target=target,
-                capacity=state.aggregate_capacity().as_tuple(),
-                allocatable=state.aggregate_allocatable().as_tuple(),
+                capacity=state.aggregate_capacity(),
+                allocatable=state.aggregate_allocatable(),
                 last_update=0,
             )
 
@@ -462,8 +462,8 @@ class FederationProtocol:
                     "phase": "report",
                     "source": source,
                     "target": target,
-                    "capacity": capacity.as_list(),
-                    "allocatable": allocatable.as_list(),
+                    "capacity": list(capacity),
+                    "allocatable": list(allocatable),
                 },
             )
 

@@ -7,6 +7,7 @@ the option of running its own federated workloads locally.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Set, Tuple
 
@@ -37,6 +38,9 @@ class FederationGraph:
     def __init__(self, clusters: Iterable[str] = ()):
         self.clusters: Set[str] = set()
         self.edges: Dict[Tuple[str, str], FederationEdge] = {}
+        # Sorted neighbour lists, kept up to date by `add_edge`.
+        self._targets: Dict[str, List[str]] = {}
+        self._sources: Dict[str, List[str]] = {}
         for c in clusters:
             self.add_cluster(c)
 
@@ -50,6 +54,9 @@ class FederationGraph:
         if target not in self.clusters:
             raise UnknownCluster(f"unknown target cluster {target!r}")
         edge = FederationEdge(source, target, latency or LatencyModel())
+        if (source, target) not in self.edges:
+            insort(self._targets.setdefault(source, []), target)
+            insort(self._sources.setdefault(target, []), source)
         self.edges[(source, target)] = edge
         return edge
 
@@ -60,16 +67,16 @@ class FederationGraph:
         return (source, target) in self.edges
 
     def targets_of(self, source: str) -> List[str]:
-        return sorted(t for (s, t) in self.edges if s == source)
+        return list(self._targets.get(source, ()))
 
     def sources_of(self, target: str) -> List[str]:
-        return sorted(s for (s, t) in self.edges if t == target)
+        return list(self._sources.get(target, ()))
 
     def out_degree(self, cluster_id: str) -> int:
-        return len(self.targets_of(cluster_id))
+        return len(self._targets.get(cluster_id, ()))
 
     def in_degree(self, cluster_id: str) -> int:
-        return len(self.sources_of(cluster_id))
+        return len(self._sources.get(cluster_id, ()))
 
 
 def build_central(hub: str, leaves: Iterable[str], latency: LatencyModel = None) -> FederationGraph:

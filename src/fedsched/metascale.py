@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from . import engine
 from .cluster import NodePool, NodeState
-from .resources import ResourceVector, sum_vectors
+from .resources import Triple
 
 
 log = logging.getLogger("fedsched.metascale")
@@ -48,7 +48,7 @@ class BatchJob:
 @dataclass
 class PoolDemand:
     batch_queue_depth: int  # queued demand in node-count terms
-    container_pending: ResourceVector
+    container_pending: Triple  # summed pending requests, (cpu, memory, gpu)
 
 
 @dataclass
@@ -72,6 +72,15 @@ class MetaScaler:
         self.jobs: Dict[str, BatchJob] = {}
         self.busy_nodes: set = set()
         self.pinned_until: Dict[str, int] = {}
+        # The average node, the unit of container demand. Node capacities
+        # never change, so it is fixed for the run.
+        nodes = ctx.clusters[cluster_id].nodes().values()
+        n = len(nodes)
+        self.reference_capacity: Triple = (
+            max(1, sum(node.capacity.cpu_millicores for node in nodes) // n),
+            max(1, sum(node.capacity.memory_bytes for node in nodes) // n),
+            sum(node.capacity.gpu_count for node in nodes) // n,
+        )
 
     # -- batch FIFO ----------------------------------------------------------
 
@@ -124,27 +133,21 @@ class MetaScaler:
 
     def demand(self) -> PoolDemand:
         queued_nodes = sum(j.node_count for j in self.queue)
-        pending = sum_vectors(p.request for p in self.ctx.pending_requests(self.cluster_id))
+        cpu = memory = gpu = 0
+        for pod in self.ctx.pending_requests(self.cluster_id):
+            request = pod.request
+            cpu += request.cpu_millicores
+            memory += request.memory_bytes
+            gpu += request.gpu_count
         return PoolDemand(
             batch_queue_depth=queued_nodes,
-            container_pending=pending,
+            container_pending=(cpu, memory, gpu),
         )
 
-    def _reference_capacity(self) -> ResourceVector:
-        nodes = list(self.ctx.clusters[self.cluster_id].nodes().values())
-        n = len(nodes)
-        total = sum_vectors(node.capacity for node in nodes)
-        return ResourceVector(
-            max(1, total.cpu_millicores // n),
-            max(1, total.memory_bytes // n),
-            total.gpu_count // n,
-        )
-
-    def _node_equivalents(self, pending: ResourceVector) -> int:
+    def _node_equivalents(self, pending: Triple) -> int:
         """Pending container demand expressed in average-node units."""
-        ref = self._reference_capacity()
         needed = 0
-        for want, have in zip(pending.as_tuple(), ref.as_tuple()):
+        for want, have in zip(pending, self.reference_capacity):
             if want > 0 and have > 0:
                 needed = max(needed, math.ceil(want / have))
         return needed

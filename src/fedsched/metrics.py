@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import engine
 from .engine import Event
-from .resources import ResourceVector
+from .resources import ZERO, Triple, add_triples, subtract_triples
 
 
 @dataclass
@@ -172,20 +172,22 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
     report = MetricsReport()
     pods: Dict[str, PodRow] = {}
 
-    # Container-pool capacity per cluster, adjusted by pool moves.
-    cap: Dict[str, ResourceVector] = {}
-    used: Dict[str, ResourceVector] = {}
+    # Container-pool capacity per cluster, adjusted by pool moves, and the
+    # requests bound there, as (cpu, memory, gpu) triples. Going below zero
+    # raises OvercommitError: only a broken log can do it.
+    cap: Dict[str, Triple] = {}
+    used: Dict[str, Triple] = {}
     pending: Dict[str, int] = {}
     node_in_container: Dict[Tuple[str, str], bool] = {}
     for cluster, nodes in static.node_capacity.items():
-        total = ResourceVector.zero()
+        total = ZERO
         for node_id, capacity in nodes.items():
             ready_container = static.node_pool[cluster][node_id] == "Container"
             node_in_container[(cluster, node_id)] = ready_container
             if ready_container:
-                total = total + ResourceVector(*capacity)
+                total = add_triples(total, capacity)
         cap[cluster] = total
-        used[cluster] = ResourceVector.zero()
+        used[cluster] = ZERO
         pending[cluster] = 0
 
     rows: Dict[Tuple[int, str], SeriesRow] = {}
@@ -194,8 +196,8 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
         rows[(time, cluster)] = SeriesRow(
             time=time,
             cluster=cluster,
-            used=used[cluster].as_list(),
-            capacity=cap[cluster].as_list(),
+            used=list(used[cluster]),
+            capacity=list(cap[cluster]),
             pending=pending[cluster],
         )
 
@@ -231,12 +233,12 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
                 row.bound_cluster = fx["cluster"]
                 row.bound_node = fx["node"]
                 row.final_phase = "Bound"
-                used[fx["cluster"]] = used[fx["cluster"]] + ResourceVector(*fx["req"])
+                used[fx["cluster"]] = add_triples(used[fx["cluster"]], fx["req"])
                 pending[fx["src"]] -= 1
                 touch(t, fx["cluster"])
                 touch(t, fx["src"])
             elif op == "unbind":
-                used[fx["cluster"]] = used[fx["cluster"]].subtract(ResourceVector(*fx["req"]))
+                used[fx["cluster"]] = subtract_triples(used[fx["cluster"]], fx["req"])
                 row = pods[fx["pod"]]
                 row.complete_time = t
                 touch(t, fx["cluster"])
@@ -253,15 +255,15 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
             elif op == "pool_move":
                 key = (fx["cluster"], fx["node"])
                 if node_in_container[key]:
-                    capacity = ResourceVector(*static.node_capacity[fx["cluster"]][fx["node"]])
-                    cap[fx["cluster"]] = cap[fx["cluster"]].subtract(capacity)
+                    capacity = static.node_capacity[fx["cluster"]][fx["node"]]
+                    cap[fx["cluster"]] = subtract_triples(cap[fx["cluster"]], capacity)
                     node_in_container[key] = False
                     touch(t, fx["cluster"])
             elif op == "node_ready":
                 key = (fx["cluster"], fx["node"])
                 if fx["pool"] == "Container" and not node_in_container[key]:
-                    capacity = ResourceVector(*static.node_capacity[fx["cluster"]][fx["node"]])
-                    cap[fx["cluster"]] = cap[fx["cluster"]] + capacity
+                    capacity = static.node_capacity[fx["cluster"]][fx["node"]]
+                    cap[fx["cluster"]] = add_triples(cap[fx["cluster"]], capacity)
                     node_in_container[key] = True
                     touch(t, fx["cluster"])
             elif op == "registry":

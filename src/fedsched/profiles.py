@@ -42,8 +42,8 @@ def expanse_sscu(cluster_id: str, divisor: int = 14) -> List[NodeSpec]:
     return nodes
 
 
-def nautilus_mini(cluster_id: str, divisor: int = 1) -> List[NodeSpec]:
-    """The mix is fixed: `divisor` is taken, like every profile's, and unused."""
+def nautilus_mini(cluster_id: str) -> List[NodeSpec]:
+    """The mix is fixed, so the profile takes no divisor."""
     def node(suffix, cpu, mem, gpu, labels):
         return NodeSpec(
             node_id=f"{cluster_id}-{suffix}",
@@ -78,3 +78,6 @@ PROFILES = {
     "expanse-sscu": expanse_sscu,
     "nautilus-mini": nautilus_mini,
 }
+
+# The profiles that take a `divisor` keyword.
+SCALED_PROFILES = frozenset({"expanse-sscu"})

@@ -3,6 +3,10 @@
 Three dimensions: CPU millicores, memory bytes, whole GPU devices.
 The comparison is a component-wise partial order, so vectors expose
 ``fits_within`` instead of rich comparison operators.
+
+A ``ResourceVector`` is built, and validated, where config is parsed. At
+run time every figure is a plain ``(cpu, memory, gpu)`` int triple, added
+and subtracted with ``add_triples`` and ``subtract_triples``.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 from .errors import OvercommitError
 
@@ -22,6 +27,9 @@ _MEMORY_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(Ki|Mi|Gi|Ti)?B?\s*$")
 _MEMORY_UNITS = {None: 1, "Ki": KIB, "Mi": MIB, "Gi": GIB, "Ti": TIB}
 
 DIMENSIONS = ("cpu_millicores", "memory_bytes", "gpu_count")
+
+Triple = Tuple[int, int, int]
+ZERO: Triple = (0, 0, 0)
 
 
 def parse_memory(value) -> int:
@@ -99,3 +107,15 @@ def sum_vectors(vectors) -> ResourceVector:
     for v in vectors:
         total = total + v
     return total
+
+
+def add_triples(a: Sequence[int], b: Sequence[int]) -> Triple:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def subtract_triples(a: Sequence[int], b: Sequence[int]) -> Triple:
+    """Component-wise difference; going negative is an accounting bug."""
+    cpu, memory, gpu = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    if cpu < 0 or memory < 0 or gpu < 0:
+        raise OvercommitError(f"resource underflow: {tuple(a)} - {tuple(b)}")
+    return (cpu, memory, gpu)

@@ -5,8 +5,8 @@ Feasibility is one rule, not a plugin list: a node is feasible when
 (`ClusterSpec.admission_error`). `ClusterState.reserve` and `bind` apply
 the same rule, so a node chosen here is one they accept. Among feasible
 nodes the weighted score plugins decide. A score is a pure function of the
-pod's request, the node's capacity and the node's free resources, computed
-in plain int arithmetic, so a decision is fully determined by (pod,
+pod's request, the node's capacity and the node's free resources, all
+(cpu, memory, gpu) int triples, so a decision is fully determined by (pod,
 snapshot, pipeline) and builds no vector. Ties between equally scored nodes
 go to the lexicographically smallest node id, which keeps runs replayable.
 """
@@ -17,71 +17,77 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .cluster import ClusterSpec, ClusterState, NodeSpec, PodSpec, fits
-from .resources import ResourceVector
+from .resources import Triple
 
-# (request, capacity, free) -> score; `free` is net of bound pods and
-# reservations, and the request fits within it.
-ScoreFn = Callable[[ResourceVector, ResourceVector, ResourceVector], int]
+# (request, capacity, free) -> score, all (cpu, memory, gpu) triples; `free`
+# is net of bound pods and reservations, and the request fits within it.
+ScoreFn = Callable[[Triple, Triple, Triple], int]
 
 
 @dataclass(frozen=True)
 class SchedulingSnapshot:
     """Point-in-time view of one cluster for a scheduling decision.
 
-    `spec` supplies the namespace allowlist and quotas, which stay fixed for
-    a run; the per-node and per-namespace figures are copies.
+    `spec` supplies the namespace allowlist and quotas, and `capacity` the
+    per-node capacity triples, which all stay fixed for a run; the per-node
+    and per-namespace figures are copies.
     """
 
     spec: ClusterSpec
     nodes: Dict[str, NodeSpec]
-    allocatable: Dict[str, ResourceVector]
-    namespace_used: Dict[str, ResourceVector]
+    capacity: Dict[str, Triple]
+    allocatable: Dict[str, Triple]
+    namespace_used: Dict[str, Triple]
 
 
 def snapshot_of(state: ClusterState) -> SchedulingSnapshot:
     return SchedulingSnapshot(
         spec=state.spec,
         nodes=dict(state.spec.nodes),
+        capacity=state._capacity,
         allocatable=dict(state._allocatable),
         namespace_used=dict(state.ns_usage),
     )
 
 
-def least_allocated_score(
-    free_after: Tuple[int, int, int], capacity: Tuple[int, int, int]
-) -> int:
+def least_allocated_score(free_after: Triple, capacity: Triple) -> int:
     """round(100 * mean over dimensions of free/capacity after placement).
 
     Both arguments are (cpu, memory, gpu) int triples. Dimensions with zero
     capacity are excluded so CPU-only nodes do not divide by zero on the GPU
-    axis. Rounding is Python's round-half-to-even.
+    axis. The terms are added in dimension order (cpu, memory, gpu), so the
+    float sum is the same on every path. Rounding is Python's
+    round-half-to-even.
     """
+    free_cpu, free_memory, free_gpu = free_after
+    cap_cpu, cap_memory, cap_gpu = capacity
     total = 0
     dims = 0
-    for free, cap in zip(free_after, capacity):
-        if cap > 0:
-            total += free / cap
-            dims += 1
+    if cap_cpu > 0:
+        total += free_cpu / cap_cpu
+        dims += 1
+    if cap_memory > 0:
+        total += free_memory / cap_memory
+        dims += 1
+    if cap_gpu > 0:
+        total += free_gpu / cap_gpu
+        dims += 1
     if not dims:
         return 0
     return round(100 * total / dims)
 
 
-def least_allocated(request: ResourceVector, capacity: ResourceVector, free: ResourceVector) -> int:
-    free_after = (
-        free.cpu_millicores - request.cpu_millicores,
-        free.memory_bytes - request.memory_bytes,
-        free.gpu_count - request.gpu_count,
-    )
-    return least_allocated_score(free_after, capacity.as_tuple())
+def least_allocated(request: Triple, capacity: Triple, free: Triple) -> int:
+    free_after = (free[0] - request[0], free[1] - request[1], free[2] - request[2])
+    return least_allocated_score(free_after, capacity)
 
 
-def gpu_binpack(request: ResourceVector, capacity: ResourceVector, free: ResourceVector) -> int:
+def gpu_binpack(request: Triple, capacity: Triple, free: Triple) -> int:
     """Prefer the fullest GPU node after placement, to limit fragmentation."""
-    cap = capacity.gpu_count
+    cap = capacity[2]
     if cap == 0:
         return 0
-    free_after = free.gpu_count - request.gpu_count
+    free_after = free[2] - request[2]
     return round(100 * (cap - free_after) / cap)
 
 
@@ -120,9 +126,9 @@ def schedule_one(
     """
     if snap.spec.admission_error(pod, snap.namespace_used) is not None:
         return None
-    request = pod.request
+    request = pod.request.as_tuple()
     scores = pipeline.scores
-    nodes, allocatable = snap.nodes, snap.allocatable
+    nodes, capacities, allocatable = snap.nodes, snap.capacity, snap.allocatable
     best_node = None
     best_score = None
     for node_id in sorted(nodes):
@@ -130,7 +136,7 @@ def schedule_one(
         free = allocatable[node_id]
         if not fits(pod, node, free):
             continue
-        capacity = node.capacity
+        capacity = capacities[node_id]
         score = 0
         for _, fn, weight in scores:
             score += weight * fn(request, capacity, free)

@@ -154,7 +154,9 @@ class Simulation:
         self._freed.add(cluster_id)
 
     def aggregates_changed(self, cluster_id: str) -> None:
-        self.protocol.broadcast_aggregates(cluster_id)
+        # A cluster no edge targets has no source to report to.
+        if self.graph.in_degree(cluster_id):
+            self.protocol.broadcast_aggregates(cluster_id)
 
     def pending_requests(self, cluster_id: str) -> List[PodSpec]:
         """Unmet container demand a cluster can see: its pending local pods
@@ -228,7 +230,9 @@ class Simulation:
             if not self._try_schedule_local(pod, cluster_id):
                 still_pending.append(pod)
         self.pending_local[cluster_id] = still_pending
-        self.protocol.retry_pending(cluster_id)
+        # Chaperons wait only in clusters some edge targets.
+        if self.graph.in_degree(cluster_id):
+            self.protocol.retry_pending(cluster_id)
 
     # -- handlers ------------------------------------------------------------------
 

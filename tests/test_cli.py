@@ -135,8 +135,8 @@ def test_sweep_indexes_list_elements(config_path, tmp_path, capsys):
     assert a != b
     capsys.readouterr()
     assert main(["sweep", "--config", config_path,
-                 "--param", "topology.clusters.0.scale_divisor",
-                 "--values", "7"]) == EXIT_OK
+                 "--param", "topology.clusters.0.initial_batch_nodes",
+                 "--values", "1"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("param,location", [

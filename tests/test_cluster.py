@@ -74,23 +74,23 @@ class TestFits:
     def test_zero_request_fits_any_ready_container_node(self):
         pod = make_pod("p", 0, 0, 0)
         node = make_node("n1", cpu=1, mem=1)
-        assert fits(pod, node, node.capacity)
+        assert fits(pod, node, node.capacity.as_tuple())
 
     def test_gpu_selector_match_on_v100_node(self):
         node = make_node("n1", cpu=40_000, mem=384 * GIB, gpu=4,
                          labels={"gpu-model": "v100"})
         pod = make_pod("p", 1000, GIB, 1, selector={"gpu-model": "v100"})
-        assert fits(pod, node, node.capacity)
+        assert fits(pod, node, node.capacity.as_tuple())
         other = make_pod("q", 1000, GIB, 1, selector={"gpu-model": "a100"})
-        assert not fits(other, node, node.capacity)
+        assert not fits(other, node, node.capacity.as_tuple())
 
     def test_non_ready_or_batch_nodes_never_fit(self):
         pod = make_pod("p", 0, 0, 0)
         batch = make_node("n1", pool="Batch")
-        assert not fits(pod, batch, batch.capacity)
+        assert not fits(pod, batch, batch.capacity.as_tuple())
         repurposing = make_node("n2")
         repurposing.state = NodeState.REPURPOSING
-        assert not fits(pod, repurposing, repurposing.capacity)
+        assert not fits(pod, repurposing, repurposing.capacity.as_tuple())
 
     def test_exhaustive_truth_table_matches_brute_force(self):
         # Independent predicate, written from scratch for the oracle.
@@ -119,7 +119,7 @@ class TestFits:
             make_pod("p5", 0, 0, 0, selector={"zone": "a"}),
         ]
         for pod, node in itertools.product(pods, nodes):
-            assert fits(pod, node, node.capacity) == oracle(pod, node, node.capacity)
+            assert fits(pod, node, node.capacity.as_tuple()) == oracle(pod, node, node.capacity)
 
 
 class TestBind:
@@ -130,7 +130,7 @@ class TestBind:
         state.bind(pod, "n1", at=0)
         assert pod.phase is PodPhase.BOUND
         assert pod.bound_cluster == "c1" and pod.bound_node == "n1"
-        assert state.allocatable("n1") == ResourceVector(3000, 6 * GIB, 0)
+        assert state.allocatable("n1") == (3000, 6 * GIB, 0)
 
     def test_gpu_race_yields_one_bound_one_conflict_in_both_orders(self):
         # Oracle: enumerate both submission orders; each yields one success.
@@ -188,7 +188,7 @@ class TestReservations:
         state.reserve(pod, "n1")
         state.bind(pod, "n1", at=0)
         assert "r1" not in state.reserved["n1"]
-        assert state.allocatable("n1") == ResourceVector(500, 3 * GIB, 0)
+        assert state.allocatable("n1") == (500, 3 * GIB, 0)
 
 
 class TestIncrementalAccounting:
@@ -202,7 +202,7 @@ class TestIncrementalAccounting:
         capacity = state.nodes()[node_id].capacity.as_tuple()
         return ResourceVector(*(
             capacity[d] - sum(h.as_tuple()[d] for h in holds) for d in range(3)
-        ))
+        )).as_tuple()
 
     def assert_matches_scratch(self, state):
         aggregate = [0, 0, 0]
@@ -212,11 +212,25 @@ class TestIncrementalAccounting:
                 assert state.allocatable(node_id, include) == \
                     self.scratch_allocatable(state, node_id, include)
             if node.pool is NodePool.CONTAINER and node.state is NodeState.READY:
-                free = self.scratch_allocatable(state, node_id, False).as_tuple()
+                free = self.scratch_allocatable(state, node_id, False)
                 aggregate = [a + f for a, f in zip(aggregate, free)]
                 capacity = [a + c for a, c in zip(capacity, node.capacity.as_tuple())]
-        assert state.aggregate_allocatable() == ResourceVector(*aggregate)
-        assert state.aggregate_capacity() == ResourceVector(*capacity)
+        assert state.aggregate_allocatable() == tuple(aggregate)
+        assert state.aggregate_capacity() == tuple(capacity)
+
+    @staticmethod
+    def assert_namespaces_match_scratch(state, namespace_of, quota):
+        usage = {}
+        for holds in (state.bound, state.reserved):
+            for node_holds in holds.values():
+                for pod_id, request in node_holds.items():
+                    ns = namespace_of[pod_id]
+                    usage[ns] = [u + r for u, r in
+                                 zip(usage.get(ns, (0, 0, 0)), request.as_tuple())]
+        for ns in ("default", "capped"):
+            assert state.namespace_used(ns) == tuple(usage.get(ns, (0, 0, 0))), ns
+        capped = usage.get("capped", (0, 0, 0))
+        assert all(u <= q for u, q in zip(capped, quota.as_tuple())), capped
 
     def test_random_operation_sequences_match_scratch_sums(self):
         rng = random.Random(624)
@@ -226,7 +240,9 @@ class TestIncrementalAccounting:
             for i in range(4)
         ]
         nodes.append(make_node("b0", cpu=8000, mem=8 * GIB, pool="Batch"))
-        state = state_of(*nodes, quota={"capped": ResourceVector(6000, 6 * GIB, 1)})
+        quota = ResourceVector(6000, 6 * GIB, 1)
+        state = state_of(*nodes, quota={"capped": quota})
+        namespace_of = {}  # pod id -> namespace, for every pod made
         reserved = {}  # pod id -> (pod, node id)
         bound = []
         most_reserved = most_bound = moves = 0
@@ -237,6 +253,7 @@ class TestIncrementalAccounting:
                 pod = make_pod(f"p{step}", cpu=rng.choice([500, 1000, 2000]),
                                mem=rng.choice([1, 2]) * GIB, gpu=rng.choice([0, 0, 1]),
                                ns=rng.choice(["default", "capped"]))
+                namespace_of[pod.pod_id] = pod.namespace
                 node_id = rng.choice(sorted(state.nodes()))
                 try:
                     if op == "reserve":
@@ -281,6 +298,7 @@ class TestIncrementalAccounting:
                 state.set_node(node.node_id, pool=pool, state=node_state)
                 assert (node.pool, node.state) == (pool or before[0], node_state or before[1])
             self.assert_matches_scratch(state)
+            self.assert_namespaces_match_scratch(state, namespace_of, quota)
             for pod_id, (_, node_id) in reserved.items():
                 assert pod_id in state.reserved[node_id]
             most_reserved = max(most_reserved, len(reserved))
@@ -295,7 +313,7 @@ class TestIncrementalAccounting:
         # node keeps the cluster aggregate from underflowing first.
         state = state_of(make_node("n1", cpu=4000, mem=4 * GIB), make_node("n2"))
         state.bind(make_pod("p1", 3000, GIB), "n1", at=0)
-        capacity = state.nodes()["n1"].capacity
+        capacity = state.nodes()["n1"].capacity.as_tuple()
         state._allocatable["n1"] = capacity
         state._unbound["n1"] = capacity
         with pytest.raises(OvercommitError, match="overcommitted"):

@@ -500,6 +500,27 @@ def test_edges_need_an_explicit_topology(kind, tmp_path, capsys):
     assert "Traceback" not in err_text
 
 
+@pytest.mark.parametrize("cluster", [
+    {"id": "a", "profile": "nautilus-mini", "scale_divisor": 999},
+    {"id": "a", "nodes": [node_cfg("n1")], "scale_divisor": 2},
+], ids=["nautilus-mini", "explicit-nodes"])
+def test_scale_divisor_needs_a_scaled_profile(cluster, tmp_path, capsys):
+    # Only expanse-sscu scales; elsewhere the divisor was silently ignored.
+    raw = base_config([cluster])
+    location = "topology.clusters[0].scale_divisor"
+    with pytest.raises(ConfigError) as err:
+        validate_config(copy.deepcopy(raw))
+    assert err.value.location == location
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err_text = capsys.readouterr().err
+    assert err_text.startswith(f"error: {location}: ")
+    assert "Traceback" not in err_text
+    del cluster["scale_divisor"]
+    validate_config(base_config([cluster]))
+
+
 @pytest.mark.parametrize("location", ["scenario.pods[0].selector",
                                       "scenario.retrain.selector",
                                       "scenario.ensemble_member.selector"])

@@ -419,7 +419,8 @@ class TestInvariants:
         sim, _ = run_raw(raw)
         for t, fx in effects_of(sim, "bind") + effects_of(sim, "reserve"):
             assert fx["cluster"] != "s"
-        assert sim.clusters["s"].allocatable("s-n1") == sim.clusters["s"].nodes()["s-n1"].capacity
+        assert sim.clusters["s"].allocatable("s-n1") == \
+            sim.clusters["s"].nodes()["s-n1"].capacity.as_tuple()
 
     def test_policy_respected_delegate_never_binds_in_disallowing_cluster(self):
         clusters = [

@@ -63,6 +63,25 @@ def test_dual_view_consistency_on_random_graphs():
             assert (b in g.targets_of(a)) == (a in g.sources_of(b))
 
 
+def test_neighbour_lists_match_a_scan_of_the_edges():
+    # Edges added in random order and re-added: the lists stay sorted,
+    # hold each neighbour once, and do not alias the graph.
+    rng = random.Random(8)
+    for _ in range(50):
+        names = [f"c{i}" for i in range(rng.randint(1, 6))]
+        g = FederationGraph(names)
+        for _ in range(rng.randint(0, 20)):
+            g.add_edge(rng.choice(names), rng.choice(names))
+        for name in names:
+            targets = sorted(t for (s, t) in g.edges if s == name)
+            sources = sorted(s for (s, t) in g.edges if t == name)
+            assert g.targets_of(name) == targets and g.out_degree(name) == len(targets)
+            assert g.sources_of(name) == sources and g.in_degree(name) == len(sources)
+            g.targets_of(name).append("ghost")
+            g.sources_of(name).append("ghost")
+            assert g.targets_of(name) == targets and g.sources_of(name) == sources
+
+
 class TestCentral:
     def test_hub_targets_every_leaf_and_nothing_else(self):
         g = build_central("hub", {"a", "b", "c"})

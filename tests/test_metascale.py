@@ -235,7 +235,7 @@ class TestAggregatesUnderRebalance:
                         free = free + node.capacity.subtract(
                             sum(state.bound[node_id].values(), ResourceVector.zero())
                         )
-                assert state.aggregate_capacity() == capacity, (event.time, event.kind)
-                assert state.aggregate_allocatable() == free, (event.time, event.kind)
+                assert state.aggregate_capacity() == capacity.as_tuple(), (event.time, event.kind)
+                assert state.aggregate_allocatable() == free.as_tuple(), (event.time, event.kind)
         assert ops >= {("pool_move", "Batch"), ("pool_move", "Container"),
                        ("node_ready", "Batch"), ("node_ready", "Container")}, ops

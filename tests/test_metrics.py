@@ -1,6 +1,10 @@
 """Metrics derivation, log round-tripping, and replay consistency."""
 
+import pytest
+
+from fedsched.errors import OvercommitError
 from fedsched.metrics import (
+    StaticInfo,
     build_report,
     read_event_log,
     serialize_event,
@@ -115,6 +119,29 @@ def test_series_usage_never_exceeds_capacity():
     assert report.series
     for row in report.series:
         assert ResourceVector(*row.used).fits_within(ResourceVector(*row.capacity))
+
+
+@pytest.mark.parametrize("dim", range(3))
+def test_unbind_beyond_usage_is_an_overcommit(dim):
+    # Hand-written log: the unbind gives back one unit more than the bind
+    # took in one dimension, which only a broken log can do.
+    static = StaticInfo(node_capacity={"c": {"n1": [8000, 8192, 2]}},
+                        node_pool={"c": {"n1": "Container"}})
+    req = [1000, 1024, 1]
+    back = list(req)
+    back[dim] += 1
+    records = [
+        {"t": 0, "seq": 0, "kind": "PodSubmit",
+         "payload": {"pod": "p", "cluster": "c", "ns": "default", "federated": False,
+                     "req": req},
+         "fx": [{"op": "bind", "pod": "p", "cluster": "c", "node": "n1", "req": req,
+                 "src": "c"}]},
+        {"t": 5, "seq": 1, "kind": "PodComplete", "payload": {"pod": "p", "cluster": "c"},
+         "fx": [{"op": "unbind", "pod": "p", "cluster": "c", "node": "n1", "req": back}]},
+    ]
+    build_report(records[:1], static)
+    with pytest.raises(OvercommitError):
+        build_report(records, static)
 
 
 def test_final_state_matches_log_replay():

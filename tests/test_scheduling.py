@@ -173,11 +173,11 @@ class TestScheduleOne:
                 if not (
                     node.state is NodeState.READY
                     and node.pool is NodePool.CONTAINER
-                    and pod.request.fits_within(free)
+                    and pod.request.fits_within(ResourceVector(*free))
                 ):
                     continue
                 free_after = [
-                    f - r for f, r in zip(free.as_tuple(), pod.request.as_tuple())
+                    f - r for f, r in zip(free, pod.request.as_tuple())
                 ]
                 score = oracle_least_allocated(free_after, node.capacity.as_tuple())
                 key = (score, [-ord(c) for c in node.node_id])
@@ -359,7 +359,7 @@ def test_snapshot_is_internally_consistent():
     state = cluster_with([make_node("n1", cpu=4000, mem=4 * GIB)])
     state.bind(make_pod("p", 1500, GIB), "n1", at=0)
     snap = snapshot_of(state)
-    assert snap.allocatable["n1"] == ResourceVector(2500, 3 * GIB, 0)
+    assert snap.allocatable["n1"] == (2500, 3 * GIB, 0)
     # Snapshot does not alias live state.
     state.bind(make_pod("q", 500, GIB), "n1", at=1)
-    assert snap.allocatable["n1"] == ResourceVector(2500, 3 * GIB, 0)
+    assert snap.allocatable["n1"] == (2500, 3 * GIB, 0)
