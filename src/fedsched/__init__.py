@@ -11,7 +11,6 @@ from .cluster import (
     PodPhase,
     PodSpec,
     fits,
-    node_allocatable,
 )
 from .config import RunConfig, parse_config, validate_config
 from .engine import Event, EventQueue, RngStreams
@@ -27,7 +26,7 @@ from .graph import (
 from .metrics import MetricsReport, build_report
 from .resources import ResourceVector
 from .scenario import CameraEvent, ModelRegistry, TriggerRule, generate_trace
-from .scheduling import PluginPipeline, SchedulingSnapshot, builtin_pipeline, schedule_one
+from .scheduling import SchedulingSnapshot, builtin_pipeline, schedule_one
 from .sim import Simulation
 
 __version__ = "0.1.0"
@@ -48,7 +47,6 @@ __all__ = [
     "NodePool",
     "NodeSpec",
     "NodeState",
-    "PluginPipeline",
     "PodChaperon",
     "PodPhase",
     "PodSpec",
@@ -67,7 +65,6 @@ __all__ = [
     "builtin_pipeline",
     "fits",
     "generate_trace",
-    "node_allocatable",
     "parse_config",
     "schedule_one",
     "validate_config",

@@ -14,7 +14,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .config import RunConfig, load_raw, validate_config
+from .config import RunConfig, load_raw, parse_config, validate_config
 from .errors import ConfigError, FedschedError, InvariantViolation
 from .metrics import (
     write_event_log,
@@ -147,7 +147,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = validate_config(load_raw(args.config))
+    config = parse_config(args.config)
     print(
         f"ok: {len(config.clusters)} clusters, {len(config.graph.edges)} edges, "
         f"duration {config.duration_ms} ms, seed {config.seed}"

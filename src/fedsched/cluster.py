@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from .errors import (
     BindConflict,
@@ -20,7 +20,7 @@ from .errors import (
     PhaseTransitionError,
     QuotaExceeded,
 )
-from .resources import ZERO, ResourceVector, Triple, add_triples, subtract_triples, sum_vectors
+from .resources import ZERO, ResourceVector, Triple, add_triples, subtract_triples
 
 
 class NodePool(Enum):
@@ -38,17 +38,15 @@ class PodPhase(Enum):
     BOUND = "Bound"
     RUNNING = "Running"
     COMPLETED = "Completed"
-    FAILED = "Failed"
     UNSCHEDULABLE = "Unschedulable"
 
 
 # Legal pod phase transitions. Anything else is a simulator bug.
 _PHASE_EDGES = {
     PodPhase.PENDING: {PodPhase.BOUND, PodPhase.UNSCHEDULABLE},
-    PodPhase.BOUND: {PodPhase.RUNNING, PodPhase.FAILED},
-    PodPhase.RUNNING: {PodPhase.COMPLETED, PodPhase.FAILED},
+    PodPhase.BOUND: {PodPhase.RUNNING},
+    PodPhase.RUNNING: {PodPhase.COMPLETED},
     PodPhase.COMPLETED: set(),
-    PodPhase.FAILED: set(),
     PodPhase.UNSCHEDULABLE: set(),
 }
 
@@ -139,15 +137,6 @@ class ClusterSpec:
                     f"namespace {namespace!r} over quota in cluster {self.cluster_id}"
                 )
         return None
-
-
-def node_allocatable(node: NodeSpec, bound_pods: Iterable[PodSpec]) -> ResourceVector:
-    """Capacity minus the component-wise sum of bound requests.
-
-    Raises OvercommitError if the result would be negative; an overcommitted
-    node is an accounting bug, never something to clamp.
-    """
-    return node.capacity.subtract(sum_vectors(p.request for p in bound_pods))
 
 
 def selector_matches(selector: Dict[str, str], labels: Dict[str, str]) -> bool:
@@ -349,7 +338,7 @@ class ClusterState:
         self._assert_node_capacity(node_id)
 
     def unbind(self, pod_id: str) -> PodSpec:
-        """Release a bound pod's resources (completion or failure)."""
+        """Release a completed pod's resources."""
         pod = self.pods.pop(pod_id)
         node_id = pod.bound_node
         request = self.bound[node_id].pop(pod_id).as_tuple()

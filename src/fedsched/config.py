@@ -622,6 +622,9 @@ def validate_config(raw: dict, base_seed: Optional[int] = None) -> RunConfig:
     for event in scenario.trace:
         if event.time > duration:
             raise ConfigError(f"event at {event.time} ms is after the run ends", "scenario.trace")
+    # Only the metascaler runs batch jobs; without it they would vanish.
+    if scenario.batch_jobs and not metascale.enabled:
+        raise ConfigError("batch jobs need metascale.enabled", "scenario.batch_jobs")
 
     return RunConfig(
         seed=base_seed if base_seed is not None else sim["seed"],

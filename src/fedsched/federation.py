@@ -104,7 +104,6 @@ class ProxyPod:
     reports: Dict[str, str] = field(default_factory=dict)  # target -> latest report status
     retries: int = 0
     pending_timer: Optional[int] = None
-    mirrored_phase: Optional[str] = None
 
 
 @dataclass
@@ -402,7 +401,6 @@ class FederationProtocol:
     def on_status_mirror(self, payload: dict) -> None:
         pod_id, target, phase = payload["pod"], payload["target"], payload["phase"]
         proxy = self.proxies[pod_id]
-        proxy.mirrored_phase = phase
         self.ctx.effect(op="mirror", pod=pod_id, phase=phase)
         if (
             phase == "Bound"

@@ -63,17 +63,11 @@ class FederationGraph:
     def edge(self, source: str, target: str) -> FederationEdge:
         return self.edges[(source, target)]
 
-    def has_edge(self, source: str, target: str) -> bool:
-        return (source, target) in self.edges
-
     def targets_of(self, source: str) -> List[str]:
         return list(self._targets.get(source, ()))
 
     def sources_of(self, target: str) -> List[str]:
         return list(self._sources.get(target, ()))
-
-    def out_degree(self, cluster_id: str) -> int:
-        return len(self._targets.get(cluster_id, ()))
 
     def in_degree(self, cluster_id: str) -> int:
         return len(self._sources.get(cluster_id, ()))

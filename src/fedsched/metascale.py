@@ -41,7 +41,6 @@ class BatchJob:
     submit_time: int
     state: JobState = JobState.QUEUED
     assigned_nodes: List[str] = field(default_factory=list)
-    start_time: Optional[int] = None
     end_time: Optional[int] = None
 
 
@@ -110,7 +109,6 @@ class MetaScaler:
             self.queue.pop(0)
             head.assigned_nodes = idle[: head.node_count]
             head.state = JobState.RUNNING
-            head.start_time = self.ctx.now
             head.end_time = self.ctx.now + head.duration
             self.busy_nodes.update(head.assigned_nodes)
             self.ctx.effect(

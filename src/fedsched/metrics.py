@@ -70,12 +70,6 @@ class MetricsReport:
     event_count: int = 0
     end_time: int = 0
 
-    def pod(self, pod_id: str) -> PodRow:
-        for row in self.pods:
-            if row.pod_id == pod_id:
-                return row
-        raise KeyError(pod_id)
-
     def summary(self) -> dict:
         bound = [p for p in self.pods if p.bind_time is not None]
         ttb = sorted(p.time_to_bind for p in bound)

@@ -1,8 +1,6 @@
 """Multi-dimensional resource quantities.
 
 Three dimensions: CPU millicores, memory bytes, whole GPU devices.
-The comparison is a component-wise partial order, so vectors expose
-``fits_within`` instead of rich comparison operators.
 
 A ``ResourceVector`` is built, and validated, where config is parsed. At
 run time every figure is a plain ``(cpu, memory, gpu)`` int triple, added
@@ -65,48 +63,11 @@ class ResourceVector:
             if v < 0:
                 raise ValueError(f"{dim} must be >= 0, got {v}")
 
-    @classmethod
-    def zero(cls) -> "ResourceVector":
-        return cls(0, 0, 0)
-
-    def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(
-            self.cpu_millicores + other.cpu_millicores,
-            self.memory_bytes + other.memory_bytes,
-            self.gpu_count + other.gpu_count,
-        )
-
-    def subtract(self, other: "ResourceVector") -> "ResourceVector":
-        """Component-wise difference; going negative is an accounting bug."""
-        diff = (
-            self.cpu_millicores - other.cpu_millicores,
-            self.memory_bytes - other.memory_bytes,
-            self.gpu_count - other.gpu_count,
-        )
-        if any(v < 0 for v in diff):
-            raise OvercommitError(f"resource underflow: {self} - {other}")
-        return ResourceVector(*diff)
-
-    def fits_within(self, other: "ResourceVector") -> bool:
-        """Partial order: every component of self <= the matching one of other."""
-        return (
-            self.cpu_millicores <= other.cpu_millicores
-            and self.memory_bytes <= other.memory_bytes
-            and self.gpu_count <= other.gpu_count
-        )
-
     def as_tuple(self) -> tuple:
         return (self.cpu_millicores, self.memory_bytes, self.gpu_count)
 
     def as_list(self) -> list:
         return [self.cpu_millicores, self.memory_bytes, self.gpu_count]
-
-
-def sum_vectors(vectors) -> ResourceVector:
-    total = ResourceVector.zero()
-    for v in vectors:
-        total = total + v
-    return total
 
 
 def add_triples(a: Sequence[int], b: Sequence[int]) -> Triple:

@@ -61,27 +61,15 @@ class TriggerRule:
 
 
 class ModelRegistry:
-    """Monotone model versions shared by every cluster (the object store)."""
+    """Monotone model version shared by every cluster (the object store)."""
 
     def __init__(self):
         # Version 1 is the pre-trained model available before any retraining.
-        self.versions: List[Tuple[int, int]] = [(1, 0)]
+        self.current_version = 1
 
-    @property
-    def current_version(self) -> int:
-        return self.versions[-1][0]
-
-    def bump(self, at: int) -> int:
-        version = self.current_version + 1
-        self.versions.append((version, at))
-        return version
-
-    def version_at(self, time: int) -> int:
-        latest = 0
-        for version, created in self.versions:
-            if created <= time:
-                latest = version
-        return latest
+    def bump(self) -> int:
+        self.current_version += 1
+        return self.current_version
 
 
 class WildfireScenario:
@@ -138,7 +126,7 @@ class WildfireScenario:
 
     def on_pod_complete(self, pod_id: str) -> None:
         if self.roles.get(pod_id) == "retrain":
-            version = self.registry.bump(self.ctx.now)
+            version = self.registry.bump()
             self.ctx.effect(op="registry", version=version)
 
 

@@ -13,8 +13,8 @@ go to the lexicographically smallest node id, which keeps runs replayable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Tuple
 
 from .cluster import ClusterSpec, ClusterState, NodeSpec, PodSpec, fits
 from .resources import Triple
@@ -22,6 +22,9 @@ from .resources import Triple
 # (request, capacity, free) -> score, all (cpu, memory, gpu) triples; `free`
 # is net of bound pods and reservations, and the request fits within it.
 ScoreFn = Callable[[Triple, Triple, Triple], int]
+
+# A cluster's score plugins as (fn, weight) pairs, summed in this order.
+Pipeline = Tuple[Tuple[ScoreFn, float], ...]
 
 
 @dataclass(frozen=True)
@@ -99,23 +102,14 @@ SCORE_PLUGINS: Dict[str, ScoreFn] = {
 DEFAULT_SCORES = (("LeastAllocated", 1),)
 
 
-@dataclass
-class PluginPipeline:
-    scores: List[Tuple[str, ScoreFn, float]] = field(default_factory=list)
-
-
-def builtin_pipeline(score_weights=DEFAULT_SCORES) -> PluginPipeline:
-    scores = []
+def builtin_pipeline(score_weights=DEFAULT_SCORES) -> Pipeline:
     for name, weight in score_weights:
         if weight < 0:
             raise ValueError(f"score weight for {name} must be >= 0")
-        scores.append((name, SCORE_PLUGINS[name], weight))
-    return PluginPipeline(scores=scores)
+    return tuple((SCORE_PLUGINS[name], weight) for name, weight in score_weights)
 
 
-def schedule_one(
-    pod: PodSpec, snap: SchedulingSnapshot, pipeline: PluginPipeline
-) -> Optional[str]:
+def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> Optional[str]:
     """Pick the feasible node with maximal total score, or None.
 
     Namespace admission does not depend on the node, so it is decided once,
@@ -127,7 +121,6 @@ def schedule_one(
     if snap.spec.admission_error(pod, snap.namespace_used) is not None:
         return None
     request = pod.request.as_tuple()
-    scores = pipeline.scores
     nodes, capacities, allocatable = snap.nodes, snap.capacity, snap.allocatable
     best_node = None
     best_score = None
@@ -138,7 +131,7 @@ def schedule_one(
             continue
         capacity = capacities[node_id]
         score = 0
-        for _, fn, weight in scores:
+        for fn, weight in pipeline:
             score += weight * fn(request, capacity, free)
         if best_score is None or score > best_score:
             best_node, best_score = node_id, score

@@ -22,7 +22,7 @@ from .graph import FederationEdge
 from .metascale import BatchJob, MetaScaler
 from .metrics import MetricsReport, build_report, static_info_of
 from .scenario import WildfireScenario, generate_trace
-from .scheduling import PluginPipeline, builtin_pipeline, schedule_one, snapshot_of
+from .scheduling import Pipeline, builtin_pipeline, schedule_one, snapshot_of
 
 log = logging.getLogger("fedsched")
 
@@ -40,7 +40,7 @@ class Simulation:
 
         self.graph = config.graph
         self.clusters: Dict[str, ClusterState] = {}
-        self.pipelines: Dict[str, PluginPipeline] = {}
+        self.pipelines: Dict[str, Pipeline] = {}
         for cluster_cfg in config.clusters:
             self.clusters[cluster_cfg.cluster_id] = ClusterState(cluster_cfg.build_spec())
             self.pipelines[cluster_cfg.cluster_id] = builtin_pipeline(cluster_cfg.score_weights)
@@ -55,7 +55,7 @@ class Simulation:
                 self.metascalers[cluster_id] = MetaScaler(self, cluster_id, config.metascale)
 
         self.pod_objects: Dict[str, PodSpec] = {}
-        self.pod_meta: Dict[str, dict] = {}
+        self.pod_roles: Dict[str, str] = {}
         self.pending_local: Dict[str, List[PodSpec]] = {c: [] for c in self.clusters}
 
         scenario_cfg = config.scenario
@@ -75,7 +75,7 @@ class Simulation:
         cfg = self.config
         for entry in cfg.scenario.pods:
             pod = entry.make()
-            self._register_pod(pod, entry.cluster, role="workload")
+            self._register_pod(pod, role="workload")
             self.queue.push(
                 entry.submit_time, engine.POD_SUBMIT, self._submit_payload(pod, entry.cluster)
             )
@@ -117,11 +117,11 @@ class Simulation:
                 {"phase": "tick", "cluster": cluster_id},
             )
 
-    def _register_pod(self, pod: PodSpec, cluster: str, role: str) -> None:
+    def _register_pod(self, pod: PodSpec, role: str) -> None:
         if pod.pod_id in self.pod_objects:
             raise ConfigError(f"duplicate pod id {pod.pod_id!r}")
         self.pod_objects[pod.pod_id] = pod
-        self.pod_meta[pod.pod_id] = {"source": cluster, "role": role}
+        self.pod_roles[pod.pod_id] = role
 
     def _submit_payload(self, pod: PodSpec, cluster: str) -> dict:
         return {
@@ -129,7 +129,7 @@ class Simulation:
             "cluster": cluster,
             "ns": pod.namespace,
             "federated": pod.federation_eligible,
-            "role": self.pod_meta[pod.pod_id]["role"],
+            "role": self.pod_roles[pod.pod_id],
             "req": pod.request.as_list(),
         }
 
@@ -166,16 +166,15 @@ class Simulation:
         return pods
 
     def submit_pod(self, pod: PodSpec, cluster: str, role: str) -> None:
-        self._register_pod(pod, cluster, role=role)
+        self._register_pod(pod, role=role)
         self.at(self.now, engine.POD_SUBMIT, self._submit_payload(pod, cluster))
 
     def bound_pod(self, pod: PodSpec, cluster: str, node: str, federated: bool, source: str) -> None:
         """Shared post-bind path: record, start running, schedule completion."""
-        meta = self.pod_meta.get(pod.pod_id, {})
         self.effect(
             op="bind", pod=pod.pod_id, cluster=cluster, node=node, ns=pod.namespace,
             req=pod.request.as_list(), federated=federated, src=source,
-            role=meta.get("role", "workload"),
+            role=self.pod_roles[pod.pod_id],
         )
         pod.transition(PodPhase.RUNNING)
         self.effect(op="phase", pod=pod.pod_id, phase=PodPhase.RUNNING.value)
@@ -196,7 +195,7 @@ class Simulation:
         handler(self, event.payload)
         self._current = None
         while self._freed:
-            cluster_id = sorted(self._freed)[0]
+            cluster_id = min(self._freed)
             self._freed.discard(cluster_id)
             self._current = event
             self._kick(cluster_id)
@@ -262,20 +261,14 @@ class Simulation:
         self.mark_freed(cluster_id)
 
     def _on_batch_job_submit(self, payload: dict) -> None:
-        scaler = self.metascalers.get(payload["cluster"])
-        if scaler is None:
-            log.warning("batch job %s targets cluster without metascale; ignored", payload["job"])
-            return
-        scaler.submit(self._batch_jobs[payload["job"]])
+        self.metascalers[payload["cluster"]].submit(self._batch_jobs[payload["job"]])
 
     def _on_job_complete(self, payload: dict) -> None:
         self.metascalers[payload["cluster"]].on_job_complete(payload["job"])
 
     def _on_rebalance(self, payload: dict) -> None:
         cluster_id = payload["cluster"]
-        scaler = self.metascalers.get(cluster_id)
-        if scaler is None:
-            return
+        scaler = self.metascalers[cluster_id]
         if payload.get("phase") == "node_ready":
             scaler.on_node_ready(payload)
             return
@@ -292,12 +285,10 @@ class Simulation:
                 self.at(nxt, engine.HEARTBEAT_TICK, {"phase": "tick"})
 
     def _on_sensor(self, payload: dict) -> None:
-        if self.scenario is not None:
-            self.scenario.on_sensor(payload)
+        self.scenario.on_sensor(payload)
 
     def _on_trigger(self, payload: dict) -> None:
-        if self.scenario is not None:
-            self.scenario.on_trigger(payload)
+        self.scenario.on_trigger(payload)
 
     _HANDLERS = {
         engine.POD_SUBMIT: _on_pod_submit,

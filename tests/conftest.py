@@ -88,6 +88,12 @@ def run_raw(raw, seed=None):
     return sim, report
 
 
+def pod_row(report, pod_id):
+    """The report's row for one pod."""
+    (row,) = [row for row in report.pods if row.pod_id == pod_id]
+    return row
+
+
 @pytest.fixture
 def two_cluster_raw():
     """Two single-node clusters with mutual plus self edges, no jitter."""

@@ -10,7 +10,6 @@ from fedsched.cluster import (
     NodeState,
     PodPhase,
     fits,
-    node_allocatable,
 )
 from fedsched.errors import (
     BindConflict,
@@ -19,7 +18,7 @@ from fedsched.errors import (
     PhaseTransitionError,
     QuotaExceeded,
 )
-from fedsched.resources import GIB, ResourceVector
+from fedsched.resources import GIB, ResourceVector, subtract_triples
 
 from conftest import make_node, make_pod
 
@@ -36,37 +35,47 @@ def state_of(*nodes, allowlist=None, quota=None) -> ClusterState:
 
 
 class TestNodeAllocatable:
+    """A node's allocatable as `ClusterState` keeps it: capacity less the
+    requests of the pods bound to it."""
+
     def test_expanse_standard_node_with_no_pods_is_full_capacity(self):
-        node = make_node("n1", cpu=128_000, mem=256 * GIB, gpu=0)
-        assert node_allocatable(node, []) == ResourceVector(128_000, 256 * GIB, 0)
+        state = state_of(make_node("n1", cpu=128_000, mem=256 * GIB, gpu=0))
+        assert state.allocatable("n1") == (128_000, 256 * GIB, 0)
 
     def test_empty_pod_set_identity(self):
         node = make_node("n1", cpu=123, mem=456, gpu=2)
-        assert node_allocatable(node, []) == node.capacity
+        assert state_of(node).allocatable("n1") == node.capacity.as_tuple()
 
     def test_component_wise_subtraction(self):
         # Oracle: sum each component independently, subtract by hand.
-        node = make_node("n1", cpu=8000, mem=16 * GIB, gpu=4)
-        pods = [make_pod("p1", 2000, 4 * GIB, 1), make_pod("p2", 1000, 2 * GIB, 2)]
-        assert node_allocatable(node, pods) == ResourceVector(5000, 10 * GIB, 1)
+        state = state_of(make_node("n1", cpu=8000, mem=16 * GIB, gpu=4))
+        for pod in (make_pod("p1", 2000, 4 * GIB, 1), make_pod("p2", 1000, 2 * GIB, 2)):
+            state.bind(pod, "n1", at=0)
+        assert state.allocatable("n1") == (5000, 10 * GIB, 1)
 
     def test_overcommit_is_an_error_not_a_clamp(self):
         node = make_node("n1", cpu=1000, mem=GIB, gpu=0)
-        pods = [make_pod("p1", 2000, GIB, 0)]
+        pod = make_pod("p1", 2000, GIB, 0)
+        state = state_of(node)
+        with pytest.raises(BindConflict):
+            state.bind(pod, "n1", at=0)
+        assert state.allocatable("n1") == node.capacity.as_tuple()
+        # The accounting subtraction itself refuses to go below zero.
         with pytest.raises(OvercommitError):
-            node_allocatable(node, pods)
+            subtract_triples(node.capacity.as_tuple(), pod.request.as_tuple())
 
     def test_monotone_non_increasing_in_bound_set(self):
         rng = random.Random(11)
-        node = make_node("n1", cpu=100_000, mem=100 * GIB, gpu=8)
+        state = state_of(make_node("n1", cpu=100_000, mem=100 * GIB, gpu=8))
         pods = [
             make_pod(f"p{i}", rng.randrange(0, 5000), rng.randrange(0, GIB), rng.randrange(0, 2))
             for i in range(12)
         ]
-        previous = node_allocatable(node, [])
-        for k in range(1, len(pods) + 1):
-            current = node_allocatable(node, pods[:k])
-            assert current.fits_within(previous)
+        previous = state.allocatable("n1")
+        for pod in pods:
+            state.bind(pod, "n1", at=0)
+            current = state.allocatable("n1")
+            assert all(c <= p for c, p in zip(current, previous))
             previous = current
 
 
@@ -327,9 +336,6 @@ class TestPodPhases:
             pod.transition(phase)
         other = make_pod("q")
         other.transition(PodPhase.UNSCHEDULABLE)
-        failed = make_pod("r")
-        failed.transition(PodPhase.BOUND)
-        failed.transition(PodPhase.FAILED)
 
     def test_illegal_transitions_raise(self):
         pod = make_pod("p")

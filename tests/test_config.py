@@ -55,8 +55,8 @@ class TestBundledConfig:
     def test_parses_two_clusters_with_mutual_edges(self):
         config = parse_config(str(BUNDLED))
         assert sorted(c.cluster_id for c in config.clusters) == ["expanse", "nautilus"]
-        assert config.graph.has_edge("expanse", "nautilus")
-        assert config.graph.has_edge("nautilus", "expanse")
+        assert ("expanse", "nautilus") in config.graph.edges
+        assert ("nautilus", "expanse") in config.graph.edges
 
     def test_bundled_config_runs(self):
         config = parse_config(str(BUNDLED))
@@ -428,6 +428,9 @@ LOCATION_CASES = [
     ("rich", "scenario.batch_jobs[0].submit", "x"),
     ("rich", "scenario.batch_jobs[0].node_count", 0),
     ("rich", "scenario.batch_jobs[0].duration", "x"),
+    # Valid jobs, but the base leaves metascale, which runs them, disabled.
+    ("profile", "scenario.batch_jobs",
+     [{"id": "j1", "cluster": "a", "submit": "1m", "node_count": 1, "duration": "5m"}]),
 ]
 
 BASES = {"rich": rich_config, "central": lambda: kind_config("central"),

@@ -3,7 +3,7 @@
 from fedsched import engine
 from fedsched.cluster import PodPhase
 from fedsched.federation import ChaperonState, ProxyState
-from conftest import base_config, node_cfg, pod_cfg, run_raw
+from conftest import base_config, node_cfg, pod_cfg, pod_row, run_raw
 
 
 def events_of(sim, kind):
@@ -28,7 +28,7 @@ class TestFanOut:
         creates = events_of(sim, engine.CHAPERON_CREATE)
         assert len(creates) == 3
         assert sorted(e.payload["target"] for e in creates) == ["t", "u", "v"]
-        assert report.pod("p1").final_phase == "Completed"
+        assert pod_row(report, "p1").final_phase == "Completed"
 
     def test_self_edge_only_schedules_in_own_cluster(self):
         clusters = [{"id": "s", "nodes": [node_cfg("s-n1")]}]
@@ -36,7 +36,7 @@ class TestFanOut:
         sim, report = run_raw(raw)
         creates = events_of(sim, engine.CHAPERON_CREATE)
         assert len(creates) == 1 and creates[0].payload["target"] == "s"
-        assert report.pod("p1").bound_cluster == "s"
+        assert pod_row(report, "p1").bound_cluster == "s"
         assert report.offloads == {("s", "s"): 1}
 
     def test_non_eligible_pod_never_produces_a_proxy(self):
@@ -47,13 +47,13 @@ class TestFanOut:
         sim, report = run_raw(raw)
         assert events_of(sim, engine.CHAPERON_CREATE) == []
         assert sim.protocol.proxies == {}
-        assert report.pod("p1").bound_cluster == "s"
+        assert pod_row(report, "p1").bound_cluster == "s"
 
     def test_eligible_pod_with_no_targets_is_unschedulable(self):
         clusters = [{"id": "s", "nodes": [node_cfg("s-n1")]}]
         raw = base_config(clusters, edges=[], pods=[pod_cfg("p1", "s")])
         sim, report = run_raw(raw)
-        assert report.pod("p1").final_phase == "Unschedulable"
+        assert pod_row(report, "p1").final_phase == "Unschedulable"
         assert sim.pod_objects["p1"].phase is PodPhase.UNSCHEDULABLE
 
 
@@ -73,7 +73,7 @@ class TestCandidateScheduling:
         assert len(reserves) == 1
         # free-after fractions: big (0.95 + 7/8)/2 = 91, small (0.8 + 7/8)/2 = 84
         assert reserves[0][1]["node"] == "t-big"
-        assert report.pod("p1").bound_node == "t-big"
+        assert pod_row(report, "p1").bound_node == "t-big"
 
     def test_zero_capacity_target_reports_unschedulable(self):
         clusters = [
@@ -85,7 +85,7 @@ class TestCandidateScheduling:
         sim, report = run_raw(raw)
         reports = events_of(sim, engine.CANDIDATE_REPORT)
         assert reports and all(e.payload["status"] == "unschedulable" for e in reports)
-        assert report.pod("p1").final_phase == "Unschedulable"
+        assert pod_row(report, "p1").final_phase == "Unschedulable"
 
     def test_contending_pods_share_one_node_over_time(self):
         # One target node fits one pod at a time; whichever fan-out lands
@@ -144,7 +144,7 @@ class TestElection:
                 pod_cfg("p1", "s", cpu=900, mem="0", submit=1000)]
         raw = base_config(clusters, pairs=[("s", "t"), ("s", "u")], pods=pods)
         sim, report = run_raw(raw)
-        assert report.pod("p1").bound_cluster == "t"
+        assert pod_row(report, "p1").bound_cluster == "t"
 
     def test_emptier_aggregate_wins(self):
         # Aggregate free fractions 0.2 vs 0.8: the 0.8 target is elected.
@@ -162,7 +162,7 @@ class TestElection:
         sim, report = run_raw(raw)
         binds = events_of(sim, engine.DELEGATE_BIND)
         assert [e.payload["target"] for e in binds if e.payload["pod"] == "p1"] == ["b"]
-        assert report.pod("p1").bound_cluster == "b"
+        assert pod_row(report, "p1").bound_cluster == "b"
 
     def test_tie_breaks_on_lexicographic_cluster_id(self):
         clusters = [
@@ -173,7 +173,7 @@ class TestElection:
         raw = base_config(clusters, pairs=[("s", "zeta"), ("s", "alpha")],
                           pods=[pod_cfg("p1", "s", cpu=0, mem="0")])
         _, report = run_raw(raw)
-        assert report.pod("p1").bound_cluster == "alpha"
+        assert pod_row(report, "p1").bound_cluster == "alpha"
 
     def test_late_report_beyond_timeout_is_excluded(self):
         # The slow target is empty (would win on score) but its edge latency
@@ -194,7 +194,7 @@ class TestElection:
         ]
         raw["federation"] = {"election_timeout": "5s"}
         sim, report = run_raw(raw, seed=1)
-        assert report.pod("p1").bound_cluster == "fast"
+        assert pod_row(report, "p1").bound_cluster == "fast"
         # Election fired at the timeout, not when the slow report landed.
         bind_sends = [e for e in events_of(sim, engine.DELEGATE_BIND)]
         assert bind_sends[0].time < 21_000
@@ -208,7 +208,7 @@ class TestElection:
                           pods=[pod_cfg("p1", "s", cpu=4000, mem="4GiB")],
                           duration="2m")
         sim, report = run_raw(raw)
-        assert report.pod("p1").final_phase == "Unschedulable"
+        assert pod_row(report, "p1").final_phase == "Unschedulable"
         stamp = [t for t, fx in effects_of(sim, "unschedulable") if fx["pod"] == "p1"]
         # timeout at 5s, then backoffs 1+2+4+8+16s: gives up at t=36s.
         assert stamp == [36_000]
@@ -232,7 +232,7 @@ class TestFinalize:
     def test_elected_target_binds_others_deleted(self):
         sim, report = run_raw(self.three_target_raw())
         # t2 has the emptiest aggregate after placement.
-        assert report.pod("p1").bound_cluster == "t2"
+        assert pod_row(report, "p1").bound_cluster == "t2"
         deletes = events_of(sim, engine.CANDIDATE_DELETE)
         assert sorted(e.payload["target"] for e in deletes) == ["t1", "t3"]
         states = {
@@ -279,8 +279,8 @@ class TestFinalize:
                           duration="5m")
         raw["federation"] = {"reservations": False}
         sim, report = run_raw(raw)
-        assert report.pod("p1").bound_cluster == "b"
-        assert report.pod("blocker").bound_cluster == "a"
+        assert pod_row(report, "p1").bound_cluster == "b"
+        assert pod_row(report, "blocker").bound_cluster == "a"
         delegates = [
             chap for chap in sim.protocol.chaperons.values()
             if chap.state is ChaperonState.DELEGATE
@@ -324,7 +324,7 @@ class TestRetryOrder:
         retried = [fx["pod"] for fx in freed.effects
                    if fx["op"] == "chaperon" and fx["state"] == "CandidateReserved"]
         assert retried == ["p0", "p1", "p2", "p3"]
-        assert all(report.pod(f"p{i}").bound_cluster == "t" for i in range(4))
+        assert all(pod_row(report, f"p{i}").bound_cluster == "t" for i in range(4))
 
 
 class TestMirror:
@@ -345,7 +345,8 @@ class TestMirror:
             (bind_t + 10, "Running"),
             (complete_t + 10, "Completed"),
         ]
-        assert sim.protocol.proxies["p1"].mirrored_phase == "Completed"
+        mirrored = [fx["phase"] for _, fx in effects_of(sim, "mirror") if fx["pod"] == "p1"]
+        assert mirrored[-1] == "Completed"
 
     def test_no_delegate_updates_leaves_proxy_unchanged(self):
         clusters = [
@@ -356,7 +357,7 @@ class TestMirror:
                           pods=[pod_cfg("p1", "s", cpu=5000, mem="4GiB")],
                           duration="2s")  # stop before any retry resolution
         sim, _ = run_raw(raw)
-        assert sim.protocol.proxies["p1"].mirrored_phase is None
+        assert not [fx for _, fx in effects_of(sim, "mirror") if fx["pod"] == "p1"]
 
 
 class TestReservationFreeMode:
@@ -450,8 +451,8 @@ class TestInvariants:
                 pod_cfg("p2", "s", cpu=1000, mem="1GiB", ns="science", submit=5000)]
         raw = base_config(clusters, pairs=[("s", "t")], pods=pods, duration="2m")
         sim, report = run_raw(raw)
-        assert report.pod("p1").bound_cluster == "t"
-        assert report.pod("p2").final_phase == "Unschedulable"
+        assert pod_row(report, "p1").bound_cluster == "t"
+        assert pod_row(report, "p2").final_phase == "Unschedulable"
 
     def test_virtual_node_staleness_is_bounded_by_refresh(self):
         clusters = [

@@ -4,7 +4,6 @@ import copy
 
 from fedsched.cluster import NodePool, NodeState
 from fedsched.config import validate_config
-from fedsched.resources import ResourceVector
 from fedsched.sim import Simulation
 
 from conftest import base_config, node_cfg, pod_cfg, run_raw
@@ -227,15 +226,20 @@ class TestAggregatesUnderRebalance:
             ops.update((fx["op"], fx.get("dst") or fx.get("pool"))
                        for fx in event.effects if fx["op"] in ("pool_move", "node_ready"))
             for state in sim.clusters.values():
-                capacity = ResourceVector.zero()
-                free = ResourceVector.zero()
+                capacity = [0, 0, 0]
+                free = [0, 0, 0]
                 for node_id, node in state.nodes().items():
                     if node.pool is NodePool.CONTAINER and node.state is NodeState.READY:
-                        capacity = capacity + node.capacity
-                        free = free + node.capacity.subtract(
-                            sum(state.bound[node_id].values(), ResourceVector.zero())
-                        )
-                assert state.aggregate_capacity() == capacity.as_tuple(), (event.time, event.kind)
-                assert state.aggregate_allocatable() == free.as_tuple(), (event.time, event.kind)
+                        node_capacity = node.capacity.as_tuple()
+                        node_free = list(node_capacity)
+                        for request in state.bound[node_id].values():
+                            for d, r in enumerate(request.as_tuple()):
+                                node_free[d] -= r
+                        assert min(node_free) >= 0, (event.time, node_id, node_free)
+                        for d in range(3):
+                            capacity[d] += node_capacity[d]
+                            free[d] += node_free[d]
+                assert state.aggregate_capacity() == tuple(capacity), (event.time, event.kind)
+                assert state.aggregate_allocatable() == tuple(free), (event.time, event.kind)
         assert ops >= {("pool_move", "Batch"), ("pool_move", "Container"),
                        ("node_ready", "Batch"), ("node_ready", "Container")}, ops

@@ -2,14 +2,18 @@ import random
 
 import pytest
 
+from fedsched.cluster import fits
 from fedsched.errors import OvercommitError
 from fedsched.resources import (
     GIB,
     MIB,
     ResourceVector,
+    add_triples,
     parse_memory,
-    sum_vectors,
+    subtract_triples,
 )
+
+from conftest import make_node, make_pod
 
 
 def test_components_must_be_non_negative():
@@ -29,41 +33,41 @@ def test_components_must_be_integers():
 
 
 def test_add_and_subtract_are_component_wise():
-    a = ResourceVector(2000, 4 * GIB, 1)
-    b = ResourceVector(1000, 2 * GIB, 2)
-    assert a + b == ResourceVector(3000, 6 * GIB, 3)
-    assert (a + b).subtract(b) == a
+    a = (2000, 4 * GIB, 1)
+    b = (1000, 2 * GIB, 2)
+    assert add_triples(a, b) == (3000, 6 * GIB, 3)
+    assert subtract_triples(add_triples(a, b), b) == a
 
 
 def test_subtract_below_zero_is_a_hard_error():
     with pytest.raises(OvercommitError):
-        ResourceVector(1000, 0, 0).subtract(ResourceVector(2000, 0, 0))
+        subtract_triples((1000, 0, 0), (2000, 0, 0))
+
+
+def _fits_within(request, free):
+    """The resource half of `cluster.fits`: a request on a Ready container
+    node with no selector fits exactly when it is within `free`."""
+    return fits(make_pod("p", *request), make_node("n"), free)
 
 
 def test_partial_order_requires_every_component():
-    small = ResourceVector(1000, 1 * GIB, 0)
-    big = ResourceVector(2000, 2 * GIB, 1)
-    mixed = ResourceVector(3000, 1 * MIB, 0)
-    assert small.fits_within(big)
-    assert not big.fits_within(small)
+    small = (1000, 1 * GIB, 0)
+    big = (2000, 2 * GIB, 1)
+    mixed = (3000, 1 * MIB, 0)
+    assert _fits_within(small, big)
+    assert not _fits_within(big, small)
     # Incomparable pair: neither fits within the other.
-    assert not mixed.fits_within(big)
-    assert not big.fits_within(mixed)
+    assert not _fits_within(mixed, big)
+    assert not _fits_within(big, mixed)
 
 
 def test_partial_order_agrees_with_per_component_check():
     rng = random.Random(7)
     for _ in range(200):
-        a = ResourceVector(rng.randrange(5), rng.randrange(5), rng.randrange(5))
-        b = ResourceVector(rng.randrange(5), rng.randrange(5), rng.randrange(5))
-        expected = all(x <= y for x, y in zip(a.as_tuple(), b.as_tuple()))
-        assert a.fits_within(b) == expected
-
-
-def test_sum_vectors_matches_manual_fold():
-    vs = [ResourceVector(1, 2, 0), ResourceVector(3, 4, 1), ResourceVector(5, 6, 2)]
-    assert sum_vectors(vs) == ResourceVector(9, 12, 3)
-    assert sum_vectors([]) == ResourceVector.zero()
+        a = (rng.randrange(5), rng.randrange(5), rng.randrange(5))
+        b = (rng.randrange(5), rng.randrange(5), rng.randrange(5))
+        expected = all(x <= y for x, y in zip(a, b))
+        assert _fits_within(a, b) == expected
 
 
 @pytest.mark.parametrize(

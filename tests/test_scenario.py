@@ -106,24 +106,13 @@ class TestModelRegistry:
     def test_first_retrain_bumps_one_to_two(self):
         registry = ModelRegistry()
         assert registry.current_version == 1
-        assert registry.bump(at=100) == 2
+        assert registry.bump() == 2
 
     def test_versions_strictly_increase_in_completion_order(self):
         registry = ModelRegistry()
-        stamps = [500, 700, 900]
-        versions = [registry.bump(t) for t in stamps]
+        versions = [registry.bump() for _ in range(3)]
         assert versions == [2, 3, 4]
-        assert [v for v, _ in registry.versions] == [1, 2, 3, 4]
-
-    def test_reads_return_latest_version_at_or_before_time(self):
-        registry = ModelRegistry()
-        registry.bump(500)
-        registry.bump(900)
-        assert registry.version_at(0) == 1
-        assert registry.version_at(499) == 1
-        assert registry.version_at(500) == 2
-        assert registry.version_at(899) == 2
-        assert registry.version_at(10_000) == 3
+        assert registry.current_version == 4
 
     def test_overlapping_retrains_version_in_completion_order(self):
         # Two triggers close together: both retrains run concurrently on

@@ -173,7 +173,7 @@ class TestScheduleOne:
                 if not (
                     node.state is NodeState.READY
                     and node.pool is NodePool.CONTAINER
-                    and pod.request.fits_within(ResourceVector(*free))
+                    and all(r <= f for r, f in zip(pod.request.as_tuple(), free))
                 ):
                     continue
                 free_after = [
