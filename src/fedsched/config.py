@@ -374,13 +374,21 @@ FEDERATION = {
     "election_timeout": (parse_time, "5s", "election_timeout_ms"),
     "retry_backoff": (parse_time, "1s", "retry_backoff_ms"),
     "max_retries": (integer(0), 5),
-    "heartbeat": (parse_time, "10s", "heartbeat_ms"),
+    # Retired: a target reports its aggregates whenever they change. A time
+    # is still accepted, and ignored, because the bundled config sets it and
+    # the benchmark's wildfire workload pins that file's contents.
+    "heartbeat": (parse_time, None),
     "reservations": (boolean, True),
     "election_policy": (
         one_of("election policy", (ELECTION_LEAST_ALLOCATED, ELECTION_PREFER_LOCAL)),
         ELECTION_LEAST_ALLOCATED,
     ),
 }
+
+
+def _federation(heartbeat, **params) -> FederationParams:
+    return FederationParams(**params)
+
 
 METASCALE = {
     "enabled": (boolean, False),
@@ -525,7 +533,7 @@ SCENARIO = {
 SECTIONS = {
     "sim": record(SIM),
     "topology": record(TOPOLOGY),
-    "federation": record(FEDERATION, FederationParams),
+    "federation": record(FEDERATION, _federation),
     "metascale": record(METASCALE, MetaScaleParams),
     "scenario": record(SCENARIO, _scenario),
 }

@@ -4,10 +4,10 @@ Events are processed in strict (time, seq) order; seq is a monotonically
 increasing enqueue counter, so simultaneous events replay in the order they
 were produced. All simulation times are integer milliseconds.
 
-The two periodic timer kinds (HeartbeatTick, RebalanceTick) double as the
-kind of the deliveries they cause; the payload's "phase" field separates
-the periodic trigger ("tick") from a derived delivery (e.g. an aggregate
-report reaching a source, or a repurposed node coming up).
+Each kind names one thing that happens and has one handler: RebalanceTick
+is only the metascaler's periodic timer, an AggregateReport is a target's
+aggregates reaching one of its sources, and NodeReady is a repurposed node
+coming up in its new pool.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ STATUS_MIRROR = "StatusMirror"
 POD_COMPLETE = "PodComplete"
 JOB_COMPLETE = "JobComplete"
 REBALANCE_TICK = "RebalanceTick"
-HEARTBEAT_TICK = "HeartbeatTick"
+NODE_READY = "NodeReady"
+AGGREGATE_REPORT = "AggregateReport"
 SENSOR_MESSAGE = "SensorMessage"
 TRIGGER_FIRED = "TriggerFired"
 
@@ -49,7 +50,8 @@ EVENT_KINDS = frozenset(
         POD_COMPLETE,
         JOB_COMPLETE,
         REBALANCE_TICK,
-        HEARTBEAT_TICK,
+        NODE_READY,
+        AGGREGATE_REPORT,
         SENSOR_MESSAGE,
         TRIGGER_FIRED,
     }

@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from . import engine
 from .cluster import PodPhase, PodSpec
 from .errors import BindError
+from .resources import Triple
 from .scheduling import least_allocated_score, schedule_one, snapshot_of
 
 log = logging.getLogger("fedsched.federation")
@@ -70,7 +71,6 @@ class FederationParams:
     election_timeout_ms: int
     retry_backoff_ms: int
     max_retries: int
-    heartbeat_ms: int
     reservations: bool
     election_policy: str
 
@@ -79,9 +79,10 @@ class FederationParams:
 class VirtualNode:
     """A target cluster as seen from inside a source cluster.
 
-    The aggregates are reports, not ground truth; `last_update` bounds the
-    staleness (heartbeat period + edge latency). `capacity` and
-    `allocatable` are the reported (cpu, memory, gpu) int triples.
+    `capacity` and `allocatable` are the target's (cpu, memory, gpu)
+    aggregates as of its last change: the target reports whenever they
+    change, so they lag the target by at most one edge latency while a
+    report is in flight. `last_update` is when the last report arrived.
     """
 
     target: str
@@ -133,6 +134,8 @@ class FederationProtocol:
         # `pending_in` drops the settled ones as it walks a target.
         self._unsettled: Dict[str, Dict[str, PodChaperon]] = {}
         self.virtual_nodes: Dict[Tuple[str, str], VirtualNode] = {}
+        # Per target with sources, the (capacity, allocatable) last reported.
+        self._reported: Dict[str, Tuple[Triple, Triple]] = {}
         self._timer_ids = 0
 
     # -- setup -------------------------------------------------------------
@@ -142,12 +145,9 @@ class FederationProtocol:
         # accurate aggregates instead of a cold cache.
         for (source, target) in self.ctx.graph.edges:
             state = self.ctx.clusters[target]
-            self.virtual_nodes[(source, target)] = VirtualNode(
-                target=target,
-                capacity=state.aggregate_capacity(),
-                allocatable=state.aggregate_allocatable(),
-                last_update=0,
-            )
+            figures = (state.aggregate_capacity(), state.aggregate_allocatable())
+            self._reported[target] = figures
+            self.virtual_nodes[(source, target)] = VirtualNode(target, *figures)
 
     # -- fan-out -----------------------------------------------------------
 
@@ -442,22 +442,31 @@ class FederationProtocol:
 
     # -- virtual-node aggregates ---------------------------------------------
 
+    def report_changes(self) -> None:
+        """Report each target whose aggregates differ from its last report.
+
+        The one place that decides when a source hears from a target; the
+        loop calls it once per step, after every change the step made.
+        """
+        for target in sorted(self._reported):
+            state = self.ctx.clusters[target]
+            figures = (state.aggregate_capacity(), state.aggregate_allocatable())
+            if figures != self._reported[target]:
+                self.broadcast_aggregates(target)
+
     def broadcast_aggregates(self, target: str) -> None:
         """Send target's aggregate capacity/allocatable to all its sources."""
-        sources = self.ctx.graph.sources_of(target)
-        if not sources:
-            return
         state = self.ctx.clusters[target]
         capacity = state.aggregate_capacity()
         allocatable = state.aggregate_allocatable()
-        for source in sources:
+        self._reported[target] = (capacity, allocatable)
+        for source in self.ctx.graph.sources_of(target):
             edge = self.ctx.graph.edge(source, target)
             self.ctx.send(
                 edge,
                 ("vnode", target, source),
-                engine.HEARTBEAT_TICK,
+                engine.AGGREGATE_REPORT,
                 {
-                    "phase": "report",
                     "source": source,
                     "target": target,
                     "capacity": list(capacity),
@@ -465,15 +474,11 @@ class FederationProtocol:
                 },
             )
 
-    def on_heartbeat(self, payload: dict) -> None:
-        if payload.get("phase") == "report":
-            key = (payload["source"], payload["target"])
-            self.virtual_nodes[key] = VirtualNode(
-                target=payload["target"],
-                capacity=tuple(payload["capacity"]),
-                allocatable=tuple(payload["allocatable"]),
-                last_update=self.ctx.now,
-            )
-        else:
-            for target in sorted(self.ctx.clusters):
-                self.broadcast_aggregates(target)
+    def on_aggregate_report(self, payload: dict) -> None:
+        target = payload["target"]
+        self.virtual_nodes[(payload["source"], target)] = VirtualNode(
+            target=target,
+            capacity=tuple(payload["capacity"]),
+            allocatable=tuple(payload["allocatable"]),
+            last_update=self.ctx.now,
+        )

@@ -221,24 +221,18 @@ class MetaScaler:
             )
             self.ctx.at(
                 self.ctx.now + self.params.provisioning_delay_ms,
-                engine.REBALANCE_TICK,
-                {
-                    "phase": "node_ready",
-                    "cluster": self.cluster_id,
-                    "node": node_id,
-                    "pool": dst.value,
-                },
+                engine.NODE_READY,
+                {"cluster": self.cluster_id, "node": node_id},
             )
 
-    def on_node_ready(self, payload: dict) -> None:
+    def on_node_ready(self, node_id: str) -> None:
         state = self.ctx.clusters[self.cluster_id]
-        node = state.nodes()[payload["node"]]
-        state.set_node(node.node_id, state=NodeState.READY)
+        node = state.nodes()[node_id]
+        state.set_node(node_id, state=NodeState.READY)
         self.ctx.effect(
-            op="node_ready", cluster=self.cluster_id, node=node.node_id, pool=node.pool.value
+            op="node_ready", cluster=self.cluster_id, node=node_id, pool=node.pool.value
         )
         if node.pool is NodePool.CONTAINER:
             self.ctx.mark_freed(self.cluster_id)
-            self.ctx.aggregates_changed(self.cluster_id)
         else:
             self.try_start()

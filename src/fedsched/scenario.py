@@ -81,7 +81,6 @@ class WildfireScenario:
         self.namespace = namespace
         self.submit_cluster = submit_cluster
         self.registry = ModelRegistry()
-        self.roles: Dict[str, str] = {}
         self._last_fire: Dict[str, int] = {}
         self._trigger_count = 0
 
@@ -112,9 +111,6 @@ class WildfireScenario:
             )
             for k in range(1, self.rule.ensemble_size + 1)
         ]
-        self.roles[retrain.pod_id] = "retrain"
-        for member in members:
-            self.roles[member.pod_id] = "ensemble"
         self.ctx.effect(
             op="trigger",
             camera=payload["camera"],
@@ -125,7 +121,7 @@ class WildfireScenario:
             self.ctx.submit_pod(member, self.submit_cluster, role="ensemble")
 
     def on_pod_complete(self, pod_id: str) -> None:
-        if self.roles.get(pod_id) == "retrain":
+        if self.ctx.pod_roles[pod_id] == "retrain":
             version = self.registry.bump()
             self.ctx.effect(op="registry", version=version)
 

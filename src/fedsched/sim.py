@@ -108,13 +108,9 @@ class Simulation:
                 event.time, engine.SENSOR_MESSAGE,
                 {"camera": event.camera_id, "probability": event.smoke_probability},
             )
-        if self.graph.edges:
-            self.queue.push(0, engine.HEARTBEAT_TICK, {"phase": "tick"})
         for cluster_id in sorted(self.metascalers):
             self.queue.push(
-                self.config.metascale.tick_ms,
-                engine.REBALANCE_TICK,
-                {"phase": "tick", "cluster": cluster_id},
+                self.config.metascale.tick_ms, engine.REBALANCE_TICK, {"cluster": cluster_id}
             )
 
     def _register_pod(self, pod: PodSpec, role: str) -> None:
@@ -153,11 +149,6 @@ class Simulation:
     def mark_freed(self, cluster_id: str) -> None:
         self._freed.add(cluster_id)
 
-    def aggregates_changed(self, cluster_id: str) -> None:
-        # A cluster no edge targets has no source to report to.
-        if self.graph.in_degree(cluster_id):
-            self.protocol.broadcast_aggregates(cluster_id)
-
     def pending_requests(self, cluster_id: str) -> List[PodSpec]:
         """Unmet container demand a cluster can see: its pending local pods
         plus chaperons currently waiting in it."""
@@ -182,7 +173,6 @@ class Simulation:
             self.now + pod.duration, engine.POD_COMPLETE,
             {"pod": pod.pod_id, "cluster": cluster},
         )
-        self.aggregates_changed(cluster)
 
     # -- loop ------------------------------------------------------------------
 
@@ -200,6 +190,7 @@ class Simulation:
             self._current = event
             self._kick(cluster_id)
             self._current = None
+        self.protocol.report_changes()
         self.events.append(event)
         return event
 
@@ -257,7 +248,6 @@ class Simulation:
         if self.scenario is not None:
             self.scenario.on_pod_complete(pod.pod_id)
         self.protocol.mirror_completion(pod, cluster_id, PodPhase.COMPLETED.value)
-        self.aggregates_changed(cluster_id)
         self.mark_freed(cluster_id)
 
     def _on_batch_job_submit(self, payload: dict) -> None:
@@ -268,21 +258,13 @@ class Simulation:
 
     def _on_rebalance(self, payload: dict) -> None:
         cluster_id = payload["cluster"]
-        scaler = self.metascalers[cluster_id]
-        if payload.get("phase") == "node_ready":
-            scaler.on_node_ready(payload)
-            return
-        scaler.on_tick()
+        self.metascalers[cluster_id].on_tick()
         nxt = self.now + self.config.metascale.tick_ms
         if nxt <= self.config.duration_ms:
-            self.at(nxt, engine.REBALANCE_TICK, {"phase": "tick", "cluster": cluster_id})
+            self.at(nxt, engine.REBALANCE_TICK, {"cluster": cluster_id})
 
-    def _on_heartbeat(self, payload: dict) -> None:
-        self.protocol.on_heartbeat(payload)
-        if payload.get("phase") == "tick":
-            nxt = self.now + self.federation_params.heartbeat_ms
-            if nxt <= self.config.duration_ms:
-                self.at(nxt, engine.HEARTBEAT_TICK, {"phase": "tick"})
+    def _on_node_ready(self, payload: dict) -> None:
+        self.metascalers[payload["cluster"]].on_node_ready(payload["node"])
 
     def _on_sensor(self, payload: dict) -> None:
         self.scenario.on_sensor(payload)
@@ -296,7 +278,7 @@ class Simulation:
         engine.BATCH_JOB_SUBMIT: _on_batch_job_submit,
         engine.JOB_COMPLETE: _on_job_complete,
         engine.REBALANCE_TICK: _on_rebalance,
-        engine.HEARTBEAT_TICK: _on_heartbeat,
+        engine.NODE_READY: _on_node_ready,
         engine.SENSOR_MESSAGE: _on_sensor,
         engine.TRIGGER_FIRED: _on_trigger,
         engine.CHAPERON_CREATE: lambda self, p: self.protocol.on_chaperon_create(p),
@@ -305,5 +287,6 @@ class Simulation:
         engine.DELEGATE_BIND: lambda self, p: self.protocol.on_delegate_bind(p),
         engine.CANDIDATE_DELETE: lambda self, p: self.protocol.on_candidate_delete(p),
         engine.STATUS_MIRROR: lambda self, p: self.protocol.on_status_mirror(p),
+        engine.AGGREGATE_REPORT: lambda self, p: self.protocol.on_aggregate_report(p),
     }
 

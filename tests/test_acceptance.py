@@ -92,7 +92,7 @@ def random_protocol_raw(rng):
         clusters, pairs=pairs, pods=pods, duration="150s", jitter="5ms",
         seed=rng.randint(0, 2**32),
     )
-    raw["federation"] = {"heartbeat": "30s"}
+    raw["federation"] = {}
     return raw
 
 

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedsched.cli import EXIT_CONFIG, main
+from fedsched.cli import EXIT_CONFIG, EXIT_OK, main
 from fedsched.config import RunConfig, parse_config, parse_time, validate_config
 from fedsched.errors import ConfigError
+from fedsched.metrics import serialize_event
 from fedsched.sim import Simulation
 
 from conftest import base_config, node_cfg, pod_cfg, run_raw
@@ -264,6 +265,27 @@ def test_per_cluster_pipeline_changes_placement():
     assert {p.bound_node for p in packed_report.pods} == {"g1"}
 
 
+def test_retired_heartbeat_is_read_and_changes_nothing(tmp_path):
+    # Targets report their aggregates when they change, so no period exists
+    # any more; `heartbeat` still parses as a time and is then ignored.
+    clusters = [{"id": "a", "nodes": [node_cfg("a-n1", cpu=4000)]},
+                {"id": "b", "nodes": [node_cfg("b-n1", cpu=4000)]}]
+    pods = [pod_cfg(f"p{i}", "ab"[i % 2], cpu=3000, submit=i * 700, duration="40s")
+            for i in range(8)]
+    raw = base_config(clusters, pairs=[("a", "b"), ("b", "a"), ("a", "a")], pods=pods,
+                      jitter="5ms", duration="5m")
+    logs = set()
+    for heartbeat in (None, "1s", "1h"):
+        raw["federation"] = {} if heartbeat is None else {"heartbeat": heartbeat}
+        sim, _ = run_raw(raw)
+        logs.add("\n".join(serialize_event(e) for e in sim.events))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", "--config", str(path)]) == EXIT_OK
+    assert len(logs) == 1
+    assert "heartbeat_ms" not in vars(validate_config(raw).federation)
+
+
 def test_explicit_burst_topology_builds_expected_edges():
     raw = base_config(
         [{"id": "l", "nodes": [node_cfg("l1")]},
@@ -292,7 +314,7 @@ def rich_config():
     )
     raw["topology"]["edges"][0]["latency"] = {"base": "5ms", "jitter": "1ms"}
     raw["federation"] = {"election_timeout": "5s", "retry_backoff": "1s", "max_retries": 5,
-                         "heartbeat": "10s", "reservations": True,
+                         "reservations": True,
                          "election_policy": "least_allocated"}
     raw["metascale"] = {"enabled": True, "tick": "60s", "provisioning_delay": "2m",
                         "cooldown": "10m", "min_batch_nodes": 0, "min_container_nodes": 1}

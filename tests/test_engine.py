@@ -34,6 +34,8 @@ class TestEventQueue:
 
 class TestCausality:
     def test_past_time_enqueue_is_a_hard_error(self, two_cluster_raw):
+        # A pod's submission and completion advance the clock.
+        two_cluster_raw["scenario"]["pods"] = [pod_cfg("p1", "a", submit=1000)]
         sim, _ = run_raw(two_cluster_raw)
         assert sim.now > 0
         with pytest.raises(CausalityError):

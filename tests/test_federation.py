@@ -1,9 +1,15 @@
 """End-to-end protocol behavior, driven through full simulation runs."""
 
+import random
+
 from fedsched import engine
 from fedsched.cluster import PodPhase
+from fedsched.config import validate_config
 from fedsched.federation import ChaperonState, ProxyState
+from fedsched.sim import Simulation
 from conftest import base_config, node_cfg, pod_cfg, pod_row, run_raw
+from test_acceptance import random_protocol_raw
+from test_metascale import batch_cluster, job_cfg
 
 
 def events_of(sim, kind):
@@ -455,13 +461,63 @@ class TestInvariants:
         assert pod_row(report, "p2").final_phase == "Unschedulable"
 
     def test_virtual_node_staleness_is_bounded_by_refresh(self):
-        clusters = [
-            {"id": "s", "nodes": [node_cfg("s-n1", cpu=100)]},
-            {"id": "t", "nodes": [node_cfg("t-n1")]},
-        ]
-        raw = base_config(clusters, pairs=[("s", "t")], pods=[], duration="65s")
-        raw["federation"] = {"heartbeat": "10s"}
-        sim, _ = run_raw(raw)
-        vnode = sim.protocol.virtual_nodes[("s", "t")]
-        # Last refresh no older than one heartbeat + base latency.
-        assert vnode.staleness(sim.now) <= 10_000 + 10
+        # A target reports whenever its aggregates change, so after every
+        # step each virtual node shows them unless a report is in flight.
+        rng = random.Random(20260808)
+        configs = [random_protocol_raw(rng) for _ in range(100)]
+        configs.append(container_to_batch_raw())
+        for index, raw in enumerate(configs):
+            sim = Simulation(validate_config(raw))
+            while len(sim.queue) and sim.queue.peek_time() <= sim.config.duration_ms:
+                event = sim.step()
+                assert unreported_pairs(sim) == [], (index, event.time, event.kind)
+
+    def test_container_to_batch_move_reaches_every_source_within_one_latency(self):
+        raw = container_to_batch_raw()
+        sim = Simulation(validate_config(raw))
+        full = sim.clusters["c"].aggregate_capacity()
+        while not any(fx["op"] == "pool_move" for fx in sim.step().effects):
+            pass
+        moved_at = sim.now
+        reduced = sim.clusters["c"].aggregate_capacity()
+        assert reduced[0] < full[0]
+        slowest = max(e.latency.base_ms + e.latency.jitter_ms for e in sim.graph.edges.values())
+        while sim.queue.peek_time() <= moved_at + slowest:
+            sim.step()
+        for source in ("s", "u"):
+            assert sim.protocol.virtual_nodes[(source, "c")].capacity == reduced
+
+
+def container_to_batch_raw():
+    """Two sources federate into `c`, whose metascaler moves one of its two
+    idle container nodes to the batch pool at the first tick (65 s) for a
+    job that needs three batch nodes."""
+    clusters = [
+        batch_cluster(n_batch=2, n_container=2),
+        {"id": "s", "nodes": [node_cfg("s-n1")]},
+        {"id": "u", "nodes": [node_cfg("u-n1")]},
+    ]
+    raw = base_config(clusters, edges=[("s", "c"), ("u", "c")], duration="5m",
+                      jitter="5ms")
+    raw["scenario"]["batch_jobs"] = [job_cfg("j1", 3, duration="2m")]
+    raw["metascale"] = {"enabled": True, "tick": "65s"}
+    return raw
+
+
+def unreported_pairs(sim):
+    """(source, target) pairs whose virtual node differs from the target's
+    aggregates while no AggregateReport for the pair is queued."""
+    in_flight = {
+        (event.payload["source"], event.payload["target"])
+        for _, _, event in sim.queue._heap
+        if event.kind == engine.AGGREGATE_REPORT
+    }
+    return [
+        pair
+        for pair, vnode in sorted(sim.protocol.virtual_nodes.items())
+        if (vnode.capacity, vnode.allocatable) != (
+            sim.clusters[vnode.target].aggregate_capacity(),
+            sim.clusters[vnode.target].aggregate_allocatable(),
+        )
+        and pair not in in_flight
+    ]

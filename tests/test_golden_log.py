@@ -2,10 +2,10 @@
 
 A seed and a config fix the event log bytes. Each case below runs one fixed
 config and compares the digest of its log, serialized exactly as
-`write_event_log` writes it, against a digest recorded before any
-performance work. A change meant to keep behaviour must leave every digest
-alone; a deliberate behaviour change updates the digests it moves and says
-why.
+`write_event_log` writes it, against a pinned digest. A change meant to
+keep behaviour must leave every digest alone; a deliberate behaviour change
+updates the digests it moves and says why. `local-only` has no edges and no
+metascale, so no federation change may move it.
 """
 
 from __future__ import annotations
@@ -83,8 +83,25 @@ def _mesh_overload():
     ]
     raw = base_config(clusters, pairs=[("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")],
                       pods=pods, duration="10m", jitter="5ms", seed=5)
-    raw["federation"] = {"heartbeat": "30s"}
     return raw, None
+
+
+def _local_only():
+    # No edges and no metascale: no cluster has a source to report to, so
+    # the federation adds nothing to this log.
+    rng = random.Random(31)
+    clusters = [
+        {"id": name, "nodes": [node_cfg(f"{name}-n{k}", cpu=8000, mem="16GiB")
+                               for k in range(4)]}
+        for name in ("a", "b")
+    ]
+    pods = [
+        pod_cfg(f"p{i}", rng.choice("ab"), cpu=rng.choice([1000, 2000, 4000]),
+                mem=f"{rng.choice([1, 2, 4])}GiB", federated=False,
+                submit=rng.randint(0, 300_000), duration=rng.randint(60_000, 300_000))
+        for i in range(60)
+    ]
+    return base_config(clusters, edges=[], pods=pods, duration="10m", seed=3), None
 
 
 def _bind_conflict():
@@ -119,21 +136,23 @@ CASES = {
     "policy-seed3": lambda: (policy_raw(3), None),
     "bind-conflict": _bind_conflict,
     "mesh-overload": _mesh_overload,
+    "local-only": _local_only,
 }
 
 GOLDEN = {
-    "bundled": "708f63c0534cc655defa15036aa374902b4256bfd8d1c68831aec4013ba116f6",
-    "bundled-trace-seed7": "01a7c9401789fba163c584d2a637d067ec832ac177f220c759eae0af959cf56d",
-    "random-protocol-0": "f8b51c51b2413bbdecedb89709f8f9ea5b89fa06f077199fc9abd230bf982066",
-    "random-protocol-1": "9ca876ba003c1fd70150265109f50fddd0d28be0900515fbd1df14c8b6a974a0",
-    "random-protocol-21-no-reservations": "803f6aa2ae2e4282e7f40cd99f76a41f5c572468251bbee5420b3b795117ea9e",
-    "determinism-0": "8326eb4f0f99c44e90421bb96a185b2b551535d17aab04b56ea77dbe409d929b",
-    "determinism-5-metascale": "57b360b062ce1cbdbcf4ed2e83d61ff0b3930f75e9c76140a619e1c41415eacf",
-    "burst-squeezed": "bf4f660c73502e64ea0bf761ab10ce28f5d0845ba2f77ee7ca2d05d9fb81e86e",
-    "oscillating-metascale": "e71b38c40b898997c2cbecb24c9ea0ba0e6679ef5538a842c1313e0ed1a54486",
-    "policy-seed3": "7f3c631d8c3f671266a7321ab19cd5d35516a1adbda9afc6ea09588878553df9",
-    "bind-conflict": "362b9bcc805281ffe8226fdf4cb5d379035bd571341afe8f3c7d4bfbe35ef60d",
-    "mesh-overload": "37b5fb3b24bd3bef07fb05268be9de47157bf03baddd4fffc2fe9002799baa60",
+    "bundled": "e34865f0ec563ee4059ac685a301e1dbfa7333069af87bcd6ab322a2eedecdd1",
+    "bundled-trace-seed7": "93c8b4fca509e7594618ac9ddb32ac470cba03cac327f722d30f7a2e20455380",
+    "random-protocol-0": "8727bc046328007756df11b3aad0f047e1c2f0c03f20c88d1a4494cd8dc5eb0c",
+    "random-protocol-1": "521bc60cf3b4437ab041251eb3e19d835ea27c595276b5f8e5b3ed2faf3113cf",
+    "random-protocol-21-no-reservations": "2f426b2a8785917701602ee53d2add640253ec79849959e261345d21b75001c9",
+    "determinism-0": "b72b46e6be7f386846a9bf76d854451b650ed84cdaf92e285bb64b06f2f7f133",
+    "determinism-5-metascale": "b84682839b23025ee191a3b41709c2ee81b70692cb8eab3c04ad3db51cfaa282",
+    "burst-squeezed": "9f31101d6988f1c1ad4a724ac0bb828ac04d420bc642ba9b33d0e95e6f7cafd7",
+    "oscillating-metascale": "64e743b00803cc4e537e295c31f2524e841d6f8bb4de81c7f837fb793c31ed10",
+    "policy-seed3": "4f00057232951ea801ec4d12c98008f0db68d72c2ce27cc0b6d98b7da3f13e61",
+    "bind-conflict": "3fcc76e2141962de88627bebd2161b30f8456c78ecc217146b292126be301c4b",
+    "mesh-overload": "d5db9890313fc2806a866dad9a7147d6888132f237cef0f6108a64acd249c5c3",
+    "local-only": "37ac83908ee7abe530beabff82f3b937e48126af5eec369f9a83e31c4c670b5c",
 }
 
 

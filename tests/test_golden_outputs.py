@@ -28,15 +28,15 @@ WRITERS = {
 }
 
 GOLDEN = {
-    ("bundled", "pods.csv"): "97379f3043dfd670e9c7753875cbcd58b714d92f4f940f38f5e5203e73b54759",
-    ("bundled", "timeseries.csv"): "aec7e7832a35a3d661729d7914a37b25b853b1b56ce2cb973b28d9a85e8d7825",
-    ("bundled", "summary.json"): "4c1fdb8cf7180488b0d44ecf8342ba6a28d137eea3c2fba06266751aee372184",
+    ("bundled", "pods.csv"): "d2bb671e2f933bc57de5c8114e9fff859dbde825399957558227a67cdf5b3832",
+    ("bundled", "timeseries.csv"): "faa19f27bc85173635bd3fb1ce4ed98bc3ed9687bff4ce996104f9259618de43",
+    ("bundled", "summary.json"): "6dc37bbcd17b97aa0286c0965dd03b681f7640a8068ba4fed5ba46a0981f0dd8",
     ("oscillating-metascale", "pods.csv"): "c0dd211a1db9024bd28447c29d76552312bb6d1a54f13f23bb293b1d77906f8c",
     ("oscillating-metascale", "timeseries.csv"): "9186ea66a3e33cc9b775924ba0c058ae645247921ac2bf0ee5df85c5ac31bf5a",
     ("oscillating-metascale", "summary.json"): "aec82ff4aaf89d4dad804ffa5d922bac74862b4850b998a4581da5d8062087b4",
-    ("mesh-overload", "pods.csv"): "1572e0add271942e18e68e3425247b6b50a4e4406746226b3bac49db641208b3",
-    ("mesh-overload", "timeseries.csv"): "391f711f8db119efbb08f9f8c639f36e84745ee5f62c75cbdafa09390636f088",
-    ("mesh-overload", "summary.json"): "76082c2b8920c48811dd8560b4bc98a5f2764886a6a87dec85194f85eb3afb07",
+    ("mesh-overload", "pods.csv"): "870526a95a4e5384d539e903926c9bd22e877e9f5c0e7357550ff1feb2f4ae11",
+    ("mesh-overload", "timeseries.csv"): "e6612d4dd2e1ee41d9e95828aa931c4565c57918a799a86664ce18d8135ad4c5",
+    ("mesh-overload", "summary.json"): "b1c355dfd2af821f79ab694223e475a37ddf48ead039d749fc9ad0fd468922cd",
 }
 
 

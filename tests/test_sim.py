@@ -16,9 +16,12 @@ def log_bytes(sim):
 
 
 def test_empty_scenario_has_only_tick_events(two_cluster_raw):
+    # Nothing changes, so no target reports; with metascale off, no timer runs.
     sim, report = run_raw(two_cluster_raw)
-    kinds = {e.kind for e in sim.events}
-    assert kinds <= {engine.HEARTBEAT_TICK, engine.REBALANCE_TICK}
+    assert sim.events == []
+    two_cluster_raw["metascale"] = {"enabled": True}
+    sim, report = run_raw(two_cluster_raw)
+    assert {e.kind for e in sim.events} == {engine.REBALANCE_TICK}
     assert report.pods == []
 
 
@@ -81,6 +84,27 @@ def test_burst_with_empty_cloud_feasibility_equals_standalone():
     alone_bound = {p.pod_id for p in alone_report.pods if p.bind_time is not None}
     assert burst_bound == alone_bound
     assert len(burst_bound) == 2  # 2 x 3000 mCPU fit on one 8000 mCPU node
+
+
+def test_run_with_edges_drains_before_an_endless_duration():
+    # Nothing re-arms itself once the pods are done, so a duration of 400
+    # digits still ends when the queue drains.
+    clusters = [{"id": "a", "nodes": [node_cfg("a-n1")]},
+                {"id": "b", "nodes": [node_cfg("b-n1")]}]
+    pods = [pod_cfg(f"p{i}", "ab"[i % 2], submit=i * 1000, duration="30s") for i in range(4)]
+    raw = base_config(clusters, pairs=[("a", "b"), ("b", "a"), ("a", "a")], pods=pods,
+                      jitter="5ms")
+    raw["sim"]["duration"] = int("9" * 400)
+    sim = Simulation(validate_config(raw))
+    for _ in range(10_000):
+        if not len(sim.queue):
+            break
+        sim.step()
+    assert len(sim.queue) == 0
+
+
+def test_every_event_kind_has_exactly_one_handler():
+    assert set(Simulation._HANDLERS) == engine.EVENT_KINDS
 
 
 def test_step_on_drained_queue_raises():
