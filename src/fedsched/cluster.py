@@ -8,9 +8,10 @@ a node, never as a recoverable condition.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import (
     BindConflict,
@@ -165,6 +166,42 @@ def fits(pod: PodSpec, node: NodeSpec, free: Triple) -> bool:
     )
 
 
+@dataclass(frozen=True)
+class CapacityKey:
+    """The integer class key of nodes with one capacity.
+
+    With P the product of the capacity's non-zero dimensions, a node's key
+    is K(free) = sum of free_d * P / cap_d over those dimensions, so
+    100 * K / (dims * P) is the exact mean of free/capacity in percent that
+    `least_allocated_score` rounds. `scale` holds P / cap_d per dimension (0
+    where cap_d is 0) and `unit` is dims * P.
+    """
+
+    capacity: Triple
+    scale: Triple
+    unit: int
+
+    @classmethod
+    def of(cls, capacity: Triple) -> "CapacityKey":
+        product, dims = 1, 0
+        for cap in capacity:
+            if cap > 0:
+                product *= cap
+                dims += 1
+        scale = tuple(product // cap if cap > 0 else 0 for cap in capacity)
+        return cls(capacity, scale, dims * product)
+
+    def key(self, amounts: Triple) -> int:
+        scale = self.scale
+        return amounts[0] * scale[0] + amounts[1] * scale[1] + amounts[2] * scale[2]
+
+
+# A node class in the class order: (-K, free, labels, representative id).
+# Within one capacity (free, labels) names the class, so the first three
+# fields already order the classes and the representative never decides.
+ClassEntry = Tuple[int, Triple, Tuple[Tuple[str, str], ...], str]
+
+
 class ClusterState:
     """Mutable accounting for one cluster inside a simulation run.
 
@@ -196,10 +233,32 @@ class ClusterState:
 
     so the virtual-node aggregates are reads. Node pool and state change
     only through `set_node`, which moves the node's share in or out.
+    `set_node`, and a bind or unbind on a schedulable node, add the cluster
+    id to `moved`, a set the caller may share between clusters and clears
+    once it has read it.
+
+    Class invariant: after every reserve, release_reservation, bind, unbind
+    and `set_node`, the Ready container nodes (`schedulable`) are grouped
+    into classes of equal (capacity, _allocatable, labels), and for every
+    such node n and class c
+
+        _class_of[n]    == ((capacity(n), _allocatable[n], labels(n)), -K(n))
+        _members[c]     == sorted ids of the nodes n in class c
+        _classes[cap]   == sorted entries (-K(free), free, labels, rep)
+
+    with one entry per class of that capacity, K the capacity's
+    `CapacityKey.key` and rep the class's smallest id. Nodes with equal
+    class keys are interchangeable to `fits` and to every score plugin, so
+    a scheduler that walks `class_order()` from the largest K down and
+    takes each class's representative makes the choice a sorted-id loop
+    over all nodes makes. Every change of a node's free triple or
+    schedulability moves it between classes, finding its place by
+    bisection.
     """
 
-    def __init__(self, spec: ClusterSpec):
+    def __init__(self, spec: ClusterSpec, moved: Optional[Set[str]] = None):
         self.spec = spec
+        self.moved: Set[str] = set() if moved is None else moved
         self.bound: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
         self.reserved: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
         self.ns_usage: Dict[str, Triple] = {}
@@ -218,6 +277,21 @@ class ClusterState:
                     self._aggregate_capacity, self._capacity[node_id]
                 )
         self._aggregate_unbound = self._aggregate_capacity
+        self._labels = {
+            n: tuple(sorted(node.labels.items())) for n, node in spec.nodes.items()
+        }
+        self._keys: Dict[Triple, CapacityKey] = {}
+        self._classes: Dict[Triple, List[ClassEntry]] = {}
+        for capacity in self._capacity.values():
+            if capacity not in self._keys:
+                self._keys[capacity] = CapacityKey.of(capacity)
+                self._classes[capacity] = []
+        self._members: Dict[tuple, List[str]] = {}
+        self._class_of: Dict[str, Tuple[tuple, int]] = {}
+        self._order: Optional[Tuple[Tuple[CapacityKey, Tuple[ClassEntry, ...]], ...]] = None
+        for node_id in sorted(spec.nodes):
+            if schedulable(spec.nodes[node_id]):
+                self._index(node_id, self._capacity[node_id])
 
     @property
     def cluster_id(self) -> str:
@@ -244,6 +318,62 @@ class ClusterState:
         """
         return self._aggregate_unbound
 
+    def class_order(self) -> Tuple[Tuple[CapacityKey, Tuple[ClassEntry, ...]], ...]:
+        """An immutable copy of the class order: per capacity, its key and
+        its classes from the largest K down. Copied again only after the
+        order changed, so decisions between two changes share one copy."""
+        if self._order is None:
+            self._order = tuple(
+                (self._keys[cap], tuple(entries)) for cap, entries in self._classes.items()
+            )
+        return self._order
+
+    def _index(self, node_id: str, free: Triple) -> None:
+        """Add a schedulable node to the class of free triple `free`."""
+        capacity = self._capacity[node_id]
+        labels = self._labels[node_id]
+        cls = (capacity, free, labels)
+        neg_key = -self._keys[capacity].key(free)
+        self._class_of[node_id] = (cls, neg_key)
+        self._order = None
+        members = self._members.get(cls)
+        if members is None:
+            self._members[cls] = [node_id]
+            insort(self._classes[capacity], (neg_key, free, labels, node_id))
+        elif node_id < members[0]:
+            members.insert(0, node_id)
+            self._set_representative(cls, neg_key, node_id)
+        else:
+            insort(members, node_id)
+
+    def _unindex(self, node_id: str) -> None:
+        """Remove a node from the class it was indexed in."""
+        cls, neg_key = self._class_of.pop(node_id)
+        self._order = None
+        members = self._members[cls]
+        if len(members) == 1:
+            del self._members[cls]
+            capacity, free, labels = cls
+            entries = self._classes[capacity]
+            del entries[bisect_left(entries, (neg_key, free, labels))]
+        elif members[0] == node_id:
+            del members[0]
+            self._set_representative(cls, neg_key, members[0])
+        else:
+            del members[bisect_left(members, node_id)]
+
+    def _set_representative(self, cls: tuple, neg_key: int, node_id: str) -> None:
+        capacity, free, labels = cls
+        entries = self._classes[capacity]
+        entries[bisect_left(entries, (neg_key, free, labels))] = (neg_key, free, labels, node_id)
+
+    def _set_allocatable(self, node_id: str, free: Triple) -> None:
+        """The one place a node's free triple changes once the cluster runs."""
+        self._allocatable[node_id] = free
+        if node_id in self._class_of:
+            self._unindex(node_id)
+            self._index(node_id, free)
+
     def set_node(
         self,
         node_id: str,
@@ -259,6 +389,7 @@ class ClusterState:
         if schedulable(node):
             self._aggregate_capacity = subtract_triples(self._aggregate_capacity, capacity)
             self._aggregate_unbound = subtract_triples(self._aggregate_unbound, unbound)
+            self._unindex(node_id)
         if pool is not None:
             node.pool = pool
         if state is not None:
@@ -266,6 +397,8 @@ class ClusterState:
         if schedulable(node):
             self._aggregate_capacity = add_triples(self._aggregate_capacity, capacity)
             self._aggregate_unbound = add_triples(self._aggregate_unbound, unbound)
+            self._index(node_id, self._allocatable[node_id])
+        self.moved.add(self.cluster_id)
 
     def namespace_used(self, namespace: str) -> Triple:
         return self.ns_usage.get(namespace, ZERO)
@@ -292,7 +425,7 @@ class ClusterState:
             pod, node_id, f"reservation for {pod.pod_id} no longer fits node {node_id}"
         )
         request = pod.request.as_tuple()
-        self._allocatable[node_id] = subtract_triples(self._allocatable[node_id], request)
+        self._set_allocatable(node_id, subtract_triples(self._allocatable[node_id], request))
         self.reserved[node_id][pod.pod_id] = pod.request
         self._reservations[pod.pod_id] = (node_id, pod.namespace)
         self._ns_add(pod.namespace, request)
@@ -303,7 +436,7 @@ class ClusterState:
             return False
         node_id, namespace = held
         request = self.reserved[node_id].pop(pod_id).as_tuple()
-        self._allocatable[node_id] = add_triples(self._allocatable[node_id], request)
+        self._set_allocatable(node_id, add_triples(self._allocatable[node_id], request))
         self._ns_sub(namespace, request)
         return True
 
@@ -326,10 +459,11 @@ class ClusterState:
             held = pod.request
             request = held.as_tuple()
             self._ns_add(pod.namespace, request)
-            self._allocatable[node_id] = subtract_triples(self._allocatable[node_id], request)
+            self._set_allocatable(node_id, subtract_triples(self._allocatable[node_id], request))
         self._unbound[node_id] = subtract_triples(self._unbound[node_id], request)
         if schedulable(self.spec.nodes[node_id]):
             self._aggregate_unbound = subtract_triples(self._aggregate_unbound, request)
+            self.moved.add(self.cluster_id)
         self.bound[node_id][pod.pod_id] = held
         self.pods[pod.pod_id] = pod
         pod.transition(PodPhase.BOUND)
@@ -345,7 +479,8 @@ class ClusterState:
         self._unbound[node_id] = add_triples(self._unbound[node_id], request)
         if schedulable(self.spec.nodes[node_id]):
             self._aggregate_unbound = add_triples(self._aggregate_unbound, request)
-        self._allocatable[node_id] = add_triples(self._allocatable[node_id], request)
+            self.moved.add(self.cluster_id)
+        self._set_allocatable(node_id, add_triples(self._allocatable[node_id], request))
         self._ns_sub(pod.namespace, request)
         return pod
 

@@ -351,7 +351,8 @@ EDGE = {
 }
 
 # Which of hub, leaves, local, cloud, self_target, pairs and edges apply
-# depends on the kind; `_graph` reads them.
+# depends on the kind (`KIND_OF_KEY`); `_graph` reads them and rejects the
+# keys of other kinds.
 TOPOLOGY = {
     "clusters": (list_of(record(CLUSTER, ClusterConfig), non_empty=True), REQUIRED),
     "kind": (one_of("topology kind", ("central", "burst", "decentralized", "explicit")), "explicit"),
@@ -361,8 +362,19 @@ TOPOLOGY = {
     "leaves": (list_of(cluster_ref), None),
     "local": (cluster_ref, None),
     "cloud": (cluster_ref, None),
-    "self_target": (boolean, True),
+    "self_target": (boolean, None),
     "edges": (list_of(record(EDGE)), None),
+}
+
+# The topology kind that reads each kind-specific key.
+KIND_OF_KEY = {
+    "pairs": "decentralized",
+    "hub": "central",
+    "leaves": "central",
+    "local": "burst",
+    "cloud": "burst",
+    "self_target": "burst",
+    "edges": "explicit",
 }
 
 SIM = {
@@ -563,13 +575,17 @@ def _needed(topology: dict, key: str):
 def _graph(topology: dict, cluster_ids: set) -> FederationGraph:
     default = _latency(topology["default_latency"], LatencyModel())
     kind = topology["kind"]
+    for key, reader in KIND_OF_KEY.items():
+        if reader != kind and topology[key] is not None:
+            raise ConfigError(
+                f"a {kind} topology takes no '{key}'; only a {reader} topology reads it",
+                f"topology.{key}",
+            )
     if kind == "explicit":
         graph = FederationGraph(cluster_ids)
         for edge in topology["edges"] or ():
             graph.add_edge(edge["source"], edge["target"], _latency(edge["latency"], default))
         return graph
-    if topology["edges"] is not None:
-        raise ConfigError(f"a {kind} topology takes no 'edges'", "topology.edges")
     if kind == "decentralized":
         return build_decentralized(cluster_ids, _needed(topology, "pairs"), default)
     if kind == "central":
@@ -578,8 +594,9 @@ def _graph(topology: dict, cluster_ids: set) -> FederationGraph:
             raise ConfigError("hub must not appear among leaves", "topology.leaves")
         graph = build_central(hub, leaves, default)
     else:
+        self_target = topology["self_target"] is not False
         graph = build_burst(
-            _needed(topology, "local"), _needed(topology, "cloud"), topology["self_target"], default
+            _needed(topology, "local"), _needed(topology, "cloud"), self_target, default
         )
     for cluster_id in cluster_ids:
         graph.add_cluster(cluster_id)

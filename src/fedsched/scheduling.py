@@ -9,14 +9,46 @@ pod's request, the node's capacity and the node's free resources, all
 (cpu, memory, gpu) int triples, so a decision is fully determined by (pod,
 snapshot, pipeline) and builds no vector. Ties between equally scored nodes
 go to the lexicographically smallest node id, which keeps runs replayable.
+
+How a decision finds its node depends on the pipeline; the choice does
+not. `ClusterState` groups its Ready container nodes into classes of
+equal (capacity, free, labels) and orders each capacity's classes by the
+integer key K = sum of free_d * P / cap_d over the dimensions with
+capacity, where P is the product of those capacities (`CapacityKey`).
+Members of a class are interchangeable, so a walk of the order looks
+only at each class's representative, its smallest id.
+
+When the pipeline is `LeastAllocated` alone with a weight w > 0 (the
+default), `schedule_one` walks each capacity's classes from the largest K
+down, skips classes that fail `fits`, scores each representative with the
+unchanged `least_allocated` and keeps the best, ties going to the smallest
+representative id. With R the request's key, it stops walking a capacity
+once
+
+    100 * (K - R) < (best - 1) * dims * P
+
+all in ints. Why no later class can tie or win: 100 * (K - R) / (dims * P)
+is the exact mean of free-after/capacity in percent, and K only falls
+along the walk, so every later class's exact mean is below best - 1. The
+float sum in `least_allocated_score` is off from the exact mean by far
+less than half a point, so a later class rounds to at most best - 1.
+Ranking by the raw score is ranking by w * score, because w * s strictly
+rises with the int s when w > 0 and w * 100 is finite.
+
+Every other pipeline takes the plain loop over all nodes in sorted id
+order: with weight 0 every node ties, so the smallest feasible id wins,
+wherever its class sits in the order; `GpuBinpack` rises as free GPU
+falls, against the order; and a weight so large that w * 100 overflows
+makes scores tie at infinity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from .cluster import ClusterSpec, ClusterState, NodeSpec, PodSpec, fits
+from .cluster import CapacityKey, ClassEntry, ClusterSpec, ClusterState, NodeSpec, PodSpec, fits
 from .resources import Triple
 
 # (request, capacity, free) -> score, all (cpu, memory, gpu) triples; `free`
@@ -32,8 +64,9 @@ class SchedulingSnapshot:
     """Point-in-time view of one cluster for a scheduling decision.
 
     `spec` supplies the namespace allowlist and quotas, and `capacity` the
-    per-node capacity triples, which all stay fixed for a run; the per-node
-    and per-namespace figures are copies.
+    per-node capacity triples, and `nodes` the node specs, which all stay
+    fixed for a run; the per-node and per-namespace figures and the class
+    order (`ClusterState.class_order`) are copies.
     """
 
     spec: ClusterSpec
@@ -41,15 +74,17 @@ class SchedulingSnapshot:
     capacity: Dict[str, Triple]
     allocatable: Dict[str, Triple]
     namespace_used: Dict[str, Triple]
+    classes: Tuple[Tuple[CapacityKey, Tuple[ClassEntry, ...]], ...]
 
 
 def snapshot_of(state: ClusterState) -> SchedulingSnapshot:
     return SchedulingSnapshot(
         spec=state.spec,
-        nodes=dict(state.spec.nodes),
+        nodes=state.spec.nodes,
         capacity=state._capacity,
         allocatable=dict(state._allocatable),
         namespace_used=dict(state.ns_usage),
+        classes=state.class_order(),
     )
 
 
@@ -116,11 +151,16 @@ def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> 
     before the node loop. A node's total score is the sum, from int 0 in
     pipeline order, of weight * score. Nodes are visited in sorted id order
     with a strict improvement test, so score ties resolve to the
-    lexicographically smallest node id.
+    lexicographically smallest node id. A `LeastAllocated`-only pipeline
+    finds the same node by walking the class order (module docstring).
     """
     if snap.spec.admission_error(pod, snap.namespace_used) is not None:
         return None
     request = pod.request.as_tuple()
+    if len(pipeline) == 1:
+        fn, weight = pipeline[0]
+        if fn is least_allocated and 0 < weight * 100 < math.inf:
+            return _walk_classes(pod, request, snap)
     nodes, capacities, allocatable = snap.nodes, snap.capacity, snap.allocatable
     best_node = None
     best_score = None
@@ -135,4 +175,27 @@ def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> 
             score += weight * fn(request, capacity, free)
         if best_score is None or score > best_score:
             best_node, best_score = node_id, score
+    return best_node
+
+
+def _walk_classes(pod: PodSpec, request: Triple, snap: SchedulingSnapshot) -> Optional[str]:
+    """The `LeastAllocated` choice, found by walking the class order."""
+    nodes = snap.nodes
+    best_node = None
+    best_score = None
+    for key, classes in snap.classes:
+        capacity, unit = key.capacity, key.unit
+        request_key = key.key(request)
+        for neg_key, free, _labels, node_id in classes:
+            if best_score is not None and 100 * (-neg_key - request_key) < (best_score - 1) * unit:
+                break
+            if not fits(pod, nodes[node_id], free):
+                continue
+            score = least_allocated(request, capacity, free)
+            if (
+                best_score is None
+                or score > best_score
+                or (score == best_score and node_id < best_node)
+            ):
+                best_node, best_score = node_id, score
     return best_node

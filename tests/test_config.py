@@ -525,6 +525,52 @@ def test_edges_need_an_explicit_topology(kind, tmp_path, capsys):
     assert "Traceback" not in err_text
 
 
+# Each key that one topology kind reads: (key, a valid value, that kind).
+KIND_KEYS = [
+    ("pairs", [["a", "b"]], "decentralized"),
+    ("hub", "a", "central"),
+    ("leaves", ["b"], "central"),
+    ("local", "a", "burst"),
+    ("cloud", "b", "burst"),
+    ("self_target", True, "burst"),
+    ("self_target", False, "burst"),
+]
+FOREIGN_KEY_CASES = [
+    (kind, key, value, reader)
+    for kind in ("explicit", "central", "burst", "decentralized")
+    for key, value, reader in KIND_KEYS
+    if kind != reader
+]
+
+
+@pytest.mark.parametrize("kind,key,value,reader", FOREIGN_KEY_CASES,
+                         ids=[f"{kind}-{key}-{value}" for kind, key, value, _ in FOREIGN_KEY_CASES])
+def test_keys_of_other_topology_kinds_are_rejected(kind, key, value, reader, tmp_path, capsys):
+    # Each kind reads only its own keys; the others were silently ignored.
+    if kind == "explicit":
+        raw = base_config([{"id": "a", "nodes": [node_cfg("n1")]},
+                           {"id": "b", "nodes": [node_cfg("n2")]}], edges=[("a", "b")])
+    else:
+        raw = kind_config(kind)
+    raw["topology"][key] = value
+    with pytest.raises(ConfigError) as err:
+        validate_config(copy.deepcopy(raw))
+    assert err.value.location == f"topology.{key}"
+    assert f"only a {reader} topology reads it" in str(err.value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err_text = capsys.readouterr().err
+    assert err_text.startswith(f"error: topology.{key}: ")
+    assert "Traceback" not in err_text
+
+
+def test_burst_self_target_defaults_to_true():
+    raw = kind_config("burst")
+    del raw["topology"]["self_target"]
+    assert set(validate_config(raw).graph.edges) == {("a", "b"), ("a", "a")}
+
+
 @pytest.mark.parametrize("cluster", [
     {"id": "a", "profile": "nautilus-mini", "scale_divisor": 999},
     {"id": "a", "nodes": [node_cfg("n1")], "scale_divisor": 2},

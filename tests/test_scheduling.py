@@ -363,3 +363,140 @@ def test_snapshot_is_internally_consistent():
     # Snapshot does not alias live state.
     state.bind(make_pod("q", 500, GIB), "n1", at=1)
     assert snap.allocatable["n1"] == (2500, 3 * GIB, 0)
+
+
+def plain_choice(pod, state, pipeline):
+    """The reference decision: every node in sorted id order, strict
+    improvement on the weighted sum, as the scheduler did before the class
+    order existed."""
+    if state.spec.admission_error(pod, state.ns_usage) is not None:
+        return None
+    request = pod.request.as_tuple()
+    best, best_score = None, None
+    for node_id in sorted(state.nodes()):
+        node = state.nodes()[node_id]
+        free = state.allocatable(node_id)
+        if not fits(pod, node, free):
+            continue
+        score = 0
+        for fn, weight in pipeline:
+            score += weight * fn(request, node.capacity.as_tuple(), free)
+        if best_score is None or score > best_score:
+            best, best_score = node_id, score
+    return best
+
+
+def rebuilt_class_order(state):
+    """The class order recomputed from the nodes alone: per capacity, the
+    stop rule's unit dims * P and one (-K, free, labels, smallest id)
+    entry per class of Ready container nodes with equal free triple and
+    labels, sorted. Also returns how many classes have more than one
+    member."""
+    classes = {}
+    for node_id, node in state.nodes().items():
+        capacity = node.capacity.as_tuple()
+        per_capacity = classes.setdefault(capacity, {})
+        if node.state is NodeState.READY and node.pool is NodePool.CONTAINER:
+            labels = tuple(sorted(node.labels.items()))
+            per_capacity.setdefault((state.allocatable(node_id), labels), []).append(node_id)
+    order = {}
+    shared = sum(len(ids) > 1 for per_capacity in classes.values() for ids in per_capacity.values())
+    for capacity, per_capacity in classes.items():
+        product = 1
+        for cap in capacity:
+            product *= cap if cap else 1
+        key = lambda free: sum(f * (product // c) for f, c in zip(free, capacity) if c)
+        order[capacity] = (sum(1 for c in capacity if c) * product, sorted(
+            (-key(free), free, labels, min(ids)) for (free, labels), ids in per_capacity.items()
+        ))
+    return order, shared
+
+
+class TestClassOrderDifferential:
+    """schedule_one through the class order against the plain loop, with
+    the class order checked against a rebuild after every mutation."""
+
+    PIPELINES = (
+        (("LeastAllocated", 1),),
+        (("LeastAllocated", 0.5),),
+        (("LeastAllocated", 3),),
+        (("LeastAllocated", 0),),
+        (("LeastAllocated", 1e307),),  # weight * 100 overflows
+        (("GpuBinpack", 1),),
+        (("LeastAllocated", 1), ("GpuBinpack", 1)),
+        (("GpuBinpack", 2), ("LeastAllocated", 1)),
+    )
+
+    def check_order(self, state):
+        """Assert the class order equals the rebuild; return the number of
+        classes with more than one member."""
+        order, shared = rebuilt_class_order(state)
+        got = {key.capacity: (key.unit, list(entries)) for key, entries in state.class_order()}
+        assert got == order
+        return shared
+
+    def test_indexed_choices_equal_the_plain_loop(self):
+        rng = random.Random(1109)
+        namespaces = ("prod", "dev", "team")
+        decisions = {i: 0 for i in range(len(self.PIPELINES))}
+        chosen_count = shared = 0
+        for trial in range(160):
+            nodes = []
+            for i in range(rng.randint(1, 12)):
+                if rng.random() < 0.03:
+                    cpu, mem, gpu = 0, 0, 0
+                else:
+                    cpu, mem = rng.choice([4000, 8000]), rng.choice([4, 8]) * GIB
+                    gpu = rng.choice([0, 0, 2, 4])
+                nodes.append(make_node(
+                    f"n{rng.randint(0, 99)}-{i}", cpu=cpu, mem=mem, gpu=gpu,
+                    labels=rng.choice([{}, {}, {"zone": "a"}, {"zone": "b", "rack": "r1"}]),
+                    pool=rng.choice(["Container", "Container", "Container", "Batch"])))
+            quota = {
+                ns: ResourceVector(rng.randint(4, 24) * 1000, rng.randint(4, 24) * GIB,
+                                   rng.randint(0, 4))
+                for ns in namespaces if rng.random() < 0.3
+            }
+            allowlist = rng.choice([None, None, {"prod", "team"}])
+            state = cluster_with(nodes, allowlist=allowlist, quota=quota)
+            ids = sorted(state.nodes())
+            which = rng.randrange(len(self.PIPELINES))
+            pipeline = builtin_pipeline(score_weights=self.PIPELINES[which])
+            reserved, bound = [], []
+            self.check_order(state)
+            for step in range(40):
+                roll = rng.random()
+                if roll < 0.1 and reserved:
+                    pod, _ = reserved.pop(rng.randrange(len(reserved)))
+                    assert state.release_reservation(pod.pod_id)
+                elif roll < 0.2 and reserved:
+                    pod, node_id = reserved.pop(rng.randrange(len(reserved)))
+                    state.bind(pod, node_id, at=step)  # consumes the reservation
+                    bound.append(pod)
+                elif roll < 0.35 and bound:
+                    state.unbind(bound.pop(rng.randrange(len(bound))).pod_id)
+                elif roll < 0.45:
+                    node_id = rng.choice(ids)
+                    if rng.random() < 0.5:
+                        state.set_node(node_id, pool=rng.choice(list(NodePool)))
+                    else:
+                        state.set_node(node_id, state=rng.choice(list(NodeState)))
+                else:
+                    pod = make_pod(f"p{trial}-{step}", cpu=rng.choice([0, 500, 1000, 2000, 4000]),
+                                   mem=rng.choice([0, 1, 2, 4]) * GIB, gpu=rng.choice([0, 0, 1, 2]),
+                                   ns=rng.choice(namespaces),
+                                   selector=rng.choice([{}, {}, {"zone": "a"}, {"rack": "r1"}]))
+                    chosen = schedule_one(pod, snapshot_of(state), pipeline)
+                    assert chosen == plain_choice(pod, state, pipeline), (trial, step)
+                    decisions[which] += 1
+                    if chosen is not None:
+                        chosen_count += 1
+                        if rng.random() < 0.4:
+                            state.reserve(pod, chosen)
+                            reserved.append((pod, chosen))
+                        else:
+                            state.bind(pod, chosen, at=step)
+                            bound.append(pod)
+                shared += self.check_order(state)
+        assert min(decisions.values()) >= 200 and chosen_count >= 1200, (decisions, chosen_count)
+        assert shared >= 500, shared
