@@ -233,9 +233,6 @@ class ClusterState:
 
     so the virtual-node aggregates are reads. Node pool and state change
     only through `set_node`, which moves the node's share in or out.
-    `set_node`, and a bind or unbind on a schedulable node, add the cluster
-    id to `moved`, a set the caller may share between clusters and clears
-    once it has read it.
 
     Class invariant: after every reserve, release_reservation, bind, unbind
     and `set_node`, the Ready container nodes (`schedulable`) are grouped
@@ -251,14 +248,14 @@ class ClusterState:
     class keys are interchangeable to `fits` and to every score plugin, so
     a scheduler that walks `class_order()` from the largest K down and
     takes each class's representative makes the choice a sorted-id loop
-    over all nodes makes. Every change of a node's free triple or
-    schedulability moves it between classes, finding its place by
-    bisection.
+    over all nodes makes. The constructor builds the classes in one pass
+    and sorts each capacity's entries once; after that every change of a
+    node's free triple or schedulability moves it between classes,
+    finding its place by bisection.
     """
 
-    def __init__(self, spec: ClusterSpec, moved: Optional[Set[str]] = None):
+    def __init__(self, spec: ClusterSpec):
         self.spec = spec
-        self.moved: Set[str] = set() if moved is None else moved
         self.bound: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
         self.reserved: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
         self.ns_usage: Dict[str, Triple] = {}
@@ -282,16 +279,31 @@ class ClusterState:
         }
         self._keys: Dict[Triple, CapacityKey] = {}
         self._classes: Dict[Triple, List[ClassEntry]] = {}
-        for capacity in self._capacity.values():
-            if capacity not in self._keys:
-                self._keys[capacity] = CapacityKey.of(capacity)
-                self._classes[capacity] = []
         self._members: Dict[tuple, List[str]] = {}
         self._class_of: Dict[str, Tuple[tuple, int]] = {}
         self._order: Optional[Tuple[Tuple[CapacityKey, Tuple[ClassEntry, ...]], ...]] = None
+        # Every node starts empty, so its free triple is its capacity and its
+        # key is the capacity's unit. Ids come in sorted order, so each new
+        # class's first member is its representative.
         for node_id in sorted(spec.nodes):
-            if schedulable(spec.nodes[node_id]):
-                self._index(node_id, self._capacity[node_id])
+            capacity = self._capacity[node_id]
+            key = self._keys.get(capacity)
+            if key is None:
+                key = self._keys[capacity] = CapacityKey.of(capacity)
+                self._classes[capacity] = []
+            if not schedulable(spec.nodes[node_id]):
+                continue
+            labels = self._labels[node_id]
+            cls = (capacity, capacity, labels)
+            self._class_of[node_id] = (cls, -key.unit)
+            members = self._members.get(cls)
+            if members is None:
+                self._members[cls] = [node_id]
+                self._classes[capacity].append((-key.unit, capacity, labels, node_id))
+            else:
+                members.append(node_id)
+        for entries in self._classes.values():
+            entries.sort()
 
     @property
     def cluster_id(self) -> str:
@@ -398,7 +410,6 @@ class ClusterState:
             self._aggregate_capacity = add_triples(self._aggregate_capacity, capacity)
             self._aggregate_unbound = add_triples(self._aggregate_unbound, unbound)
             self._index(node_id, self._allocatable[node_id])
-        self.moved.add(self.cluster_id)
 
     def namespace_used(self, namespace: str) -> Triple:
         return self.ns_usage.get(namespace, ZERO)
@@ -463,7 +474,6 @@ class ClusterState:
         self._unbound[node_id] = subtract_triples(self._unbound[node_id], request)
         if schedulable(self.spec.nodes[node_id]):
             self._aggregate_unbound = subtract_triples(self._aggregate_unbound, request)
-            self.moved.add(self.cluster_id)
         self.bound[node_id][pod.pod_id] = held
         self.pods[pod.pod_id] = pod
         pod.transition(PodPhase.BOUND)
@@ -479,7 +489,6 @@ class ClusterState:
         self._unbound[node_id] = add_triples(self._unbound[node_id], request)
         if schedulable(self.spec.nodes[node_id]):
             self._aggregate_unbound = add_triples(self._aggregate_unbound, request)
-            self.moved.add(self.cluster_id)
         self._set_allocatable(node_id, add_triples(self._allocatable[node_id], request))
         self._ns_sub(pod.namespace, request)
         return pod

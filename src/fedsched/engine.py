@@ -119,25 +119,16 @@ class LatencyChannels:
     even when the jitter draw alone would reorder them. Channels model the
     annotation message streams between a proxy and its candidates, which
     are backed by ordered API-server writes, not a lossy wire.
-
-    Each edge draws its jitter from its own stream,
-    `latency/<source>-><target>`, looked up once and then kept by (source,
-    target).
     """
 
     def __init__(self, rngs: RngStreams):
         self._rngs = rngs
         self._last_delivery: Dict[tuple, int] = {}
-        self._edge_streams: Dict[Tuple[str, str], random.Random] = {}
 
     def delivery_time(self, now: int, edge: FederationEdge, channel: tuple) -> int:
         jitter = 0
         if edge.latency.jitter_ms > 0:
-            pair = (edge.source, edge.target)
-            rng = self._edge_streams.get(pair)
-            if rng is None:
-                rng = self._rngs.stream(f"latency/{edge.source}->{edge.target}")
-                self._edge_streams[pair] = rng
+            rng = self._rngs.stream(f"latency/{edge.source}->{edge.target}")
             jitter = rng.randint(0, edge.latency.jitter_ms)
         when = now + edge.latency.base_ms + jitter
         floor = self._last_delivery.get(channel)

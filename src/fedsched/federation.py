@@ -122,8 +122,7 @@ class FederationProtocol:
 
     `ctx` is the simulation facade providing: now, clusters, pipelines,
     graph, params, send()/at() for messages and timers, effect() for log
-    records, mark_freed() to request scheduling retries in a cluster, and
-    aggregates_moved, the set of clusters whose aggregates moved.
+    records, and mark_freed() to request scheduling retries in a cluster.
     """
 
     def __init__(self, ctx):
@@ -447,23 +446,13 @@ class FederationProtocol:
         """Report each target whose aggregates differ from its last report.
 
         The one place that decides when a source hears from a target; the
-        loop calls it once per step, after every change the step made. Only
-        targets in `ctx.aggregates_moved`, which `ClusterState` fills when a
-        bind, unbind or `set_node` moves its aggregates, can differ, so only
-        those are compared, in sorted order; the set is then cleared. A move
-        that a later one undoes within the step sends nothing.
+        loop calls it once per step, after every change the step made.
         """
-        moved = self.ctx.aggregates_moved
-        if not moved:
-            return
-        for target in sorted(moved):
-            reported = self._reported.get(target)
-            if reported is None:
-                continue
+        for target in sorted(self._reported):
             state = self.ctx.clusters[target]
-            if (state.aggregate_capacity(), state.aggregate_allocatable()) != reported:
+            figures = (state.aggregate_capacity(), state.aggregate_allocatable())
+            if figures != self._reported[target]:
                 self.broadcast_aggregates(target)
-        moved.clear()
 
     def broadcast_aggregates(self, target: str) -> None:
         """Send target's aggregate capacity/allocatable to all its sources."""

@@ -10,20 +10,27 @@ pod's request, the node's capacity and the node's free resources, all
 snapshot, pipeline) and builds no vector. Ties between equally scored nodes
 go to the lexicographically smallest node id, which keeps runs replayable.
 
-How a decision finds its node depends on the pipeline; the choice does
-not. `ClusterState` groups its Ready container nodes into classes of
-equal (capacity, free, labels) and orders each capacity's classes by the
-integer key K = sum of free_d * P / cap_d over the dimensions with
-capacity, where P is the product of those capacities (`CapacityKey`).
-Members of a class are interchangeable, so a walk of the order looks
-only at each class's representative, its smallest id.
+A decision walks a class order instead of every node. `ClusterState`
+groups its Ready container nodes into classes of equal (capacity, free,
+labels) and orders each capacity's classes by the integer key
+K = sum of free_d * P / cap_d over the dimensions with capacity, where P
+is the product of those capacities (`CapacityKey`). Members of a class
+are interchangeable, so a walk of the order looks only at each class's
+representative, its smallest id.
 
-When the pipeline is `LeastAllocated` alone with a weight w > 0 (the
-default), `schedule_one` walks each capacity's classes from the largest K
-down, skips classes that fail `fits`, scores each representative with the
-unchanged `least_allocated` and keeps the best, ties going to the smallest
-representative id. With R the request's key, it stops walking a capacity
-once
+`schedule_one` walks every capacity's classes from the largest K down,
+skips classes that fail `fits`, scores each representative with the
+pipeline's weighted sum and keeps the best, ties going to the smallest
+representative id. That is the choice of a loop over all nodes in sorted
+id order with a strict improvement test, for every pipeline: the scores
+of a class's members are equal, and a weighted sum of finite weights
+>= 0 is never NaN, so the best total and its smallest id are the same
+whichever order the nodes are met in.
+
+When the pipeline is `LeastAllocated` alone with a weight w where
+0 < w * 100 < inf (the default pipeline), the walk also stops early.
+With R the request's key and best the best representative's
+`least_allocated` score so far, it stops walking a capacity once
 
     100 * (K - R) < (best - 1) * dims * P
 
@@ -35,11 +42,10 @@ less than half a point, so a later class rounds to at most best - 1.
 Ranking by the raw score is ranking by w * score, because w * s strictly
 rises with the int s when w > 0 and w * 100 is finite.
 
-Every other pipeline takes the plain loop over all nodes in sorted id
-order: with weight 0 every node ties, so the smallest feasible id wins,
-wherever its class sits in the order; `GpuBinpack` rises as free GPU
-falls, against the order; and a weight so large that w * 100 overflows
-makes scores tie at infinity.
+Every other pipeline walks every class: with weight 0 every node ties, so
+the smallest feasible id wins, wherever its class sits in the order;
+`GpuBinpack` rises as free GPU falls, against the order; and a weight so
+large that w * 100 overflows makes scores tie at infinity.
 """
 
 from __future__ import annotations
@@ -148,54 +154,44 @@ def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> 
     """Pick the feasible node with maximal total score, or None.
 
     Namespace admission does not depend on the node, so it is decided once,
-    before the node loop. A node's total score is the sum, from int 0 in
-    pipeline order, of weight * score. Nodes are visited in sorted id order
-    with a strict improvement test, so score ties resolve to the
-    lexicographically smallest node id. A `LeastAllocated`-only pipeline
-    finds the same node by walking the class order (module docstring).
+    before the walk. A node's total score is the sum, from int 0 in
+    pipeline order, of weight * score. The walk visits each class
+    representative of the class order (module docstring); score ties
+    resolve to the lexicographically smallest node id. The stop rule
+    applies only to a pipeline of `LeastAllocated` alone with a weight w
+    where 0 < w * 100 < inf.
     """
     if snap.spec.admission_error(pod, snap.namespace_used) is not None:
         return None
     request = pod.request.as_tuple()
-    if len(pipeline) == 1:
-        fn, weight = pipeline[0]
-        if fn is least_allocated and 0 < weight * 100 < math.inf:
-            return _walk_classes(pod, request, snap)
-    nodes, capacities, allocatable = snap.nodes, snap.capacity, snap.allocatable
-    best_node = None
-    best_score = None
-    for node_id in sorted(nodes):
-        node = nodes[node_id]
-        free = allocatable[node_id]
-        if not fits(pod, node, free):
-            continue
-        capacity = capacities[node_id]
-        score = 0
-        for fn, weight in pipeline:
-            score += weight * fn(request, capacity, free)
-        if best_score is None or score > best_score:
-            best_node, best_score = node_id, score
-    return best_node
-
-
-def _walk_classes(pod: PodSpec, request: Triple, snap: SchedulingSnapshot) -> Optional[str]:
-    """The `LeastAllocated` choice, found by walking the class order."""
+    stops = len(pipeline) == 1 and pipeline[0][0] is least_allocated and (
+        0 < pipeline[0][1] * 100 < math.inf
+    )
     nodes = snap.nodes
     best_node = None
-    best_score = None
+    best_score = best_raw = None
     for key, classes in snap.classes:
         capacity, unit = key.capacity, key.unit
         request_key = key.key(request)
         for neg_key, free, _labels, node_id in classes:
-            if best_score is not None and 100 * (-neg_key - request_key) < (best_score - 1) * unit:
+            if (
+                stops
+                and best_node is not None
+                and 100 * (-neg_key - request_key) < (best_raw - 1) * unit
+            ):
                 break
             if not fits(pod, nodes[node_id], free):
                 continue
-            score = least_allocated(request, capacity, free)
+            # `raw` ends as the last plugin's unweighted score: with `stops`,
+            # the `least_allocated` score that the stop rule reads.
+            score = raw = 0
+            for fn, weight in pipeline:
+                raw = fn(request, capacity, free)
+                score += weight * raw
             if (
-                best_score is None
+                best_node is None
                 or score > best_score
                 or (score == best_score and node_id < best_node)
             ):
-                best_node, best_score = node_id, score
+                best_node, best_score, best_raw = node_id, score, raw
     return best_node

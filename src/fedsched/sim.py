@@ -41,12 +41,8 @@ class Simulation:
         self.graph = config.graph
         self.clusters: Dict[str, ClusterState] = {}
         self.pipelines: Dict[str, Pipeline] = {}
-        # Clusters whose aggregates moved since the protocol last reported.
-        self.aggregates_moved: Set[str] = set()
         for cluster_cfg in config.clusters:
-            self.clusters[cluster_cfg.cluster_id] = ClusterState(
-                cluster_cfg.build_spec(), self.aggregates_moved
-            )
+            self.clusters[cluster_cfg.cluster_id] = ClusterState(cluster_cfg.build_spec())
             self.pipelines[cluster_cfg.cluster_id] = builtin_pipeline(cluster_cfg.score_weights)
 
         self.federation_params = config.federation

@@ -413,8 +413,9 @@ def rebuilt_class_order(state):
 
 
 class TestClassOrderDifferential:
-    """schedule_one through the class order against the plain loop, with
-    the class order checked against a rebuild after every mutation."""
+    """schedule_one through the class order against the plain loop, for
+    every pipeline shape, with the class order checked against a rebuild
+    after every mutation."""
 
     PIPELINES = (
         (("LeastAllocated", 1),),
@@ -425,6 +426,7 @@ class TestClassOrderDifferential:
         (("GpuBinpack", 1),),
         (("LeastAllocated", 1), ("GpuBinpack", 1)),
         (("GpuBinpack", 2), ("LeastAllocated", 1)),
+        (),  # no plugin: every node ties
     )
 
     def check_order(self, state):
