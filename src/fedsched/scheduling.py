@@ -69,15 +69,14 @@ Pipeline = Tuple[Tuple[ScoreFn, float], ...]
 class SchedulingSnapshot:
     """Point-in-time view of one cluster for a scheduling decision.
 
-    `spec` supplies the namespace allowlist and quotas, and `capacity` the
-    per-node capacity triples, and `nodes` the node specs, which all stay
-    fixed for a run; the per-node and per-namespace figures and the class
-    order (`ClusterState.class_order`) are copies.
+    `spec` supplies the namespace allowlist and quotas, and `nodes` the
+    node specs, which both stay fixed for a run; the per-node and
+    per-namespace figures and the class order (`ClusterState.class_order`)
+    are copies.
     """
 
     spec: ClusterSpec
     nodes: Dict[str, NodeSpec]
-    capacity: Dict[str, Triple]
     allocatable: Dict[str, Triple]
     namespace_used: Dict[str, Triple]
     classes: Tuple[Tuple[CapacityKey, Tuple[ClassEntry, ...]], ...]
@@ -87,7 +86,6 @@ def snapshot_of(state: ClusterState) -> SchedulingSnapshot:
     return SchedulingSnapshot(
         spec=state.spec,
         nodes=state.spec.nodes,
-        capacity=state._capacity,
         allocatable=dict(state._allocatable),
         namespace_used=dict(state.ns_usage),
         classes=state.class_order(),
