@@ -233,6 +233,9 @@ class ClusterState:
 
     so the virtual-node aggregates are reads. Node pool and state change
     only through `set_node`, which moves the node's share in or out.
+    `aggregates_version` counts the bind, unbind and `set_node` calls that
+    moved the aggregates, so a reader can skip a cluster whose version it
+    has already seen.
 
     Class invariant: after every reserve, release_reservation, bind, unbind
     and `set_node`, the Ready container nodes (`schedulable`) are grouped
@@ -274,6 +277,7 @@ class ClusterState:
                     self._aggregate_capacity, self._capacity[node_id]
                 )
         self._aggregate_unbound = self._aggregate_capacity
+        self.aggregates_version = 0
         self._labels = {
             n: tuple(sorted(node.labels.items())) for n, node in spec.nodes.items()
         }
@@ -410,6 +414,7 @@ class ClusterState:
             self._aggregate_capacity = add_triples(self._aggregate_capacity, capacity)
             self._aggregate_unbound = add_triples(self._aggregate_unbound, unbound)
             self._index(node_id, self._allocatable[node_id])
+        self.aggregates_version += 1
 
     def namespace_used(self, namespace: str) -> Triple:
         return self.ns_usage.get(namespace, ZERO)
@@ -474,6 +479,7 @@ class ClusterState:
         self._unbound[node_id] = subtract_triples(self._unbound[node_id], request)
         if schedulable(self.spec.nodes[node_id]):
             self._aggregate_unbound = subtract_triples(self._aggregate_unbound, request)
+            self.aggregates_version += 1
         self.bound[node_id][pod.pod_id] = held
         self.pods[pod.pod_id] = pod
         pod.transition(PodPhase.BOUND)
@@ -489,6 +495,7 @@ class ClusterState:
         self._unbound[node_id] = add_triples(self._unbound[node_id], request)
         if schedulable(self.spec.nodes[node_id]):
             self._aggregate_unbound = add_triples(self._aggregate_unbound, request)
+            self.aggregates_version += 1
         self._set_allocatable(node_id, add_triples(self._allocatable[node_id], request))
         self._ns_sub(pod.namespace, request)
         return pod

@@ -136,6 +136,9 @@ class FederationProtocol:
         self.virtual_nodes: Dict[Tuple[str, str], VirtualNode] = {}
         # Per target with sources, the (capacity, allocatable) last reported.
         self._reported: Dict[str, Tuple[Triple, Triple]] = {}
+        # The same targets in sorted order, each with the `aggregates_version`
+        # at which `report_changes` last compared it.
+        self._compared: Dict[str, int] = {}
         self._timer_ids = 0
 
     # -- setup -------------------------------------------------------------
@@ -148,6 +151,10 @@ class FederationProtocol:
             figures = (state.aggregate_capacity(), state.aggregate_allocatable())
             self._reported[target] = figures
             self.virtual_nodes[(source, target)] = VirtualNode(target, *figures)
+        self._compared = {
+            target: self.ctx.clusters[target].aggregates_version
+            for target in sorted(self._reported)
+        }
 
     # -- fan-out -----------------------------------------------------------
 
@@ -447,9 +454,17 @@ class FederationProtocol:
 
         The one place that decides when a source hears from a target; the
         loop calls it once per step, after every change the step made.
+        Targets are visited in sorted order, and only those whose
+        `aggregates_version` moved since they were last compared are
+        compared; a move that a later one undid within the step sends
+        nothing.
         """
-        for target in sorted(self._reported):
+        compared = self._compared
+        for target, version in compared.items():
             state = self.ctx.clusters[target]
+            if state.aggregates_version == version:
+                continue
+            compared[target] = state.aggregates_version
             figures = (state.aggregate_capacity(), state.aggregate_allocatable())
             if figures != self._reported[target]:
                 self.broadcast_aggregates(target)

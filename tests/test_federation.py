@@ -7,7 +7,7 @@ from fedsched.cluster import PodPhase
 from fedsched.config import validate_config
 from fedsched.federation import ChaperonState, ProxyState
 from fedsched.sim import Simulation
-from conftest import base_config, node_cfg, pod_cfg, pod_row, run_raw
+from conftest import base_config, make_pod, node_cfg, pod_cfg, pod_row, run_raw
 from test_acceptance import random_protocol_raw
 from test_metascale import batch_cluster, job_cfg
 
@@ -486,6 +486,30 @@ class TestInvariants:
             sim.step()
         for source in ("s", "u"):
             assert sim.protocol.virtual_nodes[(source, "c")].capacity == reduced
+
+    def test_reports_follow_moves_and_skip_undone_ones(self):
+        # A target is compared only after its aggregates moved, and against
+        # the last report: a bind undone by an unbind before the step ends
+        # sends nothing, and a bind that stays sends one report per source.
+        clusters = [{"id": c, "nodes": [node_cfg(f"{c}-n1")]} for c in "stu"]
+        raw = base_config(clusters, edges=[("s", "t"), ("u", "t"), ("t", "s")])
+        sim = Simulation(validate_config(raw))
+
+        def reports():
+            return sorted((e.payload["source"], e.payload["target"])
+                          for _, _, e in sim.queue._heap if e.kind == engine.AGGREGATE_REPORT)
+
+        target = sim.clusters["t"]
+        target.bind(make_pod("p1"), "t-n1", at=0)
+        target.unbind("p1")
+        sim.protocol.report_changes()
+        assert reports() == []
+        target.bind(make_pod("p2"), "t-n1", at=0)
+        sim.clusters["u"].bind(make_pod("p3", cpu=500), "u-n1", at=0)  # u has no sources
+        sim.protocol.report_changes()
+        assert reports() == [("s", "t"), ("u", "t")]
+        sim.protocol.report_changes()
+        assert reports() == [("s", "t"), ("u", "t")]
 
 
 def container_to_batch_raw():
