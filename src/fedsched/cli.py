@@ -1,4 +1,4 @@
-"""Command-line entry point: run, validate, sweep.
+"""Command-line entry point: run, validate, sweep, report.
 
 Exit codes: 0 success, 1 configuration/validation problems, 2 a runtime
 invariant violation (the run aborts rather than emitting corrupt metrics).
@@ -15,8 +15,11 @@ import sys
 from typing import List, Optional
 
 from .config import RunConfig, load_raw, parse_config, validate_config
-from .errors import ConfigError, FedschedError, InvariantViolation
+from .errors import ConfigError, FedschedError, InvariantViolation, LogError
 from .metrics import (
+    build_report,
+    read_event_log,
+    static_info_of,
     write_event_log,
     write_pods_csv,
     write_series_csv,
@@ -44,8 +47,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute a simulation and write metrics + event log")
     validate = sub.add_parser("validate", help="parse and validate a config, nothing else")
     sweep = sub.add_parser("sweep", help="run once per value of one swept parameter")
+    report = sub.add_parser(
+        "report", help="recompute the metrics of a run from its config and event log"
+    )
 
-    for p in (run, validate, sweep):
+    for p in (run, validate, sweep, report):
         p.add_argument("--config", required=True, help="path to the JSON config")
     for p in (run, sweep):
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -53,6 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--duration", default=None, help="override sim duration, e.g. '30m'")
     sweep.add_argument("--param", required=True, help="dotted config path, e.g. federation.election_timeout")
     sweep.add_argument("--values", required=True, help="comma-separated values for the parameter")
+    report.add_argument("--log", required=True, help="path to the run's events.jsonl")
+    report.add_argument("--out", required=True, help="output directory")
     return parser
 
 
@@ -75,9 +83,8 @@ def _apply_overrides(raw: dict, duration: Optional[str]) -> dict:
     return raw
 
 
-def _write_outputs(out_dir: str, sim: Simulation, report) -> None:
+def _write_report(out_dir: str, report) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    write_event_log(os.path.join(out_dir, "events.jsonl"), sim.events)
     write_pods_csv(os.path.join(out_dir, "pods.csv"), report)
     write_series_csv(os.path.join(out_dir, "timeseries.csv"), report)
     write_summary_json(os.path.join(out_dir, "summary.json"), report)
@@ -87,7 +94,8 @@ def _run_one(config: RunConfig, out_dir: Optional[str]) -> dict:
     sim = Simulation(config)
     report = sim.run()
     if out_dir is not None:
-        _write_outputs(out_dir, sim, report)
+        _write_report(out_dir, report)
+        write_event_log(os.path.join(out_dir, "events.jsonl"), sim.events)
     return report.summary()
 
 
@@ -174,6 +182,30 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def cmd_report(args) -> int:
+    static = static_info_of(parse_config(args.config))
+    records = read_event_log(args.log)
+    line = 0
+
+    def numbered():
+        nonlocal line
+        for line, record in enumerate(records, 1):
+            yield record
+
+    try:
+        report = build_report(numbered(), static)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            InvariantViolation) as exc:
+        # A record the config's clusters or the records before it cannot
+        # explain: a log of another config, or one edited by hand.
+        raise LogError(
+            f"record does not replay: {type(exc).__name__}: {exc}", f"{args.log}:{line}"
+        ) from None
+    _write_report(args.out, report)
+    print(json.dumps(report.summary(), indent=2, sort_keys=True))
+    return EXIT_OK
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -181,7 +213,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.log_level
         ]
     )
-    commands = {"run": cmd_run, "validate": cmd_validate, "sweep": cmd_sweep}
+    commands = {
+        "run": cmd_run, "validate": cmd_validate, "sweep": cmd_sweep, "report": cmd_report,
+    }
     try:
         return commands[args.command](args)
     except InvariantViolation as exc:

@@ -18,6 +18,14 @@ class ConfigError(FedschedError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
+class LogError(FedschedError):
+    """An event log that cannot be read back or replayed. Carries the file,
+    and the line where one is to blame."""
+
+    def __init__(self, message: str, location: str):
+        super().__init__(f"{location}: {message}")
+
+
 class UnknownCluster(FedschedError):
     pass
 

@@ -2,11 +2,21 @@
 
 The report builder consumes either live Event objects or records parsed back
 from an exported JSONL log; both yield the same report, which is what makes
-metrics recomputable after the fact.
+metrics recomputable after the fact (`fedsched report`).
 
-Event log line format (stable field order):
-    {"t": <ms>, "seq": <n>, "kind": "<EventKind>", "payload": {...}, "fx": [ ... ]}
-where "fx" lists the state changes the event's processing produced.
+Event log line format: one compact JSON object per line, in this field order,
+    {"t":<ms>,"seq":<n>,"kind":"<EventKind>","payload":{...},"fx":[...]}
+where "fx" lists the state changes the event's processing produced. Strings
+are ASCII-escaped and non-finite floats are written as `NaN`/`Infinity`, as
+`json.dumps` with `(",", ":")` separators does.
+
+Every line goes through one encoder, built once at import: the C
+accelerator that `json.JSONEncoder` would otherwise rebuild per call, or,
+where the interpreter lacks it, a plain `JSONEncoder`. For a live Event the
+head up to `"payload":` is written by hand and only the payload and effects
+are encoded: `t` and `seq` are ints, and the kind is one of the
+`engine.EVENT_KINDS` constants, none of which needs escaping. An Event of
+any other kind, and a record read back from a log, is encoded whole.
 """
 
 from __future__ import annotations
@@ -14,10 +24,11 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Dict, List, Optional, Tuple
 
-from . import engine
-from .engine import Event
+from .engine import EVENT_KINDS, POD_SUBMIT, Event
+from .errors import LogError
 from .resources import ZERO, Triple, add_triples, subtract_triples
 
 
@@ -109,18 +120,15 @@ class StaticInfo:
     node_pool: Dict[str, Dict[str, str]]
 
 
-def static_info_of(sim) -> StaticInfo:
+def static_info_of(config) -> StaticInfo:
+    """Node capacities and pools as the run's config builds them at t=0,
+    before any rebalancing; a report needs nothing else from the run."""
     capacity = {}
     pool = {}
-    for cluster_id, state in sim.clusters.items():
-        capacity[cluster_id] = {
-            n.node_id: n.capacity.as_list() for n in state.spec.nodes.values()
-        }
-        pool[cluster_id] = {}
-    # Pools as configured at t=0, not as they ended up after rebalancing.
-    for cluster_cfg in sim.config.clusters:
-        for node in cluster_cfg.build_nodes():
-            pool[cluster_cfg.cluster_id][node.node_id] = node.pool.value
+    for cluster_cfg in config.clusters:
+        nodes = cluster_cfg.build_nodes()
+        capacity[cluster_cfg.cluster_id] = {n.node_id: n.capacity.as_list() for n in nodes}
+        pool[cluster_cfg.cluster_id] = {n.node_id: n.pool.value for n in nodes}
     return StaticInfo(node_capacity=capacity, node_pool=pool)
 
 
@@ -136,13 +144,38 @@ def record_of(event) -> dict:
     return event
 
 
-# One encoder for every line: `json.dumps` with non-default separators builds
-# a new JSONEncoder per call, and an encoder keeps no state between calls.
-_EVENT_ENCODER = json.JSONEncoder(separators=(",", ":"))
+def _make_encode(make_encoder):
+    """The compact JSON encoding of one value, through a C encoder made once
+    by `make_encoder` (`json.encoder.c_make_encoder`), or through a plain
+    `JSONEncoder` when that is None. Neither checks for cycles: payloads and
+    effects are trees of plain values."""
+    fallback = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+    if make_encoder is None:
+        return fallback.encode
+    chunks = make_encoder(
+        None, fallback.default, encode_basestring_ascii, None, ":", ",", False, False, True
+    )
+
+    def encode(value, _chunks=chunks, _join="".join):
+        return _join(_chunks(value, 0))
+    return encode
+
+
+_encode = _make_encode(c_make_encoder)
+
+# What follows `"seq":<n>` up to the payload, for each kind of live Event.
+_KIND_HEADS = {kind: f',"kind":"{kind}","payload":' for kind in EVENT_KINDS}
 
 
 def serialize_event(event) -> str:
-    return _EVENT_ENCODER.encode(record_of(event))
+    if isinstance(event, Event):
+        head = _KIND_HEADS.get(event.kind)
+        if head is not None:
+            return (
+                f'{{"t":{event.time},"seq":{event.seq}{head}'
+                f'{_encode(event.payload)},"fx":{_encode(event.effects)}}}'
+            )
+    return _encode(record_of(event))
 
 
 def write_event_log(path: str, events) -> None:
@@ -153,13 +186,30 @@ def write_event_log(path: str, events) -> None:
 
 
 def read_event_log(path: str) -> List[dict]:
+    """The records of a written log, one per line. A file that cannot be
+    read, or a line that is not JSON, is a LogError naming the file and
+    line."""
     records = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+    try:
+        with open(path, "rb") as handle:
+            for number, line in enumerate(handle, 1):
+                try:
+                    record = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    # ValueError covers malformed JSON and bytes that are not
+                    # UTF-8; RecursionError, nesting too deep to decode.
+                    raise LogError(f"invalid JSON: {exc}", f"{path}:{number}") from None
+                records.append(record)
+    except OSError as exc:
+        raise LogError(f"cannot read event log: {exc.strerror}", path) from None
     return records
+
+
+# Effect ops the report does not read: the federation's bookkeeping of
+# chaperons, proxies, status mirrors and reservations, and batch jobs. They
+# are about three quarters of all effects, so one set lookup skips each
+# before the op comparisons below.
+_UNREAD_OPS = frozenset({"chaperon", "proxy", "mirror", "reserve", "release", "job"})
 
 
 def build_report(events, static: StaticInfo) -> MetricsReport:
@@ -184,29 +234,26 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
         used[cluster] = ZERO
         pending[cluster] = 0
 
-    rows: Dict[Tuple[int, str], SeriesRow] = {}
+    # The last (used, capacity, pending) of each (time, cluster) touched.
+    rows: Dict[Tuple[int, str], Tuple[Triple, Triple, int]] = {}
 
     def touch(time: int, cluster: str) -> None:
-        rows[(time, cluster)] = SeriesRow(
-            time=time,
-            cluster=cluster,
-            used=list(used[cluster]),
-            capacity=list(cap[cluster]),
-            pending=pending[cluster],
-        )
+        rows[(time, cluster)] = (used[cluster], cap[cluster], pending[cluster])
 
     triggers: List[Tuple[int, List[str]]] = []
     count = 0
     end = 0
 
     for event in events:
-        rec = record_of(event)
+        if isinstance(event, Event):
+            t, kind, payload, effects = event.time, event.kind, event.payload, event.effects
+        else:
+            t, kind, payload, effects = event["t"], event["kind"], event["payload"], event["fx"]
         count += 1
-        t = rec["t"]
-        end = max(end, t)
-        payload = rec["payload"]
+        if t > end:
+            end = t
 
-        if rec["kind"] == engine.POD_SUBMIT:
+        if kind == POD_SUBMIT:
             pods[payload["pod"]] = PodRow(
                 pod_id=payload["pod"],
                 namespace=payload["ns"],
@@ -219,8 +266,10 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
             pending[payload["cluster"]] += 1
             touch(t, payload["cluster"])
 
-        for fx in rec["fx"]:
+        for fx in effects:
             op = fx["op"]
+            if op in _UNREAD_OPS:
+                continue
             if op == "bind":
                 row = pods[fx["pod"]]
                 row.bind_time = t
@@ -266,7 +315,11 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
                 triggers.append((t, list(fx["pods"])))
 
     report.pods = sorted(pods.values(), key=lambda p: (p.submit_time, p.pod_id))
-    report.series = [rows[key] for key in sorted(rows)]
+    report.series = [
+        SeriesRow(time=time, cluster=cluster, used=list(used_now), capacity=list(cap_now),
+                  pending=pending_now)
+        for (time, cluster), (used_now, cap_now, pending_now) in sorted(rows.items())
+    ]
     report.event_count = count
     report.end_time = end
     report.trigger_count = len(triggers)

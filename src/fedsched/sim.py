@@ -200,7 +200,7 @@ class Simulation:
             self.step()
             processed += 1
         log.info("run complete: %d events in %d ms simulated", processed, self.now)
-        return build_report(self.events, static_info_of(self))
+        return build_report(self.events, static_info_of(self.config))
 
     # -- scheduling paths --------------------------------------------------------
 

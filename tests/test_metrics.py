@@ -1,17 +1,23 @@
 """Metrics derivation, log round-tripping, and replay consistency."""
 
+import json
+
 import pytest
 
+from fedsched import metrics
+from fedsched.engine import Event
 from fedsched.errors import OvercommitError
 from fedsched.metrics import (
     StaticInfo,
     build_report,
     read_event_log,
+    record_of,
     serialize_event,
     static_info_of,
     write_event_log,
 )
 from conftest import base_config, node_cfg, pod_cfg, pod_row, run_raw
+from test_golden_log import CASES
 
 # The declared pod phase transition graph, re-stated here as the oracle.
 LEGAL = {
@@ -60,17 +66,71 @@ def test_report_recomputable_from_exported_log(tmp_path):
         path = tmp_path / f"events-{index}.jsonl"
         write_event_log(str(path), sim.events)
         parsed = read_event_log(str(path))
-        recomputed = build_report(parsed, static_info_of(sim))
+        recomputed = build_report(parsed, static_info_of(sim.config))
         assert recomputed == live
 
 
 def test_serialized_field_order_is_stable():
-    import json
-
     sim, _ = run_raw(busy_raw())
     line = serialize_event(sim.events[0])
     assert line.startswith('{"t":')
     assert list(json.loads(line).keys()) == ["t", "seq", "kind", "payload", "fx"]
+
+
+def non_ascii_raw():
+    # Ids that `ensure_ascii` must escape, in payloads and effects alike; the
+    # aggregate reports between the two clusters carry no effects.
+    clusters = [
+        {"id": "zürich", "nodes": [node_cfg("zürich-ñ1", cpu=4000), node_cfg("zürich-ñ2", cpu=4000)]},
+        {"id": "東京", "nodes": [node_cfg("東京-n1", cpu=4000)]},
+    ]
+    pods = [
+        pod_cfg(f"pöd-{i}", "zürich" if i % 2 else "東京", cpu=2000, submit=i * 1000,
+                federated=i % 3 != 0)
+        for i in range(9)
+    ]
+    return base_config(clusters, pairs=[("zürich", "東京"), ("東京", "zürich")], pods=pods,
+                       duration="10m", jitter="2ms")
+
+
+DIFFERENTIAL = {
+    "bundled": CASES["bundled"],
+    "oscillating-metascale": CASES["oscillating-metascale"],
+    "mesh-overload": CASES["mesh-overload"],
+    "non-ascii": lambda: (non_ascii_raw(), 3),
+}
+
+
+@pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_serialized_lines_equal_json_dumps(name, encoder, tmp_path, monkeypatch):
+    # Every line, written from a live Event or from a record read back from
+    # the log, is what `json.dumps` with compact separators gives its record.
+    if encoder == "fallback":
+        monkeypatch.setattr(metrics, "_encode", metrics._make_encode(None))
+    raw, seed = DIFFERENTIAL[name]()
+    sim, _ = run_raw(raw, seed)
+    path = tmp_path / "events.jsonl"
+    write_event_log(str(path), sim.events)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = read_event_log(str(path))
+    assert len(lines) == len(records) == len(sim.events)
+    if name == "non-ascii":
+        assert any(not event.effects for event in sim.events)
+        assert any("\\u00fc" in line for line in lines)
+    for event, record, line in zip(sim.events, records, lines):
+        expected = json.dumps(record_of(event), separators=(",", ":"))
+        assert serialize_event(event) == expected == line
+        assert serialize_event(record) == json.dumps(record, separators=(",", ":")) == line
+
+
+@pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
+def test_event_of_unknown_kind_is_encoded_whole(encoder, monkeypatch):
+    # Only the engine's own kinds get the hand-written head.
+    if encoder == "fallback":
+        monkeypatch.setattr(metrics, "_encode", metrics._make_encode(None))
+    event = Event(time=5, seq=9, kind='Odd "kind" ü', payload={"x": 0.5}, effects=[])
+    assert serialize_event(event) == json.dumps(record_of(event), separators=(",", ":"))
 
 
 def test_every_pod_appears_exactly_once(tmp_path):

@@ -28,9 +28,6 @@ ALLOWED = {
     # "Explainable decisions and run counters": each election records the
     # staleness of every reserved target's aggregates.
     "federation.VirtualNode.staleness",
-    # Item 4, "Memory that tracks live pods, not history": `fedsched report
-    # --log events.jsonl` recomputes the metrics from a written log.
-    "metrics.read_event_log",
     # Item 1, "Complete the ladder ... and fix the tracer": `perfbench/tracer.py`
     # patches it to count calls until the tracer stops reading it.
     "cluster.ClusterState.allocatable",
