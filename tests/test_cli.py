@@ -161,3 +161,66 @@ def test_invariant_violation_exits_two(config_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_module.Simulation, "run", boom)
     assert main(["run", "--config", config_path]) == EXIT_INVARIANT
     assert "invariant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["bundled", "oscillating-metascale"])
+def test_report_rebuilds_the_run_outputs_from_its_log(name, tmp_path, capsys):
+    from test_golden_log import CASES
+
+    raw, seed = CASES[name]()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    run_dir, report_dir = tmp_path / "run", tmp_path / "report"
+    seed_args = [] if seed is None else ["--seed", str(seed)]
+    assert main(["run", "--config", str(config), *seed_args, "--out", str(run_dir)]) == EXIT_OK
+    log = run_dir / "events.jsonl"
+    if name == "oscillating-metascale":
+        assert '"op":"pool_move"' in log.read_text()
+    capsys.readouterr()
+    assert main(["report", "--config", str(config), "--log", str(log),
+                 "--out", str(report_dir)]) == EXIT_OK
+    for output in ("pods.csv", "timeseries.csv", "summary.json"):
+        assert (report_dir / output).read_bytes() == (run_dir / output).read_bytes(), output
+    assert json.loads(capsys.readouterr().out) == json.loads((run_dir / "summary.json").read_text())
+    assert not (report_dir / "events.jsonl").exists()
+
+
+GHOST = {"pod": "ghost", "cluster": "a", "node": "a-n1"}
+
+# A second line that breaks a log whose first line is sound.
+BAD_LINES = {
+    "truncated": b'{"t":0',
+    "blank": b"",
+    "not-utf8": b"\xff\xfe",
+    "not-an-object": b"5",
+    "unknown-pod": json.dumps(
+        {"t": 1, "seq": 1, "kind": "PodComplete", "payload": {},
+         "fx": [{"op": "phase", "pod": "ghost", "phase": "Completed"}]}).encode(),
+    "overcommit": json.dumps(
+        {"t": 1, "seq": 1, "kind": "PodComplete", "payload": {},
+         "fx": [{"op": "unbind", **GHOST, "req": [1000, 0, 0]}]}).encode(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LINES))
+def test_report_on_a_malformed_log_names_the_file_and_line(case, config_path, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", config_path, "--out", str(run_dir)]) == EXIT_OK
+    first = (run_dir / "events.jsonl").read_bytes().split(b"\n")[0]
+    log = tmp_path / "events.jsonl"
+    log.write_bytes(first + b"\n" + BAD_LINES[case] + b"\n")
+    capsys.readouterr()
+    assert main(["report", "--config", config_path, "--log", str(log),
+                 "--out", str(tmp_path / "report")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}:2: ")
+    assert "Traceback" not in err
+
+
+def test_report_on_a_missing_log_exits_one(config_path, tmp_path, capsys):
+    log = tmp_path / "absent.jsonl"
+    assert main(["report", "--config", config_path, "--log", str(log),
+                 "--out", str(tmp_path / "report")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}: cannot read event log")
+    assert "Traceback" not in err
