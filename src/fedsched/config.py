@@ -463,16 +463,17 @@ BATCH_JOB = {
 
 @dataclass
 class ScenarioConfig:
-    namespace: str
+    # The trigger keys (`TRIGGER_KEYS`) are None unless wildfire is enabled.
+    namespace: Optional[str]
     submit_cluster: Optional[str]
     cameras: int
     rate_per_hour: float
-    threshold: float
-    ensemble_size: int
+    threshold: Optional[float]
+    ensemble_size: Optional[int]
     high_probability: float
     high_range: Tuple[float, float]
     low_range: Tuple[float, float]
-    camera_cooldown_ms: int
+    camera_cooldown_ms: Optional[int]
     trace: List[CameraEvent]
     trace_file: Optional[str]
     retrain: Optional[PodTemplate]
@@ -496,6 +497,21 @@ class ScenarioConfig:
         )
 
 
+# The scenario keys only the wildfire trigger reads, as key -> (field name,
+# value a wildfire scenario takes when the key is absent; None: it must be
+# given). Their table defaults are None, so a key that is set can be told
+# from one that is not, and set without wildfire is a ConfigError.
+TRIGGER_KEYS = {
+    "namespace": ("namespace", "default"),
+    "submit_cluster": ("submit_cluster", None),
+    "threshold": ("threshold", 0.9),
+    "ensemble_size": ("ensemble_size", 8),
+    "camera_cooldown": ("camera_cooldown_ms", 0),
+    "retrain": ("retrain", None),
+    "ensemble_member": ("ensemble_member", None),
+}
+
+
 def _scenario(trace, trace_file, pods, batch_jobs, **values) -> ScenarioConfig:
     if trace_file is not None:
         try:
@@ -508,31 +524,42 @@ def _scenario(trace, trace_file, pods, batch_jobs, **values) -> ScenarioConfig:
         trace=sorted(trace, key=lambda e: (e.time, e.camera_id)),
         trace_file=trace_file, pods=list(pods), batch_jobs=list(batch_jobs), **values,
     )
-    if config.wildfire_enabled:
-        if config.submit_cluster is None:
-            raise ConfigError(
-                "a wildfire scenario needs 'submit_cluster'", "scenario.submit_cluster"
-            )
-        if config.retrain is None or config.ensemble_member is None:
-            raise ConfigError(
-                "a wildfire scenario needs 'retrain' and 'ensemble_member' templates", "scenario"
-            )
+    if not config.wildfire_enabled:
+        for key, (name, _) in TRIGGER_KEYS.items():
+            if values[name] is not None:
+                raise ConfigError(
+                    "only the wildfire trigger reads it, and no 'trace', 'trace_file' "
+                    "or 'cameras' with 'rate_per_hour' enables one",
+                    f"scenario.{key}",
+                )
+        return config
+    for name, default in TRIGGER_KEYS.values():
+        if values[name] is None:
+            setattr(config, name, default)
+    if config.submit_cluster is None:
+        raise ConfigError(
+            "a wildfire scenario needs 'submit_cluster'", "scenario.submit_cluster"
+        )
+    if config.retrain is None or config.ensemble_member is None:
+        raise ConfigError(
+            "a wildfire scenario needs 'retrain' and 'ensemble_member' templates", "scenario"
+        )
     return config
 
 
 template = record(TEMPLATE, _with_vector(PodTemplate, "request"))
 
 SCENARIO = {
-    "namespace": (string, "default"),
+    "namespace": (string, None),
     "submit_cluster": (cluster_ref, None),
     "cameras": (integer(0), 0),
     "rate_per_hour": (number(lo=0.0), 0),
-    "threshold": (_probability, 0.9),
-    "ensemble_size": (integer(1), 8),
+    "threshold": (_probability, None),
+    "ensemble_size": (integer(1), None),
     "high_probability": (_probability, 0.05),
     "high_range": (probability_range, [0.9, 1.0]),
     "low_range": (probability_range, [0.0, 0.5]),
-    "camera_cooldown": (parse_time, 0, "camera_cooldown_ms"),
+    "camera_cooldown": (parse_time, None, "camera_cooldown_ms"),
     "trace": (list_of(camera_event), []),
     "trace_file": (string, None),
     "retrain": (template, None),

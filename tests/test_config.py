@@ -571,6 +571,54 @@ def test_burst_self_target_defaults_to_true():
     assert set(validate_config(raw).graph.edges) == {("a", "b"), ("a", "a")}
 
 
+# Each scenario key only the wildfire trigger reads, with a valid value.
+TRIGGER_KEY_VALUES = {
+    "namespace": "fire",
+    "submit_cluster": "a",
+    "threshold": 0.5,
+    "ensemble_size": 2,
+    "camera_cooldown": "5m",
+    "retrain": {"cpu": 1000, "memory": "1GiB"},
+    "ensemble_member": {"cpu": 1000, "memory": "1GiB"},
+}
+
+
+@pytest.mark.parametrize("cameras", [{}, {"cameras": 4, "rate_per_hour": 0}],
+                         ids=["no-cameras", "cameras-without-rate"])
+@pytest.mark.parametrize("key", sorted(TRIGGER_KEY_VALUES))
+def test_trigger_keys_need_a_wildfire_scenario(key, cameras, tmp_path, capsys):
+    # Without a trace, a trace file or a camera rate no trigger runs, and
+    # these keys were silently ignored.
+    raw = base_config([{"id": "a", "nodes": [node_cfg("n1")]}])
+    raw["scenario"].update(cameras)
+    raw["scenario"][key] = TRIGGER_KEY_VALUES[key]
+    with pytest.raises(ConfigError) as err:
+        validate_config(copy.deepcopy(raw))
+    assert err.value.location == f"scenario.{key}"
+    assert "only the wildfire trigger reads it" in str(err.value)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err_text = capsys.readouterr().err
+    assert err_text.startswith(f"error: scenario.{key}: ")
+    assert "Traceback" not in err_text
+
+
+def test_wildfire_reads_the_trigger_defaults():
+    raw = base_config([{"id": "a", "nodes": [node_cfg("n1")]}])
+    raw["scenario"].update(
+        submit_cluster="a", trace=[["cam", 0, 0.95]],
+        retrain=TRIGGER_KEY_VALUES["retrain"], ensemble_member=TRIGGER_KEY_VALUES["ensemble_member"],
+    )
+    scenario = validate_config(raw).scenario
+    assert (scenario.namespace, scenario.threshold, scenario.ensemble_size,
+            scenario.camera_cooldown_ms) == ("default", 0.9, 8, 0)
+    off = validate_config(base_config([{"id": "a", "nodes": [node_cfg("n1")]}])).scenario
+    assert not off.wildfire_enabled
+    assert (off.namespace, off.threshold, off.ensemble_size, off.camera_cooldown_ms) == (
+        None, None, None, None)
+
+
 @pytest.mark.parametrize("cluster", [
     {"id": "a", "profile": "nautilus-mini", "scale_divisor": 999},
     {"id": "a", "nodes": [node_cfg("n1")], "scale_divisor": 2},
