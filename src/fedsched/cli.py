@@ -184,12 +184,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     static = static_info_of(parse_config(args.config))
-    records = read_event_log(args.log)
     line = 0
 
     def numbered():
         nonlocal line
-        for line, record in enumerate(records, 1):
+        for line, record in enumerate(read_event_log(args.log), 1):
             yield record
 
     try:

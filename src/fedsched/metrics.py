@@ -25,7 +25,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from json.encoder import c_make_encoder, encode_basestring_ascii
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .engine import EVENT_KINDS, POD_SUBMIT, Event
 from .errors import LogError
@@ -185,11 +185,11 @@ def write_event_log(path: str, events) -> None:
             handle.write("\n")
 
 
-def read_event_log(path: str) -> List[dict]:
-    """The records of a written log, one per line. A file that cannot be
-    read, or a line that is not JSON, is a LogError naming the file and
-    line."""
-    records = []
+def read_event_log(path: str) -> Iterator[dict]:
+    """The records of a written log, one per line, read as they are
+    consumed, so a report holds no more of the log than one line. A file
+    that cannot be read, or a line that is not JSON, is a LogError naming
+    the file and line."""
     try:
         with open(path, "rb") as handle:
             for number, line in enumerate(handle, 1):
@@ -199,10 +199,9 @@ def read_event_log(path: str) -> List[dict]:
                     # ValueError covers malformed JSON and bytes that are not
                     # UTF-8; RecursionError, nesting too deep to decode.
                     raise LogError(f"invalid JSON: {exc}", f"{path}:{number}") from None
-                records.append(record)
+                yield record
     except OSError as exc:
         raise LogError(f"cannot read event log: {exc.strerror}", path) from None
-    return records
 
 
 # Effect ops the report does not read: the federation's bookkeeping of

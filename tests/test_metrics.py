@@ -113,7 +113,7 @@ def test_serialized_lines_equal_json_dumps(name, encoder, tmp_path, monkeypatch)
     path = tmp_path / "events.jsonl"
     write_event_log(str(path), sim.events)
     lines = path.read_text(encoding="utf-8").splitlines()
-    records = read_event_log(str(path))
+    records = list(read_event_log(str(path)))
     assert len(lines) == len(records) == len(sim.events)
     if name == "non-ascii":
         assert any(not event.effects for event in sim.events)
