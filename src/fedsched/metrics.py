@@ -314,11 +314,11 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
                 triggers.append((t, list(fx["pods"])))
 
     report.pods = sorted(pods.values(), key=lambda p: (p.submit_time, p.pod_id))
-    report.series = [
-        SeriesRow(time=time, cluster=cluster, used=list(used_now), capacity=list(cap_now),
-                  pending=pending_now)
-        for (time, cluster), (used_now, cap_now, pending_now) in sorted(rows.items())
-    ]
+    # Popping each row as its SeriesRow is made keeps the two from
+    # coexisting at the end of a run, when memory peaks.
+    for time, cluster in sorted(rows):
+        used_now, cap_now, pending_now = rows.pop((time, cluster))
+        report.series.append(SeriesRow(time, cluster, list(used_now), list(cap_now), pending_now))
     report.event_count = count
     report.end_time = end
     report.trigger_count = len(triggers)
