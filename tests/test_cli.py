@@ -185,8 +185,6 @@ def test_report_rebuilds_the_run_outputs_from_its_log(name, tmp_path, capsys):
     assert not (report_dir / "events.jsonl").exists()
 
 
-GHOST = {"pod": "ghost", "cluster": "a", "node": "a-n1"}
-
 # A second line that breaks a log whose first line is sound.
 BAD_LINES = {
     "truncated": b'{"t":0',
@@ -198,7 +196,8 @@ BAD_LINES = {
          "fx": [{"op": "phase", "pod": "ghost", "phase": "Completed"}]}).encode(),
     "overcommit": json.dumps(
         {"t": 1, "seq": 1, "kind": "PodComplete", "payload": {},
-         "fx": [{"op": "unbind", **GHOST, "req": [1000, 0, 0]}]}).encode(),
+         "fx": [{"op": "unbind", "pod": "ghost", "cluster": "a", "node": "a-n1",
+                 "req": [1000, 0, 0]}]}).encode(),
 }
 
 
