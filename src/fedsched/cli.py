@@ -1,7 +1,8 @@
 """Command-line entry point: run, validate, sweep, report.
 
-Exit codes: 0 success, 1 configuration/validation problems, 2 a runtime
-invariant violation (the run aborts rather than emitting corrupt metrics).
+Exit codes: 0 success, 1 configuration/validation problems or an event
+log that does not read back, 2 a runtime invariant violation (the run
+aborts rather than emitting corrupt metrics).
 """
 
 from __future__ import annotations
