@@ -25,7 +25,7 @@ from .graph import (
 )
 from .metrics import MetricsReport, build_report
 from .resources import ResourceVector
-from .scenario import CameraEvent, ModelRegistry, TriggerRule, generate_trace
+from .scenario import CameraEvent, ModelRegistry, generate_trace
 from .scheduling import SchedulingSnapshot, builtin_pipeline, schedule_one
 from .sim import Simulation
 
@@ -56,7 +56,6 @@ __all__ = [
     "RunConfig",
     "SchedulingSnapshot",
     "Simulation",
-    "TriggerRule",
     "VirtualNode",
     "build_burst",
     "build_central",

@@ -196,10 +196,10 @@ class CapacityKey:
         return amounts[0] * scale[0] + amounts[1] * scale[1] + amounts[2] * scale[2]
 
 
-# A node class in the class order: (-K, free, labels, representative id).
-# Within one capacity (free, labels) names the class, so the first three
-# fields already order the classes and the representative never decides.
-ClassEntry = Tuple[int, Triple, Tuple[Tuple[str, str], ...], str]
+# A Ready container node's entry in its capacity's order: (-K(free), free,
+# labels, node id). Within one capacity (free, labels) names the node's
+# class, so a class's members are adjacent and its first is its smallest id.
+NodeEntry = Tuple[int, Triple, Tuple[Tuple[str, str], ...], str]
 
 
 class ClusterState:
@@ -237,24 +237,23 @@ class ClusterState:
     moved the aggregates, so a reader can skip a cluster whose version it
     has already seen.
 
-    Class invariant: after every reserve, release_reservation, bind, unbind
-    and `set_node`, the Ready container nodes (`schedulable`) are grouped
-    into classes of equal (capacity, _allocatable, labels), and for every
-    such node n and class c
+    Order invariant: after every reserve, release_reservation, bind, unbind
+    and `set_node`, for every capacity cap and every Ready container node n
+    (`schedulable`) of that capacity
 
-        _class_of[n]    == ((capacity(n), _allocatable[n], labels(n)), -K(n))
-        _members[c]     == sorted ids of the nodes n in class c
-        _classes[cap]   == sorted entries (-K(free), free, labels, rep)
+        _entry_of[n] == (-K(_allocatable[n]), _allocatable[n], labels(n), n)
+        _entries[cap] == sorted(_entry_of[n] for those n)
 
-    with one entry per class of that capacity, K the capacity's
-    `CapacityKey.key` and rep the class's smallest id. Nodes with equal
-    class keys are interchangeable to `fits` and to every score plugin, so
-    a scheduler that walks `class_order()` from the largest K down and
-    takes each class's representative makes the choice a sorted-id loop
-    over all nodes makes. The constructor builds the classes in one pass
-    and sorts each capacity's entries once; after that every change of a
-    node's free triple or schedulability moves it between classes,
-    finding its place by bisection.
+    with K the capacity's `CapacityKey.key`. Nodes of equal (capacity,
+    free, labels) form a class: they are interchangeable to `fits` and to
+    every score plugin, and their entries are adjacent, the smallest id
+    first. So a scheduler that walks `order` from the largest K down and
+    scores only the first entry of each class makes the choice a sorted-id
+    loop over all nodes makes. The constructor sorts each capacity's
+    entries once; after that a change of a node's free triple or
+    schedulability removes its entry and inserts the new one by bisection.
+    `order` pairs each capacity's key with its entry list; the lists keep
+    their identity for the run, so `order` is built once.
     """
 
     def __init__(self, spec: ClusterSpec):
@@ -282,32 +281,23 @@ class ClusterState:
             n: tuple(sorted(node.labels.items())) for n, node in spec.nodes.items()
         }
         self._keys: Dict[Triple, CapacityKey] = {}
-        self._classes: Dict[Triple, List[ClassEntry]] = {}
-        self._members: Dict[tuple, List[str]] = {}
-        self._class_of: Dict[str, Tuple[tuple, int]] = {}
-        self._order: Optional[Tuple[Tuple[CapacityKey, Tuple[ClassEntry, ...]], ...]] = None
-        # Every node starts empty, so its free triple is its capacity and its
-        # key is the capacity's unit. Ids come in sorted order, so each new
-        # class's first member is its representative.
+        self._entries: Dict[Triple, List[NodeEntry]] = {}
+        self._entry_of: Dict[str, NodeEntry] = {}
+        # Every node starts empty, so its free triple is its capacity.
         for node_id in sorted(spec.nodes):
             capacity = self._capacity[node_id]
-            key = self._keys.get(capacity)
-            if key is None:
-                key = self._keys[capacity] = CapacityKey.of(capacity)
-                self._classes[capacity] = []
-            if not schedulable(spec.nodes[node_id]):
-                continue
-            labels = self._labels[node_id]
-            cls = (capacity, capacity, labels)
-            self._class_of[node_id] = (cls, -key.unit)
-            members = self._members.get(cls)
-            if members is None:
-                self._members[cls] = [node_id]
-                self._classes[capacity].append((-key.unit, capacity, labels, node_id))
-            else:
-                members.append(node_id)
-        for entries in self._classes.values():
+            if capacity not in self._keys:
+                self._keys[capacity] = CapacityKey.of(capacity)
+                self._entries[capacity] = []
+            if schedulable(spec.nodes[node_id]):
+                entry = (-self._keys[capacity].unit, capacity, self._labels[node_id], node_id)
+                self._entry_of[node_id] = entry
+                self._entries[capacity].append(entry)
+        for entries in self._entries.values():
             entries.sort()
+        self.order: Tuple[Tuple[CapacityKey, List[NodeEntry]], ...] = tuple(
+            (self._keys[capacity], entries) for capacity, entries in self._entries.items()
+        )
 
     @property
     def cluster_id(self) -> str:
@@ -317,6 +307,11 @@ class ClusterState:
         return self.spec.nodes
 
     def allocatable(self, node_id: str, include_reservations: bool = True) -> Triple:
+        """A node's free triple, net of reservations unless told otherwise.
+
+        Nothing in the package calls it: it stays because
+        `perfbench/tracer.py` counts its calls (ROADMAP item 1).
+        """
         if include_reservations:
             return self._allocatable[node_id]
         return self._unbound[node_id]
@@ -334,59 +329,22 @@ class ClusterState:
         """
         return self._aggregate_unbound
 
-    def class_order(self) -> Tuple[Tuple[CapacityKey, Tuple[ClassEntry, ...]], ...]:
-        """An immutable copy of the class order: per capacity, its key and
-        its classes from the largest K down. Copied again only after the
-        order changed, so decisions between two changes share one copy."""
-        if self._order is None:
-            self._order = tuple(
-                (self._keys[cap], tuple(entries)) for cap, entries in self._classes.items()
-            )
-        return self._order
-
     def _index(self, node_id: str, free: Triple) -> None:
-        """Add a schedulable node to the class of free triple `free`."""
+        """Insert the entry of a schedulable node with free triple `free`."""
         capacity = self._capacity[node_id]
-        labels = self._labels[node_id]
-        cls = (capacity, free, labels)
-        neg_key = -self._keys[capacity].key(free)
-        self._class_of[node_id] = (cls, neg_key)
-        self._order = None
-        members = self._members.get(cls)
-        if members is None:
-            self._members[cls] = [node_id]
-            insort(self._classes[capacity], (neg_key, free, labels, node_id))
-        elif node_id < members[0]:
-            members.insert(0, node_id)
-            self._set_representative(cls, neg_key, node_id)
-        else:
-            insort(members, node_id)
+        entry = (-self._keys[capacity].key(free), free, self._labels[node_id], node_id)
+        self._entry_of[node_id] = entry
+        insort(self._entries[capacity], entry)
 
     def _unindex(self, node_id: str) -> None:
-        """Remove a node from the class it was indexed in."""
-        cls, neg_key = self._class_of.pop(node_id)
-        self._order = None
-        members = self._members[cls]
-        if len(members) == 1:
-            del self._members[cls]
-            capacity, free, labels = cls
-            entries = self._classes[capacity]
-            del entries[bisect_left(entries, (neg_key, free, labels))]
-        elif members[0] == node_id:
-            del members[0]
-            self._set_representative(cls, neg_key, members[0])
-        else:
-            del members[bisect_left(members, node_id)]
-
-    def _set_representative(self, cls: tuple, neg_key: int, node_id: str) -> None:
-        capacity, free, labels = cls
-        entries = self._classes[capacity]
-        entries[bisect_left(entries, (neg_key, free, labels))] = (neg_key, free, labels, node_id)
+        """Remove a node's entry."""
+        entries = self._entries[self._capacity[node_id]]
+        del entries[bisect_left(entries, self._entry_of.pop(node_id))]
 
     def _set_allocatable(self, node_id: str, free: Triple) -> None:
         """The one place a node's free triple changes once the cluster runs."""
         self._allocatable[node_id] = free
-        if node_id in self._class_of:
+        if node_id in self._entry_of:
             self._unindex(node_id)
             self._index(node_id, free)
 

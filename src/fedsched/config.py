@@ -30,7 +30,7 @@ from .graph import FederationGraph, LatencyModel, build_burst, build_central, bu
 from .metascale import BatchJob, MetaScaleParams
 from .profiles import PROFILES, SCALED_PROFILES
 from .resources import ResourceVector, parse_memory
-from .scenario import CameraEvent, PodTemplate, TriggerRule, load_trace
+from .scenario import POD_ID_PREFIX, CameraEvent, PodTemplate, load_trace
 from .scheduling import DEFAULT_SCORES, SCORE_PLUGINS
 
 Parser = Callable[[Any, str], Any]
@@ -481,15 +481,6 @@ class ScenarioConfig:
     pods: List[PodEntry]
     batch_jobs: List[BatchJob]
 
-    def rule(self) -> TriggerRule:
-        return TriggerRule(
-            confidence_threshold=self.threshold,
-            retrain_template=self.retrain,
-            ensemble_template=self.ensemble_member,
-            ensemble_size=self.ensemble_size,
-            camera_cooldown_ms=self.camera_cooldown_ms,
-        )
-
     @property
     def wildfire_enabled(self) -> bool:
         return bool(self.trace) or self.trace_file is not None or (
@@ -544,6 +535,15 @@ def _scenario(trace, trace_file, pods, batch_jobs, **values) -> ScenarioConfig:
         raise ConfigError(
             "a wildfire scenario needs 'retrain' and 'ensemble_member' templates", "scenario"
         )
+    # A configured pod with the trigger's prefix could take the id of a pod
+    # the trigger submits, which the run would find only when it fires.
+    for i, pod in enumerate(pods):
+        if pod.pod_id.startswith(POD_ID_PREFIX):
+            raise ConfigError(
+                f"the wildfire trigger names its pods {POD_ID_PREFIX}<n>-...; "
+                f"a configured pod id may not start with {POD_ID_PREFIX!r}",
+                f"scenario.pods[{i}].id",
+            )
     return config
 
 

@@ -45,12 +45,6 @@ class BatchJob:
 
 
 @dataclass
-class PoolDemand:
-    batch_queue_depth: int  # queued demand in node-count terms
-    container_pending: Triple  # summed pending requests, (cpu, memory, gpu)
-
-
-@dataclass
 class MetaScaleParams:
     """The `metascale` config section; `config.METASCALE` holds the defaults."""
 
@@ -68,7 +62,6 @@ class MetaScaler:
         self.cluster_id = cluster_id
         self.params = params
         self.queue: List[BatchJob] = []
-        self.jobs: Dict[str, BatchJob] = {}
         self.busy_nodes: set = set()
         self.pinned_until: Dict[str, int] = {}
         # The average node, the unit of container demand. Node capacities
@@ -84,7 +77,6 @@ class MetaScaler:
     # -- batch FIFO ----------------------------------------------------------
 
     def submit(self, job: BatchJob) -> None:
-        self.jobs[job.job_id] = job
         self.queue.append(job)
         self.ctx.effect(op="job", job=job.job_id, cluster=self.cluster_id, state=job.state.value)
         self.try_start()
@@ -120,27 +112,13 @@ class MetaScaler:
                 {"job": head.job_id, "cluster": self.cluster_id},
             )
 
-    def on_job_complete(self, job_id: str) -> None:
-        job = self.jobs[job_id]
+    def on_job_complete(self, job: BatchJob) -> None:
         job.state = JobState.DONE
         self.busy_nodes.difference_update(job.assigned_nodes)
-        self.ctx.effect(op="job", job=job_id, cluster=self.cluster_id, state=job.state.value)
+        self.ctx.effect(op="job", job=job.job_id, cluster=self.cluster_id, state=job.state.value)
         self.try_start()
 
     # -- demand and rebalancing -----------------------------------------------
-
-    def demand(self) -> PoolDemand:
-        queued_nodes = sum(j.node_count for j in self.queue)
-        cpu = memory = gpu = 0
-        for pod in self.ctx.pending_requests(self.cluster_id):
-            request = pod.request
-            cpu += request.cpu_millicores
-            memory += request.memory_bytes
-            gpu += request.gpu_count
-        return PoolDemand(
-            batch_queue_depth=queued_nodes,
-            container_pending=(cpu, memory, gpu),
-        )
 
     def _node_equivalents(self, pending: Triple) -> int:
         """Pending container demand expressed in average-node units."""
@@ -182,16 +160,23 @@ class MetaScaler:
         return out
 
     def on_tick(self) -> None:
-        demand = self.demand()
+        # Batch demand is the queued jobs' node count; container demand,
+        # the summed pending requests in average-node units.
+        cpu = memory = gpu = 0
+        for pod in self.ctx.pending_requests(self.cluster_id):
+            request = pod.request
+            cpu += request.cpu_millicores
+            memory += request.memory_bytes
+            gpu += request.gpu_count
         batch_short = max(
             0,
-            demand.batch_queue_depth
+            sum(job.node_count for job in self.queue)
             - len(self._idle_batch_nodes())
             - self._repurposing_count(NodePool.BATCH),
         )
         container_short = max(
             0,
-            self._node_equivalents(demand.container_pending)
+            self._node_equivalents((cpu, memory, gpu))
             - self._repurposing_count(NodePool.CONTAINER),
         )
         if container_short > batch_short:
@@ -206,13 +191,14 @@ class MetaScaler:
             else self.params.min_container_nodes
         )
         headroom = len(self._pool_members(src)) - min_src
-        count = min(want, len(self._movable(src)), max(0, headroom))
+        movable = self._movable(src)
+        count = min(want, len(movable), max(0, headroom))
         if count <= 0:
             return
         state = self.ctx.clusters[self.cluster_id]
         log.debug("t=%d %s: moving %d node(s) %s -> %s",
                   self.ctx.now, self.cluster_id, count, src.value, dst.value)
-        for node_id in self._movable(src)[:count]:
+        for node_id in movable[:count]:
             state.set_node(node_id, pool=dst, state=NodeState.REPURPOSING)
             self.pinned_until[node_id] = self.ctx.now + self.params.cooldown_ms
             self.ctx.effect(

@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from . import engine
 from .cluster import PodSpec
 from .resources import ResourceVector
+
+# Every pod the trigger submits has an id starting with this, so a
+# configured pod may not (`config` rejects one when wildfire is enabled).
+POD_ID_PREFIX = "wf-"
 
 
 @dataclass(frozen=True)
@@ -47,19 +51,6 @@ class PodTemplate:
         )
 
 
-@dataclass
-class TriggerRule:
-    confidence_threshold: float = 0.9
-    retrain_template: Optional[PodTemplate] = None
-    ensemble_template: Optional[PodTemplate] = None
-    ensemble_size: int = 8
-    camera_cooldown_ms: int = 0
-
-    def fires(self, event: CameraEvent) -> bool:
-        # Boundary rule: a probability exactly at the threshold fires.
-        return event.smoke_probability >= self.confidence_threshold
-
-
 class ModelRegistry:
     """Monotone model version shared by every cluster (the object store)."""
 
@@ -73,52 +64,53 @@ class ModelRegistry:
 
 
 class WildfireScenario:
-    """Lambda-trigger rule engine wired into the event loop."""
+    """Lambda-trigger rule engine wired into the event loop.
 
-    def __init__(self, ctx, rule: TriggerRule, namespace: str, submit_cluster: str):
+    It reads the trigger keys (`config.TRIGGER_KEYS`) of `config`, the
+    run's `ScenarioConfig`, which validation has filled in for a wildfire
+    scenario.
+    """
+
+    def __init__(self, ctx, config):
         self.ctx = ctx
-        self.rule = rule
-        self.namespace = namespace
-        self.submit_cluster = submit_cluster
+        self.config = config
         self.registry = ModelRegistry()
         self._last_fire: Dict[str, int] = {}
         self._trigger_count = 0
 
     def on_sensor(self, payload: dict) -> None:
-        event = CameraEvent(payload["camera"], self.ctx.now, payload["probability"])
-        if not self.rule.fires(event):
+        # The trace was validated when it was parsed. A probability exactly
+        # at the threshold fires.
+        camera, probability = payload["camera"], payload["probability"]
+        if probability < self.config.threshold:
             return
-        last = self._last_fire.get(event.camera_id)
-        if last is not None and self.rule.camera_cooldown_ms > 0:
-            if self.ctx.now - last < self.rule.camera_cooldown_ms:
-                return
-        self._last_fire[event.camera_id] = self.ctx.now
+        last = self._last_fire.get(camera)
+        cooldown = self.config.camera_cooldown_ms
+        if last is not None and cooldown > 0 and self.ctx.now - last < cooldown:
+            return
+        self._last_fire[camera] = self.ctx.now
         self.ctx.at(
-            self.ctx.now, engine.TRIGGER_FIRED,
-            {"camera": event.camera_id, "probability": event.smoke_probability},
+            self.ctx.now, engine.TRIGGER_FIRED, {"camera": camera, "probability": probability}
         )
 
     def on_trigger(self, payload: dict) -> None:
         """Turn one qualifying smoke message into retrain + ensemble pods."""
         self._trigger_count += 1
-        n = self._trigger_count
-        retrain = self.rule.retrain_template.make(
-            f"wf-{n:04d}-retrain", self.namespace, self.ctx.now
-        )
+        prefix = f"{POD_ID_PREFIX}{self._trigger_count:04d}"
+        config, now = self.config, self.ctx.now
+        retrain = config.retrain.make(f"{prefix}-retrain", config.namespace, now)
         members = [
-            self.rule.ensemble_template.make(
-                f"wf-{n:04d}-sim-{k}", self.namespace, self.ctx.now
-            )
-            for k in range(1, self.rule.ensemble_size + 1)
+            config.ensemble_member.make(f"{prefix}-sim-{k}", config.namespace, now)
+            for k in range(1, config.ensemble_size + 1)
         ]
         self.ctx.effect(
             op="trigger",
             camera=payload["camera"],
             pods=[retrain.pod_id] + [m.pod_id for m in members],
         )
-        self.ctx.submit_pod(retrain, self.submit_cluster, role="retrain")
+        self.ctx.submit_pod(retrain, config.submit_cluster, role="retrain")
         for member in members:
-            self.ctx.submit_pod(member, self.submit_cluster, role="ensemble")
+            self.ctx.submit_pod(member, config.submit_cluster, role="ensemble")
 
     def on_pod_complete(self, pod_id: str) -> None:
         if self.ctx.pod_roles[pod_id] == "retrain":

@@ -10,17 +10,20 @@ pod's request, the node's capacity and the node's free resources, all
 snapshot, pipeline) and builds no vector. Ties between equally scored nodes
 go to the lexicographically smallest node id, which keeps runs replayable.
 
-A decision walks a class order instead of every node. `ClusterState`
-groups its Ready container nodes into classes of equal (capacity, free,
-labels) and orders each capacity's classes by the integer key
-K = sum of free_d * P / cap_d over the dimensions with capacity, where P
-is the product of those capacities (`CapacityKey`). Members of a class
-are interchangeable, so a walk of the order looks only at each class's
-representative, its smallest id.
+A decision walks a node order instead of scoring every node.
+`ClusterState.order` holds, per capacity, one entry (-K, free, labels,
+node id) for each Ready container node, sorted, with K = sum of
+free_d * P / cap_d over the dimensions with capacity and P the product of
+those capacities (`CapacityKey`). Nodes of equal (capacity, free, labels)
+form a class: they are interchangeable, and their entries are adjacent,
+the smallest id first.
 
-`schedule_one` walks every capacity's classes from the largest K down,
-skips classes that fail `fits`, scores each representative with the
-pipeline's weighted sum and keeps the best, ties going to the smallest
+`schedule_one` walks every capacity's entries from the largest K down. It
+looks only at the first entry of each class, its representative: after
+each visit, when the next entry has the same free triple and labels, it
+jumps past the rest of the class with one `bisect_right`. It skips
+representatives that fail `fits`, scores the rest with the pipeline's
+weighted sum and keeps the best, ties going to the smallest
 representative id. That is the choice of a loop over all nodes in sorted
 id order with a strict improvement test, for every pipeline: the scores
 of a class's members are equal, and a weighted sum of finite weights
@@ -42,7 +45,7 @@ less than half a point, so a later class rounds to at most best - 1.
 Ranking by the raw score is ranking by w * score, because w * s strictly
 rises with the int s when w > 0 and w * 100 is finite.
 
-Every other pipeline walks every class: with weight 0 every node ties, so
+Every other pipeline visits every class: with weight 0 every node ties, so
 the smallest feasible id wins, wherever its class sits in the order;
 `GpuBinpack` rises as free GPU falls, against the order; and a weight so
 large that w * 100 overflows makes scores tie at infinity.
@@ -51,10 +54,12 @@ large that w * 100 overflows makes scores tie at infinity.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .cluster import CapacityKey, ClassEntry, ClusterSpec, ClusterState, NodeSpec, PodSpec, fits
+from .cluster import CapacityKey, ClusterSpec, ClusterState, NodeEntry, NodeSpec, PodSpec, fits
 from .resources import Triple
 
 # (request, capacity, free) -> score, all (cpu, memory, gpu) triples; `free`
@@ -65,31 +70,36 @@ ScoreFn = Callable[[Triple, Triple, Triple], int]
 Pipeline = Tuple[Tuple[ScoreFn, float], ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class SchedulingSnapshot:
-    """Point-in-time view of one cluster for a scheduling decision.
+    """The view of one cluster that a scheduling decision reads.
 
-    `spec` supplies the namespace allowlist and quotas, and `nodes` the
-    node specs, which both stay fixed for a run; the per-node and
-    per-namespace figures and the class order (`ClusterState.class_order`)
-    are copies.
+    Every field is a live reference into the cluster's `ClusterState`, not
+    a copy: `spec` supplies the namespace allowlist and quotas, `nodes` the
+    node specs, `namespace_used` the namespace totals and `order` the
+    node order (`ClusterState.order`). A snapshot is read at once by
+    `schedule_one`, never kept. `snapshot_of` and `nodes` stay because
+    `perfbench/tracer.py` times the one and counts the other (ROADMAP
+    item 1); without them `schedule_one` could read the state itself.
     """
 
     spec: ClusterSpec
     nodes: Dict[str, NodeSpec]
-    allocatable: Dict[str, Triple]
     namespace_used: Dict[str, Triple]
-    classes: Tuple[Tuple[CapacityKey, Tuple[ClassEntry, ...]], ...]
+    order: Tuple[Tuple[CapacityKey, List[NodeEntry]], ...]
 
 
 def snapshot_of(state: ClusterState) -> SchedulingSnapshot:
     return SchedulingSnapshot(
         spec=state.spec,
         nodes=state.spec.nodes,
-        allocatable=dict(state._allocatable),
-        namespace_used=dict(state.ns_usage),
-        classes=state.class_order(),
+        namespace_used=state.ns_usage,
+        order=state.order,
     )
+
+
+# The class part of a node entry: (-K, free, labels).
+_CLASS = itemgetter(0, 1, 2)
 
 
 def least_allocated_score(free_after: Triple, capacity: Triple) -> int:
@@ -154,7 +164,7 @@ def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> 
     Namespace admission does not depend on the node, so it is decided once,
     before the walk. A node's total score is the sum, from int 0 in
     pipeline order, of weight * score. The walk visits each class
-    representative of the class order (module docstring); score ties
+    representative of the node order (module docstring); score ties
     resolve to the lexicographically smallest node id. The stop rule
     applies only to a pipeline of `LeastAllocated` alone with a weight w
     where 0 < w * 100 < inf.
@@ -168,16 +178,22 @@ def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> 
     nodes = snap.nodes
     best_node = None
     best_score = best_raw = None
-    for key, classes in snap.classes:
+    for key, entries in snap.order:
         capacity, unit = key.capacity, key.unit
         request_key = key.key(request)
-        for neg_key, free, _labels, node_id in classes:
+        i, end = 0, len(entries)
+        while i < end:
+            neg_key, free, labels, node_id = entries[i]
             if (
                 stops
                 and best_node is not None
                 and 100 * (-neg_key - request_key) < (best_raw - 1) * unit
             ):
                 break
+            i += 1
+            if i < end and entries[i][1] == free and entries[i][2] == labels:
+                # The rest of the class scores as its representative does.
+                i = bisect_right(entries, (neg_key, free, labels), i, end, key=_CLASS)
             if not fits(pod, nodes[node_id], free):
                 continue
             # `raw` ends as the last plugin's unweighted score: with `stops`,

@@ -58,15 +58,9 @@ class Simulation:
         self.pod_roles: Dict[str, str] = {}
         self.pending_local: Dict[str, List[PodSpec]] = {c: [] for c in self.clusters}
 
-        scenario_cfg = config.scenario
         self.scenario: Optional[WildfireScenario] = None
-        if scenario_cfg.wildfire_enabled:
-            self.scenario = WildfireScenario(
-                self,
-                scenario_cfg.rule(),
-                scenario_cfg.namespace,
-                scenario_cfg.submit_cluster,
-            )
+        if config.scenario.wildfire_enabled:
+            self.scenario = WildfireScenario(self, config.scenario)
         self._schedule_initial()
 
     # -- setup ---------------------------------------------------------------
@@ -254,7 +248,7 @@ class Simulation:
         self.metascalers[payload["cluster"]].submit(self._batch_jobs[payload["job"]])
 
     def _on_job_complete(self, payload: dict) -> None:
-        self.metascalers[payload["cluster"]].on_job_complete(payload["job"])
+        self.metascalers[payload["cluster"]].on_job_complete(self._batch_jobs[payload["job"]])
 
     def _on_rebalance(self, payload: dict) -> None:
         cluster_id = payload["cluster"]

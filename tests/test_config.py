@@ -619,6 +619,30 @@ def test_wildfire_reads_the_trigger_defaults():
         None, None, None, None)
 
 
+def test_wildfire_pod_id_prefix_is_reserved(tmp_path, capsys):
+    # The trigger names its pods wf-<n>-...; a configured pod with such an
+    # id validated and then stopped the run at the first trigger with an
+    # unlocated duplicate-id error.
+    raw = json.loads(BUNDLED.read_text())
+    raw["scenario"]["trace"] = [["cam-1", 1000, 0.95]]
+    raw["scenario"]["pods"] = [pod_cfg("p1", "expanse"),
+                               {"id": "wf-0001-retrain", "cluster": "expanse", "cpu": 100}]
+    location = "scenario.pods[1].id"
+    with pytest.raises(ConfigError) as err:
+        validate_config(copy.deepcopy(raw))
+    assert err.value.location == location
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err_text = capsys.readouterr().err
+    assert err_text.startswith(f"error: {location}: ")
+    assert "Traceback" not in err_text
+    # Without wildfire no pod is named so, and the id is free.
+    off = base_config([{"id": "a", "nodes": [node_cfg("n1")]}],
+                      pods=[pod_cfg("wf-0001-retrain", "a")])
+    assert [p.pod_id for p in validate_config(off).scenario.pods] == ["wf-0001-retrain"]
+
+
 @pytest.mark.parametrize("cluster", [
     {"id": "a", "profile": "nautilus-mini", "scale_divisor": 999},
     {"id": "a", "nodes": [node_cfg("n1")], "scale_divisor": 2},

@@ -10,7 +10,6 @@ from fedsched.scenario import (
     CameraEvent,
     ModelRegistry,
     PodTemplate,
-    TriggerRule,
     generate_trace,
 )
 
@@ -44,11 +43,12 @@ def wildfire_raw(trace, threshold=0.9, ensemble=4, cooldown="0s", duration="2h")
 
 class TestTriggerRule:
     def test_fires_at_and_above_threshold(self):
-        rule = TriggerRule(confidence_threshold=0.9)
-        assert rule.fires(CameraEvent("c", 0, 0.95))
-        assert rule.fires(CameraEvent("c", 0, 0.9))  # boundary: >= fires
-        assert not rule.fires(CameraEvent("c", 0, 0.8999))
-        assert not rule.fires(CameraEvent("c", 0, 0.0))
+        # Boundary: a probability exactly at the threshold fires.
+        trace = [["cam-a", "10s", 0.95], ["cam-b", "10s", 0.9],
+                 ["cam-c", "10s", 0.8999], ["cam-d", "10s", 0.0]]
+        sim, _ = run_raw(wildfire_raw(trace=trace, ensemble=1))
+        fired = [fx["camera"] for e in sim.events for fx in e.effects if fx["op"] == "trigger"]
+        assert fired == ["cam-a", "cam-b"]
 
     def test_probability_bounds_validated(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from fedsched.cluster import ClusterSpec, ClusterState, NodePool, NodeState, fits
+from fedsched import scheduling
 from fedsched.errors import BindError
 from fedsched.resources import GIB, ResourceVector
 from fedsched.scheduling import (
@@ -88,9 +89,8 @@ class TestFilters:
              make_node("r1")]
         )
         state.set_node("r1", state=NodeState.REPURPOSING)
-        snap = snapshot_of(state)
         pod = make_pod("p", 0, 0)
-        passing = [n for n, node in snap.nodes.items() if fits(pod, node, snap.allocatable[n])]
+        passing = [n for n, node in state.nodes().items() if fits(pod, node, state.allocatable(n))]
         assert sorted(passing) == ["n1", "n2"]
         # The empty Batch and non-Ready nodes would score highest, yet are
         # never chosen: not over two nearly full nodes, not when only they
@@ -165,11 +165,10 @@ class TestScheduleOne:
                 mem=rng.choice([GIB, 2 * GIB, 8 * GIB]),
                 gpu=rng.choice([0, 0, 1]),
             )
-            snap = snapshot_of(state)
             # Independent oracle: brute force over every node.
             best = None
             for node in nodes:
-                free = snap.allocatable[node.node_id]
+                free = state.allocatable(node.node_id)
                 if not (
                     node.state is NodeState.READY
                     and node.pool is NodePool.CONTAINER
@@ -184,7 +183,7 @@ class TestScheduleOne:
                 if best is None or key > best[0]:
                     best = (key, node.node_id)
             expected = best[1] if best else None
-            chosen = schedule_one(pod, snap, pipeline)
+            chosen = schedule_one(pod, snapshot_of(state), pipeline)
             assert chosen == expected, f"step {i}: {chosen} != {expected}"
             if chosen is not None:
                 state.bind(pod, chosen, at=i)
@@ -355,16 +354,6 @@ class TestWeightScaling:
             assert schedule_one(pod, snap, base) == schedule_one(pod, snap, scaled)
 
 
-def test_snapshot_is_internally_consistent():
-    state = cluster_with([make_node("n1", cpu=4000, mem=4 * GIB)])
-    state.bind(make_pod("p", 1500, GIB), "n1", at=0)
-    snap = snapshot_of(state)
-    assert snap.allocatable["n1"] == (2500, 3 * GIB, 0)
-    # Snapshot does not alias live state.
-    state.bind(make_pod("q", 500, GIB), "n1", at=1)
-    assert snap.allocatable["n1"] == (2500, 3 * GIB, 0)
-
-
 def plain_choice(pod, state, pipeline):
     """The reference decision: every node in sorted id order, strict
     improvement on the weighted sum, as the scheduler did before the class
@@ -386,35 +375,34 @@ def plain_choice(pod, state, pipeline):
     return best
 
 
-def rebuilt_class_order(state):
-    """The class order recomputed from the nodes alone: per capacity, the
-    stop rule's unit dims * P and one (-K, free, labels, smallest id)
-    entry per class of Ready container nodes with equal free triple and
-    labels, sorted. Also returns how many classes have more than one
-    member."""
-    classes = {}
+def rebuilt_order(state):
+    """The node order recomputed from the nodes alone: per capacity, the
+    stop rule's unit dims * P and one (-K, free, labels, id) entry per
+    Ready container node, sorted. Also returns how many classes (equal
+    capacity, free triple and labels) have more than one member."""
+    entries, classes = {}, {}
     for node_id, node in state.nodes().items():
         capacity = node.capacity.as_tuple()
-        per_capacity = classes.setdefault(capacity, {})
+        per_capacity = entries.setdefault(capacity, [])
         if node.state is NodeState.READY and node.pool is NodePool.CONTAINER:
-            labels = tuple(sorted(node.labels.items()))
-            per_capacity.setdefault((state.allocatable(node_id), labels), []).append(node_id)
+            free, labels = state.allocatable(node_id), tuple(sorted(node.labels.items()))
+            per_capacity.append((free, labels, node_id))
+            classes[capacity, free, labels] = classes.get((capacity, free, labels), 0) + 1
     order = {}
-    shared = sum(len(ids) > 1 for per_capacity in classes.values() for ids in per_capacity.values())
-    for capacity, per_capacity in classes.items():
+    for capacity, per_capacity in entries.items():
         product = 1
         for cap in capacity:
             product *= cap if cap else 1
         key = lambda free: sum(f * (product // c) for f, c in zip(free, capacity) if c)
         order[capacity] = (sum(1 for c in capacity if c) * product, sorted(
-            (-key(free), free, labels, min(ids)) for (free, labels), ids in per_capacity.items()
+            (-key(free), free, labels, node_id) for free, labels, node_id in per_capacity
         ))
-    return order, shared
+    return order, sum(members > 1 for members in classes.values())
 
 
 class TestClassOrderDifferential:
-    """schedule_one through the class order against the plain loop, for
-    every pipeline shape, with the class order checked against a rebuild
+    """schedule_one through the node order against the plain loop, for
+    every pipeline shape, with the node order checked against a rebuild
     after every mutation."""
 
     PIPELINES = (
@@ -430,10 +418,10 @@ class TestClassOrderDifferential:
     )
 
     def check_order(self, state):
-        """Assert the class order equals the rebuild; return the number of
+        """Assert the node order equals the rebuild; return the number of
         classes with more than one member."""
-        order, shared = rebuilt_class_order(state)
-        got = {key.capacity: (key.unit, list(entries)) for key, entries in state.class_order()}
+        order, shared = rebuilt_order(state)
+        got = {key.capacity: (key.unit, list(entries)) for key, entries in state.order}
         assert got == order
         return shared
 
@@ -502,3 +490,23 @@ class TestClassOrderDifferential:
                 shared += self.check_order(state)
         assert min(decisions.values()) >= 200 and chosen_count >= 1200, (decisions, chosen_count)
         assert shared >= 500, shared
+
+    def test_a_decision_tests_each_class_once(self, monkeypatch):
+        # 64 identical nodes, two of them partly bound alike: two classes.
+        # GpuBinpack has no stop rule, so the walk visits every class; the
+        # jump past a class's other members leaves one `fits` call each.
+        state = cluster_with([make_node(f"n{i:02d}", gpu=4) for i in range(64)])
+        state.bind(make_pod("f1", 1000, GIB, 1), "n17", at=0)
+        state.bind(make_pod("f2", 1000, GIB, 1), "n40", at=0)
+        calls = []
+
+        def counted_fits(pod, node, free):
+            calls.append(node.node_id)
+            return fits(pod, node, free)
+
+        monkeypatch.setattr(scheduling, "fits", counted_fits)
+        pipeline = builtin_pipeline(score_weights=(("GpuBinpack", 1),))
+        pod = make_pod("p", 1000, GIB, 1)
+        assert schedule_one(pod, snapshot_of(state), pipeline) == "n17"
+        assert sorted(calls) == ["n00", "n17"]
+        assert plain_choice(pod, state, pipeline) == "n17"
