@@ -58,7 +58,7 @@ EVENT_KINDS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     time: int
     seq: int
@@ -119,18 +119,41 @@ class LatencyChannels:
     even when the jitter draw alone would reorder them. Channels model the
     annotation message streams between a proxy and its candidates, which
     are backed by ordered API-server writes, not a lossy wire.
+
+    A message's jitter is uniform on [0, jitter_ms], drawn from the stream
+    of its (source, target) pair the way `randint` draws it, so the log
+    depends only on that stream's `getrandbits`.
     """
 
     def __init__(self, rngs: RngStreams):
         self._rngs = rngs
         self._last_delivery: Dict[tuple, int] = {}
+        # Per (source, target), read once from its edge: base_ms, and for a
+        # jittered edge jitter_ms + 1, its bit length and the `getrandbits`
+        # of the edge's stream (None when jitter_ms is 0, which draws nothing).
+        self._edges: Dict[Tuple[str, str], tuple] = {}
+
+    def _edge_figures(self, edge: FederationEdge) -> tuple:
+        base, jitter = edge.latency.base_ms, edge.latency.jitter_ms
+        if jitter == 0:
+            return base, 0, 0, None
+        rng = self._rngs.stream(f"latency/{edge.source}->{edge.target}")
+        return base, jitter + 1, (jitter + 1).bit_length(), rng.getrandbits
 
     def delivery_time(self, now: int, edge: FederationEdge, channel: tuple) -> int:
-        jitter = 0
-        if edge.latency.jitter_ms > 0:
-            rng = self._rngs.stream(f"latency/{edge.source}->{edge.target}")
-            jitter = rng.randint(0, edge.latency.jitter_ms)
-        when = now + edge.latency.base_ms + jitter
+        key = (edge.source, edge.target)
+        figures = self._edges.get(key)
+        if figures is None:
+            figures = self._edges[key] = self._edge_figures(edge)
+        base, n, k, getrandbits = figures
+        when = now + base
+        if getrandbits is not None:
+            # The draw of `randint(0, jitter_ms)`: k random bits, rejected
+            # until they fall below n.
+            r = getrandbits(k)
+            while r >= n:
+                r = getrandbits(k)
+            when += r
         floor = self._last_delivery.get(channel)
         if floor is not None and when < floor:
             when = floor

@@ -5,11 +5,23 @@ each other only through enqueued events (timers) and latency-delayed
 messages, never by calling across clusters synchronously; the one synchronous
 path is the per-cluster scheduling retry (`kick`) that runs after an event
 frees resources in that cluster.
+
+Collector contract: `run` pauses Python's cyclic garbage collector for the
+event loop and its `build_report`, because every event stays alive until
+the writers run, so each collection would walk the whole history and free
+nothing. When the run ends, even by an exception, `run` moves every live
+object into the oldest generation (unless the caller has frozen objects)
+and restores the collector to the state it found. For the pause to leak
+nothing, a finished `Simulation` must be freed by reference counting
+alone: the protocol, the metascalers and the scenario reach it only through
+a weak proxy once the run is over.
 """
 
 from __future__ import annotations
 
+import gc
 import logging
+import weakref
 from typing import Dict, List, Optional, Set
 
 from . import engine
@@ -189,12 +201,36 @@ class Simulation:
         return event
 
     def run(self) -> MetricsReport:
-        processed = 0
-        while len(self.queue) and self.queue.peek_time() <= self.config.duration_ms:
-            self.step()
-            processed += 1
-        log.info("run complete: %d events in %d ms simulated", processed, self.now)
-        return build_report(self.events, static_info_of(self.config))
+        """Process every event due by `duration_ms` and build the report.
+
+        The cyclic collector is paused throughout and left as the caller
+        had it. On the way out, the run's objects are moved into the oldest
+        generation, so that the first collection after the run does not
+        walk them all, and the back-references of the protocol, metascalers
+        and scenario become one weak proxy, so that dropping the last
+        reference to a finished simulation frees it without the collector.
+        """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            processed = 0
+            while len(self.queue) and self.queue.peek_time() <= self.config.duration_ms:
+                self.step()
+                processed += 1
+            log.info("run complete: %d events in %d ms simulated", processed, self.now)
+            return build_report(self.events, static_info_of(self.config))
+        finally:
+            ctx = weakref.proxy(self)
+            self.protocol.ctx = ctx
+            for scaler in self.metascalers.values():
+                scaler.ctx = ctx
+            if self.scenario is not None:
+                self.scenario.ctx = ctx
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
+            if collecting:
+                gc.enable()
 
     # -- scheduling paths --------------------------------------------------------
 

@@ -81,6 +81,18 @@ class TestLatencyChannels:
             # Sorting by (delivery, send index) must not reorder sends.
             assert [i for _, i in sorted(stamped)] == list(range(len(stamped)))
 
+    def test_jitter_draws_equal_randint(self):
+        # The log depends on these draws: each must be the value
+        # `randint(0, jitter_ms)` takes from the edge's stream.
+        for seed in range(20):
+            for jitter in range(1, 65):
+                channels = LatencyChannels(RngStreams(seed))
+                edge = FederationEdge("a", "b", LatencyModel(0, jitter))
+                reference = RngStreams(seed).stream("latency/a->b")
+                # One channel per send, so no FIFO clamp applies.
+                drawn = [channels.delivery_time(0, edge, (i,)) for i in range(200)]
+                assert drawn == [reference.randint(0, jitter) for _ in range(200)]
+
     def test_different_channels_may_interleave(self):
         # Existence check: some seed delivers a later send on channel B
         # before an earlier send on channel A.

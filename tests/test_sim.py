@@ -1,5 +1,7 @@
 """Simulation loop behavior: determinism, replay, duration, burst offload."""
 
+import gc
+
 import pytest
 
 from fedsched import engine
@@ -9,6 +11,7 @@ from fedsched.sim import Simulation
 from fedsched.config import validate_config
 
 from conftest import base_config, node_cfg, pod_cfg, run_raw
+from test_golden_log import CASES
 
 
 def log_bytes(sim):
@@ -144,3 +147,81 @@ def test_no_event_processed_beyond_duration():
                       pods=[pod_cfg("p", "a", duration="2h")], duration="90s")
     sim, _ = run_raw(raw)
     assert all(e.time <= 90_000 for e in sim.events)
+
+
+# -- collector contract ---------------------------------------------------------
+# `run` pauses the cyclic collector and restores the caller's state; a
+# finished simulation must then be freed by reference counting alone.
+
+
+def _small_raw():
+    return base_config([{"id": "a", "nodes": [node_cfg("a-n1")]}],
+                       pods=[pod_cfg("p", "a", federated=False)], duration="5m")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    def boom(self, payload):
+        raise RuntimeError("handler failed")
+
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        sim = Simulation(validate_config(_small_raw()))
+        sim.run()
+        assert gc.isenabled() is enabled
+        monkeypatch.setitem(Simulation._HANDLERS, engine.POD_SUBMIT, boom)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            Simulation(validate_config(_small_raw())).run()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_run_keeps_objects_the_caller_froze_frozen():
+    gc.freeze()
+    try:
+        sim = Simulation(validate_config(_small_raw()))
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        sim.run()
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_finished_run_leaves_no_cyclic_garbage(name):
+    raw, seed = CASES[name]()
+    gc.collect()
+    sim = Simulation(validate_config(raw, base_seed=seed))
+    sim.run()
+    assert gc.collect() == 0
+    del sim
+    assert gc.collect() == 0
+
+
+def test_back_to_back_runs_do_not_grow_the_heap():
+    raw, _ = CASES["bundled"]()
+    counts = []
+    for _ in range(6):
+        sim = Simulation(validate_config(raw))
+        sim.run()
+        del sim
+        counts.append(len(gc.get_objects()))
+    assert counts[-1] <= counts[1], counts
+
+
+def test_finished_simulation_still_answers_queries():
+    # Cut short while chaperons still wait in both targets.
+    raw, seed = CASES["mesh-overload"]()
+    raw["sim"]["duration"] = "5m"
+    sim = Simulation(validate_config(raw, base_seed=seed))
+    sim.run()
+    assert sim.protocol.ctx.clusters is sim.clusters
+    for target in ("a", "b"):
+        waiting = [chaperon.pod for chaperon in sim.protocol.pending_in(target)]
+        assert waiting
+        assert sim.pending_requests(target) == sim.pending_local[target] + waiting
+    for vnode in sim.protocol.virtual_nodes.values():
+        assert vnode.staleness(sim.now) == sim.now - vnode.last_update
