@@ -69,10 +69,11 @@ class PodSpec:
     request: ResourceVector
     node_selector: Dict[str, str] = field(default_factory=dict)
     federation_eligible: bool = False
-    submit_time: int = 0
     duration: int = 0
+    # "workload" for a configured pod; the wildfire trigger makes "retrain"
+    # and "ensemble" pods.
+    role: str = "workload"
     phase: PodPhase = PodPhase.PENDING
-    bound_cluster: Optional[str] = None
     bound_node: Optional[str] = None
 
     def transition(self, to: PodPhase) -> None:
@@ -81,18 +82,6 @@ class PodSpec:
                 f"pod {self.pod_id}: illegal phase transition {self.phase.value} -> {to.value}"
             )
         self.phase = to
-
-    def clone(self) -> "PodSpec":
-        """Fresh Pending copy, used when a chaperon is created in a target."""
-        return PodSpec(
-            pod_id=self.pod_id,
-            namespace=self.namespace,
-            request=self.request,
-            node_selector=dict(self.node_selector),
-            federation_eligible=self.federation_eligible,
-            submit_time=self.submit_time,
-            duration=self.duration,
-        )
 
 
 @dataclass
@@ -261,9 +250,6 @@ class ClusterState:
         self.bound: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
         self.reserved: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
         self.ns_usage: Dict[str, Triple] = {}
-        self.pods: Dict[str, PodSpec] = {}
-        # pod id -> (node id, namespace) of its reservation.
-        self._reservations: Dict[str, Tuple[str, str]] = {}
         self._capacity: Dict[str, Triple] = {
             n: node.capacity.as_tuple() for n, node in spec.nodes.items()
         }
@@ -401,17 +387,16 @@ class ClusterState:
         request = pod.request.as_tuple()
         self._set_allocatable(node_id, subtract_triples(self._allocatable[node_id], request))
         self.reserved[node_id][pod.pod_id] = pod.request
-        self._reservations[pod.pod_id] = (node_id, pod.namespace)
         self._ns_add(pod.namespace, request)
 
-    def release_reservation(self, pod_id: str) -> bool:
-        held = self._reservations.pop(pod_id, None)
+    def release_reservation(self, pod: PodSpec, node_id: str) -> bool:
+        """Free what `pod` holds reserved on `node_id`; False if it holds nothing."""
+        held = self.reserved[node_id].pop(pod.pod_id, None)
         if held is None:
             return False
-        node_id, namespace = held
-        request = self.reserved[node_id].pop(pod_id).as_tuple()
+        request = held.as_tuple()
         self._set_allocatable(node_id, add_triples(self._allocatable[node_id], request))
-        self._ns_sub(namespace, request)
+        self._ns_sub(pod.namespace, request)
         return True
 
     def bind(self, pod: PodSpec, node_id: str, at: int) -> None:
@@ -424,7 +409,6 @@ class ClusterState:
         held = self.reserved[node_id].pop(pod.pod_id, None)
         if held is not None:
             # The reservation already holds the resources and quota.
-            del self._reservations[pod.pod_id]
             request = held.as_tuple()
         else:
             self._check_feasible(
@@ -439,24 +423,20 @@ class ClusterState:
             self._aggregate_unbound = subtract_triples(self._aggregate_unbound, request)
             self.aggregates_version += 1
         self.bound[node_id][pod.pod_id] = held
-        self.pods[pod.pod_id] = pod
         pod.transition(PodPhase.BOUND)
-        pod.bound_cluster = self.cluster_id
         pod.bound_node = node_id
         self._assert_node_capacity(node_id)
 
-    def unbind(self, pod_id: str) -> PodSpec:
-        """Release a completed pod's resources."""
-        pod = self.pods.pop(pod_id)
+    def unbind(self, pod: PodSpec) -> None:
+        """Release the resources of a completed pod bound here."""
         node_id = pod.bound_node
-        request = self.bound[node_id].pop(pod_id).as_tuple()
+        request = self.bound[node_id].pop(pod.pod_id).as_tuple()
         self._unbound[node_id] = add_triples(self._unbound[node_id], request)
         if schedulable(self.spec.nodes[node_id]):
             self._aggregate_unbound = add_triples(self._aggregate_unbound, request)
             self.aggregates_version += 1
         self._set_allocatable(node_id, add_triples(self._allocatable[node_id], request))
         self._ns_sub(pod.namespace, request)
-        return pod
 
     def _assert_node_capacity(self, node_id: str) -> None:
         cpu = memory = gpu = 0

@@ -62,6 +62,15 @@ def parse_time(value, path: str = "time") -> int:
     raise ConfigError(f"not a time value: {value!r}", path)
 
 
+def period(value, path) -> int:
+    """A time of at least 1 ms: a timer re-armed after a period of 0 would
+    fire at the same instant forever."""
+    ms = parse_time(value, path)
+    if ms < 1:
+        raise ConfigError(f"must be at least 1ms, got {value!r}", path)
+    return ms
+
+
 def integer(minimum: int) -> Parser:
     def parse(value, path):
         if type(value) is not int:
@@ -384,7 +393,7 @@ SIM = {
 
 FEDERATION = {
     "election_timeout": (parse_time, "5s", "election_timeout_ms"),
-    "retry_backoff": (parse_time, "1s", "retry_backoff_ms"),
+    "retry_backoff": (period, "1s", "retry_backoff_ms"),
     "max_retries": (integer(0), 5),
     # Retired: a target reports its aggregates whenever they change. A time
     # is still accepted, and ignored, because the bundled config sets it and
@@ -404,7 +413,7 @@ def _federation(heartbeat, **params) -> FederationParams:
 
 METASCALE = {
     "enabled": (boolean, False),
-    "tick": (parse_time, "60s", "tick_ms"),
+    "tick": (period, "60s", "tick_ms"),
     "provisioning_delay": (parse_time, "120s", "provisioning_delay_ms"),
     "cooldown": (parse_time, "10m", "cooldown_ms"),
     "min_batch_nodes": (integer(0), 0),
@@ -434,9 +443,8 @@ class PodEntry:
             pod_id=self.pod_id,
             namespace=self.namespace,
             request=self.request,
-            node_selector=dict(self.node_selector),
+            node_selector=self.node_selector,
             federation_eligible=self.federated,
-            submit_time=self.submit_time,
             duration=self.duration,
         )
 

@@ -109,8 +109,7 @@ class ProxyPod:
 
 @dataclass
 class PodChaperon:
-    pod: PodSpec  # local copy used for candidate scheduling in the target
-    parent_source: str
+    pod: PodSpec  # the proxy's own pod; a chaperon never changes it
     target: str
     state: ChaperonState = ChaperonState.PENDING_SCHEDULE
     reserved_node: Optional[str] = None
@@ -199,9 +198,8 @@ class FederationProtocol:
     # -- target side -------------------------------------------------------
 
     def on_chaperon_create(self, payload: dict) -> None:
-        pod_id, source, target = payload["pod"], payload["source"], payload["target"]
-        proxy = self.proxies[pod_id]
-        chaperon = PodChaperon(pod=proxy.pod.clone(), parent_source=source, target=target)
+        pod_id, target = payload["pod"], payload["target"]
+        chaperon = PodChaperon(pod=self.proxies[pod_id].pod, target=target)
         self.chaperons[(pod_id, target)] = chaperon
         self._unsettled.setdefault(target, {})[pod_id] = chaperon
         self.ctx.effect(op="chaperon", pod=pod_id, cluster=target, state=chaperon.state.value)
@@ -425,7 +423,7 @@ class FederationProtocol:
         chaperon.state = ChaperonState.DELETED
         if chaperon.reserved_node is not None and self.params.reservations:
             cluster = self.ctx.clusters[chaperon.target]
-            if cluster.release_reservation(chaperon.pod.pod_id):
+            if cluster.release_reservation(chaperon.pod, chaperon.reserved_node):
                 self.ctx.effect(
                     op="release", pod=chaperon.pod.pod_id, cluster=chaperon.target,
                     node=chaperon.reserved_node,

@@ -16,7 +16,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from . import engine
 from .cluster import NodePool, NodeState
@@ -41,7 +41,6 @@ class BatchJob:
     submit_time: int
     state: JobState = JobState.QUEUED
     assigned_nodes: List[str] = field(default_factory=list)
-    end_time: Optional[int] = None
 
 
 @dataclass
@@ -81,34 +80,37 @@ class MetaScaler:
         self.ctx.effect(op="job", job=job.job_id, cluster=self.cluster_id, state=job.state.value)
         self.try_start()
 
-    def _idle_batch_nodes(self) -> List[str]:
+    def _idle(self, pool: NodePool) -> List[str]:
+        """Ready nodes of `pool` that hold no work, in id order: no batch
+        job, and no bound or reserved pod."""
         state = self.ctx.clusters[self.cluster_id]
         return sorted(
-            n.node_id
-            for n in state.nodes().values()
-            if n.pool is NodePool.BATCH
-            and n.state is NodeState.READY
-            and n.node_id not in self.busy_nodes
+            node_id
+            for node_id, node in state.nodes().items()
+            if node.pool is pool
+            and node.state is NodeState.READY
+            and node_id not in self.busy_nodes
+            and not state.bound[node_id]
+            and not state.reserved[node_id]
         )
 
     def try_start(self) -> None:
         """Start queued jobs FIFO; a head job that does not fit blocks the rest."""
         while self.queue:
             head = self.queue[0]
-            idle = self._idle_batch_nodes()
+            idle = self._idle(NodePool.BATCH)
             if head.node_count > len(idle):
                 return
             self.queue.pop(0)
             head.assigned_nodes = idle[: head.node_count]
             head.state = JobState.RUNNING
-            head.end_time = self.ctx.now + head.duration
             self.busy_nodes.update(head.assigned_nodes)
             self.ctx.effect(
                 op="job", job=head.job_id, cluster=self.cluster_id,
                 state=head.state.value, nodes=head.assigned_nodes,
             )
             self.ctx.at(
-                head.end_time, engine.JOB_COMPLETE,
+                self.ctx.now + head.duration, engine.JOB_COMPLETE,
                 {"job": head.job_id, "cluster": self.cluster_id},
             )
 
@@ -128,10 +130,6 @@ class MetaScaler:
                 needed = max(needed, math.ceil(want / have))
         return needed
 
-    def _pool_members(self, pool: NodePool) -> List[str]:
-        state = self.ctx.clusters[self.cluster_id]
-        return sorted(n.node_id for n in state.nodes().values() if n.pool is pool)
-
     def _repurposing_count(self, pool: NodePool) -> int:
         state = self.ctx.clusters[self.cluster_id]
         return sum(
@@ -139,25 +137,6 @@ class MetaScaler:
             for n in state.nodes().values()
             if n.pool is pool and n.state is NodeState.REPURPOSING
         )
-
-    def _movable(self, pool: NodePool) -> List[str]:
-        """Idle, Ready, unpinned nodes of a pool, in deterministic order."""
-        state = self.ctx.clusters[self.cluster_id]
-        out = []
-        for node_id in self._pool_members(pool):
-            node = state.nodes()[node_id]
-            if node.state is not NodeState.READY:
-                continue
-            if self.pinned_until.get(node_id, -1) > self.ctx.now:
-                continue
-            if pool is NodePool.BATCH and node_id in self.busy_nodes:
-                continue
-            if pool is NodePool.CONTAINER and (
-                state.bound[node_id] or state.reserved[node_id]
-            ):
-                continue
-            out.append(node_id)
-        return out
 
     def on_tick(self) -> None:
         # Batch demand is the queued jobs' node count; container demand,
@@ -171,7 +150,7 @@ class MetaScaler:
         batch_short = max(
             0,
             sum(job.node_count for job in self.queue)
-            - len(self._idle_batch_nodes())
+            - len(self._idle(NodePool.BATCH))
             - self._repurposing_count(NodePool.BATCH),
         )
         container_short = max(
@@ -190,12 +169,15 @@ class MetaScaler:
             if src is NodePool.BATCH
             else self.params.min_container_nodes
         )
-        headroom = len(self._pool_members(src)) - min_src
-        movable = self._movable(src)
+        state = self.ctx.clusters[self.cluster_id]
+        headroom = sum(1 for node in state.nodes().values() if node.pool is src) - min_src
+        movable = [
+            node_id for node_id in self._idle(src)
+            if self.pinned_until.get(node_id, -1) <= self.ctx.now
+        ]
         count = min(want, len(movable), max(0, headroom))
         if count <= 0:
             return
-        state = self.ctx.clusters[self.cluster_id]
         log.debug("t=%d %s: moving %d node(s) %s -> %s",
                   self.ctx.now, self.cluster_id, count, src.value, dst.value)
         for node_id in movable[:count]:

@@ -39,15 +39,15 @@ class PodTemplate:
     node_selector: Dict[str, str]
     duration: int
 
-    def make(self, pod_id: str, namespace: str, submit_time: int) -> PodSpec:
+    def make(self, pod_id: str, namespace: str, role: str) -> PodSpec:
         return PodSpec(
             pod_id=pod_id,
             namespace=namespace,
             request=self.request,
-            node_selector=dict(self.node_selector),
+            node_selector=self.node_selector,
             federation_eligible=True,
-            submit_time=submit_time,
             duration=self.duration,
+            role=role,
         )
 
 
@@ -97,10 +97,10 @@ class WildfireScenario:
         """Turn one qualifying smoke message into retrain + ensemble pods."""
         self._trigger_count += 1
         prefix = f"{POD_ID_PREFIX}{self._trigger_count:04d}"
-        config, now = self.config, self.ctx.now
-        retrain = config.retrain.make(f"{prefix}-retrain", config.namespace, now)
+        config = self.config
+        retrain = config.retrain.make(f"{prefix}-retrain", config.namespace, "retrain")
         members = [
-            config.ensemble_member.make(f"{prefix}-sim-{k}", config.namespace, now)
+            config.ensemble_member.make(f"{prefix}-sim-{k}", config.namespace, "ensemble")
             for k in range(1, config.ensemble_size + 1)
         ]
         self.ctx.effect(
@@ -108,12 +108,12 @@ class WildfireScenario:
             camera=payload["camera"],
             pods=[retrain.pod_id] + [m.pod_id for m in members],
         )
-        self.ctx.submit_pod(retrain, config.submit_cluster, role="retrain")
+        self.ctx.submit_pod(retrain, config.submit_cluster)
         for member in members:
-            self.ctx.submit_pod(member, config.submit_cluster, role="ensemble")
+            self.ctx.submit_pod(member, config.submit_cluster)
 
-    def on_pod_complete(self, pod_id: str) -> None:
-        if self.ctx.pod_roles[pod_id] == "retrain":
+    def on_pod_complete(self, pod: PodSpec) -> None:
+        if pod.role == "retrain":
             version = self.registry.bump()
             self.ctx.effect(op="registry", version=version)
 

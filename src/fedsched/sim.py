@@ -67,7 +67,6 @@ class Simulation:
                 self.metascalers[cluster_id] = MetaScaler(self, cluster_id, config.metascale)
 
         self.pod_objects: Dict[str, PodSpec] = {}
-        self.pod_roles: Dict[str, str] = {}
         self.pending_local: Dict[str, List[PodSpec]] = {c: [] for c in self.clusters}
 
         self.scenario: Optional[WildfireScenario] = None
@@ -81,7 +80,7 @@ class Simulation:
         cfg = self.config
         for entry in cfg.scenario.pods:
             pod = entry.make()
-            self._register_pod(pod, role="workload")
+            self._register_pod(pod)
             self.queue.push(
                 entry.submit_time, engine.POD_SUBMIT, self._submit_payload(pod, entry.cluster)
             )
@@ -119,11 +118,10 @@ class Simulation:
                 self.config.metascale.tick_ms, engine.REBALANCE_TICK, {"cluster": cluster_id}
             )
 
-    def _register_pod(self, pod: PodSpec, role: str) -> None:
+    def _register_pod(self, pod: PodSpec) -> None:
         if pod.pod_id in self.pod_objects:
             raise ConfigError(f"duplicate pod id {pod.pod_id!r}")
         self.pod_objects[pod.pod_id] = pod
-        self.pod_roles[pod.pod_id] = role
 
     def _submit_payload(self, pod: PodSpec, cluster: str) -> dict:
         return {
@@ -131,7 +129,7 @@ class Simulation:
             "cluster": cluster,
             "ns": pod.namespace,
             "federated": pod.federation_eligible,
-            "role": self.pod_roles[pod.pod_id],
+            "role": pod.role,
             "req": pod.request.as_list(),
         }
 
@@ -162,8 +160,8 @@ class Simulation:
         pods.extend(chaperon.pod for chaperon in self.protocol.pending_in(cluster_id))
         return pods
 
-    def submit_pod(self, pod: PodSpec, cluster: str, role: str) -> None:
-        self._register_pod(pod, role=role)
+    def submit_pod(self, pod: PodSpec, cluster: str) -> None:
+        self._register_pod(pod)
         self.at(self.now, engine.POD_SUBMIT, self._submit_payload(pod, cluster))
 
     def bound_pod(self, pod: PodSpec, cluster: str, node: str, federated: bool, source: str) -> None:
@@ -171,7 +169,7 @@ class Simulation:
         self.effect(
             op="bind", pod=pod.pod_id, cluster=cluster, node=node, ns=pod.namespace,
             req=pod.request.as_list(), federated=federated, src=source,
-            role=self.pod_roles[pod.pod_id],
+            role=pod.role,
         )
         pod.transition(PodPhase.RUNNING)
         self.effect(op="phase", pod=pod.pod_id, phase=PodPhase.RUNNING.value)
@@ -268,7 +266,7 @@ class Simulation:
         pod = self.pod_objects[payload["pod"]]
         cluster_id = payload["cluster"]
         state = self.clusters[cluster_id]
-        state.unbind(pod.pod_id)
+        state.unbind(pod)
         pod.transition(PodPhase.COMPLETED)
         self.effect(
             op="unbind", pod=pod.pod_id, cluster=cluster_id, node=pod.bound_node,
@@ -276,7 +274,7 @@ class Simulation:
         )
         self.effect(op="phase", pod=pod.pod_id, phase=PodPhase.COMPLETED.value)
         if self.scenario is not None:
-            self.scenario.on_pod_complete(pod.pod_id)
+            self.scenario.on_pod_complete(pod)
         self.protocol.mirror_completion(pod, cluster_id, PodPhase.COMPLETED.value)
         self.mark_freed(cluster_id)
 

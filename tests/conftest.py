@@ -29,14 +29,13 @@ def make_node(node_id, cpu=10_000, mem=32 * GIB, gpu=0, labels=None, cluster="c1
 
 
 def make_pod(pod_id, cpu=1000, mem=GIB, gpu=0, ns="default", selector=None,
-             federated=False, submit=0, duration=60_000):
+             federated=False, duration=60_000):
     return PodSpec(
         pod_id=pod_id,
         namespace=ns,
         request=ResourceVector(cpu, mem, gpu),
         node_selector=selector or {},
         federation_eligible=federated,
-        submit_time=submit,
         duration=duration,
     )
 

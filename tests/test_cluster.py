@@ -138,8 +138,19 @@ class TestBind:
         pod = make_pod("p1", 1000, 2 * GIB)
         state.bind(pod, "n1", at=0)
         assert pod.phase is PodPhase.BOUND
-        assert pod.bound_cluster == "c1" and pod.bound_node == "n1"
+        assert pod.bound_node == "n1" and state.bound["n1"] == {"p1": pod.request}
         assert state.allocatable("n1") == (3000, 6 * GIB, 0)
+
+    def test_unbind_where_the_pod_is_not_bound_raises(self):
+        # Both clusters have a node n1, but only one holds the pod.
+        here, there = state_of(make_node("n1")), state_of(make_node("n1"))
+        pod = make_pod("p1")
+        here.bind(pod, "n1", at=0)
+        with pytest.raises(KeyError):
+            there.unbind(pod)
+        assert there.allocatable("n1") == there.nodes()["n1"].capacity.as_tuple()
+        here.unbind(pod)
+        assert here.bound["n1"] == {}
 
     def test_gpu_race_yields_one_bound_one_conflict_in_both_orders(self):
         # Oracle: enumerate both submission orders; each yields one success.
@@ -175,7 +186,7 @@ class TestBind:
         state.bind(pod, "n1", at=0)
         with pytest.raises(QuotaExceeded):
             state.bind(make_pod("p2", 1000, GIB, ns="team"), "n1", at=1)
-        state.unbind("p1")
+        state.unbind(pod)
         p3 = make_pod("p3", 1000, GIB, ns="team")
         state.bind(p3, "n1", at=2)
         assert p3.phase is PodPhase.BOUND
@@ -188,7 +199,7 @@ class TestReservations:
         state.reserve(holder, "n1")
         with pytest.raises(BindConflict):
             state.bind(make_pod("p1", 1000, GIB), "n1", at=0)
-        assert state.release_reservation("r1")
+        assert state.release_reservation(holder, "n1")
         state.bind(make_pod("p2", 1000, GIB), "n1", at=1)
 
     def test_bind_consumes_own_reservation(self):
@@ -270,24 +281,24 @@ class TestIncrementalAccounting:
                         reserved[pod.pod_id] = (pod, node_id)
                     else:
                         state.bind(pod, node_id, at=step)
-                        bound.append(pod.pod_id)
+                        bound.append(pod)
                 except (BindConflict, QuotaExceeded):
                     pass
             elif op == "bind_reserved" and reserved:
                 pod, node_id = reserved.pop(rng.choice(sorted(reserved)))
                 state.bind(pod, node_id, at=step)
-                bound.append(pod.pod_id)
+                bound.append(pod)
             elif op == "release" and reserved:
-                pod_id = rng.choice(sorted(reserved))
-                del reserved[pod_id]
-                assert state.release_reservation(pod_id)
-                assert not state.release_reservation(pod_id)
+                pod, node_id = reserved.pop(rng.choice(sorted(reserved)))
+                assert state.release_reservation(pod, node_id)
+                assert not state.release_reservation(pod, node_id)
             elif op == "unbind" and bound:
-                pod_id = bound.pop(rng.randrange(len(bound)))
-                state.unbind(pod_id)
-                assert not state.release_reservation(pod_id)
+                pod = bound.pop(rng.randrange(len(bound)))
+                state.unbind(pod)
+                assert not state.release_reservation(pod, pod.bound_node)
             elif op == "release_unknown":
-                assert not state.release_reservation(f"ghost{step}")
+                node_id = rng.choice(sorted(state.nodes()))
+                assert not state.release_reservation(make_pod(f"ghost{step}"), node_id)
             elif op == "set_node":
                 # Toggle Ready, or move Container<->Batch, alone or (as
                 # metascale moves a node) together with going Repurposing.

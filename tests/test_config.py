@@ -401,6 +401,7 @@ LOCATION_CASES = [
     ("rich", "federation", 5),
     ("rich", "federation.election_timeout", "x"),
     ("rich", "federation.retry_backoff", -1),
+    ("rich", "federation.retry_backoff", "0s"),
     ("rich", "federation.max_retries", -1),
     ("rich", "federation.heartbeat", 1.5),
     ("rich", "federation.reservations", "yes"),
@@ -408,6 +409,8 @@ LOCATION_CASES = [
     ("rich", "metascale", 5),
     ("rich", "metascale.enabled", 1),
     ("rich", "metascale.tick", "x"),
+    ("rich", "metascale.tick", "0s"),
+    ("rich", "metascale.tick", "0.5ms"),
     ("rich", "metascale.provisioning_delay", "x"),
     ("rich", "metascale.cooldown", "x"),
     ("rich", "metascale.min_batch_nodes", -1),
@@ -466,13 +469,35 @@ def test_location_case_bases_are_valid(base):
     validate_config(BASES[base]())
 
 
-@pytest.mark.parametrize("base,location,value", LOCATION_CASES,
-                         ids=[f"{b}:{loc}" for b, loc, _ in LOCATION_CASES])
+def _case_ids(cases):
+    """`base:location`, plus `=value` where an earlier case has the same."""
+    seen, ids = set(), []
+    for base, location, value in cases:
+        ids.append(f"{base}:{location}" + (f"={value}" if (base, location) in seen else ""))
+        seen.add((base, location))
+    return ids
+
+
+@pytest.mark.parametrize("base,location,value", LOCATION_CASES, ids=_case_ids(LOCATION_CASES))
 def test_wrong_value_is_located(base, location, value):
     raw = set_at(BASES[base](), location, value)
     with pytest.raises(ConfigError) as err:
         validate_config(raw)
     assert err.value.location == location
+
+
+@pytest.mark.parametrize("location", ["metascale.tick", "federation.retry_backoff"])
+def test_a_period_under_1ms_fails_validate(location, tmp_path, capsys):
+    # A timer re-armed after 0 ms fires at the same instant forever, so a
+    # run with such a period would never end.
+    raw = set_at(rich_config(), location, "0.5ms")
+    raw["federation"]["max_retries"] = 100_000_000
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(path)]) == EXIT_CONFIG
+    err_text = capsys.readouterr().err
+    assert err_text.startswith(f"error: {location}: must be at least 1ms")
+    assert "Traceback" not in err_text
 
 
 HUGE_DIGITS = "9" * 400

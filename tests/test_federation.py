@@ -9,6 +9,7 @@ from fedsched.federation import ChaperonState, ProxyState
 from fedsched.sim import Simulation
 from conftest import base_config, make_pod, node_cfg, pod_cfg, pod_row, run_raw
 from test_acceptance import random_protocol_raw
+from test_golden_log import CASES
 from test_metascale import batch_cluster, job_cfg
 
 
@@ -416,6 +417,14 @@ class TestReservationFreeMode:
 
 
 class TestInvariants:
+    def test_every_chaperon_holds_its_proxy_pod(self):
+        # A chaperon schedules the proxy's own PodSpec, not a copy of it.
+        raw, seed = CASES["mesh-overload"]()
+        sim, _ = run_raw(raw, seed=seed)
+        assert len(sim.protocol.chaperons) > len(sim.protocol.proxies)
+        for (pod_id, _), chaperon in sim.protocol.chaperons.items():
+            assert chaperon.pod is sim.pod_objects[pod_id]
+
     def test_proxy_consumes_no_source_capacity(self):
         clusters = [
             {"id": "s", "nodes": [node_cfg("s-n1", cpu=4000, mem="4GiB")]},
@@ -500,8 +509,9 @@ class TestInvariants:
                           for _, _, e in sim.queue._heap if e.kind == engine.AGGREGATE_REPORT)
 
         target = sim.clusters["t"]
-        target.bind(make_pod("p1"), "t-n1", at=0)
-        target.unbind("p1")
+        undone = make_pod("p1")
+        target.bind(undone, "t-n1", at=0)
+        target.unbind(undone)
         sim.protocol.report_changes()
         assert reports() == []
         target.bind(make_pod("p2"), "t-n1", at=0)

@@ -2,7 +2,8 @@
 
 Every top-level function or class, every method and every class-level
 field of a module must be referenced by name somewhere in the package: as
-a name or attribute that is read, as a keyword argument, or in an import.
+a name or attribute that is read, or in an import. A field set only by a
+constructor keyword is written, not read.
 A method (other than a property) counts as referenced only where it is
 called, as `x.name(...)`, or named in a class body, as a handler table
 names its handlers; so a field or local of the same name does not keep a
@@ -73,13 +74,11 @@ def _definitions(module, tree):
 
 
 def _references(tree):
-    """Every name the module reads, passes as a keyword or imports. A name
-    or attribute that is only assigned to is written, not referenced."""
+    """Every name the module reads or imports. A name or attribute that is
+    only assigned to, or passed as a keyword, is written, not referenced."""
     for node in ast.walk(tree):
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
             yield node.id if isinstance(node, ast.Name) else node.attr
-        elif isinstance(node, ast.keyword) and node.arg is not None:
-            yield node.arg
         elif isinstance(node, ast.alias):
             yield node.name
 
@@ -128,11 +127,12 @@ def test_a_write_only_field_is_unreferenced():
         "class Box:\n"
         "    kept: int = 0\n"
         "    written: int = 0\n"
+        "    made: int = 0\n"
         "def fill(box):\n"
         "    box.written = box.kept\n"
-        "fill(Box())\n"
+        "fill(Box(made=1))\n"
     )
-    assert _unused([("m", ast.parse(source))]) == ["m.Box.written"]
+    assert _unused([("m", ast.parse(source))]) == ["m.Box.made", "m.Box.written"]
 
 
 def test_a_method_named_like_another_class_field_is_unreferenced():

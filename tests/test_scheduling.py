@@ -228,9 +228,9 @@ class TestWeightedOracle:
                 if held and rng.random() < 0.25:
                     pod, node_id, how = held.pop(rng.randrange(len(held)))
                     if how == "reserve":
-                        assert state.release_reservation(pod.pod_id)
+                        assert state.release_reservation(pod, node_id)
                     else:
-                        state.unbind(pod.pod_id)
+                        state.unbind(pod)
                     free = model[node_id]["free"]
                     for d, r in enumerate(pod.request.as_tuple()):
                         free[d] += r
@@ -457,14 +457,14 @@ class TestClassOrderDifferential:
             for step in range(40):
                 roll = rng.random()
                 if roll < 0.1 and reserved:
-                    pod, _ = reserved.pop(rng.randrange(len(reserved)))
-                    assert state.release_reservation(pod.pod_id)
+                    pod, node_id = reserved.pop(rng.randrange(len(reserved)))
+                    assert state.release_reservation(pod, node_id)
                 elif roll < 0.2 and reserved:
                     pod, node_id = reserved.pop(rng.randrange(len(reserved)))
                     state.bind(pod, node_id, at=step)  # consumes the reservation
                     bound.append(pod)
                 elif roll < 0.35 and bound:
-                    state.unbind(bound.pop(rng.randrange(len(bound))).pod_id)
+                    state.unbind(bound.pop(rng.randrange(len(bound))))
                 elif roll < 0.45:
                     node_id = rng.choice(ids)
                     if rng.random() < 0.5:
