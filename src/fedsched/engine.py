@@ -75,7 +75,7 @@ class EventQueue:
 
     def push(self, time: int, kind: str, payload: dict) -> Event:
         assert kind in EVENT_KINDS, f"unknown event kind {kind!r}"
-        event = Event(time=time, seq=self._seq, kind=kind, payload=payload)
+        event = Event(time, self._seq, kind, payload)
         heapq.heappush(self._heap, (time, self._seq, event))
         self._seq += 1
         return event

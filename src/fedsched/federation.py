@@ -119,14 +119,16 @@ class PodChaperon:
 class FederationProtocol:
     """State machines for every federated pod, driven by the event loop.
 
-    `ctx` is the simulation facade providing: now, clusters, pipelines,
-    graph, params, send()/at() for messages and timers, effect() for log
-    records, and mark_freed() to request scheduling retries in a cluster.
+    `ctx` is the run's `sim.Context`. The protocol reads its `now`,
+    `clusters`, `pipelines` and `graph`, and calls its `send()`/`at()` for
+    messages and timers, `effect()` for log records, `mark_freed()` to
+    request scheduling retries in a cluster, and `bound_pod()` once a
+    delegate binds. `params` is the run's `federation` config section.
     """
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, params: FederationParams):
         self.ctx = ctx
-        self.params: FederationParams = ctx.federation_params
+        self.params = params
         self.proxies: Dict[str, ProxyPod] = {}
         self.chaperons: Dict[Tuple[str, str], PodChaperon] = {}
         # Per target, in creation order, every chaperon not yet seen settled;

@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Dict, List
 
 from . import engine
-from .cluster import NodePool, NodeState
+from .cluster import NodePool, NodeState, PodSpec
 from .resources import Triple
 
 
@@ -138,11 +138,13 @@ class MetaScaler:
             if n.pool is pool and n.state is NodeState.REPURPOSING
         )
 
-    def on_tick(self) -> None:
+    def on_tick(self, pending: List[PodSpec]) -> None:
+        """Rebalance toward the larger shortfall; `pending` is the unmet
+        container demand the cluster can see."""
         # Batch demand is the queued jobs' node count; container demand,
         # the summed pending requests in average-node units.
         cpu = memory = gpu = 0
-        for pod in self.ctx.pending_requests(self.cluster_id):
+        for pod in pending:
             request = pod.request
             cpu += request.cpu_millicores
             memory += request.memory_bytes

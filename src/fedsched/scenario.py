@@ -93,24 +93,19 @@ class WildfireScenario:
             self.ctx.now, engine.TRIGGER_FIRED, {"camera": camera, "probability": probability}
         )
 
-    def on_trigger(self, payload: dict) -> None:
-        """Turn one qualifying smoke message into retrain + ensemble pods."""
+    def on_trigger(self, payload: dict) -> List[PodSpec]:
+        """Turn one qualifying smoke message into retrain + ensemble pods,
+        returned in submission order for `config.submit_cluster`."""
         self._trigger_count += 1
         prefix = f"{POD_ID_PREFIX}{self._trigger_count:04d}"
         config = self.config
-        retrain = config.retrain.make(f"{prefix}-retrain", config.namespace, "retrain")
-        members = [
+        pods = [config.retrain.make(f"{prefix}-retrain", config.namespace, "retrain")]
+        pods.extend(
             config.ensemble_member.make(f"{prefix}-sim-{k}", config.namespace, "ensemble")
             for k in range(1, config.ensemble_size + 1)
-        ]
-        self.ctx.effect(
-            op="trigger",
-            camera=payload["camera"],
-            pods=[retrain.pod_id] + [m.pod_id for m in members],
         )
-        self.ctx.submit_pod(retrain, config.submit_cluster)
-        for member in members:
-            self.ctx.submit_pod(member, config.submit_cluster)
+        self.ctx.effect(op="trigger", camera=payload["camera"], pods=[pod.pod_id for pod in pods])
+        return pods
 
     def on_pod_complete(self, pod: PodSpec) -> None:
         if pod.role == "retrain":

@@ -12,16 +12,17 @@ the writers run, so each collection would walk the whole history and free
 nothing. When the run ends, even by an exception, `run` moves every live
 object into the oldest generation (unless the caller has frozen objects)
 and restores the collector to the state it found. For the pause to leak
-nothing, a finished `Simulation` must be freed by reference counting
-alone: the protocol, the metascalers and the scenario reach it only through
-a weak proxy once the run is over.
+nothing, a `Simulation` must be freed by reference counting alone, whether
+it was run or only stepped: the protocol, the metascalers and the scenario
+hold a `Context`, which holds no layer and no `Simulation`, so no reference
+cycle runs through them.
 """
 
 from __future__ import annotations
 
 import gc
 import logging
-import weakref
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from . import engine
@@ -30,7 +31,7 @@ from .config import RunConfig
 from .engine import Event, EventQueue, LatencyChannels, RngStreams
 from .errors import CausalityError, ConfigError
 from .federation import FederationProtocol
-from .graph import FederationEdge
+from .graph import FederationEdge, FederationGraph
 from .metascale import BatchJob, MetaScaler
 from .metrics import MetricsReport, build_report, static_info_of
 from .scenario import WildfireScenario, generate_trace
@@ -39,101 +40,24 @@ from .scheduling import Pipeline, builtin_pipeline, schedule_one, snapshot_of
 log = logging.getLogger("fedsched")
 
 
-class Simulation:
-    def __init__(self, config: RunConfig):
-        self.config = config
-        self.now = 0
-        self.queue = EventQueue()
-        self.rngs = RngStreams(config.seed)
-        self.channels = LatencyChannels(self.rngs)
-        self.events: List[Event] = []
-        self._current: Optional[Event] = None
-        self._freed: Set[str] = set()
+@dataclass(slots=True)
+class Context:
+    """What the layers share with the loop: the clock, timers and messages,
+    the clusters with their pipelines, the graph, and the log effects of
+    the event being stepped.
 
-        self.graph = config.graph
-        self.clusters: Dict[str, ClusterState] = {}
-        self.pipelines: Dict[str, Pipeline] = {}
-        for cluster_cfg in config.clusters:
-            self.clusters[cluster_cfg.cluster_id] = ClusterState(cluster_cfg.build_spec())
-            self.pipelines[cluster_cfg.cluster_id] = builtin_pipeline(cluster_cfg.score_weights)
+    It holds no layer and no `Simulation`. A layer reaches another only
+    through the `Simulation`'s handlers, which pass data between them.
+    """
 
-        self.federation_params = config.federation
-        self.protocol = FederationProtocol(self)
-        self.protocol.initialize_virtual_nodes()
-
-        self.metascalers: Dict[str, MetaScaler] = {}
-        if config.metascale.enabled:
-            for cluster_id in self.clusters:
-                self.metascalers[cluster_id] = MetaScaler(self, cluster_id, config.metascale)
-
-        self.pod_objects: Dict[str, PodSpec] = {}
-        self.pending_local: Dict[str, List[PodSpec]] = {c: [] for c in self.clusters}
-
-        self.scenario: Optional[WildfireScenario] = None
-        if config.scenario.wildfire_enabled:
-            self.scenario = WildfireScenario(self, config.scenario)
-        self._schedule_initial()
-
-    # -- setup ---------------------------------------------------------------
-
-    def _schedule_initial(self) -> None:
-        cfg = self.config
-        for entry in cfg.scenario.pods:
-            pod = entry.make()
-            self._register_pod(pod)
-            self.queue.push(
-                entry.submit_time, engine.POD_SUBMIT, self._submit_payload(pod, entry.cluster)
-            )
-        # Fresh job objects per run: the scaler mutates them.
-        self._batch_jobs = {
-            job.job_id: BatchJob(
-                job_id=job.job_id, cluster=job.cluster, node_count=job.node_count,
-                duration=job.duration, submit_time=job.submit_time,
-            )
-            for job in cfg.scenario.batch_jobs
-        }
-        for job in self._batch_jobs.values():
-            self.queue.push(
-                job.submit_time, engine.BATCH_JOB_SUBMIT,
-                {"job": job.job_id, "cluster": job.cluster},
-            )
-        trace = list(cfg.scenario.trace)
-        if not trace and cfg.scenario.wildfire_enabled:
-            trace = generate_trace(
-                cameras=cfg.scenario.cameras,
-                rate_per_hour=cfg.scenario.rate_per_hour,
-                duration_ms=cfg.duration_ms,
-                rng=self.rngs.stream("trace"),
-                high_probability=cfg.scenario.high_probability,
-                high_range=cfg.scenario.high_range,
-                low_range=cfg.scenario.low_range,
-            )
-        for event in trace:
-            self.queue.push(
-                event.time, engine.SENSOR_MESSAGE,
-                {"camera": event.camera_id, "probability": event.smoke_probability},
-            )
-        for cluster_id in sorted(self.metascalers):
-            self.queue.push(
-                self.config.metascale.tick_ms, engine.REBALANCE_TICK, {"cluster": cluster_id}
-            )
-
-    def _register_pod(self, pod: PodSpec) -> None:
-        if pod.pod_id in self.pod_objects:
-            raise ConfigError(f"duplicate pod id {pod.pod_id!r}")
-        self.pod_objects[pod.pod_id] = pod
-
-    def _submit_payload(self, pod: PodSpec, cluster: str) -> dict:
-        return {
-            "pod": pod.pod_id,
-            "cluster": cluster,
-            "ns": pod.namespace,
-            "federated": pod.federation_eligible,
-            "role": pod.role,
-            "req": pod.request.as_list(),
-        }
-
-    # -- facade used by protocol / metascale / scenario ------------------------
+    queue: EventQueue
+    channels: LatencyChannels
+    clusters: Dict[str, ClusterState]
+    pipelines: Dict[str, Pipeline]
+    graph: FederationGraph
+    now: int = 0
+    current: Optional[Event] = None  # the event being stepped
+    freed: Set[str] = field(default_factory=set)  # clusters to kick before the step ends
 
     def at(self, time: int, kind: str, payload: dict) -> None:
         if time < self.now:
@@ -147,22 +71,10 @@ class Simulation:
         self.queue.push(when, kind, payload)
 
     def effect(self, **fields) -> None:
-        if self._current is not None:
-            self._current.effects.append(fields)
+        self.current.effects.append(fields)
 
     def mark_freed(self, cluster_id: str) -> None:
-        self._freed.add(cluster_id)
-
-    def pending_requests(self, cluster_id: str) -> List[PodSpec]:
-        """Unmet container demand a cluster can see: its pending local pods
-        plus chaperons currently waiting in it."""
-        pods = list(self.pending_local[cluster_id])
-        pods.extend(chaperon.pod for chaperon in self.protocol.pending_in(cluster_id))
-        return pods
-
-    def submit_pod(self, pod: PodSpec, cluster: str) -> None:
-        self._register_pod(pod)
-        self.at(self.now, engine.POD_SUBMIT, self._submit_payload(pod, cluster))
+        self.freed.add(cluster_id)
 
     def bound_pod(self, pod: PodSpec, cluster: str, node: str, federated: bool, source: str) -> None:
         """Shared post-bind path: record, start running, schedule completion."""
@@ -178,22 +90,113 @@ class Simulation:
             {"pod": pod.pod_id, "cluster": cluster},
         )
 
+
+class Simulation:
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self.rngs = RngStreams(config.seed)
+        self.events: List[Event] = []
+
+        self.graph = config.graph
+        self.clusters: Dict[str, ClusterState] = {}
+        pipelines: Dict[str, Pipeline] = {}
+        for cluster_cfg in config.clusters:
+            self.clusters[cluster_cfg.cluster_id] = ClusterState(cluster_cfg.build_spec())
+            pipelines[cluster_cfg.cluster_id] = builtin_pipeline(cluster_cfg.score_weights)
+        self.ctx = Context(
+            EventQueue(), LatencyChannels(self.rngs), self.clusters, pipelines, self.graph
+        )
+
+        self.protocol = FederationProtocol(self.ctx, config.federation)
+        self.protocol.initialize_virtual_nodes()
+
+        self.metascalers: Dict[str, MetaScaler] = {}
+        if config.metascale.enabled:
+            for cluster_id in self.clusters:
+                self.metascalers[cluster_id] = MetaScaler(self.ctx, cluster_id, config.metascale)
+
+        self.pod_objects: Dict[str, PodSpec] = {}
+        self.pending_local: Dict[str, List[PodSpec]] = {c: [] for c in self.clusters}
+
+        self.scenario: Optional[WildfireScenario] = None
+        if config.scenario.wildfire_enabled:
+            self.scenario = WildfireScenario(self.ctx, config.scenario)
+        self._schedule_initial()
+
+    # -- setup ---------------------------------------------------------------
+
+    def _schedule_initial(self) -> None:
+        cfg = self.config
+        push = self.ctx.queue.push
+        for entry in cfg.scenario.pods:
+            self._submit(entry.make(), entry.cluster, entry.submit_time)
+        # Fresh job objects per run: the scaler mutates them.
+        self._batch_jobs = {
+            job.job_id: BatchJob(
+                job_id=job.job_id, cluster=job.cluster, node_count=job.node_count,
+                duration=job.duration, submit_time=job.submit_time,
+            )
+            for job in cfg.scenario.batch_jobs
+        }
+        for job in self._batch_jobs.values():
+            push(
+                job.submit_time, engine.BATCH_JOB_SUBMIT,
+                {"job": job.job_id, "cluster": job.cluster},
+            )
+        trace = list(cfg.scenario.trace)
+        if not trace and cfg.scenario.wildfire_enabled:
+            trace = generate_trace(
+                cameras=cfg.scenario.cameras,
+                rate_per_hour=cfg.scenario.rate_per_hour,
+                duration_ms=cfg.duration_ms,
+                rng=self.rngs.stream("trace"),
+                high_probability=cfg.scenario.high_probability,
+                high_range=cfg.scenario.high_range,
+                low_range=cfg.scenario.low_range,
+            )
+        for event in trace:
+            push(
+                event.time, engine.SENSOR_MESSAGE,
+                {"camera": event.camera_id, "probability": event.smoke_probability},
+            )
+        for cluster_id in sorted(self.metascalers):
+            push(cfg.metascale.tick_ms, engine.REBALANCE_TICK, {"cluster": cluster_id})
+
+    def _submit(self, pod: PodSpec, cluster: str, time: int) -> None:
+        if pod.pod_id in self.pod_objects:
+            raise ConfigError(f"duplicate pod id {pod.pod_id!r}")
+        self.pod_objects[pod.pod_id] = pod
+        self.ctx.queue.push(time, engine.POD_SUBMIT, {
+            "pod": pod.pod_id,
+            "cluster": cluster,
+            "ns": pod.namespace,
+            "federated": pod.federation_eligible,
+            "role": pod.role,
+            "req": pod.request.as_list(),
+        })
+
+    def pending_requests(self, cluster_id: str) -> List[PodSpec]:
+        """Unmet container demand a cluster can see: its pending local pods
+        plus chaperons currently waiting in it."""
+        pods = list(self.pending_local[cluster_id])
+        pods.extend(chaperon.pod for chaperon in self.protocol.pending_in(cluster_id))
+        return pods
+
     # -- loop ------------------------------------------------------------------
 
     def step(self) -> Event:
-        event = self.queue.pop()
-        assert event.time >= self.now, "event queue violated time order"
-        self.now = event.time
-        self._current = event
+        ctx = self.ctx
+        event = ctx.queue.pop()
+        assert event.time >= ctx.now, "event queue violated time order"
+        ctx.now = event.time
+        ctx.current = event
         handler = self._HANDLERS[event.kind]
         handler(self, event.payload)
-        self._current = None
-        while self._freed:
-            cluster_id = min(self._freed)
-            self._freed.discard(cluster_id)
-            self._current = event
+        freed = ctx.freed
+        while freed:
+            cluster_id = min(freed)
+            freed.discard(cluster_id)
             self._kick(cluster_id)
-            self._current = None
         self.protocol.report_changes()
         self.events.append(event)
         return event
@@ -204,26 +207,21 @@ class Simulation:
         The cyclic collector is paused throughout and left as the caller
         had it. On the way out, the run's objects are moved into the oldest
         generation, so that the first collection after the run does not
-        walk them all, and the back-references of the protocol, metascalers
-        and scenario become one weak proxy, so that dropping the last
-        reference to a finished simulation frees it without the collector.
+        walk them all. No reference cycle runs through a simulation, run or
+        only stepped, so dropping the last reference to it frees it without
+        the collector.
         """
         collecting = gc.isenabled()
         gc.disable()
         try:
+            queue = self.ctx.queue
             processed = 0
-            while len(self.queue) and self.queue.peek_time() <= self.config.duration_ms:
+            while len(queue) and queue.peek_time() <= self.config.duration_ms:
                 self.step()
                 processed += 1
-            log.info("run complete: %d events in %d ms simulated", processed, self.now)
+            log.info("run complete: %d events in %d ms simulated", processed, self.ctx.now)
             return build_report(self.events, static_info_of(self.config))
         finally:
-            ctx = weakref.proxy(self)
-            self.protocol.ctx = ctx
-            for scaler in self.metascalers.values():
-                scaler.ctx = ctx
-            if self.scenario is not None:
-                self.scenario.ctx = ctx
             if gc.get_freeze_count() == 0:
                 gc.freeze()
                 gc.unfreeze()
@@ -234,11 +232,11 @@ class Simulation:
 
     def _try_schedule_local(self, pod: PodSpec, cluster_id: str) -> bool:
         state = self.clusters[cluster_id]
-        node = schedule_one(pod, snapshot_of(state), self.pipelines[cluster_id])
+        node = schedule_one(pod, snapshot_of(state), self.ctx.pipelines[cluster_id])
         if node is None:
             return False
-        state.bind(pod, node, at=self.now)
-        self.bound_pod(pod, cluster_id, node, federated=False, source=cluster_id)
+        state.bind(pod, node, at=self.ctx.now)
+        self.ctx.bound_pod(pod, cluster_id, node, federated=False, source=cluster_id)
         return True
 
     def _kick(self, cluster_id: str) -> None:
@@ -268,15 +266,15 @@ class Simulation:
         state = self.clusters[cluster_id]
         state.unbind(pod)
         pod.transition(PodPhase.COMPLETED)
-        self.effect(
+        self.ctx.effect(
             op="unbind", pod=pod.pod_id, cluster=cluster_id, node=pod.bound_node,
             req=pod.request.as_list(),
         )
-        self.effect(op="phase", pod=pod.pod_id, phase=PodPhase.COMPLETED.value)
+        self.ctx.effect(op="phase", pod=pod.pod_id, phase=PodPhase.COMPLETED.value)
         if self.scenario is not None:
             self.scenario.on_pod_complete(pod)
         self.protocol.mirror_completion(pod, cluster_id, PodPhase.COMPLETED.value)
-        self.mark_freed(cluster_id)
+        self.ctx.mark_freed(cluster_id)
 
     def _on_batch_job_submit(self, payload: dict) -> None:
         self.metascalers[payload["cluster"]].submit(self._batch_jobs[payload["job"]])
@@ -286,10 +284,10 @@ class Simulation:
 
     def _on_rebalance(self, payload: dict) -> None:
         cluster_id = payload["cluster"]
-        self.metascalers[cluster_id].on_tick()
-        nxt = self.now + self.config.metascale.tick_ms
+        self.metascalers[cluster_id].on_tick(self.pending_requests(cluster_id))
+        nxt = self.ctx.now + self.config.metascale.tick_ms
         if nxt <= self.config.duration_ms:
-            self.at(nxt, engine.REBALANCE_TICK, {"cluster": cluster_id})
+            self.ctx.at(nxt, engine.REBALANCE_TICK, {"cluster": cluster_id})
 
     def _on_node_ready(self, payload: dict) -> None:
         self.metascalers[payload["cluster"]].on_node_ready(payload["node"])
@@ -298,7 +296,8 @@ class Simulation:
         self.scenario.on_sensor(payload)
 
     def _on_trigger(self, payload: dict) -> None:
-        self.scenario.on_trigger(payload)
+        for pod in self.scenario.on_trigger(payload):
+            self._submit(pod, self.config.scenario.submit_cluster, self.ctx.now)
 
     _HANDLERS = {
         engine.POD_SUBMIT: _on_pod_submit,

@@ -37,9 +37,9 @@ class TestCausality:
         # A pod's submission and completion advance the clock.
         two_cluster_raw["scenario"]["pods"] = [pod_cfg("p1", "a", submit=1000)]
         sim, _ = run_raw(two_cluster_raw)
-        assert sim.now > 0
+        assert sim.ctx.now > 0
         with pytest.raises(CausalityError):
-            sim.at(sim.now - 1, engine.SENSOR_MESSAGE, {})
+            sim.ctx.at(sim.ctx.now - 1, engine.SENSOR_MESSAGE, {})
 
     def test_clock_never_decreases_over_a_run(self):
         clusters = [{"id": "a", "nodes": [node_cfg("a-n1")]},

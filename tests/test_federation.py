@@ -477,7 +477,7 @@ class TestInvariants:
         configs.append(container_to_batch_raw())
         for index, raw in enumerate(configs):
             sim = Simulation(validate_config(raw))
-            while len(sim.queue) and sim.queue.peek_time() <= sim.config.duration_ms:
+            while len(sim.ctx.queue) and sim.ctx.queue.peek_time() <= sim.config.duration_ms:
                 event = sim.step()
                 assert unreported_pairs(sim) == [], (index, event.time, event.kind)
 
@@ -487,11 +487,11 @@ class TestInvariants:
         full = sim.clusters["c"].aggregate_capacity()
         while not any(fx["op"] == "pool_move" for fx in sim.step().effects):
             pass
-        moved_at = sim.now
+        moved_at = sim.ctx.now
         reduced = sim.clusters["c"].aggregate_capacity()
         assert reduced[0] < full[0]
         slowest = max(e.latency.base_ms + e.latency.jitter_ms for e in sim.graph.edges.values())
-        while sim.queue.peek_time() <= moved_at + slowest:
+        while sim.ctx.queue.peek_time() <= moved_at + slowest:
             sim.step()
         for source in ("s", "u"):
             assert sim.protocol.virtual_nodes[(source, "c")].capacity == reduced
@@ -506,7 +506,7 @@ class TestInvariants:
 
         def reports():
             return sorted((e.payload["source"], e.payload["target"])
-                          for _, _, e in sim.queue._heap if e.kind == engine.AGGREGATE_REPORT)
+                          for _, _, e in sim.ctx.queue._heap if e.kind == engine.AGGREGATE_REPORT)
 
         target = sim.clusters["t"]
         undone = make_pod("p1")
@@ -543,7 +543,7 @@ def unreported_pairs(sim):
     aggregates while no AggregateReport for the pair is queued."""
     in_flight = {
         (event.payload["source"], event.payload["target"])
-        for _, _, event in sim.queue._heap
+        for _, _, event in sim.ctx.queue._heap
         if event.kind == engine.AGGREGATE_REPORT
     }
     return [

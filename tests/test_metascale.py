@@ -221,7 +221,7 @@ class TestAggregatesUnderRebalance:
         raw["topology"]["clusters"] = [batch_cluster(n_batch=2, n_container=2)]
         sim = Simulation(validate_config(copy.deepcopy(raw)))
         ops = set()
-        while len(sim.queue) and sim.queue.peek_time() <= sim.config.duration_ms:
+        while len(sim.ctx.queue) and sim.ctx.queue.peek_time() <= sim.config.duration_ms:
             event = sim.step()
             ops.update((fx["op"], fx.get("dst") or fx.get("pool"))
                        for fx in event.effects if fx["op"] in ("pool_move", "node_ready"))

@@ -1,11 +1,13 @@
 """Simulation loop behavior: determinism, replay, duration, burst offload."""
 
 import gc
+import weakref
 
 import pytest
 
 from fedsched import engine
 from fedsched.errors import EmptyQueue
+from fedsched.federation import ChaperonState
 from fedsched.metrics import serialize_event
 from fedsched.sim import Simulation
 from fedsched.config import validate_config
@@ -100,10 +102,10 @@ def test_run_with_edges_drains_before_an_endless_duration():
     raw["sim"]["duration"] = int("9" * 400)
     sim = Simulation(validate_config(raw))
     for _ in range(10_000):
-        if not len(sim.queue):
+        if not len(sim.ctx.queue):
             break
         sim.step()
-    assert len(sim.queue) == 0
+    assert len(sim.ctx.queue) == 0
 
 
 def test_every_event_kind_has_exactly_one_handler():
@@ -151,7 +153,7 @@ def test_no_event_processed_beyond_duration():
 
 # -- collector contract ---------------------------------------------------------
 # `run` pauses the cyclic collector and restores the caller's state; a
-# finished simulation must then be freed by reference counting alone.
+# simulation, run or only stepped, must be freed by reference counting alone.
 
 
 def _small_raw():
@@ -212,6 +214,37 @@ def test_back_to_back_runs_do_not_grow_the_heap():
     assert counts[-1] <= counts[1], counts
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stepped_simulation_is_freed_by_reference_counting(name):
+    # No layer holds the Simulation, so dropping one that was stepped but
+    # never run leaves nothing for the collector, and a layer kept past it
+    # still answers.
+    raw, seed = CASES[name]()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        sim = Simulation(validate_config(raw, base_seed=seed))
+        for _ in range(200):
+            if not len(sim.ctx.queue):
+                break
+            sim.step()
+        protocol = sim.protocol
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()
+    protocol.report_changes()
+    for target in protocol.ctx.clusters:
+        assert protocol.pending_in(target) == [
+            chaperon for chaperon in protocol.chaperons.values()
+            if chaperon.target == target and chaperon.state is ChaperonState.PENDING_SCHEDULE
+        ]
+
+
 def test_finished_simulation_still_answers_queries():
     # Cut short while chaperons still wait in both targets.
     raw, seed = CASES["mesh-overload"]()
@@ -224,4 +257,4 @@ def test_finished_simulation_still_answers_queries():
         assert waiting
         assert sim.pending_requests(target) == sim.pending_local[target] + waiting
     for vnode in sim.protocol.virtual_nodes.values():
-        assert vnode.staleness(sim.now) == sim.now - vnode.last_update
+        assert vnode.staleness(sim.ctx.now) == sim.ctx.now - vnode.last_update
