@@ -77,10 +77,14 @@ def _resolve_seed(flag_seed: Optional[int]) -> Optional[int]:
     return None
 
 
-def _apply_overrides(raw: dict, duration: Optional[str]) -> dict:
-    if duration is not None:
-        raw = copy.deepcopy(raw)
-        raw.setdefault("sim", {})["duration"] = duration
+def _apply_overrides(raw: dict, duration: Optional[str], seed: Optional[int]) -> dict:
+    """Write the overrides into the `sim` section, which validation checks."""
+    if raw.get("sim") is None:
+        raw["sim"] = {}
+    if isinstance(raw["sim"], dict):  # else validation rejects the section
+        for key, value in (("duration", duration), ("seed", seed)):
+            if value is not None:
+                raw["sim"][key] = value
     return raw
 
 
@@ -148,8 +152,8 @@ def _set_dotted(raw: dict, dotted: str, value) -> None:
 
 
 def cmd_run(args) -> int:
-    raw = _apply_overrides(load_raw(args.config), args.duration)
-    config = validate_config(raw, base_seed=_resolve_seed(args.seed))
+    raw = _apply_overrides(load_raw(args.config), args.duration, _resolve_seed(args.seed))
+    config = validate_config(raw)
     summary = _run_one(config, args.out)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
@@ -165,15 +169,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = _apply_overrides(load_raw(args.config), args.duration)
-    seed = _resolve_seed(args.seed)
+    raw = _apply_overrides(load_raw(args.config), args.duration, _resolve_seed(args.seed))
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep needs at least one value", "--values")
     for value in values:
         variant = copy.deepcopy(raw)
         _set_dotted(variant, args.param, _coerce_value(value))
-        config = validate_config(variant, base_seed=seed)
+        config = validate_config(variant)
         out_dir = None
         if args.out is not None:
             out_dir = os.path.join(args.out, f"{args.param}={value}")

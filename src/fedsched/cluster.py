@@ -222,9 +222,12 @@ class ClusterState:
 
     so the virtual-node aggregates are reads. Node pool and state change
     only through `set_node`, which moves the node's share in or out.
-    `aggregates_version` counts the bind, unbind and `set_node` calls that
-    moved the aggregates, so a reader can skip a cluster whose version it
-    has already seen.
+
+    Change records: the cluster adds its id to the run's `freed` set after
+    every unbind, every release_reservation that released something and
+    every `set_node` that leaves the node schedulable, and to the run's
+    `moved` set after every bind or unbind on a schedulable node and every
+    `set_node`, so that no caller has to.
 
     Order invariant: after every reserve, release_reservation, bind, unbind
     and `set_node`, for every capacity cap and every Ready container node n
@@ -245,8 +248,11 @@ class ClusterState:
     their identity for the run, so `order` is built once.
     """
 
-    def __init__(self, spec: ClusterSpec):
+    def __init__(self, spec: ClusterSpec, freed: Set[str], moved: Set[str]):
         self.spec = spec
+        self.cluster_id = spec.cluster_id
+        self._freed = freed
+        self._moved = moved
         self.bound: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
         self.reserved: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
         self.ns_usage: Dict[str, Triple] = {}
@@ -262,7 +268,6 @@ class ClusterState:
                     self._aggregate_capacity, self._capacity[node_id]
                 )
         self._aggregate_unbound = self._aggregate_capacity
-        self.aggregates_version = 0
         self._labels = {
             n: tuple(sorted(node.labels.items())) for n, node in spec.nodes.items()
         }
@@ -285,10 +290,6 @@ class ClusterState:
             (self._keys[capacity], entries) for capacity, entries in self._entries.items()
         )
 
-    @property
-    def cluster_id(self) -> str:
-        return self.spec.cluster_id
-
     def nodes(self) -> Dict[str, NodeSpec]:
         return self.spec.nodes
 
@@ -296,7 +297,7 @@ class ClusterState:
         """A node's free triple, net of reservations unless told otherwise.
 
         Nothing in the package calls it: it stays because
-        `perfbench/tracer.py` counts its calls (ROADMAP item 1).
+        `perfbench/tracer.py` counts its calls (ROADMAP item 6).
         """
         if include_reservations:
             return self._allocatable[node_id]
@@ -358,7 +359,8 @@ class ClusterState:
             self._aggregate_capacity = add_triples(self._aggregate_capacity, capacity)
             self._aggregate_unbound = add_triples(self._aggregate_unbound, unbound)
             self._index(node_id, self._allocatable[node_id])
-        self.aggregates_version += 1
+            self._freed.add(self.cluster_id)
+        self._moved.add(self.cluster_id)
 
     def namespace_used(self, namespace: str) -> Triple:
         return self.ns_usage.get(namespace, ZERO)
@@ -397,6 +399,7 @@ class ClusterState:
         request = held.as_tuple()
         self._set_allocatable(node_id, add_triples(self._allocatable[node_id], request))
         self._ns_sub(pod.namespace, request)
+        self._freed.add(self.cluster_id)
         return True
 
     def bind(self, pod: PodSpec, node_id: str, at: int) -> None:
@@ -421,7 +424,7 @@ class ClusterState:
         self._unbound[node_id] = subtract_triples(self._unbound[node_id], request)
         if schedulable(self.spec.nodes[node_id]):
             self._aggregate_unbound = subtract_triples(self._aggregate_unbound, request)
-            self.aggregates_version += 1
+            self._moved.add(self.cluster_id)
         self.bound[node_id][pod.pod_id] = held
         pod.transition(PodPhase.BOUND)
         pod.bound_node = node_id
@@ -434,9 +437,10 @@ class ClusterState:
         self._unbound[node_id] = add_triples(self._unbound[node_id], request)
         if schedulable(self.spec.nodes[node_id]):
             self._aggregate_unbound = add_triples(self._aggregate_unbound, request)
-            self.aggregates_version += 1
+            self._moved.add(self.cluster_id)
         self._set_allocatable(node_id, add_triples(self._allocatable[node_id], request))
         self._ns_sub(pod.namespace, request)
+        self._freed.add(self.cluster_id)
 
     def _assert_node_capacity(self, node_id: str) -> None:
         cpu = memory = gpu = 0

@@ -514,7 +514,7 @@ TRIGGER_KEYS = {
 def _scenario(trace, trace_file, pods, batch_jobs, **values) -> ScenarioConfig:
     if trace_file is not None:
         try:
-            trace = trace + load_trace(trace_file, parse_time)
+            trace = trace + load_trace(trace_file, camera_event)
         except (OSError, ValueError, ConfigError) as exc:
             raise ConfigError(str(exc), "scenario.trace_file") from None
     _unique([p.pod_id for p in pods], "pod", "scenario.pods")
@@ -638,7 +638,7 @@ def _graph(topology: dict, cluster_ids: set) -> FederationGraph:
     return graph
 
 
-def validate_config(raw: dict, base_seed: Optional[int] = None) -> RunConfig:
+def validate_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON document and construct the run configuration."""
     _check_keys(raw, SECTIONS, "config")
     if raw.get("topology") is None:
@@ -687,7 +687,7 @@ def validate_config(raw: dict, base_seed: Optional[int] = None) -> RunConfig:
         raise ConfigError("batch jobs need metascale.enabled", "scenario.batch_jobs")
 
     return RunConfig(
-        seed=base_seed if base_seed is not None else sim["seed"],
+        seed=sim["seed"],
         duration_ms=duration,
         clusters=clusters,
         graph=_graph(topology, known),
@@ -723,5 +723,5 @@ def load_raw(path: str) -> dict:
     return raw
 
 
-def parse_config(path: str, base_seed: Optional[int] = None) -> RunConfig:
-    return validate_config(load_raw(path), base_seed=base_seed)
+def parse_config(path: str) -> RunConfig:
+    return validate_config(load_raw(path))

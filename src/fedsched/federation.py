@@ -120,10 +120,10 @@ class FederationProtocol:
     """State machines for every federated pod, driven by the event loop.
 
     `ctx` is the run's `sim.Context`. The protocol reads its `now`,
-    `clusters`, `pipelines` and `graph`, and calls its `send()`/`at()` for
-    messages and timers, `effect()` for log records, `mark_freed()` to
-    request scheduling retries in a cluster, and `bound_pod()` once a
-    delegate binds. `params` is the run's `federation` config section.
+    `clusters`, `pipelines`, `graph` and `moved` (the targets to report),
+    and calls its `send()`/`at()` for messages and timers, `effect()` for
+    log records and `bound_pod()` once a delegate binds. `params` is the
+    run's `federation` config section.
     """
 
     def __init__(self, ctx, params: FederationParams):
@@ -137,9 +137,6 @@ class FederationProtocol:
         self.virtual_nodes: Dict[Tuple[str, str], VirtualNode] = {}
         # Per target with sources, the (capacity, allocatable) last reported.
         self._reported: Dict[str, Tuple[Triple, Triple]] = {}
-        # The same targets in sorted order, each with the `aggregates_version`
-        # at which `report_changes` last compared it.
-        self._compared: Dict[str, int] = {}
         self._timer_ids = 0
 
     # -- setup -------------------------------------------------------------
@@ -152,10 +149,6 @@ class FederationProtocol:
             figures = (state.aggregate_capacity(), state.aggregate_allocatable())
             self._reported[target] = figures
             self.virtual_nodes[(source, target)] = VirtualNode(target, *figures)
-        self._compared = {
-            target: self.ctx.clusters[target].aggregates_version
-            for target in sorted(self._reported)
-        }
 
     # -- fan-out -----------------------------------------------------------
 
@@ -430,7 +423,6 @@ class FederationProtocol:
                     op="release", pod=chaperon.pod.pod_id, cluster=chaperon.target,
                     node=chaperon.reserved_node,
                 )
-                self.ctx.mark_freed(chaperon.target)
         chaperon.reserved_node = None
         self.ctx.effect(
             op="chaperon", pod=chaperon.pod.pod_id, cluster=chaperon.target,
@@ -454,20 +446,19 @@ class FederationProtocol:
 
         The one place that decides when a source hears from a target; the
         loop calls it once per step, after every change the step made.
-        Targets are visited in sorted order, and only those whose
-        `aggregates_version` moved since they were last compared are
-        compared; a move that a later one undid within the step sends
-        nothing.
+        The targets in `ctx.moved` that have sources are compared, in sorted
+        order, and the set is cleared; a move that a later one undid within
+        the step sends nothing.
         """
-        compared = self._compared
-        for target, version in compared.items():
-            state = self.ctx.clusters[target]
-            if state.aggregates_version == version:
+        moved = self.ctx.moved
+        for target in sorted(moved):
+            last = self._reported.get(target)
+            if last is None:
                 continue
-            compared[target] = state.aggregates_version
-            figures = (state.aggregate_capacity(), state.aggregate_allocatable())
-            if figures != self._reported[target]:
+            state = self.ctx.clusters[target]
+            if (state.aggregate_capacity(), state.aggregate_allocatable()) != last:
                 self.broadcast_aggregates(target)
+        moved.clear()
 
     def broadcast_aggregates(self, target: str) -> None:
         """Send target's aggregate capacity/allocatable to all its sources."""

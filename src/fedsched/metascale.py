@@ -202,7 +202,5 @@ class MetaScaler:
         self.ctx.effect(
             op="node_ready", cluster=self.cluster_id, node=node_id, pool=node.pool.value
         )
-        if node.pool is NodePool.CONTAINER:
-            self.ctx.mark_freed(self.cluster_id)
-        else:
+        if node.pool is NodePool.BATCH:
             self.try_start()

@@ -28,10 +28,6 @@ class CameraEvent:
     time: int
     smoke_probability: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.smoke_probability <= 1.0:
-            raise ValueError(f"smoke probability out of [0,1]: {self.smoke_probability}")
-
 
 @dataclass(frozen=True)
 class PodTemplate:
@@ -143,12 +139,13 @@ def generate_trace(
     return events
 
 
-def load_trace(path: str, parse_time) -> List[CameraEvent]:
+def load_trace(path: str, parse_row) -> List[CameraEvent]:
     """Read 'camera_id, time, probability' lines; '#' starts a comment.
 
-    `parse_time(value, location)` turns a time field into milliseconds and
-    raises an error located at `location`, here `<path>:<line>`; every other
-    malformed row raises ValueError starting with `<path>:<line>`.
+    Each line becomes a `[camera_id, time, probability]` row, the last a
+    float, that `parse_row(row, location)` turns into a `CameraEvent` or
+    rejects at `location`, here `<path>:<line>`; a line that is no such
+    row raises ValueError starting with `<path>:<line>`.
     """
     events: List[CameraEvent] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -160,10 +157,9 @@ def load_trace(path: str, parse_time) -> List[CameraEvent]:
             parts = [p.strip() for p in line.split(",")]
             if len(parts) != 3:
                 raise ValueError(f"{where}: expected 'camera_id, time, probability'")
-            time = parse_time(parts[1], where)
             try:
-                events.append(CameraEvent(parts[0], time, float(parts[2])))
+                probability = float(parts[2])
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
-    events.sort(key=lambda e: (e.time, e.camera_id))
+            events.append(parse_row([parts[0], parts[1], probability], where))
     return events

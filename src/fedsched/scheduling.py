@@ -80,7 +80,7 @@ class SchedulingSnapshot:
     node order (`ClusterState.order`). A snapshot is read at once by
     `schedule_one`, never kept. `snapshot_of` and `nodes` stay because
     `perfbench/tracer.py` times the one and counts the other (ROADMAP
-    item 1); without them `schedule_one` could read the state itself.
+    item 6); without them `schedule_one` could read the state itself.
     """
 
     spec: ClusterSpec

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import gc
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from . import engine
@@ -43,8 +43,8 @@ log = logging.getLogger("fedsched")
 @dataclass(slots=True)
 class Context:
     """What the layers share with the loop: the clock, timers and messages,
-    the clusters with their pipelines, the graph, and the log effects of
-    the event being stepped.
+    the clusters with their pipelines, the graph, the log effects of the
+    event being stepped, and the step's change records.
 
     It holds no layer and no `Simulation`. A layer reaches another only
     through the `Simulation`'s handlers, which pass data between them.
@@ -55,9 +55,10 @@ class Context:
     clusters: Dict[str, ClusterState]
     pipelines: Dict[str, Pipeline]
     graph: FederationGraph
+    freed: Set[str]  # clusters to kick before the step ends; see `ClusterState`
+    moved: Set[str]  # clusters `report_changes` compares; see `ClusterState`
     now: int = 0
     current: Optional[Event] = None  # the event being stepped
-    freed: Set[str] = field(default_factory=set)  # clusters to kick before the step ends
 
     def at(self, time: int, kind: str, payload: dict) -> None:
         if time < self.now:
@@ -72,9 +73,6 @@ class Context:
 
     def effect(self, **fields) -> None:
         self.current.effects.append(fields)
-
-    def mark_freed(self, cluster_id: str) -> None:
-        self.freed.add(cluster_id)
 
     def bound_pod(self, pod: PodSpec, cluster: str, node: str, federated: bool, source: str) -> None:
         """Shared post-bind path: record, start running, schedule completion."""
@@ -100,11 +98,14 @@ class Simulation:
         self.graph = config.graph
         self.clusters: Dict[str, ClusterState] = {}
         pipelines: Dict[str, Pipeline] = {}
+        freed, moved = set(), set()
         for cluster_cfg in config.clusters:
-            self.clusters[cluster_cfg.cluster_id] = ClusterState(cluster_cfg.build_spec())
+            spec = cluster_cfg.build_spec()
+            self.clusters[spec.cluster_id] = ClusterState(spec, freed, moved)
             pipelines[cluster_cfg.cluster_id] = builtin_pipeline(cluster_cfg.score_weights)
         self.ctx = Context(
-            EventQueue(), LatencyChannels(self.rngs), self.clusters, pipelines, self.graph
+            EventQueue(), LatencyChannels(self.rngs), self.clusters, pipelines, self.graph,
+            freed, moved,
         )
 
         self.protocol = FederationProtocol(self.ctx, config.federation)
@@ -274,7 +275,6 @@ class Simulation:
         if self.scenario is not None:
             self.scenario.on_pod_complete(pod)
         self.protocol.mirror_completion(pod, cluster_id, PodPhase.COMPLETED.value)
-        self.ctx.mark_freed(cluster_id)
 
     def _on_batch_job_submit(self, payload: dict) -> None:
         self.metascalers[payload["cluster"]].submit(self._batch_jobs[payload["job"]])

@@ -79,9 +79,19 @@ def base_config(clusters, *, kind="explicit", edges=(), pairs=None, pods=(),
     return raw
 
 
+def seeded(raw, seed=None):
+    """A copy of a raw config dict, with `sim.seed` set to `seed` unless it
+    is None."""
+    raw = copy.deepcopy(raw)
+    if seed is not None:
+        raw.setdefault("sim", {})["seed"] = seed
+    return raw
+
+
 def run_raw(raw, seed=None):
-    """Validate a raw config dict, run it, return (sim, report)."""
-    config = validate_config(copy.deepcopy(raw), base_seed=seed)
+    """Validate a raw config dict, with `seed` as in `seeded`, run it, and
+    return (sim, report)."""
+    config = validate_config(seeded(raw, seed))
     sim = Simulation(config)
     report = sim.run()
     return sim, report

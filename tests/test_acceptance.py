@@ -20,9 +20,11 @@ from fedsched.config import validate_config
 from fedsched.federation import ChaperonState, ProxyState
 from fedsched.graph import build_burst, build_central, build_decentralized
 from fedsched.metrics import serialize_event
+from fedsched.scheduling import schedule_one, snapshot_of
 from fedsched.sim import Simulation
 
 from conftest import base_config, node_cfg, pod_cfg, pod_row, run_raw
+from test_metascale import rebalance_raw
 
 BUNDLED = importlib.resources.files("fedsched") / "data" / "expanse-nautilus.json"
 
@@ -528,7 +530,8 @@ def test_criterion_9_wildfire_closed_loop():
             ["cam-3", "80m", 0.10],       # below threshold: ignored
             ["cam-3", "90m", 0.93],
         ]
-        config = validate_config(raw, base_seed=7)
+        raw["sim"]["seed"] = 7
+        config = validate_config(raw)
         assert config.scenario.threshold == 0.9
         assert config.scenario.ensemble_size == 8
         sim = Simulation(config)
@@ -577,3 +580,54 @@ def test_criterion_10_policy_respect():
                     if fx["op"] in ("bind", "reserve"):
                         assert fx["cluster"] != "closed", (seed, fx)
             assert all(p.bound_cluster == "open" for p in report.pods)
+
+
+# --------------------------------------------------------------------------
+# Criterion 11: liveness. No pod waits in a cluster that could place it now.
+# --------------------------------------------------------------------------
+
+N_LIVENESS_RUNS = 150
+
+
+def liveness_configs():
+    """Random protocol runs, every other one without reservations and with
+    about 30% of pods local-only, then the metascale configs, whose nodes
+    come back Ready in either pool."""
+    rng = random.Random(20261019)
+    for index in range(N_LIVENESS_RUNS):
+        raw = random_protocol_raw(rng)
+        if index % 2:
+            raw["federation"]["reservations"] = False
+        for pod in raw["scenario"]["pods"]:
+            if rng.random() < 0.3:
+                pod["federated"] = False
+        yield f"random-{index}", raw
+    for seed in (1, 2, 3):
+        yield f"oscillating-{seed}", oscillating_raw(seed)
+    yield "rebalance", rebalance_raw()
+
+
+def liveness_violations(raw):
+    """(time, cluster, pod id) of each waiting pod or chaperon that
+    `schedule_one` would place at once, checked after every step."""
+    sim = Simulation(validate_config(copy.deepcopy(raw)))
+    queue, duration = sim.ctx.queue, sim.config.duration_ms
+    violations = []
+    while len(queue) and queue.peek_time() <= duration:
+        sim.step()
+        for cluster_id, state in sim.clusters.items():
+            pipeline = sim.ctx.pipelines[cluster_id]
+            for pod in sim.pending_requests(cluster_id):
+                if schedule_one(pod, snapshot_of(state), pipeline) is not None:
+                    violations.append((sim.ctx.now, cluster_id, pod.pod_id))
+    return violations
+
+
+def test_criterion_11_nothing_waits_that_fits():
+    with criterion(11, "every step retries each cluster it freed"):
+        violations = {}
+        for name, raw in liveness_configs():
+            found = liveness_violations(raw)
+            if found:
+                violations[name] = found[:3]
+        assert violations == {}

@@ -78,6 +78,51 @@ def test_env_seed_fallback(config_path, tmp_path, monkeypatch):
     assert (out1 / "events.jsonl").read_bytes() == (out2 / "events.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("flag,env", [("-1", None), (None, "-3")])
+def test_a_negative_seed_override_is_a_located_config_error(
+    config_path, monkeypatch, capsys, flag, env
+):
+    # The override is checked by the rule that checks `sim.seed` in a file.
+    if env is not None:
+        monkeypatch.setenv("FEDSCHED_SEED", env)
+    seed_args = [] if flag is None else ["--seed", flag]
+    assert main(["run", "--config", config_path, *seed_args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: sim.seed: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sim,code", [(None, EXIT_OK), ([], EXIT_CONFIG)], ids=["null", "list"])
+def test_overrides_on_a_null_or_bad_sim_section(config_path, capsys, sim, code):
+    with open(config_path) as handle:
+        raw = json.load(handle)
+    raw["sim"] = sim
+    with open(config_path, "w") as handle:
+        json.dump(raw, handle)
+    assert main(["run", "--config", config_path, "--seed", "3", "--duration", "10s"]) == code
+    if code == EXIT_CONFIG:
+        assert capsys.readouterr().err.startswith("error: sim: ")
+
+
+def test_sweep_over_the_seed_runs_each_value(config_path, tmp_path, capsys):
+    # A swept `sim.seed` wins over `--seed`, as a swept `sim.duration` wins
+    # over `--duration`.
+    out = tmp_path / "sweep"
+    assert main([
+        "sweep", "--config", config_path, "--param", "sim.seed", "--values", "1,2",
+        "--seed", "5", "--out", str(out),
+    ]) == EXIT_OK
+    lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
+    assert [l["value"] for l in lines] == ["1", "2"]
+    assert lines[0]["summary"] != lines[1]["summary"]
+    a = (out / "sim.seed=1" / "events.jsonl").read_bytes()
+    b = (out / "sim.seed=2" / "events.jsonl").read_bytes()
+    assert a != b
+    assert main(["run", "--config", config_path, "--seed", "2",
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert (tmp_path / "run" / "events.jsonl").read_bytes() == b
+
+
 def test_duration_override(config_path, tmp_path, capsys):
     assert main(["run", "--config", config_path, "--duration", "10s"]) == EXIT_OK
     summary = json.loads(capsys.readouterr().out)

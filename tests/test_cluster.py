@@ -31,7 +31,7 @@ def state_of(*nodes, allowlist=None, quota=None) -> ClusterState:
     )
     for node in nodes:
         spec.add_node(node)
-    return ClusterState(spec)
+    return ClusterState(spec, set(), set())
 
 
 class TestNodeAllocatable:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedsched.cli import EXIT_CONFIG, EXIT_OK, main
+from fedsched.cli import EXIT_CONFIG, EXIT_OK, _apply_overrides, main
 from fedsched.config import RunConfig, parse_config, parse_time, validate_config
 from fedsched.errors import ConfigError
 from fedsched.metrics import serialize_event
@@ -205,7 +205,7 @@ class TestValidation:
     def test_seed_override_wins_over_config(self):
         raw = base_config([{"id": "a", "nodes": [node_cfg("n1")]}], seed=7)
         assert validate_config(copy.deepcopy(raw)).seed == 7
-        assert validate_config(copy.deepcopy(raw), base_seed=99).seed == 99
+        assert validate_config(_apply_overrides(raw, None, 99)).seed == 99
 
 
 class TestValidateThenRun:

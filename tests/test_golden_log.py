@@ -10,7 +10,6 @@ metascale, so no federation change may move it.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import importlib.resources
 import json
@@ -22,7 +21,7 @@ from fedsched.config import validate_config
 from fedsched.metrics import serialize_event
 from fedsched.sim import Simulation
 
-from conftest import base_config, node_cfg, pod_cfg
+from conftest import base_config, node_cfg, pod_cfg, seeded
 from test_acceptance import (
     burst_raw,
     determinism_configs,
@@ -157,7 +156,7 @@ GOLDEN = {
 
 
 def log_digest(raw, seed) -> str:
-    sim = Simulation(validate_config(copy.deepcopy(raw), base_seed=seed))
+    sim = Simulation(validate_config(seeded(raw, seed)))
     sim.run()
     digest = hashlib.sha256()
     for event in sim.events:

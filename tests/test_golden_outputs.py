@@ -10,7 +10,6 @@ alone.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 
 import pytest
@@ -19,6 +18,7 @@ from fedsched.config import validate_config
 from fedsched.metrics import write_pods_csv, write_series_csv, write_summary_json
 from fedsched.sim import Simulation
 
+from conftest import seeded
 from test_golden_log import CASES
 
 WRITERS = {
@@ -43,7 +43,7 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted({case for case, _ in GOLDEN}))
 def test_writer_digests_are_pinned(name, tmp_path):
     raw, seed = CASES[name]()
-    report = Simulation(validate_config(copy.deepcopy(raw), base_seed=seed)).run()
+    report = Simulation(validate_config(seeded(raw, seed))).run()
     for filename, write in WRITERS.items():
         path = tmp_path / filename
         write(str(path), report)

@@ -1,7 +1,5 @@
 """Batch FIFO and pool-rebalancing behavior."""
 
-import copy
-
 from fedsched.cluster import NodePool, NodeState
 from fedsched.config import validate_config
 from fedsched.sim import Simulation
@@ -204,22 +202,27 @@ class TestRebalance:
                 )
 
 
+def rebalance_raw():
+    """Demand alternates between batch jobs and container pods, so nodes
+    move both ways and come back Ready."""
+    jobs = [job_cfg(f"j{i}", 3, submit=i * 240_000, duration="30s")
+            for i in range(6)]
+    pods = [
+        pod_cfg(f"p{i}-{k}", "c", cpu=4000, mem="1GiB", federated=False,
+                submit=120_000 + i * 240_000, duration="90s")
+        for i in range(6) for k in range(3)
+    ]
+    raw = metascale_raw(jobs=jobs, pods=pods, duration="30m",
+                        cooldown="3m", tick="60s")
+    raw["topology"]["clusters"] = [batch_cluster(n_batch=2, n_container=2)]
+    return raw
+
+
 class TestAggregatesUnderRebalance:
     def test_aggregates_equal_scratch_sums_after_every_step(self):
-        # Demand alternates between batch jobs and container pods, so nodes
-        # move both ways and come back Ready. After every event, each
-        # cluster's maintained aggregates must equal sums over its nodes.
-        jobs = [job_cfg(f"j{i}", 3, submit=i * 240_000, duration="30s")
-                for i in range(6)]
-        pods = [
-            pod_cfg(f"p{i}-{k}", "c", cpu=4000, mem="1GiB", federated=False,
-                    submit=120_000 + i * 240_000, duration="90s")
-            for i in range(6) for k in range(3)
-        ]
-        raw = metascale_raw(jobs=jobs, pods=pods, duration="30m",
-                            cooldown="3m", tick="60s")
-        raw["topology"]["clusters"] = [batch_cluster(n_batch=2, n_container=2)]
-        sim = Simulation(validate_config(copy.deepcopy(raw)))
+        # After every event, each cluster's maintained aggregates must equal
+        # sums over its nodes.
+        sim = Simulation(validate_config(rebalance_raw()))
         ops = set()
         while len(sim.ctx.queue) and sim.ctx.queue.peek_time() <= sim.config.duration_ms:
             event = sim.step()

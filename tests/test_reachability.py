@@ -29,8 +29,9 @@ ALLOWED = {
     # "Explainable decisions and run counters": each election records the
     # staleness of every reserved target's aggregates.
     "federation.VirtualNode.staleness",
-    # Item 1, "Complete the ladder ... and fix the tracer": `perfbench/tracer.py`
-    # patches it to count calls until the tracer stops reading it.
+    # Item 6, "The benchmark change: complete the ladder and fix the tracer":
+    # `perfbench/tracer.py` patches it to count calls until the tracer stops
+    # reading it.
     "cluster.ClusterState.allocatable",
 }
 

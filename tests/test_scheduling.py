@@ -20,7 +20,7 @@ def cluster_with(nodes, allowlist=None, quota=None):
     spec = ClusterSpec("c1", namespace_allowlist=allowlist, namespace_quota=quota or {})
     for node in nodes:
         spec.add_node(node)
-    return ClusterState(spec)
+    return ClusterState(spec, set(), set())
 
 
 def oracle_least_allocated(free_after, capacity):

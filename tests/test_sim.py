@@ -12,7 +12,7 @@ from fedsched.metrics import serialize_event
 from fedsched.sim import Simulation
 from fedsched.config import validate_config
 
-from conftest import base_config, node_cfg, pod_cfg, run_raw
+from conftest import base_config, node_cfg, pod_cfg, run_raw, seeded
 from test_golden_log import CASES
 
 
@@ -196,7 +196,7 @@ def test_run_keeps_objects_the_caller_froze_frozen():
 def test_finished_run_leaves_no_cyclic_garbage(name):
     raw, seed = CASES[name]()
     gc.collect()
-    sim = Simulation(validate_config(raw, base_seed=seed))
+    sim = Simulation(validate_config(seeded(raw, seed)))
     sim.run()
     assert gc.collect() == 0
     del sim
@@ -224,7 +224,7 @@ def test_stepped_simulation_is_freed_by_reference_counting(name):
     gc.disable()
     try:
         gc.collect()
-        sim = Simulation(validate_config(raw, base_seed=seed))
+        sim = Simulation(validate_config(seeded(raw, seed)))
         for _ in range(200):
             if not len(sim.ctx.queue):
                 break
@@ -249,7 +249,7 @@ def test_finished_simulation_still_answers_queries():
     # Cut short while chaperons still wait in both targets.
     raw, seed = CASES["mesh-overload"]()
     raw["sim"]["duration"] = "5m"
-    sim = Simulation(validate_config(raw, base_seed=seed))
+    sim = Simulation(validate_config(seeded(raw, seed)))
     sim.run()
     assert sim.protocol.ctx.clusters is sim.clusters
     for target in ("a", "b"):
