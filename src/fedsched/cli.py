@@ -1,8 +1,9 @@
 """Command-line entry point: run, validate, sweep, report.
 
-Exit codes: 0 success, 1 configuration/validation problems or an event
-log that does not read back, 2 a runtime invariant violation (the run
-aborts rather than emitting corrupt metrics).
+Exit codes: 0 success, 1 configuration/validation problems, an event log
+that does not read back or an output path that cannot be written, 2 a
+runtime invariant violation (the run aborts rather than emitting corrupt
+metrics).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from typing import List, Optional
 
 from .config import RunConfig, load_raw, parse_config, validate_config
-from .errors import ConfigError, FedschedError, InvariantViolation, LogError
+from .errors import ConfigError, FedschedError, InvariantViolation, LogError, OutputError
 from .metrics import (
     build_report,
     read_event_log,
@@ -88,19 +89,35 @@ def _apply_overrides(raw: dict, duration: Optional[str], seed: Optional[int]) ->
     return raw
 
 
-def _write_report(out_dir: str, report) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    write_pods_csv(os.path.join(out_dir, "pods.csv"), report)
-    write_series_csv(os.path.join(out_dir, "timeseries.csv"), report)
-    write_summary_json(os.path.join(out_dir, "summary.json"), report)
+def _make_out_dir(out_dir: str) -> None:
+    """Create the output directory, before the work whose results go there."""
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        message = f"cannot create output directory: {exc.strerror or exc}"
+        raise OutputError(message, out_dir) from None
+
+
+def _write_outputs(out_dir: str, report, events=None) -> None:
+    """Write the report's files, and the event log if given, into `out_dir`."""
+    try:
+        write_pods_csv(os.path.join(out_dir, "pods.csv"), report)
+        write_series_csv(os.path.join(out_dir, "timeseries.csv"), report)
+        write_summary_json(os.path.join(out_dir, "summary.json"), report)
+        if events is not None:
+            write_event_log(os.path.join(out_dir, "events.jsonl"), events)
+    except OSError as exc:
+        message = f"cannot write output: {exc.strerror or exc}"
+        raise OutputError(message, exc.filename or out_dir) from None
 
 
 def _run_one(config: RunConfig, out_dir: Optional[str]) -> dict:
+    if out_dir is not None:
+        _make_out_dir(out_dir)
     sim = Simulation(config)
     report = sim.run()
     if out_dir is not None:
-        _write_report(out_dir, report)
-        write_event_log(os.path.join(out_dir, "events.jsonl"), sim.events)
+        _write_outputs(out_dir, report, sim.events)
     return report.summary()
 
 
@@ -188,6 +205,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_report(args) -> int:
     static = static_info_of(parse_config(args.config))
+    _make_out_dir(args.out)
     line = 0
 
     def numbered():
@@ -204,7 +222,7 @@ def cmd_report(args) -> int:
         raise LogError(
             f"record does not replay: {type(exc).__name__}: {exc}", f"{args.log}:{line}"
         ) from None
-    _write_report(args.out, report)
+    _write_outputs(args.out, report)
     print(json.dumps(report.summary(), indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .errors import (
     BindConflict,
@@ -62,6 +62,12 @@ class NodeSpec:
     state: NodeState = NodeState.READY
 
 
+# A node selector, or a node's labels, as a set of (label, value) pairs.
+LabelSet = FrozenSet[Tuple[str, str]]
+# The key of every pod without a selector, shared rather than one per pod.
+NO_SELECTOR: LabelSet = frozenset()
+
+
 @dataclass
 class PodSpec:
     pod_id: str
@@ -75,6 +81,14 @@ class PodSpec:
     role: str = "workload"
     phase: PodPhase = PodPhase.PENDING
     bound_node: Optional[str] = None
+    # The selector as a set of (label, value) pairs: the key of its ceiling
+    # in every `ClusterState`, built once per pod.
+    selector_key: LabelSet = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.selector_key = (
+            frozenset(self.node_selector.items()) if self.node_selector else NO_SELECTOR
+        )
 
     def transition(self, to: PodPhase) -> None:
         if to not in _PHASE_EDGES[self.phase]:
@@ -191,6 +205,29 @@ class CapacityKey:
 NodeEntry = Tuple[int, Triple, Tuple[Tuple[str, str], ...], str]
 
 
+@dataclass
+class SchedulingSnapshot:
+    """The view of one cluster that a scheduling decision reads.
+
+    Every field is a live reference into the cluster's `ClusterState`, not
+    a copy, so each state builds its snapshot once: `spec` supplies the
+    namespace allowlist and quotas, `nodes` the node specs, `namespace_used`
+    the namespace totals, `order` the node order (`ClusterState.order`),
+    `ceilings` the per-selector free ceilings (`ClusterState.ceilings`),
+    which `schedule_one` writes, and `label_sets` each node's labels.
+    `scheduling.snapshot_of` and `nodes` stay because `perfbench/tracer.py`
+    times the one and counts the other (ROADMAP item 6); without them
+    `schedule_one` could read the state itself.
+    """
+
+    spec: ClusterSpec
+    nodes: Dict[str, NodeSpec]
+    namespace_used: Dict[str, Triple]
+    order: Tuple[Tuple[CapacityKey, List[NodeEntry]], ...]
+    ceilings: Dict[LabelSet, Triple]
+    label_sets: Dict[str, LabelSet]
+
+
 class ClusterState:
     """Mutable accounting for one cluster inside a simulation run.
 
@@ -246,6 +283,21 @@ class ClusterState:
     schedulability removes its entry and inserts the new one by bisection.
     `order` pairs each capacity's key with its entry list; the lists keep
     their identity for the run, so `order` is built once.
+
+    Ceiling invariant: at all times, for every selector key s in `ceilings`
+    (a pod's `selector_key`) and every Ready container node n whose labels
+    s matches (s <= _label_sets[n]),
+
+        _allocatable[n] <= ceilings[s]   in cpu, memory and gpu alike
+
+    A ceiling is an upper bound, not the maximum. Only a free triple that
+    grows, or a node that becomes schedulable, can break it, so
+    release_reservation, unbind and a `set_node` that leaves the node
+    schedulable raise every ceiling whose selector matches the node to the
+    componentwise max with the node's free triple. reserve, bind and a
+    `set_node` that takes a node out only shrink what the bound covers, so
+    they leave `ceilings` alone. `schedule_one` adds and tightens entries:
+    a walk that finds no node stores the exact maximum.
     """
 
     def __init__(self, spec: ClusterSpec, freed: Set[str], moved: Set[str]):
@@ -271,6 +323,8 @@ class ClusterState:
         self._labels = {
             n: tuple(sorted(node.labels.items())) for n, node in spec.nodes.items()
         }
+        self._label_sets = {n: frozenset(node.labels.items()) for n, node in spec.nodes.items()}
+        self.ceilings: Dict[LabelSet, Triple] = {}
         self._keys: Dict[Triple, CapacityKey] = {}
         self._entries: Dict[Triple, List[NodeEntry]] = {}
         self._entry_of: Dict[str, NodeEntry] = {}
@@ -288,6 +342,9 @@ class ClusterState:
             entries.sort()
         self.order: Tuple[Tuple[CapacityKey, List[NodeEntry]], ...] = tuple(
             (self._keys[capacity], entries) for capacity, entries in self._entries.items()
+        )
+        self.snapshot = SchedulingSnapshot(
+            spec, spec.nodes, self.ns_usage, self.order, self.ceilings, self._label_sets
         )
 
     def nodes(self) -> Dict[str, NodeSpec]:
@@ -328,12 +385,30 @@ class ClusterState:
         entries = self._entries[self._capacity[node_id]]
         del entries[bisect_left(entries, self._entry_of.pop(node_id))]
 
-    def _set_allocatable(self, node_id: str, free: Triple) -> None:
-        """The one place a node's free triple changes once the cluster runs."""
-        self._allocatable[node_id] = free
+    def _take(self, node_id: str, request: Triple) -> None:
+        """Take `request` from a node's free triple (reserve, or bind)."""
+        free = self._allocatable[node_id] = subtract_triples(self._allocatable[node_id], request)
         if node_id in self._entry_of:
             self._unindex(node_id)
             self._index(node_id, free)
+
+    def _give_back(self, node_id: str, request: Triple) -> None:
+        """Add `request` back to a node's free triple (release, or unbind)."""
+        free = self._allocatable[node_id] = add_triples(self._allocatable[node_id], request)
+        if node_id in self._entry_of:
+            self._unindex(node_id)
+            self._index(node_id, free)
+            self._raise_ceilings(node_id, free)
+        self._freed.add(self.cluster_id)
+
+    def _raise_ceilings(self, node_id: str, free: Triple) -> None:
+        """Keep the ceiling invariant for a schedulable node whose free
+        triple grew to `free`."""
+        labels = self._label_sets[node_id]
+        ceilings = self.ceilings
+        for selector, (cpu, memory, gpu) in ceilings.items():
+            if selector <= labels:
+                ceilings[selector] = (max(cpu, free[0]), max(memory, free[1]), max(gpu, free[2]))
 
     def set_node(
         self,
@@ -359,6 +434,7 @@ class ClusterState:
             self._aggregate_capacity = add_triples(self._aggregate_capacity, capacity)
             self._aggregate_unbound = add_triples(self._aggregate_unbound, unbound)
             self._index(node_id, self._allocatable[node_id])
+            self._raise_ceilings(node_id, self._allocatable[node_id])
             self._freed.add(self.cluster_id)
         self._moved.add(self.cluster_id)
 
@@ -387,7 +463,7 @@ class ClusterState:
             pod, node_id, f"reservation for {pod.pod_id} no longer fits node {node_id}"
         )
         request = pod.request.as_tuple()
-        self._set_allocatable(node_id, subtract_triples(self._allocatable[node_id], request))
+        self._take(node_id, request)
         self.reserved[node_id][pod.pod_id] = pod.request
         self._ns_add(pod.namespace, request)
 
@@ -397,9 +473,8 @@ class ClusterState:
         if held is None:
             return False
         request = held.as_tuple()
-        self._set_allocatable(node_id, add_triples(self._allocatable[node_id], request))
+        self._give_back(node_id, request)
         self._ns_sub(pod.namespace, request)
-        self._freed.add(self.cluster_id)
         return True
 
     def bind(self, pod: PodSpec, node_id: str, at: int) -> None:
@@ -420,9 +495,9 @@ class ClusterState:
             held = pod.request
             request = held.as_tuple()
             self._ns_add(pod.namespace, request)
-            self._set_allocatable(node_id, subtract_triples(self._allocatable[node_id], request))
+            self._take(node_id, request)
         self._unbound[node_id] = subtract_triples(self._unbound[node_id], request)
-        if schedulable(self.spec.nodes[node_id]):
+        if node_id in self._entry_of:
             self._aggregate_unbound = subtract_triples(self._aggregate_unbound, request)
             self._moved.add(self.cluster_id)
         self.bound[node_id][pod.pod_id] = held
@@ -435,12 +510,11 @@ class ClusterState:
         node_id = pod.bound_node
         request = self.bound[node_id].pop(pod.pod_id).as_tuple()
         self._unbound[node_id] = add_triples(self._unbound[node_id], request)
-        if schedulable(self.spec.nodes[node_id]):
+        if node_id in self._entry_of:
             self._aggregate_unbound = add_triples(self._aggregate_unbound, request)
             self._moved.add(self.cluster_id)
-        self._set_allocatable(node_id, add_triples(self._allocatable[node_id], request))
+        self._give_back(node_id, request)
         self._ns_sub(pod.namespace, request)
-        self._freed.add(self.cluster_id)
 
     def _assert_node_capacity(self, node_id: str) -> None:
         cpu = memory = gpu = 0

@@ -26,6 +26,14 @@ class LogError(FedschedError):
         super().__init__(f"{location}: {message}")
 
 
+class OutputError(FedschedError):
+    """An output directory or file that cannot be created or written.
+    Carries the path."""
+
+    def __init__(self, message: str, path: str):
+        super().__init__(f"{path}: {message}")
+
+
 class UnknownCluster(FedschedError):
     pass
 

@@ -49,17 +49,33 @@ Every other pipeline visits every class: with weight 0 every node ties, so
 the smallest feasible id wins, wherever its class sits in the order;
 `GpuBinpack` rises as free GPU falls, against the order; and a weight so
 large that w * 100 overflows makes scores tie at infinity.
+
+A decision that is sure to find no node does not walk. After the namespace
+check, `schedule_one` reads the ceiling of the pod's selector
+(`ClusterState.ceilings`, keyed by `PodSpec.selector_key`): a (cpu,
+memory, gpu) bound on the free triple of every Ready container node that
+the selector matches. A request above it in any dimension fits none of
+those nodes, so the answer is None. That needs an upper bound, not the
+maximum, so the state keeps it only where free grows: a release, an
+unbind or a node made schedulable raises the ceilings whose selector
+matches the node. Where free shrinks (reserve, bind, a node taken out) the
+old bound still holds, so nothing is done there. The walk tightens the
+bound. A walk that finds no node has visited every class, because the stop
+rule fires only once a node is found, and every representative failed
+`fits`. So the max over the free triples of the representatives that the
+selector matches, gathered where `fits` fails, is the exact maximum over
+the matching nodes, and the walk stores it: (-1, -1, -1) when the selector
+matches none. A walk that finds a node stores nothing.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from .cluster import CapacityKey, ClusterSpec, ClusterState, NodeEntry, NodeSpec, PodSpec, fits
+from .cluster import ClusterState, PodSpec, SchedulingSnapshot, fits
 from .resources import Triple
 
 # (request, capacity, free) -> score, all (cpu, memory, gpu) triples; `free`
@@ -70,32 +86,8 @@ ScoreFn = Callable[[Triple, Triple, Triple], int]
 Pipeline = Tuple[Tuple[ScoreFn, float], ...]
 
 
-@dataclass
-class SchedulingSnapshot:
-    """The view of one cluster that a scheduling decision reads.
-
-    Every field is a live reference into the cluster's `ClusterState`, not
-    a copy: `spec` supplies the namespace allowlist and quotas, `nodes` the
-    node specs, `namespace_used` the namespace totals and `order` the
-    node order (`ClusterState.order`). A snapshot is read at once by
-    `schedule_one`, never kept. `snapshot_of` and `nodes` stay because
-    `perfbench/tracer.py` times the one and counts the other (ROADMAP
-    item 6); without them `schedule_one` could read the state itself.
-    """
-
-    spec: ClusterSpec
-    nodes: Dict[str, NodeSpec]
-    namespace_used: Dict[str, Triple]
-    order: Tuple[Tuple[CapacityKey, List[NodeEntry]], ...]
-
-
 def snapshot_of(state: ClusterState) -> SchedulingSnapshot:
-    return SchedulingSnapshot(
-        spec=state.spec,
-        nodes=state.spec.nodes,
-        namespace_used=state.ns_usage,
-        order=state.order,
-    )
+    return state.snapshot
 
 
 # The class part of a node entry: (-K, free, labels).
@@ -162,7 +154,9 @@ def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> 
     """Pick the feasible node with maximal total score, or None.
 
     Namespace admission does not depend on the node, so it is decided once,
-    before the walk. A node's total score is the sum, from int 0 in
+    before the walk; then a request above the selector's ceiling is refused
+    without a walk, and a walk that finds no node stores the exact ceiling
+    (module docstring). A node's total score is the sum, from int 0 in
     pipeline order, of weight * score. The walk visits each class
     representative of the node order (module docstring); score ties
     resolve to the lexicographically smallest node id. The stop rule
@@ -172,12 +166,21 @@ def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> 
     if snap.spec.admission_error(pod, snap.namespace_used) is not None:
         return None
     request = pod.request.as_tuple()
+    selector = pod.selector_key
+    ceiling = snap.ceilings.get(selector)
+    if ceiling is not None and (
+        request[0] > ceiling[0] or request[1] > ceiling[1] or request[2] > ceiling[2]
+    ):
+        return None
     stops = len(pipeline) == 1 and pipeline[0][0] is least_allocated and (
         0 < pipeline[0][1] * 100 < math.inf
     )
     nodes = snap.nodes
     best_node = None
     best_score = best_raw = None
+    # The componentwise max free triple of the representatives that the
+    # selector matches and that fail `fits`: with no node found, of all.
+    top_cpu = top_memory = top_gpu = -1
     for key, entries in snap.order:
         capacity, unit = key.capacity, key.unit
         request_key = key.key(request)
@@ -195,6 +198,14 @@ def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> 
                 # The rest of the class scores as its representative does.
                 i = bisect_right(entries, (neg_key, free, labels), i, end, key=_CLASS)
             if not fits(pod, nodes[node_id], free):
+                if selector <= snap.label_sets[node_id]:
+                    cpu, memory, gpu = free
+                    if cpu > top_cpu:
+                        top_cpu = cpu
+                    if memory > top_memory:
+                        top_memory = memory
+                    if gpu > top_gpu:
+                        top_gpu = gpu
                 continue
             # `raw` ends as the last plugin's unweighted score: with `stops`,
             # the `least_allocated` score that the stop rule reads.
@@ -208,4 +219,6 @@ def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> 
                 or (score == best_score and node_id < best_node)
             ):
                 best_node, best_score, best_raw = node_id, score, raw
+    if best_node is None:
+        snap.ceilings[selector] = (top_cpu, top_memory, top_gpu)
     return best_node

@@ -20,11 +20,11 @@ from fedsched.config import validate_config
 from fedsched.federation import ChaperonState, ProxyState
 from fedsched.graph import build_burst, build_central, build_decentralized
 from fedsched.metrics import serialize_event
-from fedsched.scheduling import schedule_one, snapshot_of
 from fedsched.sim import Simulation
 
 from conftest import base_config, node_cfg, pod_cfg, pod_row, run_raw
 from test_metascale import rebalance_raw
+from test_scheduling import plain_choice
 
 BUNDLED = importlib.resources.files("fedsched") / "data" / "expanse-nautilus.json"
 
@@ -608,8 +608,10 @@ def liveness_configs():
 
 
 def liveness_violations(raw):
-    """(time, cluster, pod id) of each waiting pod or chaperon that
-    `schedule_one` would place at once, checked after every step."""
+    """(time, cluster, pod id) of each waiting pod or chaperon that could be
+    placed at once, checked after every step by the plain loop over every
+    node, which neither reads nor writes the scheduler's node order and
+    ceilings."""
     sim = Simulation(validate_config(copy.deepcopy(raw)))
     queue, duration = sim.ctx.queue, sim.config.duration_ms
     violations = []
@@ -618,7 +620,7 @@ def liveness_violations(raw):
         for cluster_id, state in sim.clusters.items():
             pipeline = sim.ctx.pipelines[cluster_id]
             for pod in sim.pending_requests(cluster_id):
-                if schedule_one(pod, snapshot_of(state), pipeline) is not None:
+                if plain_choice(pod, state, pipeline) is not None:
                     violations.append((sim.ctx.now, cluster_id, pod.pod_id))
     return violations
 

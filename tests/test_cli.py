@@ -268,3 +268,56 @@ def test_report_on_a_missing_log_exits_one(config_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {log}: cannot read event log")
     assert "Traceback" not in err
+
+
+def _under_a_file(tmp_path):
+    """An output path whose parent is a regular file."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    return blocker / "out"
+
+
+def _refuses_output(path, capsys):
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: cannot create output directory: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_run_with_an_unwritable_out_exits_one_before_running(config_path, tmp_path, monkeypatch,
+                                                             capsys):
+    from fedsched import cli as cli_module
+
+    def never(self):
+        raise AssertionError("ran although --out cannot be written")
+
+    monkeypatch.setattr(cli_module.Simulation, "run", never)
+    out = _under_a_file(tmp_path)
+    assert main(["run", "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
+    _refuses_output(out, capsys)
+
+
+def test_sweep_with_an_unwritable_out_exits_one(config_path, tmp_path, capsys):
+    out = _under_a_file(tmp_path)
+    assert main(["sweep", "--config", config_path, "--param", "sim.seed", "--values", "1,2",
+                 "--out", str(out)]) == EXIT_CONFIG
+    _refuses_output(out / "sim.seed=1", capsys)
+
+
+def test_report_with_an_unwritable_out_exits_one(config_path, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", config_path, "--out", str(run_dir)]) == EXIT_OK
+    capsys.readouterr()
+    out = _under_a_file(tmp_path)
+    assert main(["report", "--config", config_path, "--log", str(run_dir / "events.jsonl"),
+                 "--out", str(out)]) == EXIT_CONFIG
+    _refuses_output(out, capsys)
+
+
+def test_a_failed_write_exits_one_naming_the_file(config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "summary.json").mkdir(parents=True)
+    assert main(["run", "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'summary.json'}: cannot write output: ")
+    assert "Traceback" not in err

@@ -211,6 +211,65 @@ class TestReservations:
         assert state.allocatable("n1") == (500, 3 * GIB, 0)
 
 
+class TestCeilings:
+    """`ClusterState.ceilings`: raised where a schedulable node's free
+    triple grows, only for the selectors that match the node, and left
+    alone where free shrinks."""
+
+    ANY, ZONE_A, ZONE_B = frozenset(), frozenset({("zone", "a")}), frozenset({("zone", "b")})
+
+    def two_zones(self):
+        """Nodes a1 (zone a) and b1 (zone b) of (8000, 8 GiB), b1 with
+        (6000, 6 GiB) bound, so (2000, 2 GiB) free."""
+        state = state_of(make_node("a1", cpu=8000, mem=8 * GIB, labels={"zone": "a"}),
+                         make_node("b1", cpu=8000, mem=8 * GIB, labels={"zone": "b"}))
+        state.bind(make_pod("b-load", 6000, 6 * GIB), "b1", at=0)
+        return state
+
+    def set_exact(self, state):
+        """Put each of the three ceilings at its exact maximum, (-1, -1, -1)
+        where the selector matches no Ready container node."""
+        for selector in (self.ANY, self.ZONE_A, self.ZONE_B):
+            frees = [state.allocatable(n) for n, node in state.nodes().items()
+                     if node.state is NodeState.READY and node.pool is NodePool.CONTAINER
+                     and selector <= frozenset(node.labels.items())]
+            state.ceilings[selector] = tuple(max(f[d] for f in frees) if frees else -1
+                                             for d in range(3))
+
+    def test_reserve_bind_and_taking_a_node_out_leave_the_ceilings_alone(self):
+        state = self.two_zones()
+        self.set_exact(state)
+        before = dict(state.ceilings)
+        held = make_pod("held", 1000, GIB)
+        state.reserve(held, "a1")
+        state.bind(make_pod("direct", 1000, GIB), "a1", at=1)
+        state.bind(held, "a1", at=2)
+        state.set_node("b1", pool=NodePool.BATCH)
+        assert state.ceilings == before
+
+    @pytest.mark.parametrize("growth", ["unbind", "release_reservation", "set_node"])
+    def test_growth_raises_only_the_ceilings_that_match_the_node(self, growth):
+        state = self.two_zones()
+        pod = make_pod("a-load", 4000, 4 * GIB)
+        if growth == "unbind":
+            state.bind(pod, "a1", at=0)
+        elif growth == "release_reservation":
+            state.reserve(pod, "a1")
+        else:
+            state.set_node("a1", state=NodeState.REPURPOSING)
+        self.set_exact(state)
+        zone_b = state.ceilings[self.ZONE_B]
+        if growth == "unbind":
+            state.unbind(pod)
+        elif growth == "release_reservation":
+            assert state.release_reservation(pod, "a1")
+        else:
+            state.set_node("a1", state=NodeState.READY)
+        full = (8000, 8 * GIB, 0)
+        assert state.ceilings == {self.ANY: full, self.ZONE_A: full, self.ZONE_B: zone_b}
+        assert zone_b == (2000, 2 * GIB, 0)
+
+
 class TestIncrementalAccounting:
     """The cached per-node vectors against sums recomputed from scratch."""
 

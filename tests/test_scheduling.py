@@ -3,7 +3,8 @@ import random
 import pytest
 
 from fedsched.cluster import ClusterSpec, ClusterState, NodePool, NodeState, fits
-from fedsched import scheduling
+from fedsched import federation, scheduling, sim as sim_module
+from fedsched.config import validate_config
 from fedsched.errors import BindError
 from fedsched.resources import GIB, ResourceVector
 from fedsched.scheduling import (
@@ -13,7 +14,7 @@ from fedsched.scheduling import (
     snapshot_of,
 )
 
-from conftest import make_node, make_pod
+from conftest import make_node, make_pod, seeded
 
 
 def cluster_with(nodes, allowlist=None, quota=None):
@@ -418,11 +419,18 @@ class TestClassOrderDifferential:
     )
 
     def check_order(self, state):
-        """Assert the node order equals the rebuild; return the number of
-        classes with more than one member."""
+        """Assert the node order equals the rebuild and the ceiling
+        invariant holds; return the number of classes with more than one
+        member."""
         order, shared = rebuilt_order(state)
         got = {key.capacity: (key.unit, list(entries)) for key, entries in state.order}
         assert got == order
+        for selector, ceiling in state.ceilings.items():
+            for node_id, node in state.nodes().items():
+                if (node.state is NodeState.READY and node.pool is NodePool.CONTAINER
+                        and selector <= frozenset(node.labels.items())):
+                    free = state.allocatable(node_id)
+                    assert all(f <= c for f, c in zip(free, ceiling)), (selector, node_id)
         return shared
 
     def test_indexed_choices_equal_the_plain_loop(self):
@@ -510,3 +518,60 @@ class TestClassOrderDifferential:
         assert schedule_one(pod, snapshot_of(state), pipeline) == "n17"
         assert sorted(calls) == ["n00", "n17"]
         assert plain_choice(pod, state, pipeline) == "n17"
+
+
+def ceiling_rejects(pod, snap):
+    """Whether the pod's ceiling alone makes `schedule_one` return None."""
+    ceiling = snap.ceilings.get(pod.selector_key)
+    return ceiling is not None and any(r > c for r, c in zip(pod.request.as_tuple(), ceiling))
+
+
+class TestCeilingDifferential:
+    """In whole runs, every decision that a ceiling rejects without a walk
+    gets None from the plain loop too."""
+
+    def checked_run(self, raw, seed, monkeypatch):
+        """Run a config, checking every decision; return (decisions,
+        ceiling rejections)."""
+        sim = sim_module.Simulation(validate_config(seeded(raw, seed)))
+        counts = [0, 0]
+
+        def checked(pod, snap, pipeline):
+            counts[0] += 1
+            if ceiling_rejects(pod, snap):
+                counts[1] += 1
+                state = sim.clusters[snap.spec.cluster_id]
+                assert plain_choice(pod, state, pipeline) is None, (sim.ctx.now, pod.pod_id)
+            return schedule_one(pod, snap, pipeline)
+
+        monkeypatch.setattr(sim_module, "schedule_one", checked)
+        monkeypatch.setattr(federation, "schedule_one", checked)
+        sim.run()
+        return counts
+
+    def test_random_protocol_runs(self, monkeypatch):
+        # The liveness configs; in every other one, nodes carry a zone label
+        # and about a third of the pods select a zone.
+        from test_acceptance import liveness_configs
+
+        rng = random.Random(19)
+        decisions = rejections = 0
+        for index, (_, raw) in enumerate(liveness_configs()):
+            if index % 2:
+                for cluster in raw["topology"]["clusters"]:
+                    for node in cluster.get("nodes", ()):
+                        node["labels"] = {"zone": rng.choice("ab")}
+                for pod in raw["scenario"]["pods"]:
+                    if rng.random() < 0.3:
+                        pod["selector"] = {"zone": rng.choice("abc")}
+            made, rejected = self.checked_run(raw, None, monkeypatch)
+            decisions += made
+            rejections += rejected
+        assert rejections >= 1000 and decisions >= 2 * rejections, (decisions, rejections)
+
+    def test_mesh_overload(self, monkeypatch):
+        from test_golden_log import CASES
+
+        raw, seed = CASES["mesh-overload"]()
+        decisions, rejections = self.checked_run(raw, seed, monkeypatch)
+        assert rejections >= 100, (decisions, rejections)
