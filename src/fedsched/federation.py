@@ -18,7 +18,9 @@ Lifecycle of one federated pod:
      proxy then becomes Bound and deletion messages go to every other
      chaperon, releasing their reservations on delivery. A bind conflict
      (possible only with reservations disabled) sends the proxy back to
-     re-elect among the surviving candidates.
+     re-elect among the surviving candidates. The proxy knows it as an
+     "unschedulable" report from its elected target, which sends nothing
+     between its "reserved" report and the delegate bind.
 
 Election retries back off exponentially; a proxy that exhausts them turns
 Unschedulable and cleans up all of its chaperons.
@@ -171,7 +173,7 @@ class FederationProtocol:
         for target in targets:
             self._send_pod_message(
                 proxy, target, "fwd", engine.CHAPERON_CREATE,
-                {"pod": pod.pod_id, "source": source, "target": target},
+                {"pod": pod.pod_id, "target": target},
             )
         self._arm_timer(proxy, self.ctx.now + self.params.election_timeout_ms)
         return True
@@ -223,7 +225,7 @@ class FederationProtocol:
                 op="chaperon", pod=chaperon.pod.pod_id, cluster=chaperon.target,
                 state=chaperon.state.value,
             )
-            self._report(chaperon, REPORT_RESERVED, node=node)
+            self._report(chaperon, REPORT_RESERVED)
         elif chaperon.last_reported != REPORT_UNSCHEDULABLE:
             self._report(chaperon, REPORT_UNSCHEDULABLE)
 
@@ -243,15 +245,13 @@ class FederationProtocol:
         for chaperon in self.pending_in(cluster_id):
             self.try_candidate_schedule(chaperon)
 
-    def _report(self, chaperon: PodChaperon, status: str, node: str = None, reason: str = None) -> None:
+    def _report(self, chaperon: PodChaperon, status: str) -> None:
         chaperon.last_reported = status
         proxy = self.proxies[chaperon.pod.pod_id]
-        payload = {"pod": chaperon.pod.pod_id, "target": chaperon.target, "status": status}
-        if node is not None:
-            payload["node"] = node
-        if reason is not None:
-            payload["reason"] = reason
-        self._send_pod_message(proxy, chaperon.target, "rev", engine.CANDIDATE_REPORT, payload)
+        self._send_pod_message(
+            proxy, chaperon.target, "rev", engine.CANDIDATE_REPORT,
+            {"pod": chaperon.pod.pod_id, "target": chaperon.target, "status": status},
+        )
 
     # -- source side: reports and election ----------------------------------
 
@@ -259,15 +259,16 @@ class FederationProtocol:
         pod_id, target, status = payload["pod"], payload["target"], payload["status"]
         proxy = self.proxies[pod_id]
         proxy.reports[target] = status
-        if payload.get("reason") == "bind_conflict":
-            self._on_bind_conflict(proxy, target)
-            return
         if proxy.state is ProxyState.CANDIDATES_PENDING:
             self._maybe_elect(proxy)
+        elif (
+            status == REPORT_UNSCHEDULABLE
+            and proxy.state is ProxyState.ELECTED
+            and target == proxy.elected_target
+        ):
+            self._on_bind_conflict(proxy)
 
-    def _on_bind_conflict(self, proxy: ProxyPod, target: str) -> None:
-        if proxy.state is not ProxyState.ELECTED or proxy.elected_target != target:
-            return
+    def _on_bind_conflict(self, proxy: ProxyPod) -> None:
         proxy.state = ProxyState.CANDIDATES_PENDING
         proxy.elected_target = None
         self.ctx.effect(op="proxy", pod=proxy.pod.pod_id, state=proxy.state.value)
@@ -383,7 +384,7 @@ class FederationProtocol:
             chaperon.state = ChaperonState.PENDING_SCHEDULE
             chaperon.reserved_node = None
             self.ctx.effect(op="chaperon", pod=pod_id, cluster=target, state=chaperon.state.value)
-            self._report(chaperon, REPORT_UNSCHEDULABLE, reason="bind_conflict")
+            self._report(chaperon, REPORT_UNSCHEDULABLE)
             self.try_candidate_schedule(chaperon)
             return
         chaperon.state = ChaperonState.DELEGATE

@@ -85,9 +85,7 @@ class WildfireScenario:
         if last is not None and cooldown > 0 and self.ctx.now - last < cooldown:
             return
         self._last_fire[camera] = self.ctx.now
-        self.ctx.at(
-            self.ctx.now, engine.TRIGGER_FIRED, {"camera": camera, "probability": probability}
-        )
+        self.ctx.at(self.ctx.now, engine.TRIGGER_FIRED, {"camera": camera})
 
     def on_trigger(self, payload: dict) -> List[PodSpec]:
         """Turn one qualifying smoke message into retrain + ensemble pods,

@@ -145,7 +145,7 @@ class Simulation:
                 {"job": job.job_id, "cluster": job.cluster},
             )
         trace = list(cfg.scenario.trace)
-        if not trace and cfg.scenario.wildfire_enabled:
+        if not trace and cfg.scenario.trace_file is None and cfg.scenario.wildfire_enabled:
             trace = generate_trace(
                 cameras=cfg.scenario.cameras,
                 rate_per_hour=cfg.scenario.rate_per_hour,

@@ -2,6 +2,7 @@ import copy
 import importlib.resources
 import json
 import math
+import os
 import re
 
 import pytest
@@ -64,6 +65,17 @@ class TestBundledConfig:
         sim = Simulation(config)
         report = sim.run()
         assert report.event_count > 0
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_example_config_validates():
+    with open(README, encoding="utf-8") as handle:
+        (block,) = re.findall(r"```jsonc\n(.*?)```", handle.read(), re.S)
+    # Drop each `//` comment, leaving strings alone.
+    text = re.sub(r'("(?:[^"\\]|\\.)*")|//[^\n]*', lambda m: m.group(1) or "", block)
+    validate_config(json.loads(text))
 
 
 class TestValidation:

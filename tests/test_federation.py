@@ -26,6 +26,17 @@ def effects_of(sim, op):
     ]
 
 
+def has_effect(event, op, state):
+    return any(fx["op"] == op and fx["state"] == state for fx in event.effects)
+
+
+def bind_conflicts(sim):
+    """The DelegateBind events whose bind conflicted: each sends its
+    chaperon back to PendingSchedule."""
+    return [e for e in events_of(sim, engine.DELEGATE_BIND)
+            if has_effect(e, "chaperon", "PendingSchedule")]
+
+
 class TestFanOut:
     def test_three_targets_three_chaperons(self):
         clusters = [{"id": c, "nodes": [node_cfg(f"{c}-n1")]} for c in "stuv"]
@@ -293,11 +304,11 @@ class TestFinalize:
             if chap.state is ChaperonState.DELEGATE
         ]
         assert len(delegates) == 1 and delegates[0].target == "b"
-        conflict_reports = [
-            e for e in events_of(sim, engine.CANDIDATE_REPORT)
-            if e.payload.get("reason") == "bind_conflict"
-        ]
-        assert len(conflict_reports) == 1
+        assert len(bind_conflicts(sim)) == 1
+        # The proxy recognises the conflict report and re-elects.
+        rollbacks = [e for e in events_of(sim, engine.CANDIDATE_REPORT)
+                     if has_effect(e, "proxy", "CandidatesPending")]
+        assert [e.payload["target"] for e in rollbacks] == ["a"]
 
 
 class TestRetryOrder:
@@ -322,9 +333,7 @@ class TestRetryOrder:
         created = [fx["pod"] for _, fx in effects_of(sim, "chaperon")
                    if fx["state"] == "PendingSchedule"]
         assert created == ["p0", "p1", "p2", "p3", "p0"]
-        conflict = [e for e in events_of(sim, engine.CANDIDATE_REPORT)
-                    if e.payload.get("reason") == "bind_conflict"]
-        assert [e.payload["pod"] for e in conflict] == ["p0"]
+        assert [e.payload["pod"] for e in bind_conflicts(sim)] == ["p0"]
 
         freed = next(e for e in events_of(sim, engine.POD_COMPLETE)
                      if e.payload["pod"] == "blocker")
@@ -332,6 +341,49 @@ class TestRetryOrder:
                    if fx["op"] == "chaperon" and fx["state"] == "CandidateReserved"]
         assert retried == ["p0", "p1", "p2", "p3"]
         assert all(pod_row(report, f"p{i}").bound_cluster == "t" for i in range(4))
+
+
+class TestBindConflictRule:
+    """An ELECTED proxy takes an "unschedulable" report from its elected
+    target as a bind conflict, and ignores every other report."""
+
+    def elected(self):
+        clusters = [
+            {"id": "s", "nodes": [node_cfg("s-n1", cpu=100)]},
+            {"id": "a", "nodes": [node_cfg("a-n1", cpu=10_000, mem="4GiB")]},
+            {"id": "b", "nodes": [node_cfg("b-n1", cpu=5_000, mem="4GiB")]},
+        ]
+        raw = base_config(clusters, pairs=[("s", "a"), ("s", "b")],
+                          pods=[pod_cfg("p1", "s", cpu=1000, mem="1GiB")])
+        sim = Simulation(validate_config(raw))
+        proxy = sim.protocol.proxies.get("p1")
+        while proxy is None or proxy.state is not ProxyState.ELECTED:
+            sim.step()
+            proxy = sim.protocol.proxies.get("p1")
+        assert proxy.elected_target == "a"
+        sim.ctx.current = engine.Event(sim.ctx.now, -1, engine.CANDIDATE_REPORT)
+        return sim, proxy
+
+    def report(self, sim, target, status):
+        sim.protocol.on_candidate_report({"pod": "p1", "target": target, "status": status})
+        return sim.ctx.current.effects
+
+    def test_unschedulable_from_another_target_is_not_a_conflict(self):
+        sim, proxy = self.elected()
+        assert self.report(sim, "b", "unschedulable") == []
+        assert proxy.state is ProxyState.ELECTED and proxy.elected_target == "a"
+
+    def test_reserved_from_the_elected_target_is_not_a_conflict(self):
+        sim, proxy = self.elected()
+        assert self.report(sim, "a", "reserved") == []
+        assert proxy.state is ProxyState.ELECTED and proxy.elected_target == "a"
+
+    def test_unschedulable_from_the_elected_target_is_a_conflict(self):
+        sim, proxy = self.elected()
+        effects = self.report(sim, "a", "unschedulable")
+        assert effects[0] == {"op": "proxy", "pod": "p1", "state": "CandidatesPending"}
+        # The runner-up still holds its reservation, so it is elected at once.
+        assert proxy.state is ProxyState.ELECTED and proxy.elected_target == "b"
 
 
 class TestMirror:
@@ -398,13 +450,9 @@ class TestReservationFreeMode:
             raw["federation"] = {"reservations": False}
             sim, report = run_raw(raw)
             binds = {}
-            for e in sim.events:
-                for fx in e.effects:
-                    if fx["op"] == "bind":
-                        binds[fx["pod"]] = binds.get(fx["pod"], 0) + 1
-                if e.kind == engine.CANDIDATE_REPORT and \
-                        e.payload.get("reason") == "bind_conflict":
-                    conflicts_seen += 1
+            for _, fx in effects_of(sim, "bind"):
+                binds[fx["pod"]] = binds.get(fx["pod"], 0) + 1
+            conflicts_seen += len(bind_conflicts(sim))
             assert all(n == 1 for n in binds.values())
             for proxy in sim.protocol.proxies.values():
                 assert proxy.state in (ProxyState.BOUND, ProxyState.UNSCHEDULABLE)

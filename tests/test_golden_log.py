@@ -139,18 +139,18 @@ CASES = {
 }
 
 GOLDEN = {
-    "bundled": "e34865f0ec563ee4059ac685a301e1dbfa7333069af87bcd6ab322a2eedecdd1",
-    "bundled-trace-seed7": "93c8b4fca509e7594618ac9ddb32ac470cba03cac327f722d30f7a2e20455380",
-    "random-protocol-0": "8727bc046328007756df11b3aad0f047e1c2f0c03f20c88d1a4494cd8dc5eb0c",
-    "random-protocol-1": "521bc60cf3b4437ab041251eb3e19d835ea27c595276b5f8e5b3ed2faf3113cf",
-    "random-protocol-21-no-reservations": "2f426b2a8785917701602ee53d2add640253ec79849959e261345d21b75001c9",
-    "determinism-0": "b72b46e6be7f386846a9bf76d854451b650ed84cdaf92e285bb64b06f2f7f133",
-    "determinism-5-metascale": "b84682839b23025ee191a3b41709c2ee81b70692cb8eab3c04ad3db51cfaa282",
-    "burst-squeezed": "9f31101d6988f1c1ad4a724ac0bb828ac04d420bc642ba9b33d0e95e6f7cafd7",
+    "bundled": "20d588d37c84f104f11f7a29626f3a5933669538833c5b0edec9718c79b1e718",
+    "bundled-trace-seed7": "5f44f006f8863d149893b24a7e6bdfcc912ce6d88118b15b0242c5f19f51bde4",
+    "random-protocol-0": "6fac33edeaba042d88d987d9b79aadbe857e9096c85238bc07b76119fa23bcd9",
+    "random-protocol-1": "6a767a0bbb305d5717f82d4aa23eca096930e7e9d59c019b73b34352e69b6d91",
+    "random-protocol-21-no-reservations": "6234ee5d59295291cb8cfac1aedf7f73361f0888be21879b038a336a9a038d0d",
+    "determinism-0": "469edc8df43797e649f8ecbe95a69f3e2e386647f55602425d7d06041841fe0a",
+    "determinism-5-metascale": "9a1d94eb1b1a1d2b0d6d413337200a9545638a20a6da6bcc420ac9b25ebebe62",
+    "burst-squeezed": "25eb2ba156bf0f639cf37c306a3176f5ce73bfd9a099c3086b094296abc4b559",
     "oscillating-metascale": "64e743b00803cc4e537e295c31f2524e841d6f8bb4de81c7f837fb793c31ed10",
-    "policy-seed3": "4f00057232951ea801ec4d12c98008f0db68d72c2ce27cc0b6d98b7da3f13e61",
-    "bind-conflict": "3fcc76e2141962de88627bebd2161b30f8456c78ecc217146b292126be301c4b",
-    "mesh-overload": "d5db9890313fc2806a866dad9a7147d6888132f237cef0f6108a64acd249c5c3",
+    "policy-seed3": "78d33b3a8d8f4d7fae9781e41828d4ae58ed1dfc5c4caf71e24098cff0639d1f",
+    "bind-conflict": "ad4cab3ac07fe20878c67d7701022f1192e9b8c241475881e21a2ae4795aceee",
+    "mesh-overload": "f04b0fdf707c26e2aef1b4a9d584d3d9c5391e738e0efc4b49ae54464a6c23b0",
     "local-only": "37ac83908ee7abe530beabff82f3b937e48126af5eec369f9a83e31c4c670b5c",
 }
 

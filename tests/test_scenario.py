@@ -184,6 +184,17 @@ class TestTraceFile:
         _, report = run_raw(raw)
         assert len(report.pods) == 2 * 3  # two qualifying events
 
+    def test_trace_file_without_rows_generates_no_trace(self, tmp_path):
+        # Beside a trace file, even one with no rows, the Poisson keys are
+        # not used.
+        path = tmp_path / "trace.csv"
+        path.write_text("# camera_id, time, probability\n")
+        raw = wildfire_raw(trace=[])
+        raw["scenario"].update(trace_file=str(path), cameras=4, rate_per_hour=12,
+                               high_probability=0.5)
+        sim, report = run_raw(raw)
+        assert sim.events == [] and report.pods == []
+
     def test_malformed_trace_file_is_a_config_error(self, tmp_path):
         from fedsched.errors import ConfigError
 
