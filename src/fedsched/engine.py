@@ -4,6 +4,13 @@ Events are processed in strict (time, seq) order; seq is a monotonically
 increasing enqueue counter, so simultaneous events replay in the order they
 were produced. All simulation times are integer milliseconds.
 
+Beside its heap the queue holds one stream: time-sorted rows (the camera
+trace) that take a block of seqs where they are handed over, as if each
+were pushed then, but enter the heap one at a time. Only the next row's
+event is in the heap; it is built when the row before it pops. So the heap
+holds what the run has made plus one row, and the order and seqs are those
+of pushing every row up front.
+
 Each kind names one thing that happens and has one handler: RebalanceTick
 is only the metascaler's periodic timer, an AggregateReport is a target's
 aggregates reaching one of its sources, and NodeReady is a repurposed node
@@ -16,7 +23,7 @@ import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import EmptyQueue
 from .graph import FederationEdge
@@ -72,6 +79,14 @@ class EventQueue:
     def __init__(self):
         self._heap: List[Tuple[int, int, Event]] = []
         self._seq = 0
+        # The stream (see `stream`): its kind, rows and payload function, the
+        # seq of the row whose event is in the heap (-1 when none is), and
+        # the count of rows not yet in the heap.
+        self._kind = ""
+        self._rows: Sequence = ()
+        self._payload_of: Optional[Callable[[object], dict]] = None
+        self._row_seq = -1
+        self._waiting = 0
 
     def push(self, time: int, kind: str, payload: dict) -> Event:
         assert kind in EVENT_KINDS, f"unknown event kind {kind!r}"
@@ -80,16 +95,44 @@ class EventQueue:
         self._seq += 1
         return event
 
+    def stream(self, kind: str, rows: Sequence, payload_of: Callable[[object], dict]) -> None:
+        """Enqueue `rows`, sorted by their `time`, as events of `kind` with
+        payload `payload_of(row)`. They take the next len(rows) seqs, as if
+        each were pushed now, but each row's event is built only when the
+        row before it pops. A queue has at most one stream."""
+        assert kind in EVENT_KINDS, f"unknown event kind {kind!r}"
+        assert self._payload_of is None, "the queue already has a stream"
+        self._kind, self._rows, self._payload_of = kind, rows, payload_of
+        self._waiting = len(rows)
+        self._seq += len(rows)
+        if rows:
+            self._enter(self._seq - len(rows))
+
+    def _enter(self, seq: int) -> None:
+        # The next waiting row's event enters the heap with seq `seq`.
+        row = self._rows[len(self._rows) - self._waiting]
+        self._waiting -= 1
+        self._row_seq = seq
+        event = Event(row.time, seq, self._kind, self._payload_of(row))
+        heapq.heappush(self._heap, (row.time, seq, event))
+
     def pop(self) -> Event:
         if not self._heap:
             raise EmptyQueue("event queue is empty")
-        return heapq.heappop(self._heap)[2]
+        event = heapq.heappop(self._heap)[2]
+        if event.seq == self._row_seq:
+            if self._waiting:
+                self._enter(self._row_seq + 1)
+            else:
+                self._row_seq = -1
+        return event
 
     def peek_time(self) -> Optional[int]:
+        # A waiting row is never due before the row in the heap.
         return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + self._waiting
 
 
 class RngStreams:
@@ -125,9 +168,14 @@ class LatencyChannels:
     depends only on that stream's `getrandbits`.
     """
 
+    # `_last_delivery` is pruned when it reaches this many floors, or twice
+    # the floors live after the last pruning if that is more.
+    MIN_PRUNE_AT = 1024
+
     def __init__(self, rngs: RngStreams):
         self._rngs = rngs
         self._last_delivery: Dict[tuple, int] = {}
+        self._prune_at = self.MIN_PRUNE_AT
         # Per (source, target), read once from its edge: base_ms, and for a
         # jittered edge jitter_ms + 1, its bit length and the `getrandbits`
         # of the edge's stream (None when jitter_ms is 0, which draws nothing).
@@ -154,8 +202,18 @@ class LatencyChannels:
             while r >= n:
                 r = getrandbits(k)
             when += r
-        floor = self._last_delivery.get(channel)
+        floors = self._last_delivery
+        floor = floors.get(channel)
         if floor is not None and when < floor:
             when = floor
-        self._last_delivery[channel] = when
+        floors[channel] = when
+        if len(floors) >= self._prune_at:
+            self._prune(now)
         return when
+
+    def _prune(self, now: int) -> None:
+        # Every send is at `now` or later and arrives no earlier than it, so
+        # a floor at or before `now` can never delay one again.
+        live = {channel: when for channel, when in self._last_delivery.items() if when > now}
+        self._last_delivery = live
+        self._prune_at = max(self.MIN_PRUNE_AT, 2 * len(live))

@@ -22,11 +22,16 @@ from .resources import ResourceVector
 POD_ID_PREFIX = "wf-"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CameraEvent:
     camera_id: str
     time: int
     smoke_probability: float
+
+
+def sensor_payload(event: CameraEvent) -> dict:
+    """The `SensorMessage` payload of one trace row."""
+    return {"camera": event.camera_id, "probability": event.smoke_probability}
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .federation import FederationProtocol
 from .graph import FederationEdge, FederationGraph
 from .metascale import BatchJob, MetaScaler
 from .metrics import MetricsReport, build_report, static_info_of
-from .scenario import WildfireScenario, generate_trace
+from .scenario import WildfireScenario, generate_trace, sensor_payload
 from .scheduling import Pipeline, builtin_pipeline, schedule_one, snapshot_of
 
 log = logging.getLogger("fedsched")
@@ -144,7 +144,7 @@ class Simulation:
                 job.submit_time, engine.BATCH_JOB_SUBMIT,
                 {"job": job.job_id, "cluster": job.cluster},
             )
-        trace = list(cfg.scenario.trace)
+        trace = cfg.scenario.trace
         if not trace and cfg.scenario.trace_file is None and cfg.scenario.wildfire_enabled:
             trace = generate_trace(
                 cameras=cfg.scenario.cameras,
@@ -155,11 +155,9 @@ class Simulation:
                 high_range=cfg.scenario.high_range,
                 low_range=cfg.scenario.low_range,
             )
-        for event in trace:
-            push(
-                event.time, engine.SENSOR_MESSAGE,
-                {"camera": event.camera_id, "probability": event.smoke_probability},
-            )
+        # The trace is sorted by time and needs nothing registered, so its
+        # rows enter the queue as the clock reaches them.
+        self.ctx.queue.stream(engine.SENSOR_MESSAGE, trace, sensor_payload)
         for cluster_id in sorted(self.metascalers):
             push(cfg.metascale.tick_ms, engine.REBALANCE_TICK, {"cluster": cluster_id})
 

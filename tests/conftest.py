@@ -97,6 +97,12 @@ def run_raw(raw, seed=None):
     return sim, report
 
 
+def push_every_row(queue, kind, rows, payload_of):
+    """The naive twin of `EventQueue.stream`: push every row now."""
+    for row in rows:
+        queue.push(row.time, kind, payload_of(row))
+
+
 def pod_row(report, pod_id):
     """The report's row for one pod."""
     (row,) = [row for row in report.pods if row.pod_id == pod_id]

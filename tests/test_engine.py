@@ -4,8 +4,9 @@ from fedsched import engine
 from fedsched.engine import EventQueue, LatencyChannels, RngStreams
 from fedsched.errors import CausalityError, EmptyQueue
 from fedsched.graph import FederationEdge, LatencyModel
+from fedsched.scenario import CameraEvent, sensor_payload
 
-from conftest import base_config, node_cfg, pod_cfg, run_raw
+from conftest import base_config, node_cfg, pod_cfg, push_every_row, run_raw
 
 
 class TestEventQueue:
@@ -30,6 +31,73 @@ class TestEventQueue:
     def test_unknown_kind_rejected(self):
         with pytest.raises(AssertionError):
             EventQueue().push(0, "NotAKind", {})
+
+
+def drain(queue):
+    popped = []
+    while len(queue):
+        event = queue.pop()
+        popped.append((event.time, event.seq, event.kind, event.payload))
+    return popped
+
+
+class TestStream:
+    # Rows sorted by time, with ties, as validation sorts a trace.
+    ROWS = [CameraEvent("r0", 0, 0.1), CameraEvent("r1", 5, 0.1),
+            CameraEvent("r2", 5, 0.1), CameraEvent("r3", 9, 0.1)]
+
+    def fill(self, stream):
+        """Push, hand over ROWS, push again; `stream` hands the rows over."""
+        q = EventQueue()
+        q.push(5, engine.POD_SUBMIT, {"camera": "p0"})
+        stream(q, engine.SENSOR_MESSAGE, self.ROWS, sensor_payload)
+        q.push(5, engine.POD_SUBMIT, {"camera": "p1"})
+        q.push(0, engine.POD_SUBMIT, {"camera": "p2"})
+        return q
+
+    def test_rows_and_pushes_pop_in_time_then_seq_order(self):
+        popped = drain(self.fill(EventQueue.stream))
+        assert popped == drain(self.fill(push_every_row))
+        assert [(t, seq, payload["camera"]) for t, seq, _, payload in popped] == [
+            (0, 1, "r0"), (0, 6, "p2"), (5, 0, "p0"), (5, 2, "r1"), (5, 3, "r2"),
+            (5, 5, "p1"), (9, 4, "r3"),
+        ]
+
+    def test_push_at_a_waiting_rows_time_pops_after_it(self):
+        q = EventQueue()
+        q.stream(engine.SENSOR_MESSAGE, self.ROWS, sensor_payload)
+        assert q.pop().payload["camera"] == "r0"
+        # r1 and r2 are due at 5 with seqs 1 and 2; this push takes seq 4.
+        q.push(5, engine.POD_SUBMIT, {"camera": "p"})
+        assert [(t, seq, payload["camera"]) for t, seq, _, payload in drain(q)] == [
+            (5, 1, "r1"), (5, 2, "r2"), (5, 4, "p"), (9, 3, "r3"),
+        ]
+
+    def test_len_and_peek_time_count_waiting_rows(self):
+        q = self.fill(EventQueue.stream)
+        # Three pushes and one row in the heap, three rows waiting.
+        assert len(q._heap) == 4
+        sizes, times = [], []
+        while len(q):
+            sizes.append(len(q))
+            times.append(q.peek_time())
+            q.pop()
+        assert sizes == [7, 6, 5, 4, 3, 2, 1]
+        assert times == [0, 0, 5, 5, 5, 5, 9]
+        assert q.peek_time() is None
+
+    def test_empty_queue_raised_only_after_the_last_row(self):
+        q = EventQueue()
+        q.stream(engine.SENSOR_MESSAGE, self.ROWS, sensor_payload)
+        assert [q.pop().payload["camera"] for _ in self.ROWS] == ["r0", "r1", "r2", "r3"]
+        with pytest.raises(EmptyQueue):
+            q.pop()
+
+    def test_an_empty_stream_takes_no_seq(self):
+        q = EventQueue()
+        q.stream(engine.SENSOR_MESSAGE, [], sensor_payload)
+        assert len(q) == 0 and q.peek_time() is None
+        assert q.push(3, engine.POD_SUBMIT, {}).seq == 0
 
 
 class TestCausality:
@@ -92,6 +160,30 @@ class TestLatencyChannels:
                 # One channel per send, so no FIFO clamp applies.
                 drawn = [channels.delivery_time(0, edge, (i,)) for i in range(200)]
                 assert drawn == [reference.randint(0, jitter) for _ in range(200)]
+
+    def test_floors_stay_bounded_and_pruning_keeps_deliveries(self, monkeypatch):
+        # One short-lived channel per pod, as a pod's messages have: the
+        # floors that can still delay a send stay few, so the dict stays
+        # small over a long run. Every delivery is the one it would be if
+        # no floor were dropped, also when pruning runs every few sends.
+        edge = FederationEdge("a", "b", LatencyModel(10, 40))
+        sends = [(t, ("pod", t // 20)) for t in range(0, 200_000, 2)]
+
+        def deliveries(prune_at):
+            monkeypatch.setattr(LatencyChannels, "MIN_PRUNE_AT", prune_at)
+            channels = LatencyChannels(RngStreams(9))
+            times, largest = [], 0
+            for now, channel in sends:
+                times.append(channels.delivery_time(now, edge, channel))
+                largest = max(largest, len(channels._last_delivery))
+            return times, largest
+
+        default, largest = deliveries(LatencyChannels.MIN_PRUNE_AT)
+        assert largest <= 2 * LatencyChannels.MIN_PRUNE_AT
+        often, _ = deliveries(4)
+        kept, largest = deliveries(len(sends) + 1)
+        assert largest == 10_000
+        assert default == often == kept
 
     def test_different_channels_may_interleave(self):
         # Existence check: some seed delivers a later send on channel B

@@ -1,12 +1,12 @@
 """Every payload field written to the event log is read.
 
-Each golden config runs with every event payload wrapped in a `dict`
-subclass that records, per event kind, the keys read through `[]` and
-`get`: by the handlers while the run steps, and by `build_report`, which
-`Simulation.run` calls at the end. The JSON encoder writes a dict subclass
-through `items()`, so writing the log reads nothing. A key that some event
-kind writes but nothing reads fails the guard, unless `EXEMPT` lists it
-with its reason.
+Each golden config runs with the payload of every event the queue builds
+wrapped in a `dict` subclass that records, per event kind, the keys read
+through `[]` and `get`: by the handlers while the run steps, and by
+`build_report`, which `Simulation.run` calls at the end. The JSON encoder
+writes a dict subclass through `items()`, so writing the log reads
+nothing. A key that some event kind writes but nothing reads fails the
+guard, unless `EXEMPT` lists it with its reason.
 """
 
 from collections import defaultdict
@@ -37,15 +37,17 @@ def unread_fields(monkeypatch, cases, extra=None):
             read[self.kind].add(key)
             return dict.get(self, key, default)
 
-    push = engine.EventQueue.push
+    event = engine.Event
 
-    def recording_push(queue, time, kind, payload):
+    def recording_event(time, seq, kind, payload):
         payload = Payload(payload, **(extra or {}).get(kind, {}))
         payload.kind = kind
         written[kind].update(payload)
-        return push(queue, time, kind, payload)
+        return event(time, seq, kind, payload)
 
-    monkeypatch.setattr(engine.EventQueue, "push", recording_push)
+    # The queue builds every event it holds through `engine.Event`, both
+    # those pushed and the rows of its stream.
+    monkeypatch.setattr(engine, "Event", recording_event)
     for name in sorted(cases):
         raw, seed = cases[name]()
         Simulation(validate_config(seeded(raw, seed))).run()

@@ -6,14 +6,16 @@ import weakref
 import pytest
 
 from fedsched import engine
+from fedsched.engine import EventQueue
 from fedsched.errors import EmptyQueue
 from fedsched.federation import ChaperonState
 from fedsched.metrics import serialize_event
 from fedsched.sim import Simulation
 from fedsched.config import validate_config
 
-from conftest import base_config, node_cfg, pod_cfg, run_raw, seeded
+from conftest import base_config, node_cfg, pod_cfg, push_every_row, run_raw, seeded
 from test_golden_log import CASES
+from test_scenario import wildfire_raw
 
 
 def log_bytes(sim):
@@ -258,3 +260,125 @@ def test_finished_simulation_still_answers_queries():
         assert sim.pending_requests(target) == sim.pending_local[target] + waiting
     for vnode in sim.protocol.virtual_nodes.values():
         assert vnode.staleness(sim.ctx.now) == sim.ctx.now - vnode.last_update
+
+
+# -- the trace stream against a plain heap ---------------------------------------
+# `_schedule_initial` hands the camera trace to the queue's stream, which
+# builds each row's event only when the row before it pops. Its naive twin
+# pushes every row at set-up; both must write the same log.
+
+
+def _merged_trace_file(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("cam-2, 10s, 0.97\ncam-1, 40s, 0.3\ncam-3, 10s, 0.95\n")
+    raw = wildfire_raw(trace=[["cam-1", "10s", 0.92], ["cam-4", "40s", 0.99]], ensemble=2)
+    raw["scenario"]["trace_file"] = str(path)
+    return raw, 3
+
+
+def _ties_at_the_first_tick(tmp_path):
+    # Trace rows at the millisecond of a pod submit, a batch job and the
+    # first rebalance tick, so the order among them is the seqs' alone.
+    raw = wildfire_raw(
+        trace=[["cam-1", "0s", 0.95], ["cam-2", "60s", 0.99], ["cam-1", "60s", 0.2],
+               ["cam-3", "60s", 0.93], ["cam-2", "3m", 0.97]],
+        ensemble=2,
+    )
+    raw["topology"]["clusters"][0]["nodes"].append(node_cfg("h-b1", pool="Batch"))
+    raw["scenario"]["pods"] = [pod_cfg("p1", "hub", submit=60_000, federated=False)]
+    raw["scenario"]["batch_jobs"] = [
+        {"id": "j1", "cluster": "hub", "submit": "60s", "node_count": 1, "duration": "5m"}
+    ]
+    raw["metascale"] = {"enabled": True, "tick": "60s"}
+    return raw, 5
+
+
+def _duplicate_rows(tmp_path):
+    trace = [["cam-1", "10s", 0.95], ["cam-1", "10s", 0.2], ["cam-1", "10s", 0.97],
+             ["cam-2", "10s", 0.91], ["cam-1", "10s", 0.99]]
+    return wildfire_raw(trace=trace, ensemble=1, cooldown="5s"), 11
+
+
+def _empty_trace(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("# camera_id, time, probability\n")
+    raw = wildfire_raw(trace=[], ensemble=1)
+    raw["scenario"]["trace_file"] = str(path)
+    raw["scenario"]["pods"] = [pod_cfg("p1", "hub", submit=5_000, federated=False)]
+    return raw, None
+
+
+TWIN_CASES = {
+    "bundled": lambda tmp_path: CASES["bundled"](),
+    "bundled-trace-seed7": lambda tmp_path: CASES["bundled-trace-seed7"](),
+    "merged-trace-file": _merged_trace_file,
+    "ties-at-the-first-tick": _ties_at_the_first_tick,
+    "duplicate-rows": _duplicate_rows,
+    "empty-trace": _empty_trace,
+}
+
+
+def streamed_and_plain(monkeypatch, raw, seed):
+    """`raw` run twice: with the trace streamed, and with every row pushed
+    at set-up."""
+    config = validate_config(seeded(raw, seed))
+    streamed = Simulation(config)
+    streamed.run()
+    with monkeypatch.context() as patch:
+        patch.setattr(EventQueue, "stream", push_every_row)
+        plain = Simulation(config)
+        plain.run()
+    return streamed, plain
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_CASES))
+def test_streamed_trace_logs_as_a_plain_heap(name, monkeypatch, tmp_path):
+    raw, seed = TWIN_CASES[name](tmp_path)
+    streamed, plain = streamed_and_plain(monkeypatch, raw, seed)
+    assert log_bytes(streamed) == log_bytes(plain)
+    rows = [e for e in streamed.events if e.kind == engine.SENSOR_MESSAGE]
+    assert (rows == []) == (name == "empty-trace")
+    if name == "ties-at-the-first-tick":
+        assert {e.kind for e in streamed.events if e.time == 60_000} >= {
+            engine.POD_SUBMIT, engine.BATCH_JOB_SUBMIT, engine.REBALANCE_TICK,
+            engine.SENSOR_MESSAGE,
+        }
+
+
+def test_twin_catches_trace_seqs_taken_after_the_ticks(monkeypatch, tmp_path):
+    # A stream handed over after the ticks takes later seqs than the rows
+    # would have taken when pushed in their place.
+    handed = []
+    stream, schedule_initial = EventQueue.stream, Simulation._schedule_initial
+
+    def stream_later(queue, *args):
+        handed.append((queue, args))
+
+    def schedule_then_stream(sim):
+        schedule_initial(sim)
+        for queue, args in handed:
+            stream(queue, *args)
+        handed.clear()
+
+    raw, seed = _ties_at_the_first_tick(tmp_path)
+    monkeypatch.setattr(EventQueue, "stream", stream_later)
+    monkeypatch.setattr(Simulation, "_schedule_initial", schedule_then_stream)
+    mutant = Simulation(validate_config(seeded(raw, seed)))
+    mutant.run()
+    monkeypatch.undo()
+    _, plain = streamed_and_plain(monkeypatch, raw, seed)
+    assert log_bytes(mutant) != log_bytes(plain)
+
+
+def test_set_up_leaves_one_trace_row_in_the_heap():
+    raw, seed = CASES["bundled"]()
+    sim = Simulation(validate_config(seeded(raw, seed)))
+    queue = sim.ctx.queue
+    kinds = [event.kind for _, _, event in queue._heap]
+    assert kinds.count(engine.SENSOR_MESSAGE) == 1
+    queued = len(queue)
+    sim.run()
+    # Every row of the generated trace is due within the run.
+    rows = sum(1 for event in sim.events if event.kind == engine.SENSOR_MESSAGE)
+    assert rows > 1
+    assert queued == len(kinds) + rows - 1
