@@ -42,14 +42,15 @@ class PodPhase(Enum):
     UNSCHEDULABLE = "Unschedulable"
 
 
-# Legal pod phase transitions. Anything else is a simulator bug.
-_PHASE_EDGES = {
-    PodPhase.PENDING: {PodPhase.BOUND, PodPhase.UNSCHEDULABLE},
-    PodPhase.BOUND: {PodPhase.RUNNING},
-    PodPhase.RUNNING: {PodPhase.COMPLETED},
-    PodPhase.COMPLETED: set(),
-    PodPhase.UNSCHEDULABLE: set(),
-}
+# Legal pod phase transitions as (from, to) pairs. Anything else is a
+# simulator bug. A tuple, not a dict of sets, so that checking a move
+# compares members by identity instead of calling Enum's Python `__hash__`.
+_LEGAL_MOVES = (
+    (PodPhase.PENDING, PodPhase.BOUND),
+    (PodPhase.PENDING, PodPhase.UNSCHEDULABLE),
+    (PodPhase.BOUND, PodPhase.RUNNING),
+    (PodPhase.RUNNING, PodPhase.COMPLETED),
+)
 
 
 @dataclass
@@ -91,7 +92,7 @@ class PodSpec:
         )
 
     def transition(self, to: PodPhase) -> None:
-        if to not in _PHASE_EDGES[self.phase]:
+        if (self.phase, to) not in _LEGAL_MOVES:
             raise PhaseTransitionError(
                 f"pod {self.pod_id}: illegal phase transition {self.phase.value} -> {to.value}"
             )
@@ -155,7 +156,12 @@ def schedulable(node: NodeSpec) -> bool:
 
 def fits(pod: PodSpec, node: NodeSpec, free: Triple) -> bool:
     """Pure feasibility predicate for one pod on one container node with
-    `free` (cpu, memory, gpu) left."""
+    `free` (cpu, memory, gpu) left.
+
+    Its callers are `ClusterState._check_feasible`, for `reserve` and
+    `bind`, and the tests' reference loop `plain_choice`. `schedule_one`
+    applies the same rule inline (see the `scheduling` module docstring).
+    """
     if not schedulable(node):
         return False
     if pod.node_selector and not selector_matches(pod.node_selector, node.labels):
@@ -215,9 +221,11 @@ class SchedulingSnapshot:
     the namespace totals, `order` the node order (`ClusterState.order`),
     `ceilings` the per-selector free ceilings (`ClusterState.ceilings`),
     which `schedule_one` writes, and `label_sets` each node's labels.
-    `scheduling.snapshot_of` and `nodes` stay because `perfbench/tracer.py`
-    times the one and counts the other (ROADMAP item 6); without them
-    `schedule_one` could read the state itself.
+    `schedule_one` does not read `nodes`: its walk tests the entries of
+    `order` against `label_sets`. `scheduling.snapshot_of` and `nodes` stay
+    because `perfbench/tracer.py` times the one and counts the other
+    (ROADMAP item 6); without them `schedule_one` could read the state
+    itself.
     """
 
     spec: ClusterSpec

@@ -169,7 +169,7 @@ class FederationProtocol:
         if not targets:
             self._finish_unschedulable(proxy, reason="no_targets")
             return True
-        self.ctx.effect(op="proxy", pod=pod.pod_id, state=proxy.state.value, targets=targets)
+        self.ctx.effect(op="proxy", pod=pod.pod_id, state=proxy.state._value_, targets=targets)
         for target in targets:
             self._send_pod_message(
                 proxy, target, "fwd", engine.CHAPERON_CREATE,
@@ -199,7 +199,7 @@ class FederationProtocol:
         chaperon = PodChaperon(pod=self.proxies[pod_id].pod, target=target)
         self.chaperons[(pod_id, target)] = chaperon
         self._unsettled.setdefault(target, {})[pod_id] = chaperon
-        self.ctx.effect(op="chaperon", pod=pod_id, cluster=target, state=chaperon.state.value)
+        self.ctx.effect(op="chaperon", pod=pod_id, cluster=target, state=chaperon.state._value_)
         self.try_candidate_schedule(chaperon)
 
     def try_candidate_schedule(self, chaperon: PodChaperon) -> None:
@@ -223,7 +223,7 @@ class FederationProtocol:
             chaperon.reserved_node = node
             self.ctx.effect(
                 op="chaperon", pod=chaperon.pod.pod_id, cluster=chaperon.target,
-                state=chaperon.state.value,
+                state=chaperon.state._value_,
             )
             self._report(chaperon, REPORT_RESERVED)
         elif chaperon.last_reported != REPORT_UNSCHEDULABLE:
@@ -271,7 +271,7 @@ class FederationProtocol:
     def _on_bind_conflict(self, proxy: ProxyPod) -> None:
         proxy.state = ProxyState.CANDIDATES_PENDING
         proxy.elected_target = None
-        self.ctx.effect(op="proxy", pod=proxy.pod.pod_id, state=proxy.state.value)
+        self.ctx.effect(op="proxy", pod=proxy.pod.pod_id, state=proxy.state._value_)
         if not self._maybe_elect(proxy):
             self._retry_or_give_up(proxy)
 
@@ -281,12 +281,19 @@ class FederationProtocol:
         )
 
     def _maybe_elect(self, proxy: ProxyPod) -> bool:
+        """Elect if at least one target reserved and either every target
+        has reported or the election timeout has elapsed.
+
+        The O(1) half is tested first, so a report that cannot end the
+        election does not scan and sort `proxy.reports`.
+        """
+        if not (
+            len(proxy.reports) == len(proxy.targets)
+            or self.ctx.now >= proxy.fanout_time + self.params.election_timeout_ms
+        ):
+            return False
         reserved = self._reserved_targets(proxy)
         if not reserved:
-            return False
-        all_reported = len(proxy.reports) == len(proxy.targets)
-        timeout_elapsed = self.ctx.now >= proxy.fanout_time + self.params.election_timeout_ms
-        if not (all_reported or timeout_elapsed):
             return False
         self._elect(proxy, reserved)
         return True
@@ -325,7 +332,7 @@ class FederationProtocol:
         log.debug("t=%d elected %s for pod %s among %s",
                   self.ctx.now, chosen, proxy.pod.pod_id, reserved)
         self.ctx.effect(
-            op="proxy", pod=proxy.pod.pod_id, state=proxy.state.value, elected=chosen
+            op="proxy", pod=proxy.pod.pod_id, state=proxy.state._value_, elected=chosen
         )
         self._send_pod_message(
             proxy, chosen, "fwd", engine.DELEGATE_BIND,
@@ -354,7 +361,7 @@ class FederationProtocol:
         proxy.pending_timer = None
         proxy.pod.transition(PodPhase.UNSCHEDULABLE)
         self.ctx.effect(
-            op="proxy", pod=proxy.pod.pod_id, state=proxy.state.value, reason=reason
+            op="proxy", pod=proxy.pod.pod_id, state=proxy.state._value_, reason=reason
         )
         self.ctx.effect(op="unschedulable", pod=proxy.pod.pod_id)
         self._delete_chaperons(proxy, except_target=None)
@@ -383,13 +390,13 @@ class FederationProtocol:
                       self.ctx.now, pod_id, target)
             chaperon.state = ChaperonState.PENDING_SCHEDULE
             chaperon.reserved_node = None
-            self.ctx.effect(op="chaperon", pod=pod_id, cluster=target, state=chaperon.state.value)
+            self.ctx.effect(op="chaperon", pod=pod_id, cluster=target, state=chaperon.state._value_)
             self._report(chaperon, REPORT_UNSCHEDULABLE)
             self.try_candidate_schedule(chaperon)
             return
         chaperon.state = ChaperonState.DELEGATE
         self.ctx.effect(
-            op="chaperon", pod=pod_id, cluster=target, state=chaperon.state.value
+            op="chaperon", pod=pod_id, cluster=target, state=chaperon.state._value_
         )
         self.ctx.bound_pod(proxy.pod, target, node, federated=True, source=proxy.source)
         self.ctx.effect(op="offload", src=proxy.source, dst=target, pod=pod_id)
@@ -409,7 +416,7 @@ class FederationProtocol:
             and proxy.elected_target == target
         ):
             proxy.state = ProxyState.BOUND
-            self.ctx.effect(op="proxy", pod=pod_id, state=proxy.state.value)
+            self.ctx.effect(op="proxy", pod=pod_id, state=proxy.state._value_)
             self._delete_chaperons(proxy, except_target=target)
 
     def on_candidate_delete(self, payload: dict) -> None:
@@ -427,7 +434,7 @@ class FederationProtocol:
         chaperon.reserved_node = None
         self.ctx.effect(
             op="chaperon", pod=chaperon.pod.pod_id, cluster=chaperon.target,
-            state=chaperon.state.value,
+            state=chaperon.state._value_,
         )
 
     def mirror_completion(self, pod: PodSpec, target: str, phase: str) -> None:
@@ -446,10 +453,11 @@ class FederationProtocol:
         """Report each target whose aggregates differ from its last report.
 
         The one place that decides when a source hears from a target; the
-        loop calls it once per step, after every change the step made.
-        The targets in `ctx.moved` that have sources are compared, in sorted
-        order, and the set is cleared; a move that a later one undid within
-        the step sends nothing.
+        loop calls it at the end of every step that left `ctx.moved`
+        non-empty, after every change the step made. The targets in
+        `ctx.moved` that have sources are compared, in sorted order, and
+        the set is cleared; a move that a later one undid within the step
+        sends nothing.
         """
         moved = self.ctx.moved
         for target in sorted(moved):
@@ -489,3 +497,15 @@ class FederationProtocol:
             allocatable=tuple(payload["allocatable"]),
             last_update=self.ctx.now,
         )
+
+    # The event kinds the protocol handles, each with its handler, which
+    # the loop calls with the event's payload (`sim.Simulation` binds them).
+    HANDLERS = {
+        engine.CHAPERON_CREATE: on_chaperon_create,
+        engine.CANDIDATE_REPORT: on_candidate_report,
+        engine.ELECTION_TIMEOUT: on_election_timeout,
+        engine.DELEGATE_BIND: on_delegate_bind,
+        engine.CANDIDATE_DELETE: on_candidate_delete,
+        engine.STATUS_MIRROR: on_status_mirror,
+        engine.AGGREGATE_REPORT: on_aggregate_report,
+    }

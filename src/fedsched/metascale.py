@@ -77,7 +77,7 @@ class MetaScaler:
 
     def submit(self, job: BatchJob) -> None:
         self.queue.append(job)
-        self.ctx.effect(op="job", job=job.job_id, cluster=self.cluster_id, state=job.state.value)
+        self.ctx.effect(op="job", job=job.job_id, cluster=self.cluster_id, state=job.state._value_)
         self.try_start()
 
     def _idle(self, pool: NodePool) -> List[str]:
@@ -107,7 +107,7 @@ class MetaScaler:
             self.busy_nodes.update(head.assigned_nodes)
             self.ctx.effect(
                 op="job", job=head.job_id, cluster=self.cluster_id,
-                state=head.state.value, nodes=head.assigned_nodes,
+                state=head.state._value_, nodes=head.assigned_nodes,
             )
             self.ctx.at(
                 self.ctx.now + head.duration, engine.JOB_COMPLETE,
@@ -117,7 +117,7 @@ class MetaScaler:
     def on_job_complete(self, job: BatchJob) -> None:
         job.state = JobState.DONE
         self.busy_nodes.difference_update(job.assigned_nodes)
-        self.ctx.effect(op="job", job=job.job_id, cluster=self.cluster_id, state=job.state.value)
+        self.ctx.effect(op="job", job=job.job_id, cluster=self.cluster_id, state=job.state._value_)
         self.try_start()
 
     # -- demand and rebalancing -----------------------------------------------
@@ -181,13 +181,13 @@ class MetaScaler:
         if count <= 0:
             return
         log.debug("t=%d %s: moving %d node(s) %s -> %s",
-                  self.ctx.now, self.cluster_id, count, src.value, dst.value)
+                  self.ctx.now, self.cluster_id, count, src._value_, dst._value_)
         for node_id in movable[:count]:
             state.set_node(node_id, pool=dst, state=NodeState.REPURPOSING)
             self.pinned_until[node_id] = self.ctx.now + self.params.cooldown_ms
             self.ctx.effect(
                 op="pool_move", cluster=self.cluster_id, node=node_id,
-                src=src.value, dst=dst.value,
+                src=src._value_, dst=dst._value_,
             )
             self.ctx.at(
                 self.ctx.now + self.params.provisioning_delay_ms,
@@ -200,7 +200,7 @@ class MetaScaler:
         node = state.nodes()[node_id]
         state.set_node(node_id, state=NodeState.READY)
         self.ctx.effect(
-            op="node_ready", cluster=self.cluster_id, node=node_id, pool=node.pool.value
+            op="node_ready", cluster=self.cluster_id, node=node_id, pool=node.pool._value_
         )
         if node.pool is NodePool.BATCH:
             self.try_start()

@@ -21,8 +21,13 @@ the smallest id first.
 `schedule_one` walks every capacity's entries from the largest K down. It
 looks only at the first entry of each class, its representative: after
 each visit, when the next entry has the same free triple and labels, it
-jumps past the rest of the class with one `bisect_right`. It skips
-representatives that fail `fits`, scores the rest with the pipeline's
+jumps past the rest of the class with one `bisect_right`. It tests each
+representative inline, by the rule of `fits`: the pod's selector is a
+subset of the node's label set (`snap.label_sets`), and the request is at
+most the entry's free triple in cpu, memory and gpu. The Ready and
+container-pool half of `fits` needs no test there, because the order
+invariant (`ClusterState`) keeps every other node out of `order`. It
+skips the representatives that fail, scores the rest with the pipeline's
 weighted sum and keeps the best, ties going to the smallest
 representative id. That is the choice of a loop over all nodes in sorted
 id order with a strict improvement test, for every pipeline: the scores
@@ -61,11 +66,12 @@ unbind or a node made schedulable raises the ceilings whose selector
 matches the node. Where free shrinks (reserve, bind, a node taken out) the
 old bound still holds, so nothing is done there. The walk tightens the
 bound. A walk that finds no node has visited every class, because the stop
-rule fires only once a node is found, and every representative failed
-`fits`. So the max over the free triples of the representatives that the
-selector matches, gathered where `fits` fails, is the exact maximum over
-the matching nodes, and the walk stores it: (-1, -1, -1) when the selector
-matches none. A walk that finds a node stores nothing.
+rule fires only once a node is found, and every representative failed the
+inline test. So the max over the free triples of the representatives that
+the selector matches, gathered where the request does not fit, is the
+exact maximum over the matching nodes, and the walk stores it:
+(-1, -1, -1) when the selector matches none. A walk that finds a node
+stores nothing.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ from bisect import bisect_right
 from operator import itemgetter
 from typing import Callable, Dict, Optional, Tuple
 
-from .cluster import ClusterState, PodSpec, SchedulingSnapshot, fits
+from .cluster import ClusterState, PodSpec, SchedulingSnapshot
 from .resources import Triple
 
 # (request, capacity, free) -> score, all (cpu, memory, gpu) triples; `free`
@@ -83,6 +89,8 @@ from .resources import Triple
 ScoreFn = Callable[[Triple, Triple, Triple], int]
 
 # A cluster's score plugins as (fn, weight) pairs, summed in this order.
+# Whether the stop rule applies (module docstring) is not stored with them:
+# `schedule_one` works it out per decision, in three comparisons.
 Pipeline = Tuple[Tuple[ScoreFn, float], ...]
 
 
@@ -156,30 +164,34 @@ def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> 
     Namespace admission does not depend on the node, so it is decided once,
     before the walk; then a request above the selector's ceiling is refused
     without a walk, and a walk that finds no node stores the exact ceiling
-    (module docstring). A node's total score is the sum, from int 0 in
-    pipeline order, of weight * score. The walk visits each class
-    representative of the node order (module docstring); score ties
+    (module docstring). The walk visits each class representative of the
+    node order and tests it inline: selector against the node's label set,
+    request against the entry's free triple. Nothing checks that the node
+    is Ready and in the container pool, because `order` holds no other
+    node (the order invariant of `ClusterState`). A node's total score is
+    the sum, from int 0 in pipeline order, of weight * score; score ties
     resolve to the lexicographically smallest node id. The stop rule
     applies only to a pipeline of `LeastAllocated` alone with a weight w
     where 0 < w * 100 < inf.
     """
     if snap.spec.admission_error(pod, snap.namespace_used) is not None:
         return None
-    request = pod.request.as_tuple()
+    request = want_cpu, want_memory, want_gpu = pod.request.as_tuple()
     selector = pod.selector_key
     ceiling = snap.ceilings.get(selector)
     if ceiling is not None and (
-        request[0] > ceiling[0] or request[1] > ceiling[1] or request[2] > ceiling[2]
+        want_cpu > ceiling[0] or want_memory > ceiling[1] or want_gpu > ceiling[2]
     ):
         return None
     stops = len(pipeline) == 1 and pipeline[0][0] is least_allocated and (
         0 < pipeline[0][1] * 100 < math.inf
     )
-    nodes = snap.nodes
+    label_sets = snap.label_sets
     best_node = None
     best_score = best_raw = None
     # The componentwise max free triple of the representatives that the
-    # selector matches and that fail `fits`: with no node found, of all.
+    # selector matches and that the request does not fit: with no node
+    # found, of all.
     top_cpu = top_memory = top_gpu = -1
     for key, entries in snap.order:
         capacity, unit = key.capacity, key.unit
@@ -197,15 +209,16 @@ def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> 
             if i < end and entries[i][1] == free and entries[i][2] == labels:
                 # The rest of the class scores as its representative does.
                 i = bisect_right(entries, (neg_key, free, labels), i, end, key=_CLASS)
-            if not fits(pod, nodes[node_id], free):
-                if selector <= snap.label_sets[node_id]:
-                    cpu, memory, gpu = free
-                    if cpu > top_cpu:
-                        top_cpu = cpu
-                    if memory > top_memory:
-                        top_memory = memory
-                    if gpu > top_gpu:
-                        top_gpu = gpu
+            if not selector <= label_sets[node_id]:
+                continue
+            cpu, memory, gpu = free
+            if want_cpu > cpu or want_memory > memory or want_gpu > gpu:
+                if cpu > top_cpu:
+                    top_cpu = cpu
+                if memory > top_memory:
+                    top_memory = memory
+                if gpu > top_gpu:
+                    top_gpu = gpu
                 continue
             # `raw` ends as the last plugin's unweighted score: with `stops`,
             # the `least_allocated` score that the stop rule reads.

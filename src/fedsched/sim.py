@@ -23,6 +23,7 @@ from __future__ import annotations
 import gc
 import logging
 from dataclasses import dataclass
+from types import MethodType
 from typing import Dict, List, Optional, Set
 
 from . import engine
@@ -82,7 +83,7 @@ class Context:
             role=pod.role,
         )
         pod.transition(PodPhase.RUNNING)
-        self.effect(op="phase", pod=pod.pod_id, phase=PodPhase.RUNNING.value)
+        self.effect(op="phase", pod=pod.pod_id, phase=PodPhase.RUNNING._value_)
         self.at(
             self.now + pod.duration, engine.POD_COMPLETE,
             {"pod": pod.pod_id, "cluster": cluster},
@@ -110,6 +111,13 @@ class Simulation:
 
         self.protocol = FederationProtocol(self.ctx, config.federation)
         self.protocol.initialize_virtual_nodes()
+        # The protocol's handlers, bound to it once. The Simulation's own
+        # stay unbound in `_HANDLERS`: bound to `self` here, they would make
+        # a reference cycle (module docstring).
+        self._protocol_handlers = {
+            kind: MethodType(handler, self.protocol)
+            for kind, handler in FederationProtocol.HANDLERS.items()
+        }
 
         self.metascalers: Dict[str, MetaScaler] = {}
         if config.metascale.enabled:
@@ -189,14 +197,18 @@ class Simulation:
         assert event.time >= ctx.now, "event queue violated time order"
         ctx.now = event.time
         ctx.current = event
-        handler = self._HANDLERS[event.kind]
-        handler(self, event.payload)
+        handler = self._protocol_handlers.get(event.kind)
+        if handler is None:
+            self._HANDLERS[event.kind](self, event.payload)
+        else:
+            handler(event.payload)
         freed = ctx.freed
         while freed:
             cluster_id = min(freed)
             freed.discard(cluster_id)
             self._kick(cluster_id)
-        self.protocol.report_changes()
+        if ctx.moved:
+            self.protocol.report_changes()
         self.events.append(event)
         return event
 
@@ -269,10 +281,10 @@ class Simulation:
             op="unbind", pod=pod.pod_id, cluster=cluster_id, node=pod.bound_node,
             req=pod.request.as_list(),
         )
-        self.ctx.effect(op="phase", pod=pod.pod_id, phase=PodPhase.COMPLETED.value)
+        self.ctx.effect(op="phase", pod=pod.pod_id, phase=PodPhase.COMPLETED._value_)
         if self.scenario is not None:
             self.scenario.on_pod_complete(pod)
-        self.protocol.mirror_completion(pod, cluster_id, PodPhase.COMPLETED.value)
+        self.protocol.mirror_completion(pod, cluster_id, PodPhase.COMPLETED._value_)
 
     def _on_batch_job_submit(self, payload: dict) -> None:
         self.metascalers[payload["cluster"]].submit(self._batch_jobs[payload["job"]])
@@ -306,12 +318,5 @@ class Simulation:
         engine.NODE_READY: _on_node_ready,
         engine.SENSOR_MESSAGE: _on_sensor,
         engine.TRIGGER_FIRED: _on_trigger,
-        engine.CHAPERON_CREATE: lambda self, p: self.protocol.on_chaperon_create(p),
-        engine.CANDIDATE_REPORT: lambda self, p: self.protocol.on_candidate_report(p),
-        engine.ELECTION_TIMEOUT: lambda self, p: self.protocol.on_election_timeout(p),
-        engine.DELEGATE_BIND: lambda self, p: self.protocol.on_delegate_bind(p),
-        engine.CANDIDATE_DELETE: lambda self, p: self.protocol.on_candidate_delete(p),
-        engine.STATUS_MIRROR: lambda self, p: self.protocol.on_status_mirror(p),
-        engine.AGGREGATE_REPORT: lambda self, p: self.protocol.on_aggregate_report(p),
     }
 

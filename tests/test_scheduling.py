@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from fedsched.cluster import ClusterSpec, ClusterState, NodePool, NodeState, fits
-from fedsched import federation, scheduling, sim as sim_module
+from fedsched import federation, sim as sim_module
 from fedsched.config import validate_config
 from fedsched.errors import BindError
 from fedsched.resources import GIB, ResourceVector
@@ -499,24 +500,27 @@ class TestClassOrderDifferential:
         assert min(decisions.values()) >= 200 and chosen_count >= 1200, (decisions, chosen_count)
         assert shared >= 500, shared
 
-    def test_a_decision_tests_each_class_once(self, monkeypatch):
+    def test_a_decision_tests_each_class_once(self):
         # 64 identical nodes, two of them partly bound alike: two classes.
         # GpuBinpack has no stop rule, so the walk visits every class; the
-        # jump past a class's other members leaves one `fits` call each.
+        # jump past a class's other members leaves one feasibility test, so
+        # one read of the node's label set, per class.
         state = cluster_with([make_node(f"n{i:02d}", gpu=4) for i in range(64)])
         state.bind(make_pod("f1", 1000, GIB, 1), "n17", at=0)
         state.bind(make_pod("f2", 1000, GIB, 1), "n40", at=0)
-        calls = []
+        reads = []
 
-        def counted_fits(pod, node, free):
-            calls.append(node.node_id)
-            return fits(pod, node, free)
+        class CountedLabelSets(dict):
+            def __getitem__(self, node_id):
+                reads.append(node_id)
+                return super().__getitem__(node_id)
 
-        monkeypatch.setattr(scheduling, "fits", counted_fits)
+        snap = snapshot_of(state)
+        counted = dataclasses.replace(snap, label_sets=CountedLabelSets(snap.label_sets))
         pipeline = builtin_pipeline(score_weights=(("GpuBinpack", 1),))
         pod = make_pod("p", 1000, GIB, 1)
-        assert schedule_one(pod, snapshot_of(state), pipeline) == "n17"
-        assert sorted(calls) == ["n00", "n17"]
+        assert schedule_one(pod, counted, pipeline) == "n17"
+        assert sorted(reads) == ["n00", "n17"]
         assert plain_choice(pod, state, pipeline) == "n17"
 
 

@@ -1,6 +1,9 @@
 """Simulation loop behavior: determinism, replay, duration, burst offload."""
 
+import enum
 import gc
+import os
+import sys
 import weakref
 
 import pytest
@@ -8,7 +11,7 @@ import pytest
 from fedsched import engine
 from fedsched.engine import EventQueue
 from fedsched.errors import EmptyQueue
-from fedsched.federation import ChaperonState
+from fedsched.federation import ChaperonState, FederationProtocol
 from fedsched.metrics import serialize_event
 from fedsched.sim import Simulation
 from fedsched.config import validate_config
@@ -111,7 +114,9 @@ def test_run_with_edges_drains_before_an_endless_duration():
 
 
 def test_every_event_kind_has_exactly_one_handler():
-    assert set(Simulation._HANDLERS) == engine.EVENT_KINDS
+    own, protocol = set(Simulation._HANDLERS), set(FederationProtocol.HANDLERS)
+    assert own | protocol == engine.EVENT_KINDS
+    assert not own & protocol
 
 
 def test_step_on_drained_queue_raises():
@@ -260,6 +265,37 @@ def test_finished_simulation_still_answers_queries():
         assert sim.pending_requests(target) == sim.pending_local[target] + waiting
     for vnode in sim.protocol.virtual_nodes.values():
         assert vnode.staleness(sim.ctx.now) == sim.ctx.now - vnode.last_update
+
+
+# -- the per-event hot path -------------------------------------------------------
+# A step reads enum members by identity and their `_value_`, the plain
+# attribute behind Enum's `.value` property, never through that property
+# (two Python calls per read), `__hash__` or the constructor. Set-up
+# outside `step`, such as config parsing, may call them.
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_enum_function_runs_inside_a_step(name):
+    raw, seed = CASES[name]()
+    sim = Simulation(validate_config(seeded(raw, seed)))
+    calls = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == enum.__file__:
+            caller = frame.f_back
+            calls.add(f"{frame.f_code.co_name} from {os.path.basename(caller.f_code.co_filename)}"
+                      f":{caller.f_lineno}")
+
+    queue, steps = sim.ctx.queue, 0
+    while len(queue) and queue.peek_time() <= sim.config.duration_ms:
+        sys.setprofile(profile)
+        try:
+            sim.step()
+        finally:
+            sys.setprofile(None)
+        steps += 1
+    assert steps == len(sim.events) > 0
+    assert not calls, sorted(calls)
 
 
 # -- the trace stream against a plain heap ---------------------------------------
