@@ -3,11 +3,13 @@
 Each record of the config is declared once, as a table that maps each of
 its keys to a `(parser, default)` pair, plus the field name of the object
 built from the record where that differs from the key (see `record`). A
-parser takes `(value, path)`, with `path` the value's dotted location, and
-returns the parsed value or raises a `ConfigError` at `path`. A record's
-allowed keys are its table's keys; a key that is absent or null takes the
-default, which is written as in a config file and parsed once, at import.
-Rules that relate several fields follow the tables as plain code.
+parser takes `(value, path)` and returns the parsed value or raises a
+`ConfigError` at `path`. `path` is the value's location: a string, or a
+`(parent, key-or-index)` pair that `errors.dotted` formats to the dotted
+string only when an error is raised, so a valid config formats none. A
+record's allowed keys are its table's keys; a key that is absent or null
+takes the default, which is written as in a config file and parsed once, at
+import. Rules that relate several fields follow the tables as plain code.
 
 Time values accept human units (ms, s, m, h) and normalize to integer
 milliseconds.
@@ -15,6 +17,7 @@ milliseconds.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -33,7 +36,8 @@ from .resources import ResourceVector, parse_memory
 from .scenario import POD_ID_PREFIX, CameraEvent, PodTemplate, load_trace
 from .scheduling import DEFAULT_SCORES, SCORE_PLUGINS
 
-Parser = Callable[[Any, str], Any]
+# A parser's `path` is a location as `errors.dotted` reads it.
+Parser = Callable[[Any, Any], Any]
 
 # The default of a key that must be given.
 REQUIRED = object()
@@ -127,7 +131,7 @@ def list_of(item: Parser, non_empty: bool = False) -> Parser:
     def parse(value, path):
         if type(value) is not list or (non_empty and not value):
             raise ConfigError("must be a non-empty list" if non_empty else "must be a list", path)
-        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        return [item(v, (path, i)) for i, v in enumerate(value)]
     return parse
 
 
@@ -136,7 +140,7 @@ def map_of(item: Parser) -> Parser:
     def parse(value, path):
         if type(value) is not dict:
             raise ConfigError(f"expected an object, got {type(value).__name__}", path)
-        return {k: item(v, f"{path}.{k}") for k, v in value.items()}
+        return {k: item(v, (path, f"{k}")) for k, v in value.items()}
     return parse
 
 
@@ -149,9 +153,14 @@ def string_map(value, path) -> Dict[str, str]:
     return value
 
 
+# A config repeats a few memory strings, so each is parsed once. Only str
+# values are looked up (True == 1), and a string that fails is not kept.
+_parse_memory_str = functools.lru_cache(maxsize=64)(parse_memory)
+
+
 def memory_size(value, path) -> int:
     try:
-        return parse_memory(value)
+        return _parse_memory_str(value) if type(value) is str else parse_memory(value)
     except ValueError as exc:
         raise ConfigError(str(exc), path) from None
 
@@ -171,7 +180,7 @@ def probability_range(value, path) -> Tuple[float, float]:
 # The cluster references read by the `validate_config` call in progress, as
 # (cluster id, location). They are checked against the declared clusters once
 # the whole document is read, so a parser needs no cluster list.
-_cluster_refs: ContextVar[List[Tuple[str, str]]] = ContextVar("cluster_refs")
+_cluster_refs: ContextVar[List[Tuple[str, Any]]] = ContextVar("cluster_refs")
 
 
 def cluster_ref(value, path) -> str:
@@ -193,7 +202,7 @@ def camera_event(value, path) -> CameraEvent:
     return CameraEvent(string(camera, path), parse_time(when, path), _probability(probability, path))
 
 
-def _check_keys(section, table, path: str) -> None:
+def _check_keys(section, table, path) -> None:
     if type(section) is not dict:
         raise ConfigError(f"expected an object, got {type(section).__name__}", path)
     if not section.keys() <= table.keys():
@@ -201,12 +210,14 @@ def _check_keys(section, table, path: str) -> None:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}", path)
 
 
-def record(table: Dict[str, tuple], build: Callable = dict) -> Parser:
+def record(table: Dict[str, tuple], build: Callable = dict, vector: Optional[str] = None) -> Parser:
     """The parser of one record, built from its table.
 
     Each row is `key: (parser, default)` or `key: (parser, default, name)`,
     where `name` is the keyword `build` takes the value as (the key itself
-    when not given). The record is `build(**values)`.
+    when not given). With `vector`, the record's `RESOURCES` rows reach
+    `build` as one `ResourceVector`, keyword `vector`. The record is
+    `build(**values)`.
     """
     rows, defaults, required = {}, {}, []
     for key, (parse, default, *name) in table.items():
@@ -218,24 +229,34 @@ def record(table: Dict[str, tuple], build: Callable = dict) -> Parser:
             defaults[name] = default if default is None else parse(default, key)
 
     def parse_record(value, path):
-        _check_keys(value, rows, path)
+        if type(value) is not dict:
+            raise ConfigError(f"expected an object, got {type(value).__name__}", path)
         values = defaults.copy()
-        for key, raw in value.items():
-            if raw is not None:
+        try:
+            for key, raw in value.items():
                 name, parse = rows[key]
-                values[name] = parse(raw, f"{path}.{key}")
+                if raw is not None:
+                    values[name] = parse(raw, (path, key))
+        except (KeyError, ConfigError):
+            # An unknown key is the record's error, whichever failed first.
+            _check_keys(value, rows, path)
+            raise
         for key, name in required:
             if name not in values:
-                raise ConfigError("missing required key", f"{path}.{key}")
+                raise ConfigError("missing required key", (path, key))
+        if vector is not None:
+            values[vector] = ResourceVector(
+                values.pop("cpu"), values.pop("memory"), values.pop("gpu")
+            )
         return build(**values)
     return parse_record
 
 
-def _unique(ids: List[str], what: str, path: str) -> None:
+def _unique(ids: List[str], what: str, path) -> None:
     seen = set()
     for i, item_id in enumerate(ids):
         if item_id in seen:
-            raise ConfigError(f"duplicate {what} ids: {item_id!r}", f"{path}[{i}]")
+            raise ConfigError(f"duplicate {what} ids: {item_id!r}", (path, i))
         seen.add(item_id)
 
 
@@ -246,13 +267,6 @@ RESOURCES = {
     "memory": (memory_size, 0),
     "gpu": (integer(0), 0),
 }
-
-
-def _with_vector(build: Callable, name: str) -> Callable:
-    """`build` given the record's cpu, memory and gpu as one vector `name`."""
-    def build_with(cpu, memory, gpu, **values):
-        return build(**values, **{name: ResourceVector(cpu, memory, gpu)})
-    return build_with
 
 
 resources = record(RESOURCES, lambda cpu, memory, gpu: ResourceVector(cpu, memory, gpu))
@@ -325,7 +339,7 @@ CLUSTER = {
     "id": (string, REQUIRED, "cluster_id"),
     "profile": (one_of("profile", PROFILES), None),
     "scale_divisor": (integer(1), None),
-    "nodes": (list_of(record(NODE, _with_vector(dict, "capacity")), non_empty=True), None,
+    "nodes": (list_of(record(NODE, vector="capacity"), non_empty=True), None,
               "explicit_nodes"),
     "initial_batch_nodes": (integer(0), 0),
     "namespace_allowlist": (list_of(string), None),
@@ -555,7 +569,7 @@ def _scenario(trace, trace_file, pods, batch_jobs, **values) -> ScenarioConfig:
     return config
 
 
-template = record(TEMPLATE, _with_vector(PodTemplate, "request"))
+template = record(TEMPLATE, PodTemplate, vector="request")
 
 SCENARIO = {
     "namespace": (string, None),
@@ -572,7 +586,7 @@ SCENARIO = {
     "trace_file": (string, None),
     "retrain": (template, None),
     "ensemble_member": (template, None),
-    "pods": (list_of(record(POD, _with_vector(PodEntry, "request"))), []),
+    "pods": (list_of(record(POD, PodEntry, vector="request")), []),
     "batch_jobs": (list_of(record(BATCH_JOB, BatchJob)), []),
 }
 
@@ -643,7 +657,7 @@ def validate_config(raw: dict) -> RunConfig:
     _check_keys(raw, SECTIONS, "config")
     if raw.get("topology") is None:
         raise ConfigError("missing required section", "config.topology")
-    refs: List[Tuple[str, str]] = []
+    refs: List[Tuple[str, Any]] = []
     token = _cluster_refs.set(refs)
     try:
         sim, topology, federation, metascale, scenario = [
@@ -657,15 +671,15 @@ def validate_config(raw: dict) -> RunConfig:
     cluster_ids = [c.cluster_id for c in clusters]
     _unique(cluster_ids, "cluster", "topology.clusters")
     for i, cluster in enumerate(clusters):
-        path = f"topology.clusters[{i}]"
+        path = ("topology.clusters", i)
         if (cluster.profile is None) == (cluster.explicit_nodes is None):
             raise ConfigError("needs exactly one of 'profile' and 'nodes'", path)
         if cluster.scale_divisor is not None and cluster.profile not in SCALED_PROFILES:
             raise ConfigError(
                 f"only the {', '.join(sorted(SCALED_PROFILES))} profile takes a scale_divisor",
-                f"{path}.scale_divisor",
+                (path, "scale_divisor"),
             )
-        _unique([n["id"] for n in cluster.explicit_nodes or ()], "node", f"{path}.nodes")
+        _unique([n["id"] for n in cluster.explicit_nodes or ()], "node", (path, "nodes"))
     known = set(cluster_ids)
     for cluster_id, location in refs:
         if cluster_id not in known:

@@ -10,11 +10,26 @@ class FedschedError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(FedschedError):
-    """Invalid configuration. Carries a dotted location path when known."""
+def dotted(location) -> str:
+    """The dotted form of a config location, such as `scenario.pods[3].memory`.
 
-    def __init__(self, message: str, location: str = ""):
-        self.location = location
+    A location is a string, or a `(parent, key)` pair of a parent location
+    and a record key or, as an int, a list index. The config parsers pass
+    pairs down, so a location is formatted only when an error names it.
+    """
+    keys = []
+    while type(location) is tuple:
+        location, key = location
+        keys.append(f"[{key}]" if type(key) is int else f".{key}")
+    return location + "".join(reversed(keys))
+
+
+class ConfigError(FedschedError):
+    """Invalid configuration. Carries a dotted location path when known,
+    given as a string or as a location `dotted` formats."""
+
+    def __init__(self, message: str, location=""):
+        self.location = location = dotted(location)
         super().__init__(f"{location}: {message}" if location else message)
 
 

@@ -105,6 +105,7 @@ class ProxyPod:
     state: ProxyState = ProxyState.CANDIDATES_PENDING
     elected_target: Optional[str] = None
     reports: Dict[str, str] = field(default_factory=dict)  # target -> latest report status
+    reserved_count: int = 0  # targets whose latest report is "reserved"
     retries: int = 0
     pending_timer: Optional[int] = None
 
@@ -258,6 +259,9 @@ class FederationProtocol:
     def on_candidate_report(self, payload: dict) -> None:
         pod_id, target, status = payload["pod"], payload["target"], payload["status"]
         proxy = self.proxies[pod_id]
+        proxy.reserved_count += (status == REPORT_RESERVED) - (
+            proxy.reports.get(target) == REPORT_RESERVED
+        )
         proxy.reports[target] = status
         if proxy.state is ProxyState.CANDIDATES_PENDING:
             self._maybe_elect(proxy)
@@ -284,18 +288,15 @@ class FederationProtocol:
         """Elect if at least one target reserved and either every target
         has reported or the election timeout has elapsed.
 
-        The O(1) half is tested first, so a report that cannot end the
-        election does not scan and sort `proxy.reports`.
+        Both tests are O(1), on `proxy.reserved_count` and the number of
+        reports; `proxy.reports` is scanned and sorted only for an election.
         """
-        if not (
+        if not proxy.reserved_count or not (
             len(proxy.reports) == len(proxy.targets)
             or self.ctx.now >= proxy.fanout_time + self.params.election_timeout_ms
         ):
             return False
-        reserved = self._reserved_targets(proxy)
-        if not reserved:
-            return False
-        self._elect(proxy, reserved)
+        self._elect(proxy, self._reserved_targets(proxy))
         return True
 
     def _aggregate_score(self, proxy: ProxyPod, target: str) -> int:

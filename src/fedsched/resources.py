@@ -2,9 +2,12 @@
 
 Three dimensions: CPU millicores, memory bytes, whole GPU devices.
 
-A ``ResourceVector`` is built, and validated, where config is parsed. At
-run time every figure is a plain ``(cpu, memory, gpu)`` int triple, added
-and subtracted with ``add_triples`` and ``subtract_triples``.
+A ``ResourceVector`` is built, and validated, where config is parsed: the
+config's parsers read each quantity once (a repeated memory string once),
+and the slotted vector checks that its three fields are non-negative ints
+and not bools, so one built in code is held to the same rules. At run time
+every figure is a plain ``(cpu, memory, gpu)`` int triple, added and
+subtracted with ``add_triples`` and ``subtract_triples``.
 """
 
 from __future__ import annotations
@@ -49,16 +52,15 @@ def parse_memory(value) -> int:
     raise ValueError(f"not a memory quantity: {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceVector:
     cpu_millicores: int = 0
     memory_bytes: int = 0
     gpu_count: int = 0
 
     def __post_init__(self):
-        for dim in DIMENSIONS:
-            v = getattr(self, dim)
-            if not isinstance(v, int) or isinstance(v, bool):
+        for dim, v in zip(DIMENSIONS, (self.cpu_millicores, self.memory_bytes, self.gpu_count)):
+            if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
                 raise ValueError(f"{dim} must be an integer, got {v!r}")
             if v < 0:
                 raise ValueError(f"{dim} must be >= 0, got {v}")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fedsched import errors
 from fedsched.cli import EXIT_CONFIG, EXIT_OK, _apply_overrides, main
 from fedsched.config import RunConfig, parse_config, parse_time, validate_config
 from fedsched.errors import ConfigError
@@ -775,3 +776,73 @@ def test_fuzzed_config_validates_or_raises_config_error(target, value):
         assert isinstance(validate_config(raw), RunConfig)
     except ConfigError:
         pass
+
+
+# -- what validation pays for ----------------------------------------------------
+
+
+def local_wide_shaped_config():
+    """Two clusters of 32 nodes and 800 local pods, every record with every
+    resource key and a memory string."""
+    clusters = [
+        {"id": c, "nodes": [node_cfg(f"{c}-n{k}", cpu=32_000, mem="128GiB") for k in range(32)]}
+        for c in ("a", "b")
+    ]
+    pods = [
+        pod_cfg(f"p{i}", "ab"[i % 2], cpu=500 * (1 + i % 8), mem=f"{1 + i % 8}GiB",
+                federated=False, submit=i * 1000, duration=f"{1 + i % 20}m")
+        for i in range(800)
+    ]
+    return base_config(clusters, pods=pods, duration="1h")
+
+
+@pytest.mark.parametrize("config", [lambda: json.loads(BUNDLED.read_text()),
+                                    local_wide_shaped_config],
+                         ids=["bundled", "local-wide-shaped"])
+def test_a_valid_config_formats_no_location(config, monkeypatch):
+    def refuse(location):
+        raise AssertionError(f"formatted location {location!r}")
+
+    monkeypatch.setattr(errors, "dotted", refuse)
+    validate_config(config())
+    # The patched formatter is the one an error goes through.
+    with pytest.raises(AssertionError, match="formatted location"):
+        validate_config(set_at(config(), "sim.seed", "x"))
+
+
+@pytest.mark.parametrize("bad", ["lots", "-1GiB", "1GiB!", -1, True, 1.5, [], {}])
+def test_a_bad_memory_value_after_cached_strings_is_located(bad):
+    def config(memories):
+        pods = [pod_cfg(f"p{i}", "a", mem=mem, federated=False) for i, mem in enumerate(memories)]
+        return base_config([{"id": "a", "nodes": [node_cfg("n1")]}], pods=pods)
+
+    with pytest.raises(ConfigError) as alone:
+        validate_config(config([bad]))
+    # Good values come first, twice each; True == 1, so True must not find 1.
+    for _ in range(2):
+        with pytest.raises(ConfigError) as err:
+            validate_config(config(["1", 1, "1GiB", "1", 1, "1GiB", bad]))
+        assert err.value.location == "scenario.pods[6].memory"
+        assert str(err.value).split(": ", 1)[1] == str(alone.value).split(": ", 1)[1]
+
+
+@pytest.mark.parametrize("bogus,bad,bogus_first", [
+    (None, {}, False),
+    # With a bad value read before or after it, the unknown key is the error.
+    (1, {"cpu": -1}, False),
+    (1, {"memory": "lots"}, True),
+])
+def test_an_unknown_key_is_the_record_error(bogus, bad, bogus_first):
+    pod = {**pod_cfg("p0", "a", federated=False), **bad}
+    pod = {"bogus": bogus, **pod} if bogus_first else {**pod, "bogus": bogus}
+    raw = base_config([{"id": "a", "nodes": [node_cfg("n1")]}], pods=[pod])
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert str(err.value) == "scenario.pods[0]: unknown keys: bogus"
+
+
+def test_an_unknown_cluster_key_outranks_a_bad_node():
+    raw = base_config([{"id": "a", "nodes": [node_cfg("n1", cpu=-1)], "zz": 1, "bogus": None}])
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert str(err.value) == "topology.clusters[0]: unknown keys: bogus, zz"

@@ -529,6 +529,33 @@ class TestInvariants:
                 event = sim.step()
                 assert unreported_pairs(sim) == [], (index, event.time, event.kind)
 
+    def test_proxy_reserved_count_follows_the_logged_reports(self):
+        # Each proxy's `reserved_count` is the number of targets whose latest
+        # logged CandidateReport is "reserved", after every step; half of the
+        # runs disable reservations, so bind conflicts turn reports back.
+        rng = random.Random(20261019)
+        turned_back = 0
+        for index in range(40):
+            raw = random_protocol_raw(rng)
+            raw["federation"] = {"reservations": index % 2 == 0}
+            sim = Simulation(validate_config(raw))
+            latest = {}
+            while len(sim.ctx.queue) and sim.ctx.queue.peek_time() <= sim.config.duration_ms:
+                event = sim.step()
+                if event.kind == engine.CANDIDATE_REPORT:
+                    payload = event.payload
+                    statuses = latest.setdefault(payload["pod"], {})
+                    if statuses.get(payload["target"]) == "reserved" != payload["status"]:
+                        turned_back += 1
+                    statuses[payload["target"]] = payload["status"]
+                for pod_id, proxy in sim.protocol.proxies.items():
+                    statuses = latest.get(pod_id, {})
+                    assert proxy.reports == statuses, (index, event.time, pod_id)
+                    assert proxy.reserved_count == sum(
+                        status == "reserved" for status in statuses.values()
+                    ), (index, event.time, pod_id)
+        assert turned_back > 0, "no reserved target ever reported unschedulable"
+
     def test_container_to_batch_move_reaches_every_source_within_one_latency(self):
         raw = container_to_batch_raw()
         sim = Simulation(validate_config(raw))

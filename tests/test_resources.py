@@ -30,6 +30,12 @@ def test_components_must_be_integers():
         ResourceVector(1.5, 0, 0)
     with pytest.raises(ValueError):
         ResourceVector(0, 0, True)
+    with pytest.raises(ValueError, match="^cpu_millicores must be an integer, got True$"):
+        ResourceVector(True, 0, 0)
+    with pytest.raises(ValueError, match=r"^cpu_millicores must be an integer, got 1\.0$"):
+        ResourceVector(1.0, 0, 0)
+    with pytest.raises(ValueError, match="^memory_bytes must be >= 0, got -1$"):
+        ResourceVector(1, -1, 0)
 
 
 def test_add_and_subtract_are_component_wise():
