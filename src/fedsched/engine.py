@@ -11,6 +11,9 @@ event is in the heap; it is built when the row before it pops. So the heap
 holds what the run has made plus one row, and the order and seqs are those
 of pushing every row up front.
 
+The loop asks `due(until)` before each step, which tests only the heap's
+head, and then pops.
+
 Each kind names one thing that happens and has one handler: RebalanceTick
 is only the metascaler's periodic timer, an AggregateReport is a target's
 aggregates reaching one of its sources, and NodeReady is a repurposed node
@@ -20,9 +23,8 @@ coming up in its new pool.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import random
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import EmptyQueue
@@ -65,14 +67,21 @@ EVENT_KINDS = frozenset(
 )
 
 
-@dataclass(slots=True)
 class Event:
-    time: int
-    seq: int
-    kind: str
-    payload: dict = field(default_factory=dict)
-    # State changes produced while handling this event, for the log.
-    effects: List[dict] = field(default_factory=list)
+    """One thing that happens at `time`, `seq`-th to be enqueued: its `kind`,
+    its `payload` and the `effects`, the state changes handling it produced,
+    for the log. An Event built without a payload or effects gets a fresh
+    empty dict or list of its own."""
+
+    __slots__ = ("time", "seq", "kind", "payload", "effects")
+
+    def __init__(self, time: int, seq: int, kind: str, payload: Optional[dict] = None,
+                 effects: Optional[List[dict]] = None):
+        self.time = time
+        self.seq = seq
+        self.kind = kind
+        self.payload = {} if payload is None else payload
+        self.effects = [] if effects is None else effects
 
 
 class EventQueue:
@@ -90,9 +99,10 @@ class EventQueue:
 
     def push(self, time: int, kind: str, payload: dict) -> Event:
         assert kind in EVENT_KINDS, f"unknown event kind {kind!r}"
-        event = Event(time, self._seq, kind, payload)
-        heapq.heappush(self._heap, (time, self._seq, event))
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, kind, payload)
+        heappush(self._heap, (time, seq, event))
         return event
 
     def stream(self, kind: str, rows: Sequence, payload_of: Callable[[object], dict]) -> None:
@@ -114,12 +124,12 @@ class EventQueue:
         self._waiting -= 1
         self._row_seq = seq
         event = Event(row.time, seq, self._kind, self._payload_of(row))
-        heapq.heappush(self._heap, (row.time, seq, event))
+        heappush(self._heap, (row.time, seq, event))
 
     def pop(self) -> Event:
         if not self._heap:
             raise EmptyQueue("event queue is empty")
-        event = heapq.heappop(self._heap)[2]
+        event = heappop(self._heap)[2]
         if event.seq == self._row_seq:
             if self._waiting:
                 self._enter(self._row_seq + 1)
@@ -127,11 +137,14 @@ class EventQueue:
                 self._row_seq = -1
         return event
 
-    def peek_time(self) -> Optional[int]:
-        # A waiting row is never due before the row in the heap.
-        return self._heap[0][0] if self._heap else None
+    def due(self, until: int) -> bool:
+        """Whether an event is due at or before `until`. Only the heap's
+        head is tested: a waiting row is never due before the row in it."""
+        heap = self._heap
+        return heap[0][0] <= until if heap else False
 
     def __len__(self) -> int:
+        # Waiting rows count: `perfbench/tracer.py` reads the queue's length.
         return len(self._heap) + self._waiting
 
 

@@ -85,6 +85,8 @@ class VirtualNode:
     aggregates as of its last change: the target reports whenever they
     change, so they lag the target by at most one edge latency while a
     report is in flight. `last_update` is when the last report arrived.
+    One object per (source, target) edge lives for the run; each report
+    updates it in place.
     """
 
     target: str
@@ -124,9 +126,9 @@ class FederationProtocol:
 
     `ctx` is the run's `sim.Context`. The protocol reads its `now`,
     `clusters`, `pipelines`, `graph` and `moved` (the targets to report),
-    and calls its `send()`/`at()` for messages and timers, `effect()` for
-    log records and `bound_pod()` once a delegate binds. `params` is the
-    run's `federation` config section.
+    sends a message through its `channels` and `queue`, and calls its
+    `at()` for timers, `effect()` for log records and `bound_pod()` once a
+    delegate binds. `params` is the run's `federation` config section.
     """
 
     def __init__(self, ctx, params: FederationParams):
@@ -170,7 +172,9 @@ class FederationProtocol:
         if not targets:
             self._finish_unschedulable(proxy, reason="no_targets")
             return True
-        self.ctx.effect(op="proxy", pod=pod.pod_id, state=proxy.state._value_, targets=targets)
+        self.ctx.effect({
+            "op": "proxy", "pod": pod.pod_id, "state": proxy.state._value_, "targets": targets,
+        })
         for target in targets:
             self._send_pod_message(
                 proxy, target, "fwd", engine.CHAPERON_CREATE,
@@ -180,9 +184,12 @@ class FederationProtocol:
         return True
 
     def _send_pod_message(self, proxy: ProxyPod, target: str, direction: str, kind: str, payload: dict) -> None:
-        edge = self.ctx.graph.edge(proxy.source, target)
-        channel = ("pod", proxy.pod.pod_id, proxy.source, target, direction)
-        self.ctx.send(edge, channel, kind, payload)
+        ctx, source = self.ctx, proxy.source
+        when = ctx.channels.delivery_time(
+            ctx.now, ctx.graph.edges[(source, target)],
+            ("pod", proxy.pod.pod_id, source, target, direction),
+        )
+        ctx.queue.push(when, kind, payload)
 
     def _arm_timer(self, proxy: ProxyPod, when: int) -> None:
         self._timer_ids += 1
@@ -200,7 +207,9 @@ class FederationProtocol:
         chaperon = PodChaperon(pod=self.proxies[pod_id].pod, target=target)
         self.chaperons[(pod_id, target)] = chaperon
         self._unsettled.setdefault(target, {})[pod_id] = chaperon
-        self.ctx.effect(op="chaperon", pod=pod_id, cluster=target, state=chaperon.state._value_)
+        self.ctx.effect({
+            "op": "chaperon", "pod": pod_id, "cluster": target, "state": chaperon.state._value_,
+        })
         self.try_candidate_schedule(chaperon)
 
     def try_candidate_schedule(self, chaperon: PodChaperon) -> None:
@@ -216,16 +225,16 @@ class FederationProtocol:
         if node is not None:
             if self.params.reservations:
                 cluster.reserve(chaperon.pod, node)
-                self.ctx.effect(
-                    op="reserve", pod=chaperon.pod.pod_id, cluster=chaperon.target,
-                    node=node, req=chaperon.pod.request.as_list(),
-                )
+                self.ctx.effect({
+                    "op": "reserve", "pod": chaperon.pod.pod_id, "cluster": chaperon.target,
+                    "node": node, "req": chaperon.pod.request.as_list(),
+                })
             chaperon.state = ChaperonState.CANDIDATE_RESERVED
             chaperon.reserved_node = node
-            self.ctx.effect(
-                op="chaperon", pod=chaperon.pod.pod_id, cluster=chaperon.target,
-                state=chaperon.state._value_,
-            )
+            self.ctx.effect({
+                "op": "chaperon", "pod": chaperon.pod.pod_id, "cluster": chaperon.target,
+                "state": chaperon.state._value_,
+            })
             self._report(chaperon, REPORT_RESERVED)
         elif chaperon.last_reported != REPORT_UNSCHEDULABLE:
             self._report(chaperon, REPORT_UNSCHEDULABLE)
@@ -275,7 +284,7 @@ class FederationProtocol:
     def _on_bind_conflict(self, proxy: ProxyPod) -> None:
         proxy.state = ProxyState.CANDIDATES_PENDING
         proxy.elected_target = None
-        self.ctx.effect(op="proxy", pod=proxy.pod.pod_id, state=proxy.state._value_)
+        self.ctx.effect({"op": "proxy", "pod": proxy.pod.pod_id, "state": proxy.state._value_})
         if not self._maybe_elect(proxy):
             self._retry_or_give_up(proxy)
 
@@ -332,9 +341,9 @@ class FederationProtocol:
         proxy.pending_timer = None
         log.debug("t=%d elected %s for pod %s among %s",
                   self.ctx.now, chosen, proxy.pod.pod_id, reserved)
-        self.ctx.effect(
-            op="proxy", pod=proxy.pod.pod_id, state=proxy.state._value_, elected=chosen
-        )
+        self.ctx.effect({
+            "op": "proxy", "pod": proxy.pod.pod_id, "state": proxy.state._value_, "elected": chosen,
+        })
         self._send_pod_message(
             proxy, chosen, "fwd", engine.DELEGATE_BIND,
             {"pod": proxy.pod.pod_id, "target": chosen},
@@ -361,10 +370,10 @@ class FederationProtocol:
         proxy.state = ProxyState.UNSCHEDULABLE
         proxy.pending_timer = None
         proxy.pod.transition(PodPhase.UNSCHEDULABLE)
-        self.ctx.effect(
-            op="proxy", pod=proxy.pod.pod_id, state=proxy.state._value_, reason=reason
-        )
-        self.ctx.effect(op="unschedulable", pod=proxy.pod.pod_id)
+        self.ctx.effect({
+            "op": "proxy", "pod": proxy.pod.pod_id, "state": proxy.state._value_, "reason": reason,
+        })
+        self.ctx.effect({"op": "unschedulable", "pod": proxy.pod.pod_id})
         self._delete_chaperons(proxy, except_target=None)
 
     def _delete_chaperons(self, proxy: ProxyPod, except_target: Optional[str]) -> None:
@@ -391,16 +400,18 @@ class FederationProtocol:
                       self.ctx.now, pod_id, target)
             chaperon.state = ChaperonState.PENDING_SCHEDULE
             chaperon.reserved_node = None
-            self.ctx.effect(op="chaperon", pod=pod_id, cluster=target, state=chaperon.state._value_)
+            self.ctx.effect({
+                "op": "chaperon", "pod": pod_id, "cluster": target, "state": chaperon.state._value_,
+            })
             self._report(chaperon, REPORT_UNSCHEDULABLE)
             self.try_candidate_schedule(chaperon)
             return
         chaperon.state = ChaperonState.DELEGATE
-        self.ctx.effect(
-            op="chaperon", pod=pod_id, cluster=target, state=chaperon.state._value_
-        )
+        self.ctx.effect({
+            "op": "chaperon", "pod": pod_id, "cluster": target, "state": chaperon.state._value_,
+        })
         self.ctx.bound_pod(proxy.pod, target, node, federated=True, source=proxy.source)
-        self.ctx.effect(op="offload", src=proxy.source, dst=target, pod=pod_id)
+        self.ctx.effect({"op": "offload", "src": proxy.source, "dst": target, "pod": pod_id})
         for phase in ("Bound", "Running"):
             self._send_pod_message(
                 proxy, target, "rev", engine.STATUS_MIRROR,
@@ -410,14 +421,14 @@ class FederationProtocol:
     def on_status_mirror(self, payload: dict) -> None:
         pod_id, target, phase = payload["pod"], payload["target"], payload["phase"]
         proxy = self.proxies[pod_id]
-        self.ctx.effect(op="mirror", pod=pod_id, phase=phase)
+        self.ctx.effect({"op": "mirror", "pod": pod_id, "phase": phase})
         if (
             phase == "Bound"
             and proxy.state is ProxyState.ELECTED
             and proxy.elected_target == target
         ):
             proxy.state = ProxyState.BOUND
-            self.ctx.effect(op="proxy", pod=pod_id, state=proxy.state._value_)
+            self.ctx.effect({"op": "proxy", "pod": pod_id, "state": proxy.state._value_})
             self._delete_chaperons(proxy, except_target=target)
 
     def on_candidate_delete(self, payload: dict) -> None:
@@ -428,15 +439,15 @@ class FederationProtocol:
         if chaperon.reserved_node is not None and self.params.reservations:
             cluster = self.ctx.clusters[chaperon.target]
             if cluster.release_reservation(chaperon.pod, chaperon.reserved_node):
-                self.ctx.effect(
-                    op="release", pod=chaperon.pod.pod_id, cluster=chaperon.target,
-                    node=chaperon.reserved_node,
-                )
+                self.ctx.effect({
+                    "op": "release", "pod": chaperon.pod.pod_id, "cluster": chaperon.target,
+                    "node": chaperon.reserved_node,
+                })
         chaperon.reserved_node = None
-        self.ctx.effect(
-            op="chaperon", pod=chaperon.pod.pod_id, cluster=chaperon.target,
-            state=chaperon.state._value_,
-        )
+        self.ctx.effect({
+            "op": "chaperon", "pod": chaperon.pod.pod_id, "cluster": chaperon.target,
+            "state": chaperon.state._value_,
+        })
 
     def mirror_completion(self, pod: PodSpec, target: str, phase: str) -> None:
         """Push a delegate's terminal phase back to its source proxy."""
@@ -472,32 +483,28 @@ class FederationProtocol:
 
     def broadcast_aggregates(self, target: str) -> None:
         """Send target's aggregate capacity/allocatable to all its sources."""
-        state = self.ctx.clusters[target]
+        ctx = self.ctx
+        state = ctx.clusters[target]
         capacity = state.aggregate_capacity()
         allocatable = state.aggregate_allocatable()
         self._reported[target] = (capacity, allocatable)
-        for source in self.ctx.graph.sources_of(target):
-            edge = self.ctx.graph.edge(source, target)
-            self.ctx.send(
-                edge,
-                ("vnode", target, source),
-                engine.AGGREGATE_REPORT,
-                {
-                    "source": source,
-                    "target": target,
-                    "capacity": list(capacity),
-                    "allocatable": list(allocatable),
-                },
+        edges = ctx.graph.edges
+        for source in ctx.graph.sources_of(target):
+            when = ctx.channels.delivery_time(
+                ctx.now, edges[(source, target)], ("vnode", target, source)
             )
+            ctx.queue.push(when, engine.AGGREGATE_REPORT, {
+                "source": source,
+                "target": target,
+                "capacity": list(capacity),
+                "allocatable": list(allocatable),
+            })
 
     def on_aggregate_report(self, payload: dict) -> None:
-        target = payload["target"]
-        self.virtual_nodes[(payload["source"], target)] = VirtualNode(
-            target=target,
-            capacity=tuple(payload["capacity"]),
-            allocatable=tuple(payload["allocatable"]),
-            last_update=self.ctx.now,
-        )
+        vnode = self.virtual_nodes[(payload["source"], payload["target"])]
+        vnode.capacity = tuple(payload["capacity"])
+        vnode.allocatable = tuple(payload["allocatable"])
+        vnode.last_update = self.ctx.now
 
     # The event kinds the protocol handles, each with its handler, which
     # the loop calls with the event's payload (`sim.Simulation` binds them).

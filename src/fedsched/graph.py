@@ -60,9 +60,6 @@ class FederationGraph:
         self.edges[(source, target)] = edge
         return edge
 
-    def edge(self, source: str, target: str) -> FederationEdge:
-        return self.edges[(source, target)]
-
     def targets_of(self, source: str) -> List[str]:
         return list(self._targets.get(source, ()))
 

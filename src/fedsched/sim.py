@@ -14,8 +14,9 @@ object into the oldest generation (unless the caller has frozen objects)
 and restores the collector to the state it found. For the pause to leak
 nothing, a `Simulation` must be freed by reference counting alone, whether
 it was run or only stepped: the protocol, the metascalers and the scenario
-hold a `Context`, which holds no layer and no `Simulation`, so no reference
-cycle runs through them.
+hold a `Context`, which holds no layer and no `Simulation`, and of the
+stepped event only its effects list's `append`, so no reference cycle runs
+through them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import gc
 import logging
 from dataclasses import dataclass
 from types import MethodType
-from typing import Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from . import engine
 from .cluster import ClusterState, PodPhase, PodSpec
@@ -32,7 +33,7 @@ from .config import RunConfig
 from .engine import Event, EventQueue, LatencyChannels, RngStreams
 from .errors import CausalityError, ConfigError
 from .federation import FederationProtocol
-from .graph import FederationEdge, FederationGraph
+from .graph import FederationGraph
 from .metascale import BatchJob, MetaScaler
 from .metrics import MetricsReport, build_report, static_info_of
 from .scenario import WildfireScenario, generate_trace, sensor_payload
@@ -47,6 +48,11 @@ class Context:
     the clusters with their pipelines, the graph, the log effects of the
     event being stepped, and the step's change records.
 
+    A layer sends a message by asking `channels.delivery_time` when it
+    arrives and pushing it on `queue` then. It records a log effect by
+    calling `effect` with one dict: `step` sets `effect` to the stepped
+    event's `effects.append`, so recording runs no Python frame.
+
     It holds no layer and no `Simulation`. A layer reaches another only
     through the `Simulation`'s handlers, which pass data between them.
     """
@@ -59,7 +65,8 @@ class Context:
     freed: Set[str]  # clusters to kick before the step ends; see `ClusterState`
     moved: Set[str]  # clusters `report_changes` compares; see `ClusterState`
     now: int = 0
-    current: Optional[Event] = None  # the event being stepped
+    # The stepped event's `effects.append`; see the class docstring.
+    effect: Optional[Callable[[dict], None]] = None
 
     def at(self, time: int, kind: str, payload: dict) -> None:
         if time < self.now:
@@ -68,22 +75,15 @@ class Context:
             )
         self.queue.push(time, kind, payload)
 
-    def send(self, edge: FederationEdge, channel: tuple, kind: str, payload: dict) -> None:
-        when = self.channels.delivery_time(self.now, edge, channel)
-        self.queue.push(when, kind, payload)
-
-    def effect(self, **fields) -> None:
-        self.current.effects.append(fields)
-
     def bound_pod(self, pod: PodSpec, cluster: str, node: str, federated: bool, source: str) -> None:
         """Shared post-bind path: record, start running, schedule completion."""
-        self.effect(
-            op="bind", pod=pod.pod_id, cluster=cluster, node=node, ns=pod.namespace,
-            req=pod.request.as_list(), federated=federated, src=source,
-            role=pod.role,
-        )
+        self.effect({
+            "op": "bind", "pod": pod.pod_id, "cluster": cluster, "node": node,
+            "ns": pod.namespace, "req": pod.request.as_list(), "federated": federated,
+            "src": source, "role": pod.role,
+        })
         pod.transition(PodPhase.RUNNING)
-        self.effect(op="phase", pod=pod.pod_id, phase=PodPhase.RUNNING._value_)
+        self.effect({"op": "phase", "pod": pod.pod_id, "phase": PodPhase.RUNNING._value_})
         self.at(
             self.now + pod.duration, engine.POD_COMPLETE,
             {"pod": pod.pod_id, "cluster": cluster},
@@ -196,7 +196,7 @@ class Simulation:
         event = ctx.queue.pop()
         assert event.time >= ctx.now, "event queue violated time order"
         ctx.now = event.time
-        ctx.current = event
+        ctx.effect = event.effects.append
         handler = self._protocol_handlers.get(event.kind)
         if handler is None:
             self._HANDLERS[event.kind](self, event.payload)
@@ -225,12 +225,10 @@ class Simulation:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            queue = self.ctx.queue
-            processed = 0
-            while len(queue) and queue.peek_time() <= self.config.duration_ms:
+            queue, until = self.ctx.queue, self.config.duration_ms
+            while queue.due(until):
                 self.step()
-                processed += 1
-            log.info("run complete: %d events in %d ms simulated", processed, self.ctx.now)
+            log.info("run complete: %d events in %d ms simulated", len(self.events), self.ctx.now)
             return build_report(self.events, static_info_of(self.config))
         finally:
             if gc.get_freeze_count() == 0:
@@ -277,11 +275,11 @@ class Simulation:
         state = self.clusters[cluster_id]
         state.unbind(pod)
         pod.transition(PodPhase.COMPLETED)
-        self.ctx.effect(
-            op="unbind", pod=pod.pod_id, cluster=cluster_id, node=pod.bound_node,
-            req=pod.request.as_list(),
-        )
-        self.ctx.effect(op="phase", pod=pod.pod_id, phase=PodPhase.COMPLETED._value_)
+        self.ctx.effect({
+            "op": "unbind", "pod": pod.pod_id, "cluster": cluster_id, "node": pod.bound_node,
+            "req": pod.request.as_list(),
+        })
+        self.ctx.effect({"op": "phase", "pod": pod.pod_id, "phase": PodPhase.COMPLETED._value_})
         if self.scenario is not None:
             self.scenario.on_pod_complete(pod)
         self.protocol.mirror_completion(pod, cluster_id, PodPhase.COMPLETED._value_)

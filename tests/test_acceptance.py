@@ -615,7 +615,7 @@ def liveness_violations(raw):
     sim = Simulation(validate_config(copy.deepcopy(raw)))
     queue, duration = sim.ctx.queue, sim.config.duration_ms
     violations = []
-    while len(queue) and queue.peek_time() <= duration:
+    while queue.due(duration):
         sim.step()
         for cluster_id, state in sim.clusters.items():
             pipeline = sim.ctx.pipelines[cluster_id]

@@ -1,12 +1,28 @@
 import pytest
 
 from fedsched import engine
-from fedsched.engine import EventQueue, LatencyChannels, RngStreams
+from fedsched.engine import Event, EventQueue, LatencyChannels, RngStreams
 from fedsched.errors import CausalityError, EmptyQueue
 from fedsched.graph import FederationEdge, LatencyModel
 from fedsched.scenario import CameraEvent, sensor_payload
 
 from conftest import base_config, node_cfg, pod_cfg, push_every_row, run_raw
+
+
+class TestEvent:
+    def test_events_built_without_payload_or_effects_share_neither(self):
+        a, b = Event(3, 0, engine.POD_SUBMIT), Event(3, 1, engine.POD_SUBMIT)
+        assert (a.payload, a.effects) == ({}, [])
+        assert a.payload is not b.payload and a.effects is not b.effects
+        a.effects.append({"op": "phase"})
+        assert b.effects == []
+
+    def test_keyword_construction_keeps_what_it_is_given(self):
+        payload, effects = {"x": 0.5}, [{"op": "phase"}]
+        event = Event(time=5, seq=9, kind=engine.POD_SUBMIT, payload=payload, effects=effects)
+        assert (event.time, event.seq, event.kind) == (5, 9, engine.POD_SUBMIT)
+        assert event.payload is payload and event.effects is effects
+        assert not hasattr(event, "__dict__")
 
 
 class TestEventQueue:
@@ -73,18 +89,25 @@ class TestStream:
             (5, 1, "r1"), (5, 2, "r2"), (5, 4, "p"), (9, 3, "r3"),
         ]
 
-    def test_len_and_peek_time_count_waiting_rows(self):
+    def test_due_tests_the_heap_and_len_counts_waiting_rows(self):
+        # Empty: nothing is due, however late.
+        q = EventQueue()
+        assert not q.due(10**12) and len(q) == 0
+        # Heap only: due from the head's time on.
+        q.push(5, engine.POD_SUBMIT, {})
+        assert not q.due(4) and q.due(5) and q.due(6)
+        # A stream whose next row waits behind the heap's row: only the
+        # heap's head decides, and len counts the waiting rows.
         q = self.fill(EventQueue.stream)
         # Three pushes and one row in the heap, three rows waiting.
         assert len(q._heap) == 4
-        sizes, times = [], []
-        while len(q):
+        sizes = []
+        for head in [0, 0, 5, 5, 5, 5, 9]:
             sizes.append(len(q))
-            times.append(q.peek_time())
+            assert q.due(head) and not q.due(head - 1)
             q.pop()
         assert sizes == [7, 6, 5, 4, 3, 2, 1]
-        assert times == [0, 0, 5, 5, 5, 5, 9]
-        assert q.peek_time() is None
+        assert len(q) == 0 and not q.due(10**12)
 
     def test_empty_queue_raised_only_after_the_last_row(self):
         q = EventQueue()
@@ -96,7 +119,7 @@ class TestStream:
     def test_an_empty_stream_takes_no_seq(self):
         q = EventQueue()
         q.stream(engine.SENSOR_MESSAGE, [], sensor_payload)
-        assert len(q) == 0 and q.peek_time() is None
+        assert len(q) == 0 and not q.due(10**12)
         assert q.push(3, engine.POD_SUBMIT, {}).seq == 0
 
 

@@ -361,12 +361,14 @@ class TestBindConflictRule:
             sim.step()
             proxy = sim.protocol.proxies.get("p1")
         assert proxy.elected_target == "a"
-        sim.ctx.current = engine.Event(sim.ctx.now, -1, engine.CANDIDATE_REPORT)
+        # Effects recorded from here on, as a step would record them.
+        self.effects = []
+        sim.ctx.effect = self.effects.append
         return sim, proxy
 
     def report(self, sim, target, status):
         sim.protocol.on_candidate_report({"pod": "p1", "target": target, "status": status})
-        return sim.ctx.current.effects
+        return self.effects
 
     def test_unschedulable_from_another_target_is_not_a_conflict(self):
         sim, proxy = self.elected()
@@ -525,7 +527,7 @@ class TestInvariants:
         configs.append(container_to_batch_raw())
         for index, raw in enumerate(configs):
             sim = Simulation(validate_config(raw))
-            while len(sim.ctx.queue) and sim.ctx.queue.peek_time() <= sim.config.duration_ms:
+            while sim.ctx.queue.due(sim.config.duration_ms):
                 event = sim.step()
                 assert unreported_pairs(sim) == [], (index, event.time, event.kind)
 
@@ -540,7 +542,7 @@ class TestInvariants:
             raw["federation"] = {"reservations": index % 2 == 0}
             sim = Simulation(validate_config(raw))
             latest = {}
-            while len(sim.ctx.queue) and sim.ctx.queue.peek_time() <= sim.config.duration_ms:
+            while sim.ctx.queue.due(sim.config.duration_ms):
                 event = sim.step()
                 if event.kind == engine.CANDIDATE_REPORT:
                     payload = event.payload
@@ -566,7 +568,7 @@ class TestInvariants:
         reduced = sim.clusters["c"].aggregate_capacity()
         assert reduced[0] < full[0]
         slowest = max(e.latency.base_ms + e.latency.jitter_ms for e in sim.graph.edges.values())
-        while sim.ctx.queue.peek_time() <= moved_at + slowest:
+        while sim.ctx.queue.due(moved_at + slowest):
             sim.step()
         for source in ("s", "u"):
             assert sim.protocol.virtual_nodes[(source, "c")].capacity == reduced

@@ -41,7 +41,7 @@ def test_add_edge_is_idempotent_and_updates_latency():
     g.add_edge("a", "b", LatencyModel(10, 5))
     g.add_edge("a", "b", LatencyModel(50, 0))
     assert len(g.edges) == 1
-    assert g.edge("a", "b").latency == LatencyModel(50, 0)
+    assert g.edges[("a", "b")].latency == LatencyModel(50, 0)
 
 
 def test_unknown_cluster_rejected():

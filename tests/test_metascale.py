@@ -224,7 +224,7 @@ class TestAggregatesUnderRebalance:
         # sums over its nodes.
         sim = Simulation(validate_config(rebalance_raw()))
         ops = set()
-        while len(sim.ctx.queue) and sim.ctx.queue.peek_time() <= sim.config.duration_ms:
+        while sim.ctx.queue.due(sim.config.duration_ms):
             event = sim.step()
             ops.update((fx["op"], fx.get("dst") or fx.get("pool"))
                        for fx in event.effects if fx["op"] in ("pool_move", "node_ready"))

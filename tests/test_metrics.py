@@ -70,6 +70,21 @@ def test_report_recomputable_from_exported_log(tmp_path):
         assert recomputed == live
 
 
+def test_report_takes_any_iterable_of_records_or_of_events(tmp_path):
+    # The input is read once: an empty input, a generator and a list of the
+    # same items yield equal reports.
+    sim, live = run_raw(metascale_raw())
+    static = static_info_of(sim.config)
+    path = tmp_path / "events.jsonl"
+    write_event_log(str(path), sim.events)
+    from_generator = build_report(read_event_log(str(path)), static)
+    assert from_generator == build_report(list(read_event_log(str(path))), static) == live
+    assert build_report(iter(sim.events), static) == live
+    empty = build_report(iter(()), static)
+    assert empty == build_report([], static)
+    assert (empty.pods, empty.series, empty.event_count, empty.end_time) == ([], [], 0, 0)
+
+
 def test_serialized_field_order_is_stable():
     sim, _ = run_raw(busy_raw())
     line = serialize_event(sim.events[0])

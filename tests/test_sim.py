@@ -287,7 +287,7 @@ def test_no_enum_function_runs_inside_a_step(name):
                       f":{caller.f_lineno}")
 
     queue, steps = sim.ctx.queue, 0
-    while len(queue) and queue.peek_time() <= sim.config.duration_ms:
+    while queue.due(sim.config.duration_ms):
         sys.setprofile(profile)
         try:
             sim.step()
@@ -296,6 +296,36 @@ def test_no_enum_function_runs_inside_a_step(name):
         steps += 1
     assert steps == len(sim.events) > 0
     assert not calls, sorted(calls)
+
+
+# Each handler records an effect by calling `ctx.effect`, which `step` sets
+# to the stepped event's `effects.append`: a C method, so recording runs no
+# Python frame.
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_recording_an_effect_is_one_c_append(name):
+    raw, seed = CASES[name]()
+    sim = Simulation(validate_config(seeded(raw, seed)))
+    ctx, appends = sim.ctx, []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is ctx.effect:
+            appends[-1] += 1
+
+    recorded = 0
+    while ctx.queue.due(sim.config.duration_ms):
+        appends.append(0)
+        sys.setprofile(profile)
+        try:
+            event = sim.step()
+        finally:
+            sys.setprofile(None)
+        assert type(ctx.effect).__name__ == "builtin_function_or_method"
+        assert ctx.effect.__self__ is event.effects
+        assert appends[-1] == len(event.effects)
+        recorded += len(event.effects)
+    assert recorded > 0
 
 
 # -- the trace stream against a plain heap ---------------------------------------
