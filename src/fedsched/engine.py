@@ -70,18 +70,20 @@ EVENT_KINDS = frozenset(
 class Event:
     """One thing that happens at `time`, `seq`-th to be enqueued: its `kind`,
     its `payload` and the `effects`, the state changes handling it produced,
-    for the log. An Event built without a payload or effects gets a fresh
-    empty dict or list of its own."""
+    for the log. An Event built without a payload gets a fresh empty dict of
+    its own; one built without effects holds the shared empty tuple `()`.
+    `Simulation.step` attaches an exact-size tuple of what the step recorded,
+    so an event that records nothing keeps `()`."""
 
     __slots__ = ("time", "seq", "kind", "payload", "effects")
 
     def __init__(self, time: int, seq: int, kind: str, payload: Optional[dict] = None,
-                 effects: Optional[List[dict]] = None):
+                 effects: Sequence[dict] = ()):
         self.time = time
         self.seq = seq
         self.kind = kind
         self.payload = {} if payload is None else payload
-        self.effects = [] if effects is None else effects
+        self.effects = effects
 
 
 class EventQueue:

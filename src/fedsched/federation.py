@@ -84,9 +84,9 @@ class VirtualNode:
     `capacity` and `allocatable` are the target's (cpu, memory, gpu)
     aggregates as of its last change: the target reports whenever they
     change, so they lag the target by at most one edge latency while a
-    report is in flight. `last_update` is when the last report arrived.
-    One object per (source, target) edge lives for the run; each report
-    updates it in place.
+    report is in flight. They are the very tuples the last report carried.
+    `last_update` is when the last report arrived. One object per (source,
+    target) edge lives for the run; each report updates it in place.
     """
 
     target: str
@@ -227,7 +227,7 @@ class FederationProtocol:
                 cluster.reserve(chaperon.pod, node)
                 self.ctx.effect({
                     "op": "reserve", "pod": chaperon.pod.pod_id, "cluster": chaperon.target,
-                    "node": node, "req": chaperon.pod.request.as_list(),
+                    "node": node, "req": chaperon.pod.request.as_tuple(),
                 })
             chaperon.state = ChaperonState.CANDIDATE_RESERVED
             chaperon.reserved_node = node
@@ -496,14 +496,14 @@ class FederationProtocol:
             ctx.queue.push(when, engine.AGGREGATE_REPORT, {
                 "source": source,
                 "target": target,
-                "capacity": list(capacity),
-                "allocatable": list(allocatable),
+                "capacity": capacity,
+                "allocatable": allocatable,
             })
 
     def on_aggregate_report(self, payload: dict) -> None:
         vnode = self.virtual_nodes[(payload["source"], payload["target"])]
-        vnode.capacity = tuple(payload["capacity"])
-        vnode.allocatable = tuple(payload["allocatable"])
+        vnode.capacity = payload["capacity"]
+        vnode.allocatable = payload["allocatable"]
         vnode.last_update = self.ctx.now
 
     # The event kinds the protocol handles, each with its handler, which

@@ -11,6 +11,14 @@ where "fx" lists the state changes the event's processing produced. Strings
 are ASCII-escaped and non-finite floats are written as `NaN`/`Infinity`, as
 `json.dumps` with `(",", ":")` separators does.
 
+A live Event holds its effects as a tuple and its (cpu, memory, gpu)
+figures (a pod's `req`, a report's `capacity` and `allocatable`) as
+`Triple`s; a record read back from a log holds lists in their place, and
+`record_of` gives a live Event's `fx` as a fresh list, as a parsed record
+has it. Both encode to the same JSON arrays. The report keeps the triples
+it reads, `PodRow.request`, `SeriesRow.used` and `SeriesRow.capacity`, as
+tuples either way.
+
 Every line goes through one encoder, built once at import: the C
 accelerator that `json.JSONEncoder` would otherwise rebuild per call, or,
 where the interpreter lacks it, a plain `JSONEncoder`. For a live Event the
@@ -42,7 +50,7 @@ class PodRow:
     source_cluster: str
     federated: bool
     submit_time: int
-    request: List[int]
+    request: Triple
     bind_time: Optional[int] = None
     bound_cluster: Optional[str] = None
     bound_node: Optional[str] = None
@@ -60,8 +68,8 @@ class PodRow:
 class SeriesRow:
     time: int
     cluster: str
-    used: List[int]
-    capacity: List[int]
+    used: Triple
+    capacity: Triple
     pending: int
 
 
@@ -141,7 +149,7 @@ def record_of(event) -> dict:
             "seq": event.seq,
             "kind": event.kind,
             "payload": event.payload,
-            "fx": event.effects,
+            "fx": list(event.effects),
         }
     return event
 
@@ -264,7 +272,7 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
                 source_cluster=cluster,
                 federated=payload["federated"],
                 submit_time=t,
-                request=list(payload["req"]),
+                request=tuple(payload["req"]),
             )
             pending[cluster] += 1
             rows[(t, cluster)] = (used[cluster], cap[cluster], pending[cluster])
@@ -324,7 +332,7 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
     # coexisting at the end of a run, when memory peaks.
     for time, cluster in sorted(rows):
         used_now, cap_now, pending_now = rows.pop((time, cluster))
-        report.series.append(SeriesRow(time, cluster, list(used_now), list(cap_now), pending_now))
+        report.series.append(SeriesRow(time, cluster, used_now, cap_now, pending_now))
     report.event_count = count
     report.end_time = end
     report.trigger_count = len(triggers)

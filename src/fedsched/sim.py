@@ -15,7 +15,8 @@ and restores the collector to the state it found. For the pause to leak
 nothing, a `Simulation` must be freed by reference counting alone, whether
 it was run or only stepped: the protocol, the metascalers and the scenario
 hold a `Context`, which holds no layer and no `Simulation`, and of the
-stepped event only its effects list's `append`, so no reference cycle runs
+run's effect buffer only its `append`, set once. The buffer holds nothing
+but the effect dicts of the step in progress, so no reference cycle runs
 through them.
 """
 
@@ -50,8 +51,10 @@ class Context:
 
     A layer sends a message by asking `channels.delivery_time` when it
     arrives and pushing it on `queue` then. It records a log effect by
-    calling `effect` with one dict: `step` sets `effect` to the stepped
-    event's `effects.append`, so recording runs no Python frame.
+    calling `effect` with one dict: `effect` is the `append` of the run's
+    effect buffer, set once when the `Simulation` is built, so recording
+    runs no Python frame. `step` moves what the buffer holds onto the
+    stepped event.
 
     It holds no layer and no `Simulation`. A layer reaches another only
     through the `Simulation`'s handlers, which pass data between them.
@@ -64,9 +67,9 @@ class Context:
     graph: FederationGraph
     freed: Set[str]  # clusters to kick before the step ends; see `ClusterState`
     moved: Set[str]  # clusters `report_changes` compares; see `ClusterState`
+    # The run's effect buffer's `append`; see the class docstring.
+    effect: Callable[[dict], None]
     now: int = 0
-    # The stepped event's `effects.append`; see the class docstring.
-    effect: Optional[Callable[[dict], None]] = None
 
     def at(self, time: int, kind: str, payload: dict) -> None:
         if time < self.now:
@@ -79,7 +82,7 @@ class Context:
         """Shared post-bind path: record, start running, schedule completion."""
         self.effect({
             "op": "bind", "pod": pod.pod_id, "cluster": cluster, "node": node,
-            "ns": pod.namespace, "req": pod.request.as_list(), "federated": federated,
+            "ns": pod.namespace, "req": pod.request.as_tuple(), "federated": federated,
             "src": source, "role": pod.role,
         })
         pod.transition(PodPhase.RUNNING)
@@ -95,6 +98,8 @@ class Simulation:
         self.config = config
         self.rngs = RngStreams(config.seed)
         self.events: List[Event] = []
+        # What the step in progress has recorded; `step` empties it.
+        self._effects: List[dict] = []
 
         self.graph = config.graph
         self.clusters: Dict[str, ClusterState] = {}
@@ -106,7 +111,7 @@ class Simulation:
             pipelines[cluster_cfg.cluster_id] = builtin_pipeline(cluster_cfg.score_weights)
         self.ctx = Context(
             EventQueue(), LatencyChannels(self.rngs), self.clusters, pipelines, self.graph,
-            freed, moved,
+            freed, moved, self._effects.append,
         )
 
         self.protocol = FederationProtocol(self.ctx, config.federation)
@@ -179,7 +184,7 @@ class Simulation:
             "ns": pod.namespace,
             "federated": pod.federation_eligible,
             "role": pod.role,
-            "req": pod.request.as_list(),
+            "req": pod.request.as_tuple(),
         })
 
     def pending_requests(self, cluster_id: str) -> List[PodSpec]:
@@ -196,19 +201,27 @@ class Simulation:
         event = ctx.queue.pop()
         assert event.time >= ctx.now, "event queue violated time order"
         ctx.now = event.time
-        ctx.effect = event.effects.append
-        handler = self._protocol_handlers.get(event.kind)
-        if handler is None:
-            self._HANDLERS[event.kind](self, event.payload)
-        else:
-            handler(event.payload)
-        freed = ctx.freed
-        while freed:
-            cluster_id = min(freed)
-            freed.discard(cluster_id)
-            self._kick(cluster_id)
-        if ctx.moved:
-            self.protocol.report_changes()
+        effects = self._effects
+        try:
+            handler = self._protocol_handlers.get(event.kind)
+            if handler is None:
+                self._HANDLERS[event.kind](self, event.payload)
+            else:
+                handler(event.payload)
+            freed = ctx.freed
+            while freed:
+                cluster_id = min(freed)
+                freed.discard(cluster_id)
+                self._kick(cluster_id)
+            if ctx.moved:
+                self.protocol.report_changes()
+        except BaseException:
+            # What a raising step recorded goes with it, not to the next event.
+            effects.clear()
+            raise
+        if effects:
+            event.effects = tuple(effects)
+            effects.clear()
         self.events.append(event)
         return event
 
@@ -277,7 +290,7 @@ class Simulation:
         pod.transition(PodPhase.COMPLETED)
         self.ctx.effect({
             "op": "unbind", "pod": pod.pod_id, "cluster": cluster_id, "node": pod.bound_node,
-            "req": pod.request.as_list(),
+            "req": pod.request.as_tuple(),
         })
         self.ctx.effect({"op": "phase", "pod": pod.pod_id, "phase": PodPhase.COMPLETED._value_})
         if self.scenario is not None:

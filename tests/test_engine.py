@@ -10,12 +10,12 @@ from conftest import base_config, node_cfg, pod_cfg, push_every_row, run_raw
 
 
 class TestEvent:
-    def test_events_built_without_payload_or_effects_share_neither(self):
+    def test_events_built_without_payload_or_effects_get_own_dict_and_shared_empty_tuple(self):
         a, b = Event(3, 0, engine.POD_SUBMIT), Event(3, 1, engine.POD_SUBMIT)
-        assert (a.payload, a.effects) == ({}, [])
-        assert a.payload is not b.payload and a.effects is not b.effects
-        a.effects.append({"op": "phase"})
-        assert b.effects == []
+        assert (a.payload, a.effects) == ({}, ())
+        assert a.payload is not b.payload and a.effects is b.effects
+        a.payload["pod"] = "p1"
+        assert b.payload == {}
 
     def test_keyword_construction_keeps_what_it_is_given(self):
         payload, effects = {"x": 0.5}, [{"op": "phase"}]

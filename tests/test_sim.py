@@ -298,9 +298,10 @@ def test_no_enum_function_runs_inside_a_step(name):
     assert not calls, sorted(calls)
 
 
-# Each handler records an effect by calling `ctx.effect`, which `step` sets
-# to the stepped event's `effects.append`: a C method, so recording runs no
-# Python frame.
+# Each handler records an effect by calling `ctx.effect`, the `append` of the
+# run's effect buffer, set once: a C method, so recording runs no Python
+# frame. `step` moves what the buffer holds onto the event as a tuple and
+# leaves the buffer empty.
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -308,9 +309,13 @@ def test_recording_an_effect_is_one_c_append(name):
     raw, seed = CASES[name]()
     sim = Simulation(validate_config(seeded(raw, seed)))
     ctx, appends = sim.ctx, []
+    append = ctx.effect
+    assert type(append).__name__ == "builtin_function_or_method"
+    buffer = append.__self__
+    assert type(buffer) is list
 
     def profile(frame, event, arg):
-        if event == "c_call" and arg is ctx.effect:
+        if event == "c_call" and arg is append:
             appends[-1] += 1
 
     recorded = 0
@@ -321,11 +326,33 @@ def test_recording_an_effect_is_one_c_append(name):
             event = sim.step()
         finally:
             sys.setprofile(None)
-        assert type(ctx.effect).__name__ == "builtin_function_or_method"
-        assert ctx.effect.__self__ is event.effects
+        assert ctx.effect is append and buffer == []
+        assert type(event.effects) is tuple
         assert appends[-1] == len(event.effects)
         recorded += len(event.effects)
     assert recorded > 0
+
+
+def test_a_raising_step_leaks_no_effect_into_the_next_event(monkeypatch):
+    raw = base_config([{"id": "a", "nodes": [node_cfg("a-n1")]}],
+                      pods=[pod_cfg("p1", "a", federated=False),
+                            pod_cfg("p2", "a", federated=False, submit=1000)])
+    sim = Simulation(validate_config(raw))
+    submit = Simulation._HANDLERS[engine.POD_SUBMIT]
+
+    def record_then_raise(self, payload):
+        if payload["pod"] == "p1":
+            self.ctx.effect({"op": "phase", "pod": "p1", "phase": "Leaked"})
+            raise RuntimeError("handler failed")
+        submit(self, payload)
+
+    monkeypatch.setitem(Simulation._HANDLERS, engine.POD_SUBMIT, record_then_raise)
+    with pytest.raises(RuntimeError, match="handler failed"):
+        sim.step()
+    assert sim.ctx.effect.__self__ == [] and sim.events == []
+    event = sim.step()
+    assert event.payload["pod"] == "p2"
+    assert [(fx["op"], fx["pod"]) for fx in event.effects] == [("bind", "p2"), ("phase", "p2")]
 
 
 # -- the trace stream against a plain heap ---------------------------------------
