@@ -85,11 +85,15 @@ class PodSpec:
     # The selector as a set of (label, value) pairs: the key of its ceiling
     # in every `ClusterState`, built once per pod.
     selector_key: LabelSet = field(init=False, repr=False, compare=False)
+    # `request` as a (cpu, memory, gpu) triple, built once per pod: every
+    # logged `req` of the pod is this one object.
+    req: Triple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.selector_key = (
             frozenset(self.node_selector.items()) if self.node_selector else NO_SELECTOR
         )
+        self.req = self.request.as_tuple()
 
     def transition(self, to: PodPhase) -> None:
         if (self.phase, to) not in _LEGAL_MOVES:
@@ -470,7 +474,7 @@ class ClusterState:
         self._check_feasible(
             pod, node_id, f"reservation for {pod.pod_id} no longer fits node {node_id}"
         )
-        request = pod.request.as_tuple()
+        request = pod.req
         self._take(node_id, request)
         self.reserved[node_id][pod.pod_id] = pod.request
         self._ns_add(pod.namespace, request)
@@ -501,7 +505,7 @@ class ClusterState:
                 pod, node_id, f"pod {pod.pod_id} no longer fits node {node_id} at t={at}"
             )
             held = pod.request
-            request = held.as_tuple()
+            request = pod.req
             self._ns_add(pod.namespace, request)
             self._take(node_id, request)
         self._unbound[node_id] = subtract_triples(self._unbound[node_id], request)

@@ -17,7 +17,10 @@ head, and then pops.
 Each kind names one thing that happens and has one handler: RebalanceTick
 is only the metascaler's periodic timer, an AggregateReport is a target's
 aggregates reaching one of its sources, and NodeReady is a repurposed node
-coming up in its new pool.
+coming up in its new pool. `FIELDS` names each kind's payload fields in
+log order. An event holds only their values, as its `args` tuple, which
+the loop passes to the kind's handler as its parameters; the payload dict
+is built where the log or a record needs it.
 """
 
 from __future__ import annotations
@@ -46,75 +49,100 @@ AGGREGATE_REPORT = "AggregateReport"
 SENSOR_MESSAGE = "SensorMessage"
 TRIGGER_FIRED = "TriggerFired"
 
-EVENT_KINDS = frozenset(
-    {
-        POD_SUBMIT,
-        BATCH_JOB_SUBMIT,
-        CHAPERON_CREATE,
-        CANDIDATE_REPORT,
-        ELECTION_TIMEOUT,
-        DELEGATE_BIND,
-        CANDIDATE_DELETE,
-        STATUS_MIRROR,
-        POD_COMPLETE,
-        JOB_COMPLETE,
-        REBALANCE_TICK,
-        NODE_READY,
-        AGGREGATE_REPORT,
-        SENSOR_MESSAGE,
-        TRIGGER_FIRED,
-    }
-)
+# Each kind's payload field names, in the order the log writes them. An
+# Event holds its payload as `args`, a tuple of these fields' values; this
+# table is the one place that names them.
+FIELDS: Dict[str, Tuple[str, ...]] = {
+    POD_SUBMIT: ("pod", "cluster", "ns", "federated", "role", "req"),
+    BATCH_JOB_SUBMIT: ("job", "cluster"),
+    CHAPERON_CREATE: ("pod", "target"),
+    CANDIDATE_REPORT: ("pod", "target", "status"),
+    ELECTION_TIMEOUT: ("pod", "timer"),
+    DELEGATE_BIND: ("pod", "target"),
+    CANDIDATE_DELETE: ("pod", "target"),
+    STATUS_MIRROR: ("pod", "target", "phase"),
+    POD_COMPLETE: ("pod", "cluster"),
+    JOB_COMPLETE: ("job", "cluster"),
+    REBALANCE_TICK: ("cluster",),
+    NODE_READY: ("cluster", "node"),
+    AGGREGATE_REPORT: ("source", "target", "capacity", "allocatable"),
+    SENSOR_MESSAGE: ("camera", "probability"),
+    TRIGGER_FIRED: ("camera",),
+}
+
+EVENT_KINDS = frozenset(FIELDS)
+
+
+def payload_builder(names: Tuple[str, ...]) -> Callable[[tuple], dict]:
+    """The function that makes the payload dict of a kind whose fields are
+    `names` from an event's args: `dict(zip(names, args))`, compiled from
+    `names` into a dict display, as `dataclasses` compiles `__init__`. On
+    Python 3.11 that builds the dict in about a third of the time, and the
+    log writer builds one per event."""
+    items = "".join(f"{name!r}: args[{i}], " for i, name in enumerate(names))
+    return eval(f"lambda args: {{{items}}}")
+
+
+# Each kind's payload builder, made from `FIELDS`.
+PAYLOAD_OF: Dict[str, Callable[[tuple], dict]] = {
+    kind: payload_builder(names) for kind, names in FIELDS.items()
+}
 
 
 class Event:
     """One thing that happens at `time`, `seq`-th to be enqueued: its `kind`,
-    its `payload` and the `effects`, the state changes handling it produced,
-    for the log. An Event built without a payload gets a fresh empty dict of
-    its own; one built without effects holds the shared empty tuple `()`.
-    `Simulation.step` attaches an exact-size tuple of what the step recorded,
-    so an event that records nothing keeps `()`."""
+    its `args`, the values of `FIELDS[kind]` in that order, and the
+    `effects`, the state changes handling it produced, for the log. An
+    Event built without effects holds the shared empty tuple `()`.
+    `Simulation.step` attaches an exact-size tuple of what the step
+    recorded, so an event that records nothing keeps `()`. `payload` is
+    the args as the log writes them, a fresh dict of field name to value
+    that `PAYLOAD_OF[kind]` builds."""
 
-    __slots__ = ("time", "seq", "kind", "payload", "effects")
+    __slots__ = ("time", "seq", "kind", "args", "effects")
 
-    def __init__(self, time: int, seq: int, kind: str, payload: Optional[dict] = None,
+    def __init__(self, time: int, seq: int, kind: str, args: tuple = (),
                  effects: Sequence[dict] = ()):
         self.time = time
         self.seq = seq
         self.kind = kind
-        self.payload = {} if payload is None else payload
+        self.args = args
         self.effects = effects
+
+    @property
+    def payload(self) -> dict:
+        return PAYLOAD_OF[self.kind](self.args)
 
 
 class EventQueue:
     def __init__(self):
         self._heap: List[Tuple[int, int, Event]] = []
         self._seq = 0
-        # The stream (see `stream`): its kind, rows and payload function, the
+        # The stream (see `stream`): its kind, rows and args function, the
         # seq of the row whose event is in the heap (-1 when none is), and
         # the count of rows not yet in the heap.
         self._kind = ""
         self._rows: Sequence = ()
-        self._payload_of: Optional[Callable[[object], dict]] = None
+        self._args_of: Optional[Callable[[object], tuple]] = None
         self._row_seq = -1
         self._waiting = 0
 
-    def push(self, time: int, kind: str, payload: dict) -> Event:
+    def push(self, time: int, kind: str, args: tuple) -> Event:
         assert kind in EVENT_KINDS, f"unknown event kind {kind!r}"
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, kind, payload)
+        event = Event(time, seq, kind, args)
         heappush(self._heap, (time, seq, event))
         return event
 
-    def stream(self, kind: str, rows: Sequence, payload_of: Callable[[object], dict]) -> None:
+    def stream(self, kind: str, rows: Sequence, args_of: Callable[[object], tuple]) -> None:
         """Enqueue `rows`, sorted by their `time`, as events of `kind` with
-        payload `payload_of(row)`. They take the next len(rows) seqs, as if
-        each were pushed now, but each row's event is built only when the
-        row before it pops. A queue has at most one stream."""
+        args `args_of(row)`. They take the next len(rows) seqs, as if each
+        were pushed now, but each row's event is built only when the row
+        before it pops. A queue has at most one stream."""
         assert kind in EVENT_KINDS, f"unknown event kind {kind!r}"
-        assert self._payload_of is None, "the queue already has a stream"
-        self._kind, self._rows, self._payload_of = kind, rows, payload_of
+        assert self._args_of is None, "the queue already has a stream"
+        self._kind, self._rows, self._args_of = kind, rows, args_of
         self._waiting = len(rows)
         self._seq += len(rows)
         if rows:
@@ -125,7 +153,7 @@ class EventQueue:
         row = self._rows[len(self._rows) - self._waiting]
         self._waiting -= 1
         self._row_seq = seq
-        event = Event(row.time, seq, self._kind, self._payload_of(row))
+        event = Event(row.time, seq, self._kind, self._args_of(row))
         heappush(self._heap, (row.time, seq, event))
 
     def pop(self) -> Event:

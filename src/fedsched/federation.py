@@ -177,33 +177,27 @@ class FederationProtocol:
         })
         for target in targets:
             self._send_pod_message(
-                proxy, target, "fwd", engine.CHAPERON_CREATE,
-                {"pod": pod.pod_id, "target": target},
+                proxy, target, "fwd", engine.CHAPERON_CREATE, (pod.pod_id, target)
             )
         self._arm_timer(proxy, self.ctx.now + self.params.election_timeout_ms)
         return True
 
-    def _send_pod_message(self, proxy: ProxyPod, target: str, direction: str, kind: str, payload: dict) -> None:
+    def _send_pod_message(self, proxy: ProxyPod, target: str, direction: str, kind: str, args: tuple) -> None:
         ctx, source = self.ctx, proxy.source
         when = ctx.channels.delivery_time(
             ctx.now, ctx.graph.edges[(source, target)],
             ("pod", proxy.pod.pod_id, source, target, direction),
         )
-        ctx.queue.push(when, kind, payload)
+        ctx.queue.push(when, kind, args)
 
     def _arm_timer(self, proxy: ProxyPod, when: int) -> None:
         self._timer_ids += 1
         proxy.pending_timer = self._timer_ids
-        self.ctx.at(
-            when,
-            engine.ELECTION_TIMEOUT,
-            {"pod": proxy.pod.pod_id, "timer": self._timer_ids},
-        )
+        self.ctx.at(when, engine.ELECTION_TIMEOUT, (proxy.pod.pod_id, self._timer_ids))
 
     # -- target side -------------------------------------------------------
 
-    def on_chaperon_create(self, payload: dict) -> None:
-        pod_id, target = payload["pod"], payload["target"]
+    def on_chaperon_create(self, pod_id: str, target: str) -> None:
         chaperon = PodChaperon(pod=self.proxies[pod_id].pod, target=target)
         self.chaperons[(pod_id, target)] = chaperon
         self._unsettled.setdefault(target, {})[pod_id] = chaperon
@@ -227,7 +221,7 @@ class FederationProtocol:
                 cluster.reserve(chaperon.pod, node)
                 self.ctx.effect({
                     "op": "reserve", "pod": chaperon.pod.pod_id, "cluster": chaperon.target,
-                    "node": node, "req": chaperon.pod.request.as_tuple(),
+                    "node": node, "req": chaperon.pod.req,
                 })
             chaperon.state = ChaperonState.CANDIDATE_RESERVED
             chaperon.reserved_node = node
@@ -260,13 +254,12 @@ class FederationProtocol:
         proxy = self.proxies[chaperon.pod.pod_id]
         self._send_pod_message(
             proxy, chaperon.target, "rev", engine.CANDIDATE_REPORT,
-            {"pod": chaperon.pod.pod_id, "target": chaperon.target, "status": status},
+            (chaperon.pod.pod_id, chaperon.target, status),
         )
 
     # -- source side: reports and election ----------------------------------
 
-    def on_candidate_report(self, payload: dict) -> None:
-        pod_id, target, status = payload["pod"], payload["target"], payload["status"]
+    def on_candidate_report(self, pod_id: str, target: str, status: str) -> None:
         proxy = self.proxies[pod_id]
         proxy.reserved_count += (status == REPORT_RESERVED) - (
             proxy.reports.get(target) == REPORT_RESERVED
@@ -345,13 +338,12 @@ class FederationProtocol:
             "op": "proxy", "pod": proxy.pod.pod_id, "state": proxy.state._value_, "elected": chosen,
         })
         self._send_pod_message(
-            proxy, chosen, "fwd", engine.DELEGATE_BIND,
-            {"pod": proxy.pod.pod_id, "target": chosen},
+            proxy, chosen, "fwd", engine.DELEGATE_BIND, (proxy.pod.pod_id, chosen)
         )
 
-    def on_election_timeout(self, payload: dict) -> None:
-        proxy = self.proxies.get(payload["pod"])
-        if proxy is None or proxy.pending_timer != payload["timer"]:
+    def on_election_timeout(self, pod_id: str, timer: int) -> None:
+        proxy = self.proxies.get(pod_id)
+        if proxy is None or proxy.pending_timer != timer:
             return
         if proxy.state is not ProxyState.CANDIDATES_PENDING:
             return
@@ -381,14 +373,12 @@ class FederationProtocol:
             if target == except_target:
                 continue
             self._send_pod_message(
-                proxy, target, "fwd", engine.CANDIDATE_DELETE,
-                {"pod": proxy.pod.pod_id, "target": target},
+                proxy, target, "fwd", engine.CANDIDATE_DELETE, (proxy.pod.pod_id, target)
             )
 
     # -- delegate bind and cleanup ------------------------------------------
 
-    def on_delegate_bind(self, payload: dict) -> None:
-        pod_id, target = payload["pod"], payload["target"]
+    def on_delegate_bind(self, pod_id: str, target: str) -> None:
         proxy = self.proxies[pod_id]
         chaperon = self.chaperons[(pod_id, target)]
         cluster = self.ctx.clusters[target]
@@ -414,12 +404,10 @@ class FederationProtocol:
         self.ctx.effect({"op": "offload", "src": proxy.source, "dst": target, "pod": pod_id})
         for phase in ("Bound", "Running"):
             self._send_pod_message(
-                proxy, target, "rev", engine.STATUS_MIRROR,
-                {"pod": pod_id, "target": target, "phase": phase},
+                proxy, target, "rev", engine.STATUS_MIRROR, (pod_id, target, phase)
             )
 
-    def on_status_mirror(self, payload: dict) -> None:
-        pod_id, target, phase = payload["pod"], payload["target"], payload["phase"]
+    def on_status_mirror(self, pod_id: str, target: str, phase: str) -> None:
         proxy = self.proxies[pod_id]
         self.ctx.effect({"op": "mirror", "pod": pod_id, "phase": phase})
         if (
@@ -431,8 +419,8 @@ class FederationProtocol:
             self.ctx.effect({"op": "proxy", "pod": pod_id, "state": proxy.state._value_})
             self._delete_chaperons(proxy, except_target=target)
 
-    def on_candidate_delete(self, payload: dict) -> None:
-        chaperon = self.chaperons.get((payload["pod"], payload["target"]))
+    def on_candidate_delete(self, pod_id: str, target: str) -> None:
+        chaperon = self.chaperons.get((pod_id, target))
         if chaperon is None or chaperon.state is ChaperonState.DELETED:
             return
         chaperon.state = ChaperonState.DELETED
@@ -455,8 +443,7 @@ class FederationProtocol:
         if proxy is None:
             return
         self._send_pod_message(
-            proxy, target, "rev", engine.STATUS_MIRROR,
-            {"pod": pod.pod_id, "target": target, "phase": phase},
+            proxy, target, "rev", engine.STATUS_MIRROR, (pod.pod_id, target, phase)
         )
 
     # -- virtual-node aggregates ---------------------------------------------
@@ -493,21 +480,20 @@ class FederationProtocol:
             when = ctx.channels.delivery_time(
                 ctx.now, edges[(source, target)], ("vnode", target, source)
             )
-            ctx.queue.push(when, engine.AGGREGATE_REPORT, {
-                "source": source,
-                "target": target,
-                "capacity": capacity,
-                "allocatable": allocatable,
-            })
+            ctx.queue.push(
+                when, engine.AGGREGATE_REPORT, (source, target, capacity, allocatable)
+            )
 
-    def on_aggregate_report(self, payload: dict) -> None:
-        vnode = self.virtual_nodes[(payload["source"], payload["target"])]
-        vnode.capacity = payload["capacity"]
-        vnode.allocatable = payload["allocatable"]
+    def on_aggregate_report(self, source: str, target: str, capacity: Triple,
+                            allocatable: Triple) -> None:
+        vnode = self.virtual_nodes[(source, target)]
+        vnode.capacity = capacity
+        vnode.allocatable = allocatable
         vnode.last_update = self.ctx.now
 
     # The event kinds the protocol handles, each with its handler, which
-    # the loop calls with the event's payload (`sim.Simulation` binds them).
+    # the loop calls with the event's args, the kind's `engine.FIELDS` in
+    # order (`sim.Simulation` binds them).
     HANDLERS = {
         engine.CHAPERON_CREATE: on_chaperon_create,
         engine.CANDIDATE_REPORT: on_candidate_report,

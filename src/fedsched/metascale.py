@@ -112,8 +112,7 @@ class MetaScaler:
                 "state": head.state._value_, "nodes": head.assigned_nodes,
             })
             self.ctx.at(
-                self.ctx.now + head.duration, engine.JOB_COMPLETE,
-                {"job": head.job_id, "cluster": self.cluster_id},
+                self.ctx.now + head.duration, engine.JOB_COMPLETE, (head.job_id, self.cluster_id)
             )
 
     def on_job_complete(self, job: BatchJob) -> None:
@@ -196,7 +195,7 @@ class MetaScaler:
             self.ctx.at(
                 self.ctx.now + self.params.provisioning_delay_ms,
                 engine.NODE_READY,
-                {"cluster": self.cluster_id, "node": node_id},
+                (self.cluster_id, node_id),
             )
 
     def on_node_ready(self, node_id: str) -> None:

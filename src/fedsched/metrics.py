@@ -11,21 +11,26 @@ where "fx" lists the state changes the event's processing produced. Strings
 are ASCII-escaped and non-finite floats are written as `NaN`/`Infinity`, as
 `json.dumps` with `(",", ":")` separators does.
 
-A live Event holds its effects as a tuple and its (cpu, memory, gpu)
-figures (a pod's `req`, a report's `capacity` and `allocatable`) as
-`Triple`s; a record read back from a log holds lists in their place, and
-`record_of` gives a live Event's `fx` as a fresh list, as a parsed record
-has it. Both encode to the same JSON arrays. The report keeps the triples
-it reads, `PodRow.request`, `SeriesRow.used` and `SeriesRow.capacity`, as
-tuples either way.
+A live Event holds no payload dict: its `args` are the values of its
+kind's `engine.FIELDS`, in order, and the payload is the dict of the two,
+built by the kind's `engine.PAYLOAD_OF` where a line or a record is made.
+Its effects are a tuple and its (cpu, memory, gpu) figures (a pod's `req`,
+a report's `capacity` and `allocatable`) are `Triple`s; a record read back
+from a log holds a payload dict, and lists in place of the tuples.
+`record_of` gives a live Event's payload in `FIELDS` order and its `fx` as
+a fresh list, as a parsed record has them. Both encode to the same JSON.
+The report reads a `PodSubmit`'s fields from a live Event's `args` and
+from a record's payload alike, and keeps the triples it reads,
+`PodRow.request`, `SeriesRow.used` and `SeriesRow.capacity`, as tuples
+either way.
 
 Every line goes through one encoder, built once at import: the C
 accelerator that `json.JSONEncoder` would otherwise rebuild per call, or,
 where the interpreter lacks it, a plain `JSONEncoder`. For a live Event the
-head up to `"payload":` is written by hand and only the payload and effects
-are encoded: `t` and `seq` are ints, and the kind is one of the
-`engine.EVENT_KINDS` constants, none of which needs escaping. An Event of
-any other kind, and a record read back from a log, is encoded whole.
+head up to `"payload":` is written by hand, and so are empty effects, `[]`;
+only the payload and any effects are encoded. `t` and `seq` are ints, and
+the kind is one of the `engine.FIELDS` kinds, none of which needs escaping.
+A record read back from a log, of any kind, is encoded whole.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .engine import EVENT_KINDS, POD_SUBMIT, Event
+from .engine import EVENT_KINDS, PAYLOAD_OF, POD_SUBMIT, Event
 from .errors import LogError
 from .resources import ZERO, Triple, add_triples, subtract_triples
 
@@ -179,12 +184,12 @@ _KIND_HEADS = {kind: f',"kind":"{kind}","payload":' for kind in EVENT_KINDS}
 
 def serialize_event(event) -> str:
     if isinstance(event, Event):
-        head = _KIND_HEADS.get(event.kind)
-        if head is not None:
-            return (
-                f'{{"t":{event.time},"seq":{event.seq}{head}'
-                f'{_encode(event.payload)},"fx":{_encode(event.effects)}}}'
-            )
+        kind, effects = event.kind, event.effects
+        return (
+            f'{{"t":{event.time},"seq":{event.seq}{_KIND_HEADS[kind]}'
+            f'{_encode(PAYLOAD_OF[kind](event.args))},'
+            f'"fx":{_encode(effects) if effects else "[]"}}}'
+        )
     return _encode(record_of(event))
 
 
@@ -257,22 +262,28 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
 
     for count, event in enumerate(events, 1):
         if isinstance(event, Event):
-            t, kind, payload, effects = event.time, event.kind, event.payload, event.effects
+            t, kind, effects = event.time, event.kind, event.effects
+            if kind == POD_SUBMIT:
+                pod_id, cluster, namespace, federated, role, request = event.args
         else:
-            t, kind, payload, effects = event["t"], event["kind"], event["payload"], event["fx"]
+            t, kind, effects = event["t"], event["kind"], event["fx"]
+            if kind == POD_SUBMIT:
+                payload = event["payload"]
+                pod_id, cluster, namespace = payload["pod"], payload["cluster"], payload["ns"]
+                federated, request = payload["federated"], tuple(payload["req"])
+                role = payload.get("role", "workload")
         if t > end:
             end = t
 
         if kind == POD_SUBMIT:
-            cluster = payload["cluster"]
-            pods[payload["pod"]] = PodRow(
-                pod_id=payload["pod"],
-                namespace=payload["ns"],
-                role=payload.get("role", "workload"),
+            pods[pod_id] = PodRow(
+                pod_id=pod_id,
+                namespace=namespace,
+                role=role,
                 source_cluster=cluster,
-                federated=payload["federated"],
+                federated=federated,
                 submit_time=t,
-                request=tuple(payload["req"]),
+                request=request,
             )
             pending[cluster] += 1
             rows[(t, cluster)] = (used[cluster], cap[cluster], pending[cluster])

@@ -29,9 +29,9 @@ class CameraEvent:
     smoke_probability: float
 
 
-def sensor_payload(event: CameraEvent) -> dict:
-    """The `SensorMessage` payload of one trace row."""
-    return {"camera": event.camera_id, "probability": event.smoke_probability}
+def sensor_args(event: CameraEvent) -> tuple:
+    """The `SensorMessage` args of one trace row."""
+    return (event.camera_id, event.smoke_probability)
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,9 @@ class WildfireScenario:
         self._last_fire: Dict[str, int] = {}
         self._trigger_count = 0
 
-    def on_sensor(self, payload: dict) -> None:
+    def on_sensor(self, camera: str, probability: float) -> None:
         # The trace was validated when it was parsed. A probability exactly
         # at the threshold fires.
-        camera, probability = payload["camera"], payload["probability"]
         if probability < self.config.threshold:
             return
         last = self._last_fire.get(camera)
@@ -90,9 +89,9 @@ class WildfireScenario:
         if last is not None and cooldown > 0 and self.ctx.now - last < cooldown:
             return
         self._last_fire[camera] = self.ctx.now
-        self.ctx.at(self.ctx.now, engine.TRIGGER_FIRED, {"camera": camera})
+        self.ctx.at(self.ctx.now, engine.TRIGGER_FIRED, (camera,))
 
-    def on_trigger(self, payload: dict) -> List[PodSpec]:
+    def on_trigger(self, camera: str) -> List[PodSpec]:
         """Turn one qualifying smoke message into retrain + ensemble pods,
         returned in submission order for `config.submit_cluster`."""
         self._trigger_count += 1
@@ -104,7 +103,7 @@ class WildfireScenario:
             for k in range(1, config.ensemble_size + 1)
         )
         self.ctx.effect({
-            "op": "trigger", "camera": payload["camera"], "pods": [pod.pod_id for pod in pods],
+            "op": "trigger", "camera": camera, "pods": [pod.pod_id for pod in pods],
         })
         return pods
 

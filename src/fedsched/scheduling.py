@@ -176,7 +176,7 @@ def schedule_one(pod: PodSpec, snap: SchedulingSnapshot, pipeline: Pipeline) -> 
     """
     if snap.spec.admission_error(pod, snap.namespace_used) is not None:
         return None
-    request = want_cpu, want_memory, want_gpu = pod.request.as_tuple()
+    request = want_cpu, want_memory, want_gpu = pod.req
     selector = pod.selector_key
     ceiling = snap.ceilings.get(selector)
     if ceiling is not None and (

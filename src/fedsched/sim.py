@@ -37,7 +37,7 @@ from .federation import FederationProtocol
 from .graph import FederationGraph
 from .metascale import BatchJob, MetaScaler
 from .metrics import MetricsReport, build_report, static_info_of
-from .scenario import WildfireScenario, generate_trace, sensor_payload
+from .scenario import WildfireScenario, generate_trace, sensor_args
 from .scheduling import Pipeline, builtin_pipeline, schedule_one, snapshot_of
 
 log = logging.getLogger("fedsched")
@@ -50,7 +50,10 @@ class Context:
     event being stepped, and the step's change records.
 
     A layer sends a message by asking `channels.delivery_time` when it
-    arrives and pushing it on `queue` then. It records a log effect by
+    arrives and pushing it on `queue` then; `at` sets a timer. Either takes
+    the event's args, a tuple of the values of its kind's `engine.FIELDS`
+    in order, which the loop passes to the kind's handler as its
+    parameters; no payload dict is built. It records a log effect by
     calling `effect` with one dict: `effect` is the `append` of the run's
     effect buffer, set once when the `Simulation` is built, so recording
     runs no Python frame. `step` moves what the buffer holds onto the
@@ -71,26 +74,23 @@ class Context:
     effect: Callable[[dict], None]
     now: int = 0
 
-    def at(self, time: int, kind: str, payload: dict) -> None:
+    def at(self, time: int, kind: str, args: tuple) -> None:
         if time < self.now:
             raise CausalityError(
                 f"cannot enqueue {kind} at t={time} before now={self.now}"
             )
-        self.queue.push(time, kind, payload)
+        self.queue.push(time, kind, args)
 
     def bound_pod(self, pod: PodSpec, cluster: str, node: str, federated: bool, source: str) -> None:
         """Shared post-bind path: record, start running, schedule completion."""
         self.effect({
             "op": "bind", "pod": pod.pod_id, "cluster": cluster, "node": node,
-            "ns": pod.namespace, "req": pod.request.as_tuple(), "federated": federated,
+            "ns": pod.namespace, "req": pod.req, "federated": federated,
             "src": source, "role": pod.role,
         })
         pod.transition(PodPhase.RUNNING)
         self.effect({"op": "phase", "pod": pod.pod_id, "phase": PodPhase.RUNNING._value_})
-        self.at(
-            self.now + pod.duration, engine.POD_COMPLETE,
-            {"pod": pod.pod_id, "cluster": cluster},
-        )
+        self.at(self.now + pod.duration, engine.POD_COMPLETE, (pod.pod_id, cluster))
 
 
 class Simulation:
@@ -153,10 +153,7 @@ class Simulation:
             for job in cfg.scenario.batch_jobs
         }
         for job in self._batch_jobs.values():
-            push(
-                job.submit_time, engine.BATCH_JOB_SUBMIT,
-                {"job": job.job_id, "cluster": job.cluster},
-            )
+            push(job.submit_time, engine.BATCH_JOB_SUBMIT, (job.job_id, job.cluster))
         trace = cfg.scenario.trace
         if not trace and cfg.scenario.trace_file is None and cfg.scenario.wildfire_enabled:
             trace = generate_trace(
@@ -170,22 +167,18 @@ class Simulation:
             )
         # The trace is sorted by time and needs nothing registered, so its
         # rows enter the queue as the clock reaches them.
-        self.ctx.queue.stream(engine.SENSOR_MESSAGE, trace, sensor_payload)
+        self.ctx.queue.stream(engine.SENSOR_MESSAGE, trace, sensor_args)
         for cluster_id in sorted(self.metascalers):
-            push(cfg.metascale.tick_ms, engine.REBALANCE_TICK, {"cluster": cluster_id})
+            push(cfg.metascale.tick_ms, engine.REBALANCE_TICK, (cluster_id,))
 
     def _submit(self, pod: PodSpec, cluster: str, time: int) -> None:
         if pod.pod_id in self.pod_objects:
             raise ConfigError(f"duplicate pod id {pod.pod_id!r}")
         self.pod_objects[pod.pod_id] = pod
-        self.ctx.queue.push(time, engine.POD_SUBMIT, {
-            "pod": pod.pod_id,
-            "cluster": cluster,
-            "ns": pod.namespace,
-            "federated": pod.federation_eligible,
-            "role": pod.role,
-            "req": pod.request.as_tuple(),
-        })
+        self.ctx.queue.push(time, engine.POD_SUBMIT, (
+            pod.pod_id, cluster, pod.namespace, pod.federation_eligible, pod.role,
+            pod.req,
+        ))
 
     def pending_requests(self, cluster_id: str) -> List[PodSpec]:
         """Unmet container demand a cluster can see: its pending local pods
@@ -205,9 +198,9 @@ class Simulation:
         try:
             handler = self._protocol_handlers.get(event.kind)
             if handler is None:
-                self._HANDLERS[event.kind](self, event.payload)
+                self._HANDLERS[event.kind](self, *event.args)
             else:
-                handler(event.payload)
+                handler(*event.args)
             freed = ctx.freed
             while freed:
                 cluster_id = min(freed)
@@ -274,50 +267,51 @@ class Simulation:
 
     # -- handlers ------------------------------------------------------------------
 
-    def _on_pod_submit(self, payload: dict) -> None:
-        pod = self.pod_objects[payload["pod"]]
-        cluster_id = payload["cluster"]
+    # Each handler takes its kind's `engine.FIELDS` as parameters, in order.
+
+    def _on_pod_submit(self, pod_id: str, cluster_id: str, ns, federated, role, req) -> None:
+        # The namespace, eligibility, role and request are the report's: the
+        # pod object carries them for the run.
+        pod = self.pod_objects[pod_id]
         if self.protocol.submit(pod, cluster_id):
             return
         if not self._try_schedule_local(pod, cluster_id):
             self.pending_local[cluster_id].append(pod)
 
-    def _on_pod_complete(self, payload: dict) -> None:
-        pod = self.pod_objects[payload["pod"]]
-        cluster_id = payload["cluster"]
+    def _on_pod_complete(self, pod_id: str, cluster_id: str) -> None:
+        pod = self.pod_objects[pod_id]
         state = self.clusters[cluster_id]
         state.unbind(pod)
         pod.transition(PodPhase.COMPLETED)
         self.ctx.effect({
             "op": "unbind", "pod": pod.pod_id, "cluster": cluster_id, "node": pod.bound_node,
-            "req": pod.request.as_tuple(),
+            "req": pod.req,
         })
         self.ctx.effect({"op": "phase", "pod": pod.pod_id, "phase": PodPhase.COMPLETED._value_})
         if self.scenario is not None:
             self.scenario.on_pod_complete(pod)
         self.protocol.mirror_completion(pod, cluster_id, PodPhase.COMPLETED._value_)
 
-    def _on_batch_job_submit(self, payload: dict) -> None:
-        self.metascalers[payload["cluster"]].submit(self._batch_jobs[payload["job"]])
+    def _on_batch_job_submit(self, job_id: str, cluster_id: str) -> None:
+        self.metascalers[cluster_id].submit(self._batch_jobs[job_id])
 
-    def _on_job_complete(self, payload: dict) -> None:
-        self.metascalers[payload["cluster"]].on_job_complete(self._batch_jobs[payload["job"]])
+    def _on_job_complete(self, job_id: str, cluster_id: str) -> None:
+        self.metascalers[cluster_id].on_job_complete(self._batch_jobs[job_id])
 
-    def _on_rebalance(self, payload: dict) -> None:
-        cluster_id = payload["cluster"]
+    def _on_rebalance(self, cluster_id: str) -> None:
         self.metascalers[cluster_id].on_tick(self.pending_requests(cluster_id))
         nxt = self.ctx.now + self.config.metascale.tick_ms
         if nxt <= self.config.duration_ms:
-            self.ctx.at(nxt, engine.REBALANCE_TICK, {"cluster": cluster_id})
+            self.ctx.at(nxt, engine.REBALANCE_TICK, (cluster_id,))
 
-    def _on_node_ready(self, payload: dict) -> None:
-        self.metascalers[payload["cluster"]].on_node_ready(payload["node"])
+    def _on_node_ready(self, cluster_id: str, node_id: str) -> None:
+        self.metascalers[cluster_id].on_node_ready(node_id)
 
-    def _on_sensor(self, payload: dict) -> None:
-        self.scenario.on_sensor(payload)
+    def _on_sensor(self, camera: str, probability: float) -> None:
+        self.scenario.on_sensor(camera, probability)
 
-    def _on_trigger(self, payload: dict) -> None:
-        for pod in self.scenario.on_trigger(payload):
+    def _on_trigger(self, camera: str) -> None:
+        for pod in self.scenario.on_trigger(camera):
             self._submit(pod, self.config.scenario.submit_cluster, self.ctx.now)
 
     _HANDLERS = {

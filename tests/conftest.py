@@ -97,10 +97,10 @@ def run_raw(raw, seed=None):
     return sim, report
 
 
-def push_every_row(queue, kind, rows, payload_of):
+def push_every_row(queue, kind, rows, args_of):
     """The naive twin of `EventQueue.stream`: push every row now."""
     for row in rows:
-        queue.push(row.time, kind, payload_of(row))
+        queue.push(row.time, kind, args_of(row))
 
 
 def pod_row(report, pod_id):

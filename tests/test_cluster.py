@@ -420,3 +420,13 @@ class TestPodPhases:
         spec.add_node(make_node("n1"))
         with pytest.raises(ValueError):
             spec.add_node(make_node("n1"))
+
+
+def test_a_pods_req_is_its_request_triple_built_once():
+    pod = make_pod("p", cpu=2000, mem=4 * GIB, gpu=1)
+    triple = pod.req
+    assert triple == pod.request.as_tuple() == (2000, 4 * GIB, 1) and type(triple) is tuple
+    state = state_of(make_node("n1", gpu=1))
+    state.bind(pod, "n1", 0)
+    assert pod.req is triple and state.allocatable("n1") == (8000, 28 * GIB, 0)
+    assert "req=" not in repr(pod)

@@ -1,44 +1,65 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from fedsched import engine
 from fedsched.engine import Event, EventQueue, LatencyChannels, RngStreams
 from fedsched.errors import CausalityError, EmptyQueue
 from fedsched.graph import FederationEdge, LatencyModel
-from fedsched.scenario import CameraEvent, sensor_payload
+from fedsched.scenario import CameraEvent, sensor_args
 
 from conftest import base_config, node_cfg, pod_cfg, push_every_row, run_raw
 
 
 class TestEvent:
     def test_events_built_without_payload_or_effects_get_own_dict_and_shared_empty_tuple(self):
-        a, b = Event(3, 0, engine.POD_SUBMIT), Event(3, 1, engine.POD_SUBMIT)
-        assert (a.payload, a.effects) == ({}, ())
-        assert a.payload is not b.payload and a.effects is b.effects
-        a.payload["pod"] = "p1"
-        assert b.payload == {}
+        a, b = Event(3, 0, engine.TRIGGER_FIRED), Event(3, 1, engine.TRIGGER_FIRED)
+        assert (a.args, a.effects) == ((), ())
+        assert a.args is b.args and a.effects is b.effects
+        # Each read of `payload` builds a fresh dict: changing one changes
+        # neither the event nor another event's payload.
+        c, d = (Event(3, seq, engine.TRIGGER_FIRED, ("c1",)) for seq in (2, 3))
+        assert c.payload == d.payload == {"camera": "c1"}
+        assert c.payload is not c.payload and c.payload is not d.payload
+        c.payload["camera"] = "c2"
+        assert c.payload == d.payload == {"camera": "c1"} and c.args == ("c1",)
+
+    @pytest.mark.parametrize("kind", sorted(engine.FIELDS))
+    def test_payload_is_the_fields_zipped_with_the_args_in_order(self, kind):
+        fields = engine.FIELDS[kind]
+        args = tuple(f"v{i}" for i in range(len(fields)))
+        payload = Event(0, 0, kind, args).payload
+        assert list(payload.items()) == list(zip(fields, args))
 
     def test_keyword_construction_keeps_what_it_is_given(self):
-        payload, effects = {"x": 0.5}, [{"op": "phase"}]
-        event = Event(time=5, seq=9, kind=engine.POD_SUBMIT, payload=payload, effects=effects)
-        assert (event.time, event.seq, event.kind) == (5, 9, engine.POD_SUBMIT)
-        assert event.payload is payload and event.effects is effects
+        args, effects = ("c1", 0.5), [{"op": "phase"}]
+        event = Event(time=5, seq=9, kind=engine.SENSOR_MESSAGE, args=args, effects=effects)
+        assert (event.time, event.seq, event.kind) == (5, 9, engine.SENSOR_MESSAGE)
+        assert event.args is args and event.effects is effects
         assert not hasattr(event, "__dict__")
+
+    def test_readme_lists_each_kinds_fields_in_order(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^  \| `(\w+)` \| (`.*`) \|$", readme.read_text(encoding="utf-8"), re.M)
+        listed = {kind: tuple(re.findall(r"`(\w+)`", keys)) for kind, keys in rows}
+        assert listed == engine.FIELDS
 
 
 class TestEventQueue:
     def test_orders_by_time_then_seq(self):
         q = EventQueue()
-        q.push(10, engine.POD_SUBMIT, {"n": 1})
-        q.push(5, engine.POD_SUBMIT, {"n": 2})
-        q.push(10, engine.POD_SUBMIT, {"n": 3})
-        order = [q.pop().payload["n"] for _ in range(3)]
-        assert order == [2, 1, 3]
+        q.push(10, engine.TRIGGER_FIRED, ("c1",))
+        q.push(5, engine.TRIGGER_FIRED, ("c2",))
+        q.push(10, engine.TRIGGER_FIRED, ("c3",))
+        order = [q.pop().args for _ in range(3)]
+        assert order == [("c2",), ("c1",), ("c3",)]
 
     def test_equal_time_processed_in_enqueue_order(self):
         q = EventQueue()
         for n in range(20):
-            q.push(7, engine.SENSOR_MESSAGE, {"n": n})
-        assert [q.pop().payload["n"] for _ in range(20)] == list(range(20))
+            q.push(7, engine.SENSOR_MESSAGE, (f"c{n}", 0.5))
+        assert [q.pop().args[0] for _ in range(20)] == [f"c{n}" for n in range(20)]
 
     def test_pop_empty_raises(self):
         with pytest.raises(EmptyQueue):
@@ -46,14 +67,14 @@ class TestEventQueue:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(AssertionError):
-            EventQueue().push(0, "NotAKind", {})
+            EventQueue().push(0, "NotAKind", ())
 
 
 def drain(queue):
     popped = []
     while len(queue):
         event = queue.pop()
-        popped.append((event.time, event.seq, event.kind, event.payload))
+        popped.append((event.time, event.seq, event.kind, event.args))
     return popped
 
 
@@ -65,27 +86,27 @@ class TestStream:
     def fill(self, stream):
         """Push, hand over ROWS, push again; `stream` hands the rows over."""
         q = EventQueue()
-        q.push(5, engine.POD_SUBMIT, {"camera": "p0"})
-        stream(q, engine.SENSOR_MESSAGE, self.ROWS, sensor_payload)
-        q.push(5, engine.POD_SUBMIT, {"camera": "p1"})
-        q.push(0, engine.POD_SUBMIT, {"camera": "p2"})
+        q.push(5, engine.TRIGGER_FIRED, ("p0",))
+        stream(q, engine.SENSOR_MESSAGE, self.ROWS, sensor_args)
+        q.push(5, engine.TRIGGER_FIRED, ("p1",))
+        q.push(0, engine.TRIGGER_FIRED, ("p2",))
         return q
 
     def test_rows_and_pushes_pop_in_time_then_seq_order(self):
         popped = drain(self.fill(EventQueue.stream))
         assert popped == drain(self.fill(push_every_row))
-        assert [(t, seq, payload["camera"]) for t, seq, _, payload in popped] == [
+        assert [(t, seq, args[0]) for t, seq, _, args in popped] == [
             (0, 1, "r0"), (0, 6, "p2"), (5, 0, "p0"), (5, 2, "r1"), (5, 3, "r2"),
             (5, 5, "p1"), (9, 4, "r3"),
         ]
 
     def test_push_at_a_waiting_rows_time_pops_after_it(self):
         q = EventQueue()
-        q.stream(engine.SENSOR_MESSAGE, self.ROWS, sensor_payload)
-        assert q.pop().payload["camera"] == "r0"
+        q.stream(engine.SENSOR_MESSAGE, self.ROWS, sensor_args)
+        assert q.pop().args == ("r0", 0.1)
         # r1 and r2 are due at 5 with seqs 1 and 2; this push takes seq 4.
-        q.push(5, engine.POD_SUBMIT, {"camera": "p"})
-        assert [(t, seq, payload["camera"]) for t, seq, _, payload in drain(q)] == [
+        q.push(5, engine.TRIGGER_FIRED, ("p",))
+        assert [(t, seq, args[0]) for t, seq, _, args in drain(q)] == [
             (5, 1, "r1"), (5, 2, "r2"), (5, 4, "p"), (9, 3, "r3"),
         ]
 
@@ -94,7 +115,7 @@ class TestStream:
         q = EventQueue()
         assert not q.due(10**12) and len(q) == 0
         # Heap only: due from the head's time on.
-        q.push(5, engine.POD_SUBMIT, {})
+        q.push(5, engine.TRIGGER_FIRED, ("p",))
         assert not q.due(4) and q.due(5) and q.due(6)
         # A stream whose next row waits behind the heap's row: only the
         # heap's head decides, and len counts the waiting rows.
@@ -111,16 +132,16 @@ class TestStream:
 
     def test_empty_queue_raised_only_after_the_last_row(self):
         q = EventQueue()
-        q.stream(engine.SENSOR_MESSAGE, self.ROWS, sensor_payload)
-        assert [q.pop().payload["camera"] for _ in self.ROWS] == ["r0", "r1", "r2", "r3"]
+        q.stream(engine.SENSOR_MESSAGE, self.ROWS, sensor_args)
+        assert [q.pop().args[0] for _ in self.ROWS] == ["r0", "r1", "r2", "r3"]
         with pytest.raises(EmptyQueue):
             q.pop()
 
     def test_an_empty_stream_takes_no_seq(self):
         q = EventQueue()
-        q.stream(engine.SENSOR_MESSAGE, [], sensor_payload)
+        q.stream(engine.SENSOR_MESSAGE, [], sensor_args)
         assert len(q) == 0 and not q.due(10**12)
-        assert q.push(3, engine.POD_SUBMIT, {}).seq == 0
+        assert q.push(3, engine.TRIGGER_FIRED, ("p",)).seq == 0
 
 
 class TestCausality:
@@ -130,7 +151,7 @@ class TestCausality:
         sim, _ = run_raw(two_cluster_raw)
         assert sim.ctx.now > 0
         with pytest.raises(CausalityError):
-            sim.ctx.at(sim.ctx.now - 1, engine.SENSOR_MESSAGE, {})
+            sim.ctx.at(sim.ctx.now - 1, engine.SENSOR_MESSAGE, ("cam-1", 0.5))
 
     def test_clock_never_decreases_over_a_run(self):
         clusters = [{"id": "a", "nodes": [node_cfg("a-n1")]},

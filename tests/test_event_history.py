@@ -1,21 +1,26 @@
-"""Every event a run keeps holds exact-size tuples, not lists.
+"""Every event a run keeps holds exact-size tuples, not lists or dicts.
 
 A run keeps every event until the writers run, so the history is most of
 what a run adds to memory. Each golden config and 20 random protocol
 configs run to the end, and every event in `sim.events` must hold:
+- its `args` as a tuple of one value per field of `engine.FIELDS[kind]`,
+  never a dict: `Event.payload` builds the payload dict when it is read;
 - its `effects` as a tuple, the shared empty one `Event`'s default holds
   when the step recorded nothing;
 - an `AggregateReport`'s `capacity` and `allocatable` as tuples;
-- a `req`, in a payload or an effect, as a tuple.
+- a `req`, in the args or an effect, as a tuple, and each pod's `req` as
+  one object wherever it is logged.
 The JSON encoder writes tuples as lists, so the log is the same either way.
-`record_of` gives each event's `fx` as a fresh list, as a parsed log has it.
+`record_of` gives each event's payload with its keys in `FIELDS` order and
+its `fx` as a fresh list, as a parsed log has them.
 """
 
 import random
+from collections import defaultdict
 
 from fedsched import engine
 from fedsched.config import validate_config
-from fedsched.engine import Event
+from fedsched.engine import FIELDS, Event
 from fedsched.metrics import record_of
 from fedsched.sim import Simulation
 
@@ -28,8 +33,9 @@ SHARED_EMPTY = Event(0, 0, engine.POD_SUBMIT).effects
 
 
 def held_lists(events):
-    """One line per place where `events` hold a list (or other non-tuple)
-    that should be a tuple, or empty effects that are not the shared ones."""
+    """One line per place where `events` hold a list, dict or other
+    non-tuple that should be a tuple, args of the wrong size, or empty
+    effects that are not the shared ones."""
     found = []
 
     def check(where, key, value):
@@ -41,16 +47,33 @@ def held_lists(events):
         check(where, "effects", event.effects)
         if not event.effects and event.effects is not SHARED_EMPTY:
             found.append(f"{where}: empty effects are not the shared empty tuple")
-        payload = event.payload
+        check(where, "args", event.args)
+        fields = FIELDS[event.kind]
+        if len(event.args) != len(fields):
+            found.append(f"{where}: {len(event.args)} args for {len(fields)} fields")
+            continue
+        args = dict(zip(fields, event.args))
         if event.kind == engine.AGGREGATE_REPORT:
-            check(where, "capacity", payload["capacity"])
-            check(where, "allocatable", payload["allocatable"])
-        if "req" in payload:
-            check(where, "req", payload["req"])
+            check(where, "capacity", args["capacity"])
+            check(where, "allocatable", args["allocatable"])
+        if "req" in args:
+            check(where, "req", args["req"])
         for fx in event.effects:
             if "req" in fx:
                 check(where, f"{fx['op']} req", fx["req"])
     return found
+
+
+def req_objects(events):
+    """Per pod, the ids of the `req` objects its logged args and effects hold."""
+    held = defaultdict(set)
+    for event in events:
+        if event.kind == engine.POD_SUBMIT:
+            held[event.args[0]].add(id(event.args[-1]))
+        for fx in event.effects:
+            if "req" in fx:
+                held[fx["pod"]].add(id(fx["req"]))
+    return held
 
 
 def configs():
@@ -62,14 +85,19 @@ def configs():
 
 
 def test_no_event_holds_a_list():
+    # An Event's slots hold no payload: `payload` is built when read.
+    assert "payload" not in Event.__slots__ and isinstance(Event.payload, property)
     kinds = set()
     for raw, seed in configs():
         sim = Simulation(validate_config(seeded(raw, seed)))
         sim.run()
         assert held_lists(sim.events) == []
+        assert {pod: len(ids) for pod, ids in req_objects(sim.events).items() if len(ids) > 1} == {}
         kinds.update(event.kind for event in sim.events)
         for event in sim.events:
             record = record_of(event)
+            assert list(record["payload"]) == list(FIELDS[event.kind])
+            assert tuple(record["payload"].values()) == event.args
             assert type(record["fx"]) is list and record["fx"] == list(event.effects)
             assert record_of(event)["fx"] is not record["fx"]
     # Reports and submits are among what the configs logged.
@@ -77,14 +105,27 @@ def test_no_event_holds_a_list():
 
 
 def test_guard_reports_lists():
-    event = Event(5, 3, engine.AGGREGATE_REPORT,
-                  {"source": "a", "target": "b", "capacity": [1, 2, 0], "allocatable": (1, 2, 0)},
+    event = Event(5, 3, engine.AGGREGATE_REPORT, ("a", "b", [1, 2, 0], (1, 2, 0)),
                   [{"op": "reserve", "pod": "p", "req": [1, 2, 0]}])
-    empty = Event(6, 4, engine.POD_SUBMIT, {"pod": "p", "req": (1, 2, 0)}, [])
-    assert held_lists([event, empty]) == [
+    empty = Event(6, 4, engine.POD_SUBMIT, ("p", "c", "default", True, "workload", (1, 2, 0)), [])
+    short = Event(7, 5, engine.CHAPERON_CREATE, ("p",))
+    payload = Event(8, 6, engine.TRIGGER_FIRED, {"camera": "c"})
+    assert held_lists([event, empty, short, payload]) == [
         "AggregateReport seq 3: effects is a list",
         "AggregateReport seq 3: capacity is a list",
         "AggregateReport seq 3: reserve req is a list",
         "PodSubmit seq 4: effects is a list",
         "PodSubmit seq 4: empty effects are not the shared empty tuple",
+        "ChaperonCreate seq 5: 1 args for 2 fields",
+        "TriggerFired seq 6: args is a dict",
     ]
+
+
+def test_req_objects_tells_copies_apart():
+    req = tuple([1, 2, 0])
+    submit = Event(0, 0, engine.POD_SUBMIT, ("p", "c", "default", True, "workload", req))
+    bind = Event(1, 1, engine.DELEGATE_BIND, ("p", "c"),
+                 ({"op": "bind", "pod": "p", "req": req},
+                  {"op": "bind", "pod": "q", "req": tuple([1, 2, 0])},
+                  {"op": "bind", "pod": "q", "req": tuple([1, 2, 0])}))
+    assert {pod: len(ids) for pod, ids in req_objects([submit, bind]).items()} == {"p": 1, "q": 2}

@@ -367,7 +367,7 @@ class TestBindConflictRule:
         return sim, proxy
 
     def report(self, sim, target, status):
-        sim.protocol.on_candidate_report({"pod": "p1", "target": target, "status": status})
+        sim.protocol.on_candidate_report("p1", target, status)
         return self.effects
 
     def test_unschedulable_from_another_target_is_not_a_conflict(self):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fedsched import metrics
+from fedsched import engine, metrics
 from fedsched.engine import Event
 from fedsched.errors import OvercommitError
 from fedsched.metrics import (
@@ -140,12 +140,40 @@ def test_serialized_lines_equal_json_dumps(name, encoder, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
-def test_event_of_unknown_kind_is_encoded_whole(encoder, monkeypatch):
-    # Only the engine's own kinds get the hand-written head.
+def test_event_with_no_effects_encodes_only_its_payload(encoder, monkeypatch):
+    # Empty effects are written as `"fx":[]` by hand: the encoder sees the
+    # payload alone, and the line is still what `json.dumps` gives.
+    encode = metrics._encode if encoder == "c-encoder" else metrics._make_encode(None)
+    encoded = []
+
+    def counting(value):
+        encoded.append(value)
+        return encode(value)
+
+    monkeypatch.setattr(metrics, "_encode", counting)
+    args = ("pöd-1", "zürich", "default", True, "workload", (1000, 2**30, 0))
+    quiet = Event(7, 3, engine.POD_SUBMIT, args)
+    line = serialize_event(quiet)
+    assert line == json.dumps(record_of(quiet), separators=(",", ":"))
+    assert line.endswith(',"fx":[]}') and encoded == [quiet.payload]
+    busy = Event(7, 4, engine.POD_SUBMIT, args, ({"op": "phase", "pod": "pöd-1"},))
+    assert serialize_event(busy) == json.dumps(record_of(busy), separators=(",", ":"))
+    assert encoded[1:] == [busy.payload, busy.effects]
+
+
+@pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
+def test_event_of_unknown_kind_is_encoded_whole(encoder, tmp_path, monkeypatch):
+    # Only a live Event gets the hand-written head, and only the engine's
+    # own kinds, which `engine.FIELDS` names, are ever live. A record of any
+    # other kind, read back from a log, is encoded whole.
     if encoder == "fallback":
         monkeypatch.setattr(metrics, "_encode", metrics._make_encode(None))
-    event = Event(time=5, seq=9, kind='Odd "kind" ü', payload={"x": 0.5}, effects=[])
-    assert serialize_event(event) == json.dumps(record_of(event), separators=(",", ":"))
+    line = json.dumps({"t": 5, "seq": 9, "kind": 'Odd "kind" ü', "payload": {"x": 0.5},
+                       "fx": []}, separators=(",", ":"))
+    path = tmp_path / "events.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    (record,) = read_event_log(str(path))
+    assert serialize_event(record) == json.dumps(record, separators=(",", ":")) == line
 
 
 def test_every_pod_appears_exactly_once(tmp_path):

@@ -170,7 +170,7 @@ def _small_raw():
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
-    def boom(self, payload):
+    def boom(self, *args):
         raise RuntimeError("handler failed")
 
     was_enabled = gc.isenabled()
@@ -340,11 +340,11 @@ def test_a_raising_step_leaks_no_effect_into_the_next_event(monkeypatch):
     sim = Simulation(validate_config(raw))
     submit = Simulation._HANDLERS[engine.POD_SUBMIT]
 
-    def record_then_raise(self, payload):
-        if payload["pod"] == "p1":
+    def record_then_raise(self, *args):
+        if args[0] == "p1":
             self.ctx.effect({"op": "phase", "pod": "p1", "phase": "Leaked"})
             raise RuntimeError("handler failed")
-        submit(self, payload)
+        submit(self, *args)
 
     monkeypatch.setitem(Simulation._HANDLERS, engine.POD_SUBMIT, record_then_raise)
     with pytest.raises(RuntimeError, match="handler failed"):
