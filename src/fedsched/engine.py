@@ -19,8 +19,10 @@ is only the metascaler's periodic timer, an AggregateReport is a target's
 aggregates reaching one of its sources, and NodeReady is a repurposed node
 coming up in its new pool. `FIELDS` names each kind's payload fields in
 log order. An event holds only their values, as its `args` tuple, which
-the loop passes to the kind's handler as its parameters; the payload dict
-is built where the log or a record needs it.
+the loop passes to the kind's handler as its parameters. No payload dict is
+held, nor built to write the log: the writer writes each line straight
+from the args (`metrics`), and `Event.payload` zips the fields with the
+args only where a record is asked for.
 """
 
 from __future__ import annotations
@@ -73,22 +75,6 @@ FIELDS: Dict[str, Tuple[str, ...]] = {
 EVENT_KINDS = frozenset(FIELDS)
 
 
-def payload_builder(names: Tuple[str, ...]) -> Callable[[tuple], dict]:
-    """The function that makes the payload dict of a kind whose fields are
-    `names` from an event's args: `dict(zip(names, args))`, compiled from
-    `names` into a dict display, as `dataclasses` compiles `__init__`. On
-    Python 3.11 that builds the dict in about a third of the time, and the
-    log writer builds one per event."""
-    items = "".join(f"{name!r}: args[{i}], " for i, name in enumerate(names))
-    return eval(f"lambda args: {{{items}}}")
-
-
-# Each kind's payload builder, made from `FIELDS`.
-PAYLOAD_OF: Dict[str, Callable[[tuple], dict]] = {
-    kind: payload_builder(names) for kind, names in FIELDS.items()
-}
-
-
 class Event:
     """One thing that happens at `time`, `seq`-th to be enqueued: its `kind`,
     its `args`, the values of `FIELDS[kind]` in that order, and the
@@ -96,8 +82,8 @@ class Event:
     Event built without effects holds the shared empty tuple `()`.
     `Simulation.step` attaches an exact-size tuple of what the step
     recorded, so an event that records nothing keeps `()`. `payload` is
-    the args as the log writes them, a fresh dict of field name to value
-    that `PAYLOAD_OF[kind]` builds."""
+    the args as the log writes them, a fresh dict of field name to value,
+    in `FIELDS[kind]` order."""
 
     __slots__ = ("time", "seq", "kind", "args", "effects")
 
@@ -111,7 +97,7 @@ class Event:
 
     @property
     def payload(self) -> dict:
-        return PAYLOAD_OF[self.kind](self.args)
+        return dict(zip(FIELDS[self.kind], self.args))
 
 
 class EventQueue:

@@ -12,25 +12,29 @@ are ASCII-escaped and non-finite floats are written as `NaN`/`Infinity`, as
 `json.dumps` with `(",", ":")` separators does.
 
 A live Event holds no payload dict: its `args` are the values of its
-kind's `engine.FIELDS`, in order, and the payload is the dict of the two,
-built by the kind's `engine.PAYLOAD_OF` where a line or a record is made.
-Its effects are a tuple and its (cpu, memory, gpu) figures (a pod's `req`,
-a report's `capacity` and `allocatable`) are `Triple`s; a record read back
-from a log holds a payload dict, and lists in place of the tuples.
-`record_of` gives a live Event's payload in `FIELDS` order and its `fx` as
-a fresh list, as a parsed record has them. Both encode to the same JSON.
-The report reads a `PodSubmit`'s fields from a live Event's `args` and
-from a record's payload alike, and keeps the triples it reads,
-`PodRow.request`, `SeriesRow.used` and `SeriesRow.capacity`, as tuples
-either way.
+kind's `engine.FIELDS`, in order, and its `payload` property zips the two
+where a record needs one. Its effects are a tuple and its (cpu, memory,
+gpu) figures (a pod's `req`, a report's `capacity` and `allocatable`) are
+`Triple`s; a record read back from a log holds a payload dict, and lists in
+place of the tuples. `record_of` gives a live Event's payload in `FIELDS`
+order and its `fx` as a fresh list, as a parsed record has them. Both
+encode to the same JSON. The report reads a `PodSubmit`'s fields from a
+live Event's `args` and from a record's payload alike, and keeps the
+triples it reads, `PodRow.request`, `SeriesRow.used` and
+`SeriesRow.capacity`, as tuples either way.
 
-Every line goes through one encoder, built once at import: the C
+A live Event's line is a compiled head per kind, the encoder for effects
+and unlisted fields. The head writer of each kind, compiled from
+`engine.FIELDS` at import, writes everything up to `"fx":` straight from
+the args, each field in the JSON form `_FORMS` gives it: strings through
+`encode_basestring_ascii`, ints as they print, bools from a table, triples
+as `[a,b,c]`. A field `_FORMS` does not list (today only `probability`)
+and non-empty effects go through one encoder, built once at import: the C
 accelerator that `json.JSONEncoder` would otherwise rebuild per call, or,
-where the interpreter lacks it, a plain `JSONEncoder`. For a live Event the
-head up to `"payload":` is written by hand, and so are empty effects, `[]`;
-only the payload and any effects are encoded. `t` and `seq` are ints, and
-the kind is one of the `engine.FIELDS` kinds, none of which needs escaping.
-A record read back from a log, of any kind, is encoded whole.
+where the interpreter lacks it, a plain `JSONEncoder`; empty effects are
+written as `[]`. `t` and `seq` are ints, and the kind is one of the
+`engine.FIELDS` kinds, none of which needs escaping. A record read back
+from a log, of any kind, is encoded whole.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .engine import EVENT_KINDS, PAYLOAD_OF, POD_SUBMIT, Event
+from .engine import FIELDS, POD_SUBMIT, Event
 from .errors import LogError
 from .resources import ZERO, Triple, add_triples, subtract_triples
 
@@ -178,26 +182,63 @@ def _make_encode(make_encoder):
 
 _encode = _make_encode(c_make_encoder)
 
-# What follows `"seq":<n>` up to the payload, for each kind of live Event.
-_KIND_HEADS = {kind: f',"kind":"{kind}","payload":' for kind in EVENT_KINDS}
+_BOOLS = {True: "true", False: "false"}
+
+# How a live Event's head writes each payload field's value, as an f-string
+# fragment of the variable `%(v)s` that holds it. Each form holds only for a
+# value of the field's type: a str, an int `timer`, a bool `federated`, a
+# (cpu, memory, gpu) tuple of ints. A field not listed goes through `_encode`.
+_FORMS = {
+    **dict.fromkeys(
+        ("pod", "cluster", "ns", "role", "job", "target", "status", "phase", "node",
+         "source", "camera"),
+        "{encode_basestring_ascii(%(v)s)}",
+    ),
+    "timer": "{%(v)s}",
+    "federated": "{_BOOLS[%(v)s]}",
+    **dict.fromkeys(("req", "capacity", "allocatable"), "[{%(v)s[0]},{%(v)s[1]},{%(v)s[2]}]"),
+}
+_UNLISTED = "{_encode(%(v)s)}"
+
+
+def _head_writer(kind: str, names: Tuple[str, ...]):
+    """The function of `(time, seq, args)` that writes a `kind` Event's line
+    up to its effects, `{"t":..,"seq":..,"kind":"<kind>","payload":{..},"fx":`,
+    each field in the form `_FORMS` gives it. It is compiled from `names`, as
+    `dataclasses` compiles `__init__`, and its names resolve in this module,
+    so an unlisted field goes through whatever `_encode` is at call time."""
+    assert kind.isidentifier() and all(name.isidentifier() for name in names)
+    values = [f"a{i}" for i in range(len(names))]
+    payload = ",".join(
+        f'"{name}":' + _FORMS.get(name, _UNLISTED) % {"v": value}
+        for name, value in zip(names, values)
+    )
+    line = '{{"t":{t},"seq":{seq},"kind":"%s","payload":{{%s}},"fx":' % (kind, payload)
+    unpack = f"    {', '.join(values)}, = args\n" if names else ""
+    scope = {}
+    exec(f"def head(t, seq, args):\n{unpack}    return f{line!r}\n", globals(), scope)
+    return scope["head"]
+
+
+# Each kind's head writer, made from `FIELDS`.
+_HEADS = {kind: _head_writer(kind, names) for kind, names in FIELDS.items()}
 
 
 def serialize_event(event) -> str:
     if isinstance(event, Event):
-        kind, effects = event.kind, event.effects
+        effects = event.effects
         return (
-            f'{{"t":{event.time},"seq":{event.seq}{_KIND_HEADS[kind]}'
-            f'{_encode(PAYLOAD_OF[kind](event.args))},'
-            f'"fx":{_encode(effects) if effects else "[]"}}}'
+            f'{_HEADS[event.kind](event.time, event.seq, event.args)}'
+            f'{_encode(effects) if effects else "[]"}}}'
         )
     return _encode(record_of(event))
 
 
 def write_event_log(path: str, events) -> None:
     with open(path, "w", encoding="utf-8") as handle:
+        write = handle.write
         for event in events:
-            handle.write(serialize_event(event))
-            handle.write("\n")
+            write(f"{serialize_event(event)}\n")
 
 
 def read_event_log(path: str) -> Iterator[dict]:

@@ -138,9 +138,7 @@ def test_guard_reports_a_field_nothing_reads(monkeypatch):
     def push_with_node(queue, time, kind_, args):
         return push(queue, time, kind_, (*args, "a-n1") if kind_ == kind else args)
 
-    fields = (*engine.FIELDS[kind], "node")
-    monkeypatch.setitem(engine.FIELDS, kind, fields)
-    monkeypatch.setitem(engine.PAYLOAD_OF, kind, engine.payload_builder(fields))
+    monkeypatch.setitem(engine.FIELDS, kind, (*engine.FIELDS[kind], "node"))
     monkeypatch.setitem(FederationProtocol.HANDLERS, kind, on_delegate_bind)
     monkeypatch.setattr(engine.EventQueue, "push", push_with_node)
     unread, _ = unread_fields({"bind-conflict": CASES["bind-conflict"]})

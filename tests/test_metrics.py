@@ -139,10 +139,72 @@ def test_serialized_lines_equal_json_dumps(name, encoder, tmp_path, monkeypatch)
         assert serialize_event(record) == json.dumps(record, separators=(",", ":")) == line
 
 
-@pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
-def test_event_with_no_effects_encodes_only_its_payload(encoder, monkeypatch):
-    # Empty effects are written as `"fx":[]` by hand: the encoder sees the
-    # payload alone, and the line is still what `json.dumps` gives.
+def test_differential_cases_write_every_kind():
+    # So every kind's compiled head is held to `json.dumps` above.
+    kinds = set()
+    for make in DIFFERENTIAL.values():
+        sim, _ = run_raw(*make())
+        kinds.update(event.kind for event in sim.events)
+    assert kinds == engine.EVENT_KINDS
+
+
+def is_triple(value):
+    return type(value) is tuple and len(value) == 3 and all(type(v) is int for v in value)
+
+
+# The values each form in `metrics._FORMS` writes as `json.dumps` would. A
+# bool `timer` or a list `req` would be written in bytes it would not.
+FORM_HOLDS = {
+    **dict.fromkeys(
+        ("pod", "cluster", "ns", "role", "job", "target", "status", "phase", "node",
+         "source", "camera"),
+        lambda v: type(v) is str,
+    ),
+    "timer": lambda v: type(v) is int,
+    "federated": lambda v: type(v) is bool,
+    **dict.fromkeys(("req", "capacity", "allocatable"), is_triple),
+}
+
+
+def misformed_args(events):
+    """One line per live Event arg whose value its field's form does not hold."""
+    return [
+        f"{event.kind} seq {event.seq}: {field}={value!r}"
+        for event in events
+        for field, value in zip(engine.FIELDS[event.kind], event.args)
+        if field in FORM_HOLDS and not FORM_HOLDS[field](value)
+    ]
+
+
+def test_every_arg_has_its_fields_form():
+    assert set(FORM_HOLDS) == set(metrics._FORMS)
+    cases = {**CASES, "non-ascii": lambda: (non_ascii_raw(), 3)}
+    for name in sorted(cases):
+        sim, _ = run_raw(*cases[name]())
+        assert misformed_args(sim.events) == [], name
+
+
+def test_form_guard_reports_a_misformed_arg():
+    # An int probability is no fault: that field has no form, so `_encode`
+    # writes whatever it holds.
+    events = [
+        Event(0, 0, engine.ELECTION_TIMEOUT, ("p", True)),
+        Event(1, 1, engine.POD_SUBMIT, ("p", "c", "default", 1, "workload", [1, 2, 0])),
+        Event(2, 2, engine.AGGREGATE_REPORT, ("a", "b", (1, 2), (1, 2.0, 0))),
+        Event(3, 3, engine.SENSOR_MESSAGE, ("c", 1)),
+    ]
+    assert misformed_args(events) == [
+        "ElectionTimeout seq 0: timer=True",
+        "PodSubmit seq 1: federated=1",
+        "PodSubmit seq 1: req=[1, 2, 0]",
+        "AggregateReport seq 2: capacity=(1, 2)",
+        "AggregateReport seq 2: allocatable=(1, 2.0, 0)",
+    ]
+
+
+def counted_encode(encoder, monkeypatch):
+    """Patch `metrics._encode` with the C encoder or the fallback, counting
+    calls; return the list of values it is called with."""
     encode = metrics._encode if encoder == "c-encoder" else metrics._make_encode(None)
     encoded = []
 
@@ -151,14 +213,58 @@ def test_event_with_no_effects_encodes_only_its_payload(encoder, monkeypatch):
         return encode(value)
 
     monkeypatch.setattr(metrics, "_encode", counting)
+    return encoded
+
+
+def json_line(event):
+    return json.dumps(record_of(event), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
+def test_encoder_sees_only_effects_and_unlisted_fields(encoder, monkeypatch):
+    # A live Event's head is written by its kind's compiled writer: only
+    # non-empty effects and fields with no form, `probability` today, go
+    # through the encoder, and each line is still what `json.dumps` gives.
+    encoded = counted_encode(encoder, monkeypatch)
     args = ("pöd-1", "zürich", "default", True, "workload", (1000, 2**30, 0))
     quiet = Event(7, 3, engine.POD_SUBMIT, args)
-    line = serialize_event(quiet)
-    assert line == json.dumps(record_of(quiet), separators=(",", ":"))
-    assert line.endswith(',"fx":[]}') and encoded == [quiet.payload]
+    assert serialize_event(quiet) == json_line(quiet)
+    assert serialize_event(quiet).endswith(',"fx":[]}') and encoded == []
     busy = Event(7, 4, engine.POD_SUBMIT, args, ({"op": "phase", "pod": "pöd-1"},))
-    assert serialize_event(busy) == json.dumps(record_of(busy), separators=(",", ":"))
-    assert encoded[1:] == [busy.payload, busy.effects]
+    assert serialize_event(busy) == json_line(busy)
+    assert encoded == [busy.effects] and encoded[0] is busy.effects
+    encoded.clear()
+    sensor = Event(9, 5, engine.SENSOR_MESSAGE, ("cam-1", 0.97))
+    assert serialize_event(sensor) == json_line(sensor) and encoded == [0.97]
+
+
+def edge_events():
+    """Hand-built live Events whose values json spells in its own way."""
+    odd = 'q"b\\s\x00\x1f\n\t\U0001f525ü'
+    probabilities = (float("nan"), float("inf"), 1e-7, 0.5)
+    return [
+        *(Event(i, i, engine.SENSOR_MESSAGE, (odd, p)) for i, p in enumerate(probabilities)),
+        Event(4, 4, engine.AGGREGATE_REPORT,
+              (odd, "b", (64_000, 2**40, 8), (0, 2**40 - 1, 0))),
+        Event(5, 5, engine.POD_SUBMIT, (odd, odd, odd, False, odd, (1, 2**40, 0)),
+              ({"op": "phase", "pod": odd, "phase": "Pending"},)),
+        Event(6, 6, engine.ELECTION_TIMEOUT, (odd, 2**40)),
+        Event(7, 7, engine.STATUS_MIRROR, (odd, odd, odd)),
+        Event(8, 8, engine.BATCH_JOB_SUBMIT, (odd, odd)),
+        Event(9, 9, engine.NODE_READY, (odd, odd)),
+    ]
+
+
+@pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
+def test_edge_values_are_written_as_json_dumps_writes_them(encoder, monkeypatch):
+    encoded = counted_encode(encoder, monkeypatch)
+    lines = [serialize_event(event) for event in edge_events()]
+    assert lines == [json_line(event) for event in edge_events()]
+    # The four probabilities and the one non-empty effects tuple.
+    assert len(encoded) == 5
+    spelled = ('"probability":NaN}', '"probability":Infinity}', '"probability":1e-07}')
+    assert all(form in line for form, line in zip(spelled, lines))
+    assert all(line.isascii() for line in lines)
 
 
 @pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
