@@ -22,7 +22,9 @@ log order. An event holds only their values, as its `args` tuple, which
 the loop passes to the kind's handler as its parameters. No payload dict is
 held, nor built to write the log: the writer writes each line straight
 from the args (`metrics`), and `Event.payload` zips the fields with the
-args only where a record is asked for.
+args only where a record is asked for. Effects are held the same way:
+`EFFECT_FIELDS` names each effect shape's op and fields, and an effect is
+the tuple of its shape and their values.
 """
 
 from __future__ import annotations
@@ -74,11 +76,39 @@ FIELDS: Dict[str, Tuple[str, ...]] = {
 
 EVENT_KINDS = frozenset(FIELDS)
 
+# Each effect shape's op and field names, in the order the log writes them.
+# An effect is held as a tuple `(shape, v1, v2, ...)` of its shape and
+# these fields' values; this table is the one place that names them. An op
+# that logs one field set is its own shape. `proxy` and `job` log several,
+# each a shape named after its op and the field it adds.
+EFFECT_FIELDS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    "bind": ("bind", ("pod", "cluster", "node", "ns", "req", "federated", "src", "role")),
+    "unbind": ("unbind", ("pod", "cluster", "node", "req")),
+    "phase": ("phase", ("pod", "phase")),
+    "reserve": ("reserve", ("pod", "cluster", "node", "req")),
+    "release": ("release", ("pod", "cluster", "node")),
+    "chaperon": ("chaperon", ("pod", "cluster", "state")),
+    "mirror": ("mirror", ("pod", "phase")),
+    "unschedulable": ("unschedulable", ("pod",)),
+    "offload": ("offload", ("src", "dst", "pod")),
+    "proxy": ("proxy", ("pod", "state")),
+    "proxy_targets": ("proxy", ("pod", "state", "targets")),
+    "proxy_elected": ("proxy", ("pod", "state", "elected")),
+    "proxy_reason": ("proxy", ("pod", "state", "reason")),
+    "job": ("job", ("job", "cluster", "state")),
+    "job_nodes": ("job", ("job", "cluster", "state", "nodes")),
+    "pool_move": ("pool_move", ("cluster", "node", "src", "dst")),
+    "node_ready": ("node_ready", ("cluster", "node", "pool")),
+    "trigger": ("trigger", ("camera", "pods")),
+    "registry": ("registry", ("version",)),
+}
+
 
 class Event:
     """One thing that happens at `time`, `seq`-th to be enqueued: its `kind`,
     its `args`, the values of `FIELDS[kind]` in that order, and the
-    `effects`, the state changes handling it produced, for the log. An
+    `effects`, the state changes handling it produced, for the log, each a
+    tuple `(shape, v1, ...)` of the fields `EFFECT_FIELDS[shape]` names. An
     Event built without effects holds the shared empty tuple `()`.
     `Simulation.step` attaches an exact-size tuple of what the step
     recorded, so an event that records nothing keeps `()`. `payload` is
@@ -88,7 +118,7 @@ class Event:
     __slots__ = ("time", "seq", "kind", "args", "effects")
 
     def __init__(self, time: int, seq: int, kind: str, args: tuple = (),
-                 effects: Sequence[dict] = ()):
+                 effects: Sequence[tuple] = ()):
         self.time = time
         self.seq = seq
         self.kind = kind

@@ -102,7 +102,7 @@ class VirtualNode:
 class ProxyPod:
     pod: PodSpec
     source: str
-    targets: List[str]
+    targets: Tuple[str, ...]  # shared by every proxy of the source
     fanout_time: int
     state: ProxyState = ProxyState.CANDIDATES_PENDING
     elected_target: Optional[str] = None
@@ -135,6 +135,9 @@ class FederationProtocol:
         self.ctx = ctx
         self.params = params
         self.proxies: Dict[str, ProxyPod] = {}
+        # Per source, its targets in id order, the one tuple its proxies
+        # and their fan-out effects hold.
+        self._targets: Dict[str, Tuple[str, ...]] = {}
         self.chaperons: Dict[Tuple[str, str], PodChaperon] = {}
         # Per target, in creation order, every chaperon not yet seen settled;
         # `pending_in` drops the settled ones as it walks a target.
@@ -166,15 +169,15 @@ class FederationProtocol:
         """
         if not pod.federation_eligible:
             return False
-        targets = self.ctx.graph.targets_of(source)
+        targets = self._targets.get(source)
+        if targets is None:
+            targets = self._targets[source] = tuple(self.ctx.graph.targets_of(source))
         proxy = ProxyPod(pod=pod, source=source, targets=targets, fanout_time=self.ctx.now)
         self.proxies[pod.pod_id] = proxy
         if not targets:
             self._finish_unschedulable(proxy, reason="no_targets")
             return True
-        self.ctx.effect({
-            "op": "proxy", "pod": pod.pod_id, "state": proxy.state._value_, "targets": targets,
-        })
+        self.ctx.effect(("proxy_targets", pod.pod_id, proxy.state._value_, targets))
         for target in targets:
             self._send_pod_message(
                 proxy, target, "fwd", engine.CHAPERON_CREATE, (pod.pod_id, target)
@@ -201,9 +204,7 @@ class FederationProtocol:
         chaperon = PodChaperon(pod=self.proxies[pod_id].pod, target=target)
         self.chaperons[(pod_id, target)] = chaperon
         self._unsettled.setdefault(target, {})[pod_id] = chaperon
-        self.ctx.effect({
-            "op": "chaperon", "pod": pod_id, "cluster": target, "state": chaperon.state._value_,
-        })
+        self.ctx.effect(("chaperon", pod_id, target, chaperon.state._value_))
         self.try_candidate_schedule(chaperon)
 
     def try_candidate_schedule(self, chaperon: PodChaperon) -> None:
@@ -219,16 +220,14 @@ class FederationProtocol:
         if node is not None:
             if self.params.reservations:
                 cluster.reserve(chaperon.pod, node)
-                self.ctx.effect({
-                    "op": "reserve", "pod": chaperon.pod.pod_id, "cluster": chaperon.target,
-                    "node": node, "req": chaperon.pod.req,
-                })
+                self.ctx.effect((
+                    "reserve", chaperon.pod.pod_id, chaperon.target, node, chaperon.pod.req,
+                ))
             chaperon.state = ChaperonState.CANDIDATE_RESERVED
             chaperon.reserved_node = node
-            self.ctx.effect({
-                "op": "chaperon", "pod": chaperon.pod.pod_id, "cluster": chaperon.target,
-                "state": chaperon.state._value_,
-            })
+            self.ctx.effect((
+                "chaperon", chaperon.pod.pod_id, chaperon.target, chaperon.state._value_,
+            ))
             self._report(chaperon, REPORT_RESERVED)
         elif chaperon.last_reported != REPORT_UNSCHEDULABLE:
             self._report(chaperon, REPORT_UNSCHEDULABLE)
@@ -277,7 +276,7 @@ class FederationProtocol:
     def _on_bind_conflict(self, proxy: ProxyPod) -> None:
         proxy.state = ProxyState.CANDIDATES_PENDING
         proxy.elected_target = None
-        self.ctx.effect({"op": "proxy", "pod": proxy.pod.pod_id, "state": proxy.state._value_})
+        self.ctx.effect(("proxy", proxy.pod.pod_id, proxy.state._value_))
         if not self._maybe_elect(proxy):
             self._retry_or_give_up(proxy)
 
@@ -334,9 +333,7 @@ class FederationProtocol:
         proxy.pending_timer = None
         log.debug("t=%d elected %s for pod %s among %s",
                   self.ctx.now, chosen, proxy.pod.pod_id, reserved)
-        self.ctx.effect({
-            "op": "proxy", "pod": proxy.pod.pod_id, "state": proxy.state._value_, "elected": chosen,
-        })
+        self.ctx.effect(("proxy_elected", proxy.pod.pod_id, proxy.state._value_, chosen))
         self._send_pod_message(
             proxy, chosen, "fwd", engine.DELEGATE_BIND, (proxy.pod.pod_id, chosen)
         )
@@ -362,10 +359,8 @@ class FederationProtocol:
         proxy.state = ProxyState.UNSCHEDULABLE
         proxy.pending_timer = None
         proxy.pod.transition(PodPhase.UNSCHEDULABLE)
-        self.ctx.effect({
-            "op": "proxy", "pod": proxy.pod.pod_id, "state": proxy.state._value_, "reason": reason,
-        })
-        self.ctx.effect({"op": "unschedulable", "pod": proxy.pod.pod_id})
+        self.ctx.effect(("proxy_reason", proxy.pod.pod_id, proxy.state._value_, reason))
+        self.ctx.effect(("unschedulable", proxy.pod.pod_id))
         self._delete_chaperons(proxy, except_target=None)
 
     def _delete_chaperons(self, proxy: ProxyPod, except_target: Optional[str]) -> None:
@@ -390,18 +385,14 @@ class FederationProtocol:
                       self.ctx.now, pod_id, target)
             chaperon.state = ChaperonState.PENDING_SCHEDULE
             chaperon.reserved_node = None
-            self.ctx.effect({
-                "op": "chaperon", "pod": pod_id, "cluster": target, "state": chaperon.state._value_,
-            })
+            self.ctx.effect(("chaperon", pod_id, target, chaperon.state._value_))
             self._report(chaperon, REPORT_UNSCHEDULABLE)
             self.try_candidate_schedule(chaperon)
             return
         chaperon.state = ChaperonState.DELEGATE
-        self.ctx.effect({
-            "op": "chaperon", "pod": pod_id, "cluster": target, "state": chaperon.state._value_,
-        })
+        self.ctx.effect(("chaperon", pod_id, target, chaperon.state._value_))
         self.ctx.bound_pod(proxy.pod, target, node, federated=True, source=proxy.source)
-        self.ctx.effect({"op": "offload", "src": proxy.source, "dst": target, "pod": pod_id})
+        self.ctx.effect(("offload", proxy.source, target, pod_id))
         for phase in ("Bound", "Running"):
             self._send_pod_message(
                 proxy, target, "rev", engine.STATUS_MIRROR, (pod_id, target, phase)
@@ -409,14 +400,14 @@ class FederationProtocol:
 
     def on_status_mirror(self, pod_id: str, target: str, phase: str) -> None:
         proxy = self.proxies[pod_id]
-        self.ctx.effect({"op": "mirror", "pod": pod_id, "phase": phase})
+        self.ctx.effect(("mirror", pod_id, phase))
         if (
             phase == "Bound"
             and proxy.state is ProxyState.ELECTED
             and proxy.elected_target == target
         ):
             proxy.state = ProxyState.BOUND
-            self.ctx.effect({"op": "proxy", "pod": pod_id, "state": proxy.state._value_})
+            self.ctx.effect(("proxy", pod_id, proxy.state._value_))
             self._delete_chaperons(proxy, except_target=target)
 
     def on_candidate_delete(self, pod_id: str, target: str) -> None:
@@ -427,15 +418,13 @@ class FederationProtocol:
         if chaperon.reserved_node is not None and self.params.reservations:
             cluster = self.ctx.clusters[chaperon.target]
             if cluster.release_reservation(chaperon.pod, chaperon.reserved_node):
-                self.ctx.effect({
-                    "op": "release", "pod": chaperon.pod.pod_id, "cluster": chaperon.target,
-                    "node": chaperon.reserved_node,
-                })
+                self.ctx.effect((
+                    "release", chaperon.pod.pod_id, chaperon.target, chaperon.reserved_node,
+                ))
         chaperon.reserved_node = None
-        self.ctx.effect({
-            "op": "chaperon", "pod": chaperon.pod.pod_id, "cluster": chaperon.target,
-            "state": chaperon.state._value_,
-        })
+        self.ctx.effect((
+            "chaperon", chaperon.pod.pod_id, chaperon.target, chaperon.state._value_,
+        ))
 
     def mirror_completion(self, pod: PodSpec, target: str, phase: str) -> None:
         """Push a delegate's terminal phase back to its source proxy."""

@@ -77,9 +77,7 @@ class MetaScaler:
 
     def submit(self, job: BatchJob) -> None:
         self.queue.append(job)
-        self.ctx.effect({
-            "op": "job", "job": job.job_id, "cluster": self.cluster_id, "state": job.state._value_,
-        })
+        self.ctx.effect(("job", job.job_id, self.cluster_id, job.state._value_))
         self.try_start()
 
     def _idle(self, pool: NodePool) -> List[str]:
@@ -107,10 +105,10 @@ class MetaScaler:
             head.assigned_nodes = idle[: head.node_count]
             head.state = JobState.RUNNING
             self.busy_nodes.update(head.assigned_nodes)
-            self.ctx.effect({
-                "op": "job", "job": head.job_id, "cluster": self.cluster_id,
-                "state": head.state._value_, "nodes": head.assigned_nodes,
-            })
+            self.ctx.effect((
+                "job_nodes", head.job_id, self.cluster_id, head.state._value_,
+                head.assigned_nodes,
+            ))
             self.ctx.at(
                 self.ctx.now + head.duration, engine.JOB_COMPLETE, (head.job_id, self.cluster_id)
             )
@@ -118,9 +116,7 @@ class MetaScaler:
     def on_job_complete(self, job: BatchJob) -> None:
         job.state = JobState.DONE
         self.busy_nodes.difference_update(job.assigned_nodes)
-        self.ctx.effect({
-            "op": "job", "job": job.job_id, "cluster": self.cluster_id, "state": job.state._value_,
-        })
+        self.ctx.effect(("job", job.job_id, self.cluster_id, job.state._value_))
         self.try_start()
 
     # -- demand and rebalancing -----------------------------------------------
@@ -188,10 +184,7 @@ class MetaScaler:
         for node_id in movable[:count]:
             state.set_node(node_id, pool=dst, state=NodeState.REPURPOSING)
             self.pinned_until[node_id] = self.ctx.now + self.params.cooldown_ms
-            self.ctx.effect({
-                "op": "pool_move", "cluster": self.cluster_id, "node": node_id,
-                "src": src._value_, "dst": dst._value_,
-            })
+            self.ctx.effect(("pool_move", self.cluster_id, node_id, src._value_, dst._value_))
             self.ctx.at(
                 self.ctx.now + self.params.provisioning_delay_ms,
                 engine.NODE_READY,
@@ -202,9 +195,6 @@ class MetaScaler:
         state = self.ctx.clusters[self.cluster_id]
         node = state.nodes()[node_id]
         state.set_node(node_id, state=NodeState.READY)
-        self.ctx.effect({
-            "op": "node_ready", "cluster": self.cluster_id, "node": node_id,
-            "pool": node.pool._value_,
-        })
+        self.ctx.effect(("node_ready", self.cluster_id, node_id, node.pool._value_))
         if node.pool is NodePool.BATCH:
             self.try_start()

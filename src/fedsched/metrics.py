@@ -11,30 +11,35 @@ where "fx" lists the state changes the event's processing produced. Strings
 are ASCII-escaped and non-finite floats are written as `NaN`/`Infinity`, as
 `json.dumps` with `(",", ":")` separators does.
 
-A live Event holds no payload dict: its `args` are the values of its
-kind's `engine.FIELDS`, in order, and its `payload` property zips the two
-where a record needs one. Its effects are a tuple and its (cpu, memory,
-gpu) figures (a pod's `req`, a report's `capacity` and `allocatable`) are
-`Triple`s; a record read back from a log holds a payload dict, and lists in
-place of the tuples. `record_of` gives a live Event's payload in `FIELDS`
-order and its `fx` as a fresh list, as a parsed record has them. Both
-encode to the same JSON. The report reads a `PodSubmit`'s fields from a
-live Event's `args` and from a record's payload alike, and keeps the
-triples it reads, `PodRow.request`, `SeriesRow.used` and
+A live Event holds no payload dict and no effect dict: its `args` are the
+values of its kind's `engine.FIELDS`, in order, and its `payload` property
+zips the two where a record needs one; its effects are a tuple of effect
+tuples, `(shape, v1, ...)`, the values of the fields
+`engine.EFFECT_FIELDS[shape]` names. Its (cpu, memory, gpu) figures (a
+pod's `req`, a report's `capacity` and `allocatable`) are `Triple`s. A
+record read back from a log holds a payload dict, one dict per effect, and
+lists in place of the tuples. `record_of` gives a live Event's payload in
+`FIELDS` order and its `fx` as a fresh list of effect dicts, each `op`
+first and then its shape's fields in order, as a parsed record has them.
+Both encode to the same JSON. The report reads a `PodSubmit`'s fields from
+a live Event's `args` and from a record's payload alike, reads effects by
+position, turning a record's effect into its shape's tuple first, and keeps
+the triples it reads, `PodRow.request`, `SeriesRow.used` and
 `SeriesRow.capacity`, as tuples either way.
 
-A live Event's line is a compiled head per kind, the encoder for effects
-and unlisted fields. The head writer of each kind, compiled from
-`engine.FIELDS` at import, writes everything up to `"fx":` straight from
-the args, each field in the JSON form `_FORMS` gives it: strings through
-`encode_basestring_ascii`, ints as they print, bools from a table, triples
-as `[a,b,c]`. A field `_FORMS` does not list (today only `probability`)
-and non-empty effects go through one encoder, built once at import: the C
-accelerator that `json.JSONEncoder` would otherwise rebuild per call, or,
-where the interpreter lacks it, a plain `JSONEncoder`; empty effects are
-written as `[]`. `t` and `seq` are ints, and the kind is one of the
-`engine.FIELDS` kinds, none of which needs escaping. A record read back
-from a log, of any kind, is encoded whole.
+A live Event's line is a compiled head per kind and a compiled writer per
+effect shape. Both are compiled at import, the heads from `engine.FIELDS`
+and the effect writers from `engine.EFFECT_FIELDS`. A head writes
+everything up to `"fx":` straight from the args, an effect writer one
+effect's object from its tuple, each field in the JSON form `_FORMS` gives
+it: strings through `encode_basestring_ascii`, ints as they print, bools
+from a table, triples as `[a,b,c]`, lists of strings as `["a","b"]`. A
+field `_FORMS` does not list (today only `probability`) goes through one
+encoder, built once at import: the C accelerator that `json.JSONEncoder`
+would otherwise rebuild per call, or, where the interpreter lacks it, a
+plain `JSONEncoder`. `t` and `seq` are ints, and the kind and op are
+those the two tables name, none of which needs escaping. A record read
+back from a log, of any kind, is encoded whole.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .engine import FIELDS, POD_SUBMIT, Event
+from .engine import EFFECT_FIELDS, FIELDS, POD_SUBMIT, Event
 from .errors import LogError
 from .resources import ZERO, Triple, add_triples, subtract_triples
 
@@ -158,9 +163,18 @@ def record_of(event) -> dict:
             "seq": event.seq,
             "kind": event.kind,
             "payload": event.payload,
-            "fx": list(event.effects),
+            "fx": [_effect_record(fx) for fx in event.effects],
         }
     return event
+
+
+def _effect_record(fx: tuple) -> dict:
+    """An effect tuple as a log record holds it: `op`, then its shape's
+    fields in order."""
+    op, names = EFFECT_FIELDS[fx[0]]
+    record = {"op": op}
+    record.update(zip(names, fx[1:]))
+    return record
 
 
 def _make_encode(make_encoder):
@@ -184,53 +198,78 @@ _encode = _make_encode(c_make_encoder)
 
 _BOOLS = {True: "true", False: "false"}
 
-# How a live Event's head writes each payload field's value, as an f-string
-# fragment of the variable `%(v)s` that holds it. Each form holds only for a
-# value of the field's type: a str, an int `timer`, a bool `federated`, a
-# (cpu, memory, gpu) tuple of ints. A field not listed goes through `_encode`.
+# How a live Event's writers write each payload and effect field's value, as
+# an f-string fragment of the variable `%(v)s` that holds it. Each form holds
+# only for a value of the field's type: a str, an int `timer` or `version`, a
+# bool `federated`, a (cpu, memory, gpu) tuple of ints, a list or tuple of
+# strs. A field not listed goes through `_encode`.
 _FORMS = {
     **dict.fromkeys(
         ("pod", "cluster", "ns", "role", "job", "target", "status", "phase", "node",
-         "source", "camera"),
+         "source", "camera", "src", "dst", "state", "elected", "reason", "pool"),
         "{encode_basestring_ascii(%(v)s)}",
     ),
-    "timer": "{%(v)s}",
+    **dict.fromkeys(("timer", "version"), "{%(v)s}"),
     "federated": "{_BOOLS[%(v)s]}",
     **dict.fromkeys(("req", "capacity", "allocatable"), "[{%(v)s[0]},{%(v)s[1]},{%(v)s[2]}]"),
+    **dict.fromkeys(
+        ("targets", "nodes", "pods"), '[{",".join(map(encode_basestring_ascii, %(v)s))}]'
+    ),
 }
 _UNLISTED = "{_encode(%(v)s)}"
 
 
+def _fields(names: Tuple[str, ...]) -> str:
+    """The f-string fragment `"name":<form>,...` of `names`, the i-th name's
+    value held in the variable `ai` and written in the form `_FORMS` gives
+    it."""
+    assert all(name.isidentifier() for name in names)
+    return ",".join(
+        f'"{name}":' + _FORMS.get(name, _UNLISTED) % {"v": f"a{i}"}
+        for i, name in enumerate(names)
+    )
+
+
+def _compile(signature: str, unpack: str, line: str):
+    """The function `signature` that runs `unpack`, if any, and returns the
+    f-string `line`. It is compiled as `dataclasses` compiles `__init__`,
+    and its names resolve in this module, so an unlisted field goes through
+    whatever `_encode` is at call time."""
+    body = f"    {unpack}\n" if unpack else ""
+    scope = {}
+    exec(f"def {signature}:\n{body}    return f{line!r}\n", globals(), scope)
+    return scope[signature.partition("(")[0]]
+
+
 def _head_writer(kind: str, names: Tuple[str, ...]):
     """The function of `(time, seq, args)` that writes a `kind` Event's line
-    up to its effects, `{"t":..,"seq":..,"kind":"<kind>","payload":{..},"fx":`,
-    each field in the form `_FORMS` gives it. It is compiled from `names`, as
-    `dataclasses` compiles `__init__`, and its names resolve in this module,
-    so an unlisted field goes through whatever `_encode` is at call time."""
-    assert kind.isidentifier() and all(name.isidentifier() for name in names)
-    values = [f"a{i}" for i in range(len(names))]
-    payload = ",".join(
-        f'"{name}":' + _FORMS.get(name, _UNLISTED) % {"v": value}
-        for name, value in zip(names, values)
-    )
-    line = '{{"t":{t},"seq":{seq},"kind":"%s","payload":{{%s}},"fx":' % (kind, payload)
-    unpack = f"    {', '.join(values)}, = args\n" if names else ""
-    scope = {}
-    exec(f"def head(t, seq, args):\n{unpack}    return f{line!r}\n", globals(), scope)
-    return scope["head"]
+    up to its effects, `{"t":..,"seq":..,"kind":"<kind>","payload":{..},"fx":`."""
+    assert kind.isidentifier()
+    line = '{{"t":{t},"seq":{seq},"kind":"%s","payload":{{%s}},"fx":' % (kind, _fields(names))
+    unpack = "".join(f"a{i}, " for i in range(len(names)))
+    return _compile("head(t, seq, args)", unpack and f"{unpack}= args", line)
 
 
-# Each kind's head writer, made from `FIELDS`.
+def _effect_writer(op: str, names: Tuple[str, ...]):
+    """The function of an effect tuple `(shape, v1, ...)` that writes the
+    effect's object, `{"op":"<op>",..}`, its values those of `names`."""
+    assert op.isidentifier() and names
+    line = '{{"op":"%s",%s}}' % (op, _fields(names))
+    unpack = "".join(f"a{i}, " for i in range(len(names)))
+    return _compile("effect(fx)", f"_, {unpack}= fx", line)
+
+
+# Each kind's head writer, made from `FIELDS`, and each effect shape's
+# writer, made from `EFFECT_FIELDS`.
 _HEADS = {kind: _head_writer(kind, names) for kind, names in FIELDS.items()}
+_EFFECTS = {shape: _effect_writer(*fields) for shape, fields in EFFECT_FIELDS.items()}
 
 
 def serialize_event(event) -> str:
     if isinstance(event, Event):
         effects = event.effects
-        return (
-            f'{_HEADS[event.kind](event.time, event.seq, event.args)}'
-            f'{_encode(effects) if effects else "[]"}}}'
-        )
+        fx = ",".join([_EFFECTS[effect[0]](effect) for effect in effects]) if effects else ""
+        return f'{_HEADS[event.kind](event.time, event.seq, event.args)}[{fx}]}}'
     return _encode(record_of(event))
 
 
@@ -260,11 +299,34 @@ def read_event_log(path: str) -> Iterator[dict]:
         raise LogError(f"cannot read event log: {exc.strerror}", path) from None
 
 
-# Effect ops the report does not read: the federation's bookkeeping of
+# The effects the report reads, each op with the fields it reads; each is its
+# own shape. A record's effect of one of these ops is read as its shape's
+# tuple: each field the report reads by its key, so that a missing one is a
+# KeyError that `fedsched report` locates, and any other as None, so that a
+# record need not hold it. A record's effect of any other op is skipped.
+_READS = {
+    "bind": {"pod", "cluster", "node", "req", "src"},
+    "unbind": {"pod", "cluster", "req"},
+    "phase": {"pod", "phase"},
+    "unschedulable": {"pod"},
+    "offload": {"src", "dst"},
+    "pool_move": {"cluster", "node"},
+    "node_ready": {"cluster", "node", "pool"},
+    "registry": {"version"},
+    "trigger": {"pods"},
+}
+assert all(EFFECT_FIELDS[op][0] == op for op in _READS)
+# Per op the report reads, each field of its shape in order, or None where
+# the report does not read it.
+_RECORD_FIELDS = {
+    op: tuple(name if name in read else None for name in EFFECT_FIELDS[op][1])
+    for op, read in _READS.items()
+}
+# The shapes the report does not read: the federation's bookkeeping of
 # chaperons, proxies, status mirrors and reservations, and batch jobs. They
 # are about three quarters of all effects, so one set lookup skips each
-# before the op comparisons below.
-_UNREAD_OPS = frozenset({"chaperon", "proxy", "mirror", "reserve", "release", "job"})
+# before the shape comparisons below.
+_UNREAD = frozenset(EFFECT_FIELDS.keys() - _READS.keys())
 
 
 def build_report(events, static: StaticInfo) -> MetricsReport:
@@ -307,7 +369,11 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
             if kind == POD_SUBMIT:
                 pod_id, cluster, namespace, federated, role, request = event.args
         else:
-            t, kind, effects = event["t"], event["kind"], event["fx"]
+            t, kind = event["t"], event["kind"]
+            effects = [
+                (op, *[None if name is None else fx[name] for name in _RECORD_FIELDS[op]])
+                for fx in event["fx"] if (op := fx["op"]) in _RECORD_FIELDS
+            ]
             if kind == POD_SUBMIT:
                 payload = event["payload"]
                 pod_id, cluster, namespace = payload["pod"], payload["cluster"], payload["ns"]
@@ -329,55 +395,59 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
             pending[cluster] += 1
             rows[(t, cluster)] = (used[cluster], cap[cluster], pending[cluster])
 
+        # Each effect is a tuple of its shape's fields, read by position.
         for fx in effects:
-            op = fx["op"]
-            if op in _UNREAD_OPS:
+            shape = fx[0]
+            if shape in _UNREAD:
                 continue
-            if op == "bind":
-                row = pods[fx["pod"]]
+            if shape == "bind":
+                _, pod_id, cluster, node, _, request, _, source, _ = fx
+                row = pods[pod_id]
                 row.bind_time = t
-                row.bound_cluster = cluster = fx["cluster"]
-                row.bound_node = fx["node"]
+                row.bound_cluster = cluster
+                row.bound_node = node
                 row.final_phase = "Bound"
-                used[cluster] = add_triples(used[cluster], fx["req"])
-                source = fx["src"]
+                used[cluster] = add_triples(used[cluster], request)
                 pending[source] -= 1
                 rows[(t, cluster)] = (used[cluster], cap[cluster], pending[cluster])
                 rows[(t, source)] = (used[source], cap[source], pending[source])
-            elif op == "unbind":
-                cluster = fx["cluster"]
-                used[cluster] = subtract_triples(used[cluster], fx["req"])
-                pods[fx["pod"]].complete_time = t
+            elif shape == "unbind":
+                _, pod_id, cluster, _, request = fx
+                used[cluster] = subtract_triples(used[cluster], request)
+                pods[pod_id].complete_time = t
                 rows[(t, cluster)] = (used[cluster], cap[cluster], pending[cluster])
-            elif op == "phase":
-                pods[fx["pod"]].final_phase = fx["phase"]
-            elif op == "unschedulable":
-                row = pods[fx["pod"]]
+            elif shape == "phase":
+                _, pod_id, phase = fx
+                pods[pod_id].final_phase = phase
+            elif shape == "unschedulable":
+                row = pods[fx[1]]
                 row.final_phase = "Unschedulable"
                 source = row.source_cluster
                 pending[source] -= 1
                 rows[(t, source)] = (used[source], cap[source], pending[source])
-            elif op == "offload":
-                key = (fx["src"], fx["dst"])
+            elif shape == "offload":
+                _, source, target, _ = fx
+                key = (source, target)
                 report.offloads[key] = report.offloads.get(key, 0) + 1
-            elif op == "pool_move":
-                cluster, node = fx["cluster"], fx["node"]
+            elif shape == "pool_move":
+                _, cluster, node, _, _ = fx
                 if node_in_container[(cluster, node)]:
                     capacity = static.node_capacity[cluster][node]
                     cap[cluster] = subtract_triples(cap[cluster], capacity)
                     node_in_container[(cluster, node)] = False
                     rows[(t, cluster)] = (used[cluster], cap[cluster], pending[cluster])
-            elif op == "node_ready":
-                cluster, node = fx["cluster"], fx["node"]
-                if fx["pool"] == "Container" and not node_in_container[(cluster, node)]:
+            elif shape == "node_ready":
+                _, cluster, node, pool = fx
+                if pool == "Container" and not node_in_container[(cluster, node)]:
                     capacity = static.node_capacity[cluster][node]
                     cap[cluster] = add_triples(cap[cluster], capacity)
                     node_in_container[(cluster, node)] = True
                     rows[(t, cluster)] = (used[cluster], cap[cluster], pending[cluster])
-            elif op == "registry":
-                report.registry_version = fx["version"]
-            elif op == "trigger":
-                triggers.append((t, list(fx["pods"])))
+            elif shape == "registry":
+                report.registry_version = fx[1]
+            elif shape == "trigger":
+                _, _, pod_ids = fx
+                triggers.append((t, list(pod_ids)))
 
     report.pods = sorted(pods.values(), key=attrgetter("submit_time", "pod_id"))
     # Popping each row as its SeriesRow is made keeps the two from

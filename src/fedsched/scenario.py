@@ -102,15 +102,13 @@ class WildfireScenario:
             config.ensemble_member.make(f"{prefix}-sim-{k}", config.namespace, "ensemble")
             for k in range(1, config.ensemble_size + 1)
         )
-        self.ctx.effect({
-            "op": "trigger", "camera": camera, "pods": [pod.pod_id for pod in pods],
-        })
+        self.ctx.effect(("trigger", camera, [pod.pod_id for pod in pods]))
         return pods
 
     def on_pod_complete(self, pod: PodSpec) -> None:
         if pod.role == "retrain":
             version = self.registry.bump()
-            self.ctx.effect({"op": "registry", "version": version})
+            self.ctx.effect(("registry", version))
 
 
 def generate_trace(

@@ -16,7 +16,7 @@ nothing, a `Simulation` must be freed by reference counting alone, whether
 it was run or only stepped: the protocol, the metascalers and the scenario
 hold a `Context`, which holds no layer and no `Simulation`, and of the
 run's effect buffer only its `append`, set once. The buffer holds nothing
-but the effect dicts of the step in progress, so no reference cycle runs
+but the effect tuples of the step in progress, so no reference cycle runs
 through them.
 """
 
@@ -54,10 +54,11 @@ class Context:
     the event's args, a tuple of the values of its kind's `engine.FIELDS`
     in order, which the loop passes to the kind's handler as its
     parameters; no payload dict is built. It records a log effect by
-    calling `effect` with one dict: `effect` is the `append` of the run's
-    effect buffer, set once when the `Simulation` is built, so recording
-    runs no Python frame. `step` moves what the buffer holds onto the
-    stepped event.
+    calling `effect` with one tuple, `(shape, v1, ...)`, the values of the
+    fields `engine.EFFECT_FIELDS[shape]` names, in order: `effect` is the
+    `append` of the run's effect buffer, set once when the `Simulation` is
+    built, so recording runs no Python frame. `step` moves what the buffer
+    holds onto the stepped event.
 
     It holds no layer and no `Simulation`. A layer reaches another only
     through the `Simulation`'s handlers, which pass data between them.
@@ -71,7 +72,7 @@ class Context:
     freed: Set[str]  # clusters to kick before the step ends; see `ClusterState`
     moved: Set[str]  # clusters `report_changes` compares; see `ClusterState`
     # The run's effect buffer's `append`; see the class docstring.
-    effect: Callable[[dict], None]
+    effect: Callable[[tuple], None]
     now: int = 0
 
     def at(self, time: int, kind: str, args: tuple) -> None:
@@ -83,13 +84,12 @@ class Context:
 
     def bound_pod(self, pod: PodSpec, cluster: str, node: str, federated: bool, source: str) -> None:
         """Shared post-bind path: record, start running, schedule completion."""
-        self.effect({
-            "op": "bind", "pod": pod.pod_id, "cluster": cluster, "node": node,
-            "ns": pod.namespace, "req": pod.req, "federated": federated,
-            "src": source, "role": pod.role,
-        })
+        self.effect((
+            "bind", pod.pod_id, cluster, node, pod.namespace, pod.req, federated, source,
+            pod.role,
+        ))
         pod.transition(PodPhase.RUNNING)
-        self.effect({"op": "phase", "pod": pod.pod_id, "phase": PodPhase.RUNNING._value_})
+        self.effect(("phase", pod.pod_id, PodPhase.RUNNING._value_))
         self.at(self.now + pod.duration, engine.POD_COMPLETE, (pod.pod_id, cluster))
 
 
@@ -99,7 +99,7 @@ class Simulation:
         self.rngs = RngStreams(config.seed)
         self.events: List[Event] = []
         # What the step in progress has recorded; `step` empties it.
-        self._effects: List[dict] = []
+        self._effects: List[tuple] = []
 
         self.graph = config.graph
         self.clusters: Dict[str, ClusterState] = {}
@@ -283,11 +283,8 @@ class Simulation:
         state = self.clusters[cluster_id]
         state.unbind(pod)
         pod.transition(PodPhase.COMPLETED)
-        self.ctx.effect({
-            "op": "unbind", "pod": pod.pod_id, "cluster": cluster_id, "node": pod.bound_node,
-            "req": pod.req,
-        })
-        self.ctx.effect({"op": "phase", "pod": pod.pod_id, "phase": PodPhase.COMPLETED._value_})
+        self.ctx.effect(("unbind", pod.pod_id, cluster_id, pod.bound_node, pod.req))
+        self.ctx.effect(("phase", pod.pod_id, PodPhase.COMPLETED._value_))
         if self.scenario is not None:
             self.scenario.on_pod_complete(pod)
         self.protocol.mirror_completion(pod, cluster_id, PodPhase.COMPLETED._value_)

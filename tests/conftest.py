@@ -12,6 +12,7 @@ import pytest
 
 from fedsched.cluster import NodeSpec, PodSpec
 from fedsched.config import validate_config
+from fedsched.metrics import record_of
 from fedsched.resources import GIB, ResourceVector
 from fedsched.sim import Simulation
 
@@ -101,6 +102,12 @@ def push_every_row(queue, kind, rows, args_of):
     """The naive twin of `EventQueue.stream`: push every row now."""
     for row in rows:
         queue.push(row.time, kind, args_of(row))
+
+
+def fx_of(event):
+    """A live event's effects as its log line lists them, `record_of`'s
+    `fx`: a fresh list of dicts, each its `op` and then its fields."""
+    return record_of(event)["fx"]
 
 
 def pod_row(report, pod_id):

@@ -22,7 +22,7 @@ from fedsched.graph import build_burst, build_central, build_decentralized
 from fedsched.metrics import serialize_event
 from fedsched.sim import Simulation
 
-from conftest import base_config, node_cfg, pod_cfg, pod_row, run_raw
+from conftest import base_config, fx_of, node_cfg, pod_cfg, pod_row, run_raw
 from test_metascale import rebalance_raw
 from test_scheduling import plain_choice
 
@@ -108,7 +108,7 @@ def overcommit_violations(sim):
     usage = {key: [0, 0, 0] for key in capacity}
     bad = []
     for event in sim.events:
-        for fx in event.effects:
+        for fx in fx_of(event):
             if fx["op"] == "bind":
                 key = (fx["cluster"], fx["node"])
                 for d in range(3):
@@ -141,7 +141,7 @@ def random_batch():
         delegate_entries = {}
         bind_counts = {}
         for event in sim.events:
-            for fx in event.effects:
+            for fx in fx_of(event):
                 if fx["op"] == "chaperon" and fx["state"] == "Delegate":
                     delegate_entries[fx["pod"]] = delegate_entries.get(fx["pod"], 0) + 1
                 elif fx["op"] == "bind":
@@ -271,7 +271,7 @@ def oracle_expectations(spec, sim):
         targets_of.setdefault(s, []).append(t)
     bind_times = {}
     for event in sim.events:
-        for fx in event.effects:
+        for fx in fx_of(event):
             if fx["op"] == "bind":
                 bind_times[fx["pod"]] = (event.time, fx["cluster"], fx["node"], fx["req"])
     expectations = {}
@@ -490,7 +490,7 @@ def test_criterion_8_metascale_safety():
             moves = {}
             move_count = 0
             for event in sim.events:
-                for fx in event.effects:
+                for fx in fx_of(event):
                     if fx["op"] == "bind":
                         bound.setdefault(fx["node"], set()).add(fx["pod"])
                     elif fx["op"] == "unbind":
@@ -576,7 +576,7 @@ def test_criterion_10_policy_respect():
         for seed in range(20):
             sim, report = run_raw(policy_raw(seed))
             for event in sim.events:
-                for fx in event.effects:
+                for fx in fx_of(event):
                     if fx["op"] in ("bind", "reserve"):
                         assert fx["cluster"] != "closed", (seed, fx)
             assert all(p.bound_cluster == "open" for p in report.pods)

@@ -261,6 +261,56 @@ def test_report_on_a_malformed_log_names_the_file_and_line(case, config_path, tm
     assert "Traceback" not in err
 
 
+def edit_first_effect(run_dir, tmp_path, op, edit):
+    """A copy of the run's log in which `edit` changed the first effect of
+    `op`, and the number of that effect's line."""
+    lines = (run_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, 1):
+        record = json.loads(line)
+        found = [fx for fx in record["fx"] if fx["op"] == op]
+        if found:
+            edit(found[0])
+            lines[number - 1] = json.dumps(record, separators=(",", ":"))
+            break
+    else:
+        raise AssertionError(f"the log holds no {op} effect")
+    log = tmp_path / "edited.jsonl"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return log, number
+
+
+def test_report_on_an_effect_missing_a_field_it_reads_names_the_line(config_path, tmp_path,
+                                                                     capsys):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", config_path, "--out", str(run_dir)]) == EXIT_OK
+    log, number = edit_first_effect(run_dir, tmp_path, "bind", lambda fx: fx.pop("node"))
+    capsys.readouterr()
+    assert main(["report", "--config", config_path, "--log", str(log),
+                 "--out", str(tmp_path / "report")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}:{number}: record does not replay: KeyError: 'node'")
+    assert "Traceback" not in err
+
+
+EDITS_THAT_REPLAY = {
+    # The report reads no chaperon effect, nor a bind's namespace or role.
+    "chaperon-with-an-extra-key": ("chaperon", lambda fx: fx.update(extra=[1, {"x": None}])),
+    "bind-without-its-role": ("bind", lambda fx: (fx.pop("role"), fx.pop("ns"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDITS_THAT_REPLAY))
+def test_report_replays_an_effect_edited_where_it_reads_nothing(case, config_path, tmp_path,
+                                                                 capsys):
+    run_dir, report_dir = tmp_path / "run", tmp_path / "report"
+    assert main(["run", "--config", config_path, "--out", str(run_dir)]) == EXIT_OK
+    log, _ = edit_first_effect(run_dir, tmp_path, *EDITS_THAT_REPLAY[case])
+    assert main(["report", "--config", config_path, "--log", str(log),
+                 "--out", str(report_dir)]) == EXIT_OK
+    for output in ("pods.csv", "timeseries.csv", "summary.json"):
+        assert (report_dir / output).read_bytes() == (run_dir / output).read_bytes(), output
+
+
 def test_report_on_a_missing_log_exits_one(config_path, tmp_path, capsys):
     log = tmp_path / "absent.jsonl"
     assert main(["report", "--config", config_path, "--log", str(log),

@@ -45,6 +45,13 @@ class TestEvent:
         listed = {kind: tuple(re.findall(r"`(\w+)`", keys)) for kind, keys in rows}
         assert listed == engine.FIELDS
 
+    def test_readme_lists_each_effect_shapes_op_and_fields_in_order(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| (`.*`) \|$",
+                          readme.read_text(encoding="utf-8"), re.M)
+        listed = {shape: (op, tuple(re.findall(r"`(\w+)`", keys))) for shape, op, keys in rows}
+        assert listed == engine.EFFECT_FIELDS
+
 
 class TestEventQueue:
     def test_orders_by_time_then_seq(self):

@@ -7,7 +7,7 @@ from fedsched.cluster import PodPhase
 from fedsched.config import validate_config
 from fedsched.federation import ChaperonState, ProxyState
 from fedsched.sim import Simulation
-from conftest import base_config, make_pod, node_cfg, pod_cfg, pod_row, run_raw
+from conftest import base_config, fx_of, make_pod, node_cfg, pod_cfg, pod_row, run_raw
 from test_acceptance import random_protocol_raw
 from test_golden_log import CASES
 from test_metascale import batch_cluster, job_cfg
@@ -21,13 +21,13 @@ def effects_of(sim, op):
     return [
         (e.time, fx)
         for e in sim.events
-        for fx in e.effects
+        for fx in fx_of(e)
         if fx["op"] == op
     ]
 
 
 def has_effect(event, op, state):
-    return any(fx["op"] == op and fx["state"] == state for fx in event.effects)
+    return any(fx["op"] == op and fx["state"] == state for fx in fx_of(event))
 
 
 def bind_conflicts(sim):
@@ -47,6 +47,22 @@ class TestFanOut:
         assert len(creates) == 3
         assert sorted(e.payload["target"] for e in creates) == ["t", "u", "v"]
         assert pod_row(report, "p1").final_phase == "Completed"
+
+    def test_proxies_of_a_source_share_its_targets_tuple(self):
+        # One tuple per source, held by each of its proxies and fan-out
+        # effects; the graph's `targets_of` still returns a fresh list.
+        clusters = [{"id": c, "nodes": [node_cfg(f"{c}-n1")]} for c in "stu"]
+        pods = [pod_cfg(f"{s}{i}", s, submit=i * 1000) for s in "st" for i in range(3)]
+        raw = base_config(clusters, pairs=[("s", "t"), ("s", "u"), ("t", "u")], pods=pods)
+        sim, _ = run_raw(raw)
+        fanned = [fx for e in sim.events for fx in e.effects if fx[0] == "proxy_targets"]
+        for source, targets in (("s", ("t", "u")), ("t", ("u",))):
+            proxies = [p for p in sim.protocol.proxies.values() if p.source == source]
+            held = {id(p.targets) for p in proxies}
+            held |= {id(fx[3]) for fx in fanned if fx[1].startswith(source)}
+            assert len(proxies) == 3 and len(held) == 1
+            assert proxies[0].targets == targets
+            assert sim.graph.targets_of(source) is not sim.graph.targets_of(source)
 
     def test_self_edge_only_schedules_in_own_cluster(self):
         clusters = [{"id": "s", "nodes": [node_cfg("s-n1")]}]
@@ -135,7 +151,7 @@ class TestCandidateScheduling:
             # At most one reservation held at any instant.
             held = 0
             for e in sim.events:
-                for fx in e.effects:
+                for fx in fx_of(e):
                     if fx["op"] == "reserve":
                         held += 1
                     elif fx["op"] in ("release",):
@@ -337,7 +353,7 @@ class TestRetryOrder:
 
         freed = next(e for e in events_of(sim, engine.POD_COMPLETE)
                      if e.payload["pod"] == "blocker")
-        retried = [fx["pod"] for fx in freed.effects
+        retried = [fx["pod"] for fx in fx_of(freed)
                    if fx["op"] == "chaperon" and fx["state"] == "CandidateReserved"]
         assert retried == ["p0", "p1", "p2", "p3"]
         assert all(pod_row(report, f"p{i}").bound_cluster == "t" for i in range(4))
@@ -383,7 +399,7 @@ class TestBindConflictRule:
     def test_unschedulable_from_the_elected_target_is_a_conflict(self):
         sim, proxy = self.elected()
         effects = self.report(sim, "a", "unschedulable")
-        assert effects[0] == {"op": "proxy", "pod": "p1", "state": "CandidatesPending"}
+        assert effects[0] == ("proxy", "p1", "CandidatesPending")
         # The runner-up still holds its reservation, so it is elected at once.
         assert proxy.state is ProxyState.ELECTED and proxy.elected_target == "b"
 
@@ -562,7 +578,7 @@ class TestInvariants:
         raw = container_to_batch_raw()
         sim = Simulation(validate_config(raw))
         full = sim.clusters["c"].aggregate_capacity()
-        while not any(fx["op"] == "pool_move" for fx in sim.step().effects):
+        while not any(fx["op"] == "pool_move" for fx in fx_of(sim.step())):
             pass
         moved_at = sim.ctx.now
         reduced = sim.clusters["c"].aggregate_capacity()

@@ -4,7 +4,7 @@ from fedsched.cluster import NodePool, NodeState
 from fedsched.config import validate_config
 from fedsched.sim import Simulation
 
-from conftest import base_config, node_cfg, pod_cfg, run_raw
+from conftest import base_config, fx_of, node_cfg, pod_cfg, run_raw
 
 
 def batch_cluster(n_batch=2, n_container=1, cpu=8000, container_cpu=None):
@@ -32,7 +32,7 @@ def metascale_raw(jobs=(), pods=(), duration="30m", **params):
 def job_effects(sim):
     out = []
     for e in sim.events:
-        for fx in e.effects:
+        for fx in fx_of(e):
             if fx["op"] == "job":
                 out.append((e.time, fx))
     return out
@@ -42,7 +42,7 @@ def moves_of(sim):
     return [
         (e.time, fx)
         for e in sim.events
-        for fx in e.effects
+        for fx in fx_of(e)
         if fx["op"] == "pool_move"
     ]
 
@@ -106,7 +106,7 @@ class TestRebalance:
         assert [t for t, _ in moves] == [60_000, 60_000]
         assert all(fx["src"] == "Batch" and fx["dst"] == "Container" for _, fx in moves)
         ready = [
-            (e.time, fx) for e in sim.events for fx in e.effects
+            (e.time, fx) for e in sim.events for fx in fx_of(e)
             if fx["op"] == "node_ready"
         ]
         assert [t for t, _ in ready] == [180_000, 180_000]
@@ -159,7 +159,7 @@ class TestRebalance:
         bound = {}
         job_nodes = {}
         for e in sim.events:
-            for fx in e.effects:
+            for fx in fx_of(e):
                 if fx["op"] == "bind":
                     bound.setdefault((fx["cluster"], fx["node"]), set()).add(fx["pod"])
                 elif fx["op"] == "unbind":
@@ -227,7 +227,7 @@ class TestAggregatesUnderRebalance:
         while sim.ctx.queue.due(sim.config.duration_ms):
             event = sim.step()
             ops.update((fx["op"], fx.get("dst") or fx.get("pool"))
-                       for fx in event.effects if fx["op"] in ("pool_move", "node_ready"))
+                       for fx in fx_of(event) if fx["op"] in ("pool_move", "node_ready"))
             for state in sim.clusters.values():
                 capacity = [0, 0, 0]
                 free = [0, 0, 0]

@@ -16,7 +16,7 @@ from fedsched.metrics import (
     static_info_of,
     write_event_log,
 )
-from conftest import base_config, node_cfg, pod_cfg, pod_row, run_raw
+from conftest import base_config, fx_of, node_cfg, pod_cfg, pod_row, run_raw
 from test_golden_log import CASES
 
 # The declared pod phase transition graph, re-stated here as the oracle.
@@ -85,6 +85,32 @@ def test_report_takes_any_iterable_of_records_or_of_events(tmp_path):
     assert (empty.pods, empty.series, empty.event_count, empty.end_time) == ([], [], 0, 0)
 
 
+def test_a_record_effect_needs_only_the_fields_the_report_reads():
+    # `metrics._READS` names the fields the report reads of each op: a
+    # record whose effect lacks one of them does not replay, and one whose
+    # effect lacks any other field replays to the same report.
+    dropped = set()
+    for name in ("bundled", "oscillating-metascale", "mesh-overload"):
+        sim, live = run_raw(*CASES[name]())
+        static = static_info_of(sim.config)
+        firsts = {}
+        for i, event in enumerate(sim.events):
+            for j, fx in enumerate(event.effects):
+                firsts.setdefault(fx[0], (i, j))
+        for op in sorted(metrics._READS.keys() & firsts.keys()):
+            i, j = firsts[op]
+            for field in engine.EFFECT_FIELDS[op][1]:
+                records = [record_of(event) for event in sim.events]
+                del records[i]["fx"][j][field]
+                dropped.add((op, field))
+                if field in metrics._READS[op]:
+                    with pytest.raises(KeyError, match=field):
+                        build_report(records, static)
+                else:
+                    assert build_report(records, static) == live, (name, op, field)
+    assert {op for op, _ in dropped} == set(metrics._READS)
+
+
 def test_serialized_field_order_is_stable():
     sim, _ = run_raw(busy_raw())
     line = serialize_event(sim.events[0])
@@ -140,16 +166,23 @@ def test_serialized_lines_equal_json_dumps(name, encoder, tmp_path, monkeypatch)
 
 
 def test_differential_cases_write_every_kind():
-    # So every kind's compiled head is held to `json.dumps` above.
-    kinds = set()
+    # So every kind's compiled head and every effect shape's compiled writer
+    # is held to `json.dumps` above.
+    kinds, shapes = set(), set()
     for make in DIFFERENTIAL.values():
         sim, _ = run_raw(*make())
         kinds.update(event.kind for event in sim.events)
+        shapes.update(fx[0] for event in sim.events for fx in event.effects)
     assert kinds == engine.EVENT_KINDS
+    assert shapes == set(engine.EFFECT_FIELDS)
 
 
 def is_triple(value):
     return type(value) is tuple and len(value) == 3 and all(type(v) is int for v in value)
+
+
+def is_strs(value):
+    return type(value) in (list, tuple) and all(type(v) is str for v in value)
 
 
 # The values each form in `metrics._FORMS` writes as `json.dumps` would. A
@@ -157,27 +190,40 @@ def is_triple(value):
 FORM_HOLDS = {
     **dict.fromkeys(
         ("pod", "cluster", "ns", "role", "job", "target", "status", "phase", "node",
-         "source", "camera"),
+         "source", "camera", "src", "dst", "state", "elected", "reason", "pool"),
         lambda v: type(v) is str,
     ),
-    "timer": lambda v: type(v) is int,
+    **dict.fromkeys(("timer", "version"), lambda v: type(v) is int),
     "federated": lambda v: type(v) is bool,
     **dict.fromkeys(("req", "capacity", "allocatable"), is_triple),
+    **dict.fromkeys(("targets", "nodes", "pods"), is_strs),
 }
 
 
 def misformed_args(events):
-    """One line per live Event arg whose value its field's form does not hold."""
-    return [
-        f"{event.kind} seq {event.seq}: {field}={value!r}"
-        for event in events
-        for field, value in zip(engine.FIELDS[event.kind], event.args)
-        if field in FORM_HOLDS and not FORM_HOLDS[field](value)
-    ]
+    """One line per live Event arg or effect value whose value its field's
+    form does not hold."""
+    found = []
+    for event in events:
+        where = f"{event.kind} seq {event.seq}"
+        found.extend(
+            f"{where}: {field}={value!r}"
+            for field, value in zip(engine.FIELDS[event.kind], event.args)
+            if field in FORM_HOLDS and not FORM_HOLDS[field](value)
+        )
+        for fx in event.effects:
+            found.extend(
+                f"{where}: {fx[0]} {field}={value!r}"
+                for field, value in zip(engine.EFFECT_FIELDS[fx[0]][1], fx[1:])
+                if field in FORM_HOLDS and not FORM_HOLDS[field](value)
+            )
+    return found
 
 
 def test_every_arg_has_its_fields_form():
     assert set(FORM_HOLDS) == set(metrics._FORMS)
+    # Every effect field has a form: only payload fields go to `_encode`.
+    assert {f for _, names in engine.EFFECT_FIELDS.values() for f in names} <= set(FORM_HOLDS)
     cases = {**CASES, "non-ascii": lambda: (non_ascii_raw(), 3)}
     for name in sorted(cases):
         sim, _ = run_raw(*cases[name]())
@@ -192,6 +238,11 @@ def test_form_guard_reports_a_misformed_arg():
         Event(1, 1, engine.POD_SUBMIT, ("p", "c", "default", 1, "workload", [1, 2, 0])),
         Event(2, 2, engine.AGGREGATE_REPORT, ("a", "b", (1, 2), (1, 2.0, 0))),
         Event(3, 3, engine.SENSOR_MESSAGE, ("c", 1)),
+        Event(4, 4, engine.DELEGATE_BIND, ("p", "c"), (
+            ("bind", "p", "c", "n", "default", [1, 2, 0], 0, "c", "workload"),
+            ("proxy_targets", "p", "CandidatesPending", ("a", 1)),
+            ("registry", 2.0),
+        )),
     ]
     assert misformed_args(events) == [
         "ElectionTimeout seq 0: timer=True",
@@ -199,6 +250,10 @@ def test_form_guard_reports_a_misformed_arg():
         "PodSubmit seq 1: req=[1, 2, 0]",
         "AggregateReport seq 2: capacity=(1, 2)",
         "AggregateReport seq 2: allocatable=(1, 2.0, 0)",
+        "DelegateBind seq 4: bind req=[1, 2, 0]",
+        "DelegateBind seq 4: bind federated=0",
+        "DelegateBind seq 4: proxy_targets targets=('a', 1)",
+        "DelegateBind seq 4: registry version=2.0",
     ]
 
 
@@ -221,19 +276,20 @@ def json_line(event):
 
 
 @pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
-def test_encoder_sees_only_effects_and_unlisted_fields(encoder, monkeypatch):
-    # A live Event's head is written by its kind's compiled writer: only
-    # non-empty effects and fields with no form, `probability` today, go
-    # through the encoder, and each line is still what `json.dumps` gives.
+def test_encoder_sees_only_unlisted_fields(encoder, monkeypatch):
+    # A live Event's head is written by its kind's compiled writer and each
+    # effect by its shape's: only fields with no form, `probability` today,
+    # go through the encoder, and each line is still what `json.dumps` gives.
     encoded = counted_encode(encoder, monkeypatch)
     args = ("pöd-1", "zürich", "default", True, "workload", (1000, 2**30, 0))
     quiet = Event(7, 3, engine.POD_SUBMIT, args)
     assert serialize_event(quiet) == json_line(quiet)
     assert serialize_event(quiet).endswith(',"fx":[]}') and encoded == []
-    busy = Event(7, 4, engine.POD_SUBMIT, args, ({"op": "phase", "pod": "pöd-1"},))
+    busy = Event(7, 4, engine.POD_SUBMIT, args, (
+        ("phase", "pöd-1", "Pending"), ("proxy_targets", "pöd-1", "CandidatesPending", ("a",)),
+    ))
     assert serialize_event(busy) == json_line(busy)
-    assert encoded == [busy.effects] and encoded[0] is busy.effects
-    encoded.clear()
+    assert serialize_event(busy).endswith(',"targets":["a"]}]}') and encoded == []
     sensor = Event(9, 5, engine.SENSOR_MESSAGE, ("cam-1", 0.97))
     assert serialize_event(sensor) == json_line(sensor) and encoded == [0.97]
 
@@ -247,11 +303,22 @@ def edge_events():
         Event(4, 4, engine.AGGREGATE_REPORT,
               (odd, "b", (64_000, 2**40, 8), (0, 2**40 - 1, 0))),
         Event(5, 5, engine.POD_SUBMIT, (odd, odd, odd, False, odd, (1, 2**40, 0)),
-              ({"op": "phase", "pod": odd, "phase": "Pending"},)),
+              (("phase", odd, "Pending"),)),
         Event(6, 6, engine.ELECTION_TIMEOUT, (odd, 2**40)),
         Event(7, 7, engine.STATUS_MIRROR, (odd, odd, odd)),
         Event(8, 8, engine.BATCH_JOB_SUBMIT, (odd, odd)),
         Event(9, 9, engine.NODE_READY, (odd, odd)),
+        # Effects of every field form, ids and lists holding what json escapes.
+        Event(10, 10, engine.DELEGATE_BIND, (odd, odd), (
+            ("bind", odd, odd, odd, odd, (0, 2**40, 8), False, odd, odd),
+            ("bind", odd, odd, odd, odd, (1, 2, 0), True, odd, odd),
+            ("proxy_targets", odd, odd, (odd, "b", "東京")),
+            ("proxy_targets", odd, odd, ()),
+            ("job_nodes", odd, odd, odd, [odd, "n2"]),
+            ("trigger", odd, [odd]),
+            ("registry", 2**40),
+            ("offload", odd, odd, odd),
+        )),
     ]
 
 
@@ -260,8 +327,8 @@ def test_edge_values_are_written_as_json_dumps_writes_them(encoder, monkeypatch)
     encoded = counted_encode(encoder, monkeypatch)
     lines = [serialize_event(event) for event in edge_events()]
     assert lines == [json_line(event) for event in edge_events()]
-    # The four probabilities and the one non-empty effects tuple.
-    assert len(encoded) == 5
+    # The four probabilities; every effect field has a form.
+    assert len(encoded) == 4
     spelled = ('"probability":NaN}', '"probability":Infinity}', '"probability":1e-07}')
     assert all(form in line for form, line in zip(spelled, lines))
     assert all(line.isascii() for line in lines)
@@ -309,7 +376,7 @@ def test_pod_phase_histories_follow_transition_graph():
     for event in sim.events:
         if event.kind == "PodSubmit":
             phase[event.payload["pod"]] = "Pending"
-        for fx in event.effects:
+        for fx in fx_of(event):
             if fx["op"] == "bind":
                 assert "Bound" in LEGAL[phase[fx["pod"]]]
                 phase[fx["pod"]] = "Bound"
@@ -355,7 +422,7 @@ def test_final_state_matches_log_replay():
     sim, _ = run_raw(busy_raw())
     replayed = {}
     for event in sim.events:
-        for fx in event.effects:
+        for fx in fx_of(event):
             if fx["op"] == "bind":
                 replayed.setdefault((fx["cluster"], fx["node"]), {})[fx["pod"]] = fx["req"]
             elif fx["op"] == "unbind":
@@ -369,7 +436,7 @@ def test_final_state_matches_log_replay():
 def test_offload_counts_match_delegate_binds():
     sim, report = run_raw(busy_raw())
     delegate_binds = sum(
-        1 for e in sim.events for fx in e.effects if fx["op"] == "offload"
+        1 for e in sim.events for fx in fx_of(e) if fx["op"] == "offload"
     )
     assert sum(report.offloads.values()) == delegate_binds
     bound_federated = sum(

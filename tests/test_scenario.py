@@ -12,7 +12,7 @@ from fedsched.scenario import (
     generate_trace,
 )
 
-from conftest import base_config, node_cfg, run_raw
+from conftest import base_config, fx_of, node_cfg, run_raw
 
 
 def wildfire_raw(trace, threshold=0.9, ensemble=4, cooldown="0s", duration="2h"):
@@ -46,7 +46,7 @@ class TestTriggerRule:
         trace = [["cam-a", "10s", 0.95], ["cam-b", "10s", 0.9],
                  ["cam-c", "10s", 0.8999], ["cam-d", "10s", 0.0]]
         sim, _ = run_raw(wildfire_raw(trace=trace, ensemble=1))
-        fired = [fx["camera"] for e in sim.events for fx in e.effects if fx["op"] == "trigger"]
+        fired = [fx["camera"] for e in sim.events for fx in fx_of(e) if fx["op"] == "trigger"]
         assert fired == ["cam-a", "cam-b"]
 
 
@@ -119,7 +119,7 @@ class TestModelRegistry:
         registry_fx = [
             (e.time, fx["version"])
             for e in sim.events
-            for fx in e.effects
+            for fx in fx_of(e)
             if fx["op"] == "registry"
         ]
         assert [v for _, v in registry_fx] == [2, 3]

@@ -16,7 +16,7 @@ from fedsched.metrics import serialize_event
 from fedsched.sim import Simulation
 from fedsched.config import validate_config
 
-from conftest import base_config, node_cfg, pod_cfg, push_every_row, run_raw, seeded
+from conftest import base_config, fx_of, node_cfg, pod_cfg, push_every_row, run_raw, seeded
 from test_golden_log import CASES
 from test_scenario import wildfire_raw
 
@@ -342,7 +342,7 @@ def test_a_raising_step_leaks_no_effect_into_the_next_event(monkeypatch):
 
     def record_then_raise(self, *args):
         if args[0] == "p1":
-            self.ctx.effect({"op": "phase", "pod": "p1", "phase": "Leaked"})
+            self.ctx.effect(("phase", "p1", "Leaked"))
             raise RuntimeError("handler failed")
         submit(self, *args)
 
@@ -352,7 +352,7 @@ def test_a_raising_step_leaks_no_effect_into_the_next_event(monkeypatch):
     assert sim.ctx.effect.__self__ == [] and sim.events == []
     event = sim.step()
     assert event.payload["pod"] == "p2"
-    assert [(fx["op"], fx["pod"]) for fx in event.effects] == [("bind", "p2"), ("phase", "p2")]
+    assert [(fx["op"], fx["pod"]) for fx in fx_of(event)] == [("bind", "p2"), ("phase", "p2")]
 
 
 # -- the trace stream against a plain heap ---------------------------------------
