@@ -53,7 +53,7 @@ _LEGAL_MOVES = (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeSpec:
     node_id: str
     cluster_id: str
@@ -69,7 +69,7 @@ LabelSet = FrozenSet[Tuple[str, str]]
 NO_SELECTOR: LabelSet = frozenset()
 
 
-@dataclass
+@dataclass(slots=True)
 class PodSpec:
     pod_id: str
     namespace: str

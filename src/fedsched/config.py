@@ -441,7 +441,7 @@ TEMPLATE = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class PodEntry:
     pod_id: str
     cluster: str

@@ -24,6 +24,13 @@ Lifecycle of one federated pod:
 
 Election retries back off exponentially; a proxy that exhausts them turns
 Unschedulable and cleans up all of its chaperons.
+
+The protocol holds only live records. A chaperon is dropped in the step
+that settles it, turning it Deleted or Delegate. A proxy is dropped once
+it is finished, Unschedulable or Bound with its Completed status mirror
+delivered, and every one of its chaperons has settled; until then a
+ChaperonCreate of it can still be in flight. A chaperon points at its
+proxy, never the other way, so the records form no reference cycle.
 """
 
 from __future__ import annotations
@@ -62,10 +69,6 @@ class ChaperonState(Enum):
     DELETED = "Deleted"
 
 
-# States from which a chaperon never returns to PendingSchedule.
-_SETTLED = (ChaperonState.DELEGATE, ChaperonState.DELETED)
-
-
 @dataclass
 class FederationParams:
     """The `federation` config section; `config.FEDERATION` holds the defaults."""
@@ -77,7 +80,7 @@ class FederationParams:
     election_policy: str
 
 
-@dataclass
+@dataclass(slots=True)
 class VirtualNode:
     """A target cluster as seen from inside a source cluster.
 
@@ -98,7 +101,7 @@ class VirtualNode:
         return now - self.last_update
 
 
-@dataclass
+@dataclass(slots=True)
 class ProxyPod:
     pod: PodSpec
     source: str
@@ -110,11 +113,16 @@ class ProxyPod:
     reserved_count: int = 0  # targets whose latest report is "reserved"
     retries: int = 0
     pending_timer: Optional[int] = None
+    # Targets whose chaperon has not settled. It starts at every target,
+    # since a ChaperonCreate can still be in flight when the proxy gives up.
+    unsettled: int = 0
+    # Unschedulable, or Bound with its Completed status mirror delivered.
+    finished: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class PodChaperon:
-    pod: PodSpec  # the proxy's own pod; a chaperon never changes it
+    proxy: ProxyPod  # a chaperon schedules its proxy's own pod
     target: str
     state: ChaperonState = ChaperonState.PENDING_SCHEDULE
     reserved_node: Optional[str] = None
@@ -138,9 +146,9 @@ class FederationProtocol:
         # Per source, its targets in id order, the one tuple its proxies
         # and their fan-out effects hold.
         self._targets: Dict[str, Tuple[str, ...]] = {}
+        # The chaperons not yet settled, by (pod, target), and per target in
+        # creation order.
         self.chaperons: Dict[Tuple[str, str], PodChaperon] = {}
-        # Per target, in creation order, every chaperon not yet seen settled;
-        # `pending_in` drops the settled ones as it walks a target.
         self._unsettled: Dict[str, Dict[str, PodChaperon]] = {}
         self.virtual_nodes: Dict[Tuple[str, str], VirtualNode] = {}
         # Per target with sources, the (capacity, allocatable) last reported.
@@ -172,7 +180,10 @@ class FederationProtocol:
         targets = self._targets.get(source)
         if targets is None:
             targets = self._targets[source] = tuple(self.ctx.graph.targets_of(source))
-        proxy = ProxyPod(pod=pod, source=source, targets=targets, fanout_time=self.ctx.now)
+        proxy = ProxyPod(
+            pod=pod, source=source, targets=targets, fanout_time=self.ctx.now,
+            unsettled=len(targets),
+        )
         self.proxies[pod.pod_id] = proxy
         if not targets:
             self._finish_unschedulable(proxy, reason="no_targets")
@@ -201,7 +212,7 @@ class FederationProtocol:
     # -- target side -------------------------------------------------------
 
     def on_chaperon_create(self, pod_id: str, target: str) -> None:
-        chaperon = PodChaperon(pod=self.proxies[pod_id].pod, target=target)
+        chaperon = PodChaperon(proxy=self.proxies[pod_id], target=target)
         self.chaperons[(pod_id, target)] = chaperon
         self._unsettled.setdefault(target, {})[pod_id] = chaperon
         self.ctx.effect(("chaperon", pod_id, target, chaperon.state._value_))
@@ -215,33 +226,26 @@ class FederationProtocol:
         """
         if chaperon.state is not ChaperonState.PENDING_SCHEDULE:
             return
-        cluster = self.ctx.clusters[chaperon.target]
-        node = schedule_one(chaperon.pod, snapshot_of(cluster), self.ctx.pipelines[chaperon.target])
+        pod, target = chaperon.proxy.pod, chaperon.target
+        cluster = self.ctx.clusters[target]
+        node = schedule_one(pod, snapshot_of(cluster), self.ctx.pipelines[target])
         if node is not None:
             if self.params.reservations:
-                cluster.reserve(chaperon.pod, node)
-                self.ctx.effect((
-                    "reserve", chaperon.pod.pod_id, chaperon.target, node, chaperon.pod.req,
-                ))
+                cluster.reserve(pod, node)
+                self.ctx.effect(("reserve", pod.pod_id, target, node, pod.req))
             chaperon.state = ChaperonState.CANDIDATE_RESERVED
             chaperon.reserved_node = node
-            self.ctx.effect((
-                "chaperon", chaperon.pod.pod_id, chaperon.target, chaperon.state._value_,
-            ))
+            self.ctx.effect(("chaperon", pod.pod_id, target, chaperon.state._value_))
             self._report(chaperon, REPORT_RESERVED)
         elif chaperon.last_reported != REPORT_UNSCHEDULABLE:
             self._report(chaperon, REPORT_UNSCHEDULABLE)
 
     def pending_in(self, target: str) -> List[PodChaperon]:
         """Chaperons waiting in PendingSchedule in `target`, in creation order."""
-        unsettled = self._unsettled.get(target, {})
-        pending = []
-        for pod_id, chaperon in list(unsettled.items()):
-            if chaperon.state is ChaperonState.PENDING_SCHEDULE:
-                pending.append(chaperon)
-            elif chaperon.state in _SETTLED:
-                del unsettled[pod_id]
-        return pending
+        return [
+            chaperon for chaperon in self._unsettled.get(target, {}).values()
+            if chaperon.state is ChaperonState.PENDING_SCHEDULE
+        ]
 
     def retry_pending(self, cluster_id: str) -> None:
         """Re-run candidate scheduling after the cluster's state changed."""
@@ -250,16 +254,33 @@ class FederationProtocol:
 
     def _report(self, chaperon: PodChaperon, status: str) -> None:
         chaperon.last_reported = status
-        proxy = self.proxies[chaperon.pod.pod_id]
+        proxy = chaperon.proxy
         self._send_pod_message(
             proxy, chaperon.target, "rev", engine.CANDIDATE_REPORT,
-            (chaperon.pod.pod_id, chaperon.target, status),
+            (proxy.pod.pod_id, chaperon.target, status),
         )
+
+    def _settle(self, chaperon: PodChaperon) -> None:
+        """Drop a chaperon that turned Deleted or Delegate, once its step
+        recorded its effects, and then its proxy if that is done."""
+        proxy, target = chaperon.proxy, chaperon.target
+        del self.chaperons[(proxy.pod.pod_id, target)]
+        del self._unsettled[target][proxy.pod.pod_id]
+        proxy.unsettled -= 1
+        self._drop_if_done(proxy)
+
+    def _drop_if_done(self, proxy: ProxyPod) -> None:
+        # No message names a finished proxy whose chaperons have all settled,
+        # but its targets' CandidateReports, which would log nothing.
+        if proxy.finished and not proxy.unsettled:
+            del self.proxies[proxy.pod.pod_id]
 
     # -- source side: reports and election ----------------------------------
 
     def on_candidate_report(self, pod_id: str, target: str, status: str) -> None:
-        proxy = self.proxies[pod_id]
+        proxy = self.proxies.get(pod_id)
+        if proxy is None:
+            return
         proxy.reserved_count += (status == REPORT_RESERVED) - (
             proxy.reports.get(target) == REPORT_RESERVED
         )
@@ -362,6 +383,8 @@ class FederationProtocol:
         self.ctx.effect(("proxy_reason", proxy.pod.pod_id, proxy.state._value_, reason))
         self.ctx.effect(("unschedulable", proxy.pod.pod_id))
         self._delete_chaperons(proxy, except_target=None)
+        proxy.finished = True
+        self._drop_if_done(proxy)
 
     def _delete_chaperons(self, proxy: ProxyPod, except_target: Optional[str]) -> None:
         for target in proxy.targets:
@@ -397,6 +420,7 @@ class FederationProtocol:
             self._send_pod_message(
                 proxy, target, "rev", engine.STATUS_MIRROR, (pod_id, target, phase)
             )
+        self._settle(chaperon)
 
     def on_status_mirror(self, pod_id: str, target: str, phase: str) -> None:
         proxy = self.proxies[pod_id]
@@ -409,22 +433,19 @@ class FederationProtocol:
             proxy.state = ProxyState.BOUND
             self.ctx.effect(("proxy", pod_id, proxy.state._value_))
             self._delete_chaperons(proxy, except_target=target)
+        elif phase == "Completed":
+            proxy.finished = True
+            self._drop_if_done(proxy)
 
     def on_candidate_delete(self, pod_id: str, target: str) -> None:
-        chaperon = self.chaperons.get((pod_id, target))
-        if chaperon is None or chaperon.state is ChaperonState.DELETED:
-            return
+        chaperon = self.chaperons[(pod_id, target)]
         chaperon.state = ChaperonState.DELETED
-        if chaperon.reserved_node is not None and self.params.reservations:
-            cluster = self.ctx.clusters[chaperon.target]
-            if cluster.release_reservation(chaperon.pod, chaperon.reserved_node):
-                self.ctx.effect((
-                    "release", chaperon.pod.pod_id, chaperon.target, chaperon.reserved_node,
-                ))
-        chaperon.reserved_node = None
-        self.ctx.effect((
-            "chaperon", chaperon.pod.pod_id, chaperon.target, chaperon.state._value_,
-        ))
+        node = chaperon.reserved_node
+        if node is not None and self.params.reservations:
+            if self.ctx.clusters[target].release_reservation(chaperon.proxy.pod, node):
+                self.ctx.effect(("release", pod_id, target, node))
+        self.ctx.effect(("chaperon", pod_id, target, chaperon.state._value_))
+        self._settle(chaperon)
 
     def mirror_completion(self, pod: PodSpec, target: str, phase: str) -> None:
         """Push a delegate's terminal phase back to its source proxy."""

@@ -32,7 +32,7 @@ class JobState(Enum):
     DONE = "Done"
 
 
-@dataclass
+@dataclass(slots=True)
 class BatchJob:
     job_id: str
     cluster: str

@@ -56,7 +56,7 @@ from .errors import LogError
 from .resources import ZERO, Triple, add_triples, subtract_triples
 
 
-@dataclass
+@dataclass(slots=True)
 class PodRow:
     pod_id: str
     namespace: str
@@ -78,7 +78,7 @@ class PodRow:
         return self.bind_time - self.submit_time
 
 
-@dataclass
+@dataclass(slots=True)
 class SeriesRow:
     time: int
     cluster: str
@@ -87,7 +87,7 @@ class SeriesRow:
     pending: int
 
 
-@dataclass
+@dataclass(slots=True)
 class TriggerLatency:
     pod_id: str
     trigger_time: int
@@ -303,7 +303,9 @@ def read_event_log(path: str) -> Iterator[dict]:
 # own shape. A record's effect of one of these ops is read as its shape's
 # tuple: each field the report reads by its key, so that a missing one is a
 # KeyError that `fedsched report` locates, and any other as None, so that a
-# record need not hold it. A record's effect of any other op is skipped.
+# record need not hold it. A record's effect of another op in `EFFECT_FIELDS`
+# is skipped; one whose op is not there is a ValueError that `fedsched
+# report` locates.
 _READS = {
     "bind": {"pod", "cluster", "node", "req", "src"},
     "unbind": {"pod", "cluster", "req"},
@@ -316,12 +318,14 @@ _READS = {
     "trigger": {"pods"},
 }
 assert all(EFFECT_FIELDS[op][0] == op for op in _READS)
-# Per op the report reads, each field of its shape in order, or None where
-# the report does not read it.
-_RECORD_FIELDS = {
+# Per op of `EFFECT_FIELDS`: for one the report reads, each field of its
+# shape in order, or None where the report does not read it; None for any
+# other op.
+_RECORD_FIELDS = dict.fromkeys(op for op, _ in EFFECT_FIELDS.values())
+_RECORD_FIELDS.update({
     op: tuple(name if name in read else None for name in EFFECT_FIELDS[op][1])
     for op, read in _READS.items()
-}
+})
 # The shapes the report does not read: the federation's bookkeeping of
 # chaperons, proxies, status mirrors and reservations, and batch jobs. They
 # are about three quarters of all effects, so one set lookup skips each
@@ -370,10 +374,14 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
                 pod_id, cluster, namespace, federated, role, request = event.args
         else:
             t, kind = event["t"], event["kind"]
-            effects = [
-                (op, *[None if name is None else fx[name] for name in _RECORD_FIELDS[op]])
-                for fx in event["fx"] if (op := fx["op"]) in _RECORD_FIELDS
-            ]
+            effects = []
+            for fx in event["fx"]:
+                op = fx["op"]
+                if op not in _RECORD_FIELDS:
+                    raise ValueError(f"unknown effect op {op!r}")
+                names = _RECORD_FIELDS[op]
+                if names is not None:
+                    effects.append((op, *[None if n is None else fx[n] for n in names]))
             if kind == POD_SUBMIT:
                 payload = event["payload"]
                 pod_id, cluster, namespace = payload["pod"], payload["cluster"], payload["ns"]

@@ -184,7 +184,7 @@ class Simulation:
         """Unmet container demand a cluster can see: its pending local pods
         plus chaperons currently waiting in it."""
         pods = list(self.pending_local[cluster_id])
-        pods.extend(chaperon.pod for chaperon in self.protocol.pending_in(cluster_id))
+        pods.extend(chaperon.proxy.pod for chaperon in self.protocol.pending_in(cluster_id))
         return pods
 
     # -- loop ------------------------------------------------------------------

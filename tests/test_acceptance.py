@@ -138,31 +138,44 @@ def random_batch():
         raw = random_protocol_raw(rng)
         sim, report = run_raw(raw)
 
+        # From the log: each pod's delegate and bind counts, its proxy's
+        # last state (None if it logged none) and last elected target, and
+        # each chaperon's last state.
         delegate_entries = {}
         bind_counts = {}
+        proxy_states = {}
+        elected = {}
+        chaperon_states = {}
         for event in sim.events:
+            if event.kind == engine.POD_SUBMIT and event.payload["federated"]:
+                proxy_states[event.payload["pod"]] = None
             for fx in fx_of(event):
-                if fx["op"] == "chaperon" and fx["state"] == "Delegate":
-                    delegate_entries[fx["pod"]] = delegate_entries.get(fx["pod"], 0) + 1
+                if fx["op"] == "chaperon":
+                    chaperon_states[(fx["pod"], fx["cluster"])] = fx["state"]
+                    if fx["state"] == "Delegate":
+                        delegate_entries[fx["pod"]] = delegate_entries.get(fx["pod"], 0) + 1
                 elif fx["op"] == "bind":
                     bind_counts[fx["pod"]] = bind_counts.get(fx["pod"], 0) + 1
+                elif fx["op"] == "proxy":
+                    proxy_states[fx["pod"]] = fx["state"]
+                    if "elected" in fx:
+                        elected[fx["pod"]] = fx["elected"]
 
-        for pod_id, proxy in sim.protocol.proxies.items():
-            if proxy.state is ProxyState.BOUND:
+        for pod_id, state in proxy_states.items():
+            if state == ProxyState.BOUND.value:
                 if delegate_entries.get(pod_id, 0) != 1 or bind_counts.get(pod_id, 0) != 1:
                     results["delegate_violations"].append((run_index, pod_id))
-            elif proxy.state is ProxyState.UNSCHEDULABLE:
+            elif state == ProxyState.UNSCHEDULABLE.value:
                 if delegate_entries.get(pod_id, 0) != 0 or bind_counts.get(pod_id, 0) != 0:
                     results["delegate_violations"].append((run_index, pod_id))
             else:
-                results["terminal_violations"].append((run_index, pod_id, proxy.state))
+                results["terminal_violations"].append((run_index, pod_id, state))
 
-        for (pod_id, target), chaperon in sim.protocol.chaperons.items():
-            proxy = sim.protocol.proxies[pod_id]
-            if chaperon.state is ChaperonState.DELEGATE:
-                if proxy.elected_target != target:
+        for (pod_id, target), state in chaperon_states.items():
+            if state == ChaperonState.DELEGATE.value:
+                if elected.get(pod_id) != target:
                     results["cleanup_violations"].append((run_index, pod_id, target))
-            elif chaperon.state is not ChaperonState.DELETED:
+            elif state != ChaperonState.DELETED.value:
                 results["cleanup_violations"].append((run_index, pod_id, target))
         for cid, state in sim.clusters.items():
             for node_id, holds in state.reserved.items():

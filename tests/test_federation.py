@@ -7,7 +7,9 @@ from fedsched.cluster import PodPhase
 from fedsched.config import validate_config
 from fedsched.federation import ChaperonState, ProxyState
 from fedsched.sim import Simulation
-from conftest import base_config, fx_of, make_pod, node_cfg, pod_cfg, pod_row, run_raw
+from conftest import (
+    base_config, fx_of, make_pod, node_cfg, pod_cfg, pod_row, run_raw, seeded,
+)
 from test_acceptance import random_protocol_raw
 from test_golden_log import CASES
 from test_metascale import batch_cluster, job_cfg
@@ -54,10 +56,14 @@ class TestFanOut:
         clusters = [{"id": c, "nodes": [node_cfg(f"{c}-n1")]} for c in "stu"]
         pods = [pod_cfg(f"{s}{i}", s, submit=i * 1000) for s in "st" for i in range(3)]
         raw = base_config(clusters, pairs=[("s", "t"), ("s", "u"), ("t", "u")], pods=pods)
-        sim, _ = run_raw(raw)
+        sim = Simulation(validate_config(raw))
+        held_live = {}  # every proxy, taken while the protocol holds it
+        while sim.ctx.queue.due(sim.config.duration_ms):
+            sim.step()
+            held_live.update(sim.protocol.proxies)
         fanned = [fx for e in sim.events for fx in e.effects if fx[0] == "proxy_targets"]
         for source, targets in (("s", ("t", "u")), ("t", ("u",))):
-            proxies = [p for p in sim.protocol.proxies.values() if p.source == source]
+            proxies = [p for p in held_live.values() if p.source == source]
             held = {id(p.targets) for p in proxies}
             held |= {id(fx[3]) for fx in fanned if fx[1].startswith(source)}
             assert len(proxies) == 3 and len(held) == 1
@@ -80,7 +86,7 @@ class TestFanOut:
                           pods=[pod_cfg("p1", "s", federated=False)])
         sim, report = run_raw(raw)
         assert events_of(sim, engine.CHAPERON_CREATE) == []
-        assert sim.protocol.proxies == {}
+        assert effects_of(sim, "proxy") == []
         assert pod_row(report, "p1").bound_cluster == "s"
 
     def test_eligible_pod_with_no_targets_is_unschedulable(self):
@@ -269,16 +275,15 @@ class TestFinalize:
         assert pod_row(report, "p1").bound_cluster == "t2"
         deletes = events_of(sim, engine.CANDIDATE_DELETE)
         assert sorted(e.payload["target"] for e in deletes) == ["t1", "t3"]
-        states = {
-            target: chap.state
-            for (pod, target), chap in sim.protocol.chaperons.items()
-        }
+        states = {fx["cluster"]: fx["state"] for _, fx in effects_of(sim, "chaperon")}
         assert states == {
-            "t1": ChaperonState.DELETED,
-            "t2": ChaperonState.DELEGATE,
-            "t3": ChaperonState.DELETED,
+            "t1": ChaperonState.DELETED.value,
+            "t2": ChaperonState.DELEGATE.value,
+            "t3": ChaperonState.DELETED.value,
         }
-        assert sim.protocol.proxies["p1"].state is ProxyState.BOUND
+        assert effects_of(sim, "proxy")[-1][1]["state"] == ProxyState.BOUND.value
+        # p1 completed, so the protocol keeps none of its records.
+        assert sim.protocol.proxies == {} and sim.protocol.chaperons == {}
         # Deleted chaperons hold no reservations.
         for cluster_id in ("t1", "t3"):
             state = sim.clusters[cluster_id]
@@ -315,11 +320,9 @@ class TestFinalize:
         sim, report = run_raw(raw)
         assert pod_row(report, "p1").bound_cluster == "b"
         assert pod_row(report, "blocker").bound_cluster == "a"
-        delegates = [
-            chap for chap in sim.protocol.chaperons.values()
-            if chap.state is ChaperonState.DELEGATE
-        ]
-        assert len(delegates) == 1 and delegates[0].target == "b"
+        delegates = [fx["cluster"] for _, fx in effects_of(sim, "chaperon")
+                     if fx["state"] == ChaperonState.DELEGATE.value]
+        assert delegates == ["b"]
         assert len(bind_conflicts(sim)) == 1
         # The proxy recognises the conflict report and re-elects.
         rollbacks = [e for e in events_of(sim, engine.CANDIDATE_REPORT)
@@ -472,24 +475,35 @@ class TestReservationFreeMode:
                 binds[fx["pod"]] = binds.get(fx["pod"], 0) + 1
             conflicts_seen += len(bind_conflicts(sim))
             assert all(n == 1 for n in binds.values())
-            for proxy in sim.protocol.proxies.values():
-                assert proxy.state in (ProxyState.BOUND, ProxyState.UNSCHEDULABLE)
-                delegates = [
-                    c for (pid, t), c in sim.protocol.chaperons.items()
-                    if pid == proxy.pod.pod_id and c.state is ChaperonState.DELEGATE
-                ]
-                assert len(delegates) == (1 if proxy.state is ProxyState.BOUND else 0)
+            states, delegates = {}, {}
+            for _, fx in effects_of(sim, "proxy"):
+                states[fx["pod"]] = fx["state"]
+            for _, fx in effects_of(sim, "chaperon"):
+                if fx["state"] == ChaperonState.DELEGATE.value:
+                    delegates[fx["pod"]] = delegates.get(fx["pod"], 0) + 1
+            assert len(states) == sum(e.payload["federated"]
+                                      for e in events_of(sim, engine.POD_SUBMIT))
+            for pod_id, state in states.items():
+                assert state in (ProxyState.BOUND.value, ProxyState.UNSCHEDULABLE.value)
+                assert delegates.get(pod_id, 0) == (1 if state == ProxyState.BOUND.value else 0)
         assert conflicts_seen > 0, "the batch never exercised a bind conflict"
 
 
 class TestInvariants:
     def test_every_chaperon_holds_its_proxy_pod(self):
         # A chaperon schedules the proxy's own PodSpec, not a copy of it.
+        # Each chaperon is checked after every step while the protocol holds it.
         raw, seed = CASES["mesh-overload"]()
-        sim, _ = run_raw(raw, seed=seed)
-        assert len(sim.protocol.chaperons) > len(sim.protocol.proxies)
-        for (pod_id, _), chaperon in sim.protocol.chaperons.items():
-            assert chaperon.pod is sim.pod_objects[pod_id]
+        sim = Simulation(validate_config(seeded(raw, seed)))
+        protocol, seen, proxies = sim.protocol, set(), set()
+        while sim.ctx.queue.due(sim.config.duration_ms):
+            sim.step()
+            for (pod_id, target), chaperon in protocol.chaperons.items():
+                assert chaperon.proxy is protocol.proxies[pod_id]
+                assert chaperon.proxy.pod is sim.pod_objects[pod_id]
+                seen.add((pod_id, target))
+            proxies.update(protocol.proxies)
+        assert len(seen) > len(proxies)
 
     def test_proxy_consumes_no_source_capacity(self):
         clusters = [

@@ -236,7 +236,7 @@ def test_stepped_simulation_is_freed_by_reference_counting(name):
             if not len(sim.ctx.queue):
                 break
             sim.step()
-        protocol = sim.protocol
+        protocol, events = sim.protocol, sim.events
         ref = weakref.ref(sim)
         del sim
         assert ref() is None
@@ -245,10 +245,16 @@ def test_stepped_simulation_is_freed_by_reference_counting(name):
         if collecting:
             gc.enable()
     protocol.report_changes()
+    # Each chaperon in creation order and its last state, as the log tells.
+    last = {}
+    for event in events:
+        for fx in fx_of(event):
+            if fx["op"] == "chaperon":
+                last[(fx["pod"], fx["cluster"])] = fx["state"]
     for target in protocol.ctx.clusters:
-        assert protocol.pending_in(target) == [
-            chaperon for chaperon in protocol.chaperons.values()
-            if chaperon.target == target and chaperon.state is ChaperonState.PENDING_SCHEDULE
+        assert [chaperon.proxy.pod.pod_id for chaperon in protocol.pending_in(target)] == [
+            pod_id for (pod_id, cluster), state in last.items()
+            if cluster == target and state == ChaperonState.PENDING_SCHEDULE.value
         ]
 
 
@@ -260,7 +266,7 @@ def test_finished_simulation_still_answers_queries():
     sim.run()
     assert sim.protocol.ctx.clusters is sim.clusters
     for target in ("a", "b"):
-        waiting = [chaperon.pod for chaperon in sim.protocol.pending_in(target)]
+        waiting = [chaperon.proxy.pod for chaperon in sim.protocol.pending_in(target)]
         assert waiting
         assert sim.pending_requests(target) == sim.pending_local[target] + waiting
     for vnode in sim.protocol.virtual_nodes.values():
