@@ -73,7 +73,9 @@ NO_SELECTOR: LabelSet = frozenset()
 class PodSpec:
     pod_id: str
     namespace: str
-    request: ResourceVector
+    # The request as a (cpu, memory, gpu) triple, the one object its config
+    # record or template built: every `req` the pod logs or holds is it.
+    req: Triple
     node_selector: Dict[str, str] = field(default_factory=dict)
     federation_eligible: bool = False
     duration: int = 0
@@ -85,15 +87,11 @@ class PodSpec:
     # The selector as a set of (label, value) pairs: the key of its ceiling
     # in every `ClusterState`, built once per pod.
     selector_key: LabelSet = field(init=False, repr=False, compare=False)
-    # `request` as a (cpu, memory, gpu) triple, built once per pod: every
-    # logged `req` of the pod is this one object.
-    req: Triple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.selector_key = (
             frozenset(self.node_selector.items()) if self.node_selector else NO_SELECTOR
         )
-        self.req = self.request.as_tuple()
 
     def transition(self, to: PodPhase) -> None:
         if (self.phase, to) not in _LEGAL_MOVES:
@@ -109,8 +107,9 @@ class ClusterSpec:
     nodes: Dict[str, NodeSpec] = field(default_factory=dict)
     # None means every namespace is admitted.
     namespace_allowlist: Optional[Set[str]] = None
-    # Missing entry means unlimited quota for that namespace.
-    namespace_quota: Dict[str, ResourceVector] = field(default_factory=dict)
+    # A (cpu, memory, gpu) triple per namespace; a missing entry means
+    # unlimited quota for that namespace.
+    namespace_quota: Dict[str, Triple] = field(default_factory=dict)
 
     def add_node(self, node: NodeSpec) -> None:
         if node.node_id in self.nodes:
@@ -136,11 +135,12 @@ class ClusterSpec:
         quota = self.namespace_quota.get(namespace)
         if quota is not None:
             cpu, memory, gpu = ns_usage.get(namespace, ZERO)
-            request = pod.request
+            want_cpu, want_memory, want_gpu = pod.req
+            max_cpu, max_memory, max_gpu = quota
             if (
-                cpu + request.cpu_millicores > quota.cpu_millicores
-                or memory + request.memory_bytes > quota.memory_bytes
-                or gpu + request.gpu_count > quota.gpu_count
+                cpu + want_cpu > max_cpu
+                or memory + want_memory > max_memory
+                or gpu + want_gpu > max_gpu
             ):
                 return QuotaExceeded(
                     f"namespace {namespace!r} over quota in cluster {self.cluster_id}"
@@ -170,13 +170,9 @@ def fits(pod: PodSpec, node: NodeSpec, free: Triple) -> bool:
         return False
     if pod.node_selector and not selector_matches(pod.node_selector, node.labels):
         return False
-    request = pod.request
+    want_cpu, want_memory, want_gpu = pod.req
     cpu, memory, gpu = free
-    return (
-        request.cpu_millicores <= cpu
-        and request.memory_bytes <= memory
-        and request.gpu_count <= gpu
-    )
+    return want_cpu <= cpu and want_memory <= memory and want_gpu <= gpu
 
 
 @dataclass(frozen=True)
@@ -248,9 +244,9 @@ class ClusterState:
     Reservations count against both node capacity and namespace quota so a
     reserved candidate can always be promoted to a bind.
 
-    Every figure it keeps is a (cpu, memory, gpu) int triple; only the
-    per-pod `bound` and `reserved` maps hold the pods' `ResourceVector`
-    requests. Every subtraction raises OvercommitError on underflow.
+    Every figure it keeps is a (cpu, memory, gpu) int triple, and the
+    per-pod `bound` and `reserved` maps hold each pod's own `req` triple.
+    Every subtraction raises OvercommitError on underflow.
 
     Incremental invariant: after every reserve, release_reservation, bind
     and unbind, for every node n
@@ -317,8 +313,8 @@ class ClusterState:
         self.cluster_id = spec.cluster_id
         self._freed = freed
         self._moved = moved
-        self.bound: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
-        self.reserved: Dict[str, Dict[str, ResourceVector]] = {n: {} for n in spec.nodes}
+        self.bound: Dict[str, Dict[str, Triple]] = {n: {} for n in spec.nodes}
+        self.reserved: Dict[str, Dict[str, Triple]] = {n: {} for n in spec.nodes}
         self.ns_usage: Dict[str, Triple] = {}
         self._capacity: Dict[str, Triple] = {
             n: node.capacity.as_tuple() for n, node in spec.nodes.items()
@@ -476,15 +472,14 @@ class ClusterState:
         )
         request = pod.req
         self._take(node_id, request)
-        self.reserved[node_id][pod.pod_id] = pod.request
+        self.reserved[node_id][pod.pod_id] = request
         self._ns_add(pod.namespace, request)
 
     def release_reservation(self, pod: PodSpec, node_id: str) -> bool:
         """Free what `pod` holds reserved on `node_id`; False if it holds nothing."""
-        held = self.reserved[node_id].pop(pod.pod_id, None)
-        if held is None:
+        request = self.reserved[node_id].pop(pod.pod_id, None)
+        if request is None:
             return False
-        request = held.as_tuple()
         self._give_back(node_id, request)
         self._ns_sub(pod.namespace, request)
         return True
@@ -496,15 +491,12 @@ class ClusterState:
         precondition no longer holds; the caller must re-queue the pod.
         A reservation held by the same pod is consumed by the bind.
         """
-        held = self.reserved[node_id].pop(pod.pod_id, None)
-        if held is not None:
-            # The reservation already holds the resources and quota.
-            request = held.as_tuple()
-        else:
+        # A reservation already holds the resources and quota.
+        request = self.reserved[node_id].pop(pod.pod_id, None)
+        if request is None:
             self._check_feasible(
                 pod, node_id, f"pod {pod.pod_id} no longer fits node {node_id} at t={at}"
             )
-            held = pod.request
             request = pod.req
             self._ns_add(pod.namespace, request)
             self._take(node_id, request)
@@ -512,7 +504,7 @@ class ClusterState:
         if node_id in self._entry_of:
             self._aggregate_unbound = subtract_triples(self._aggregate_unbound, request)
             self._moved.add(self.cluster_id)
-        self.bound[node_id][pod.pod_id] = held
+        self.bound[node_id][pod.pod_id] = request
         pod.transition(PodPhase.BOUND)
         pod.bound_node = node_id
         self._assert_node_capacity(node_id)
@@ -520,7 +512,7 @@ class ClusterState:
     def unbind(self, pod: PodSpec) -> None:
         """Release the resources of a completed pod bound here."""
         node_id = pod.bound_node
-        request = self.bound[node_id].pop(pod.pod_id).as_tuple()
+        request = self.bound[node_id].pop(pod.pod_id)
         self._unbound[node_id] = add_triples(self._unbound[node_id], request)
         if node_id in self._entry_of:
             self._aggregate_unbound = add_triples(self._aggregate_unbound, request)
@@ -531,17 +523,17 @@ class ClusterState:
     def _assert_node_capacity(self, node_id: str) -> None:
         cpu = memory = gpu = 0
         for held in (self.bound[node_id], self.reserved[node_id]):
-            for request in held.values():
-                cpu += request.cpu_millicores
-                memory += request.memory_bytes
-                gpu += request.gpu_count
+            for want_cpu, want_memory, want_gpu in held.values():
+                cpu += want_cpu
+                memory += want_memory
+                gpu += want_gpu
         capacity = self.spec.nodes[node_id].capacity
         if (
             cpu > capacity.cpu_millicores
             or memory > capacity.memory_bytes
             or gpu > capacity.gpu_count
         ):
-            total = ResourceVector(cpu, memory, gpu)
             raise OvercommitError(
-                f"node {node_id} in {self.cluster_id} overcommitted: {total} > {capacity}"
+                f"node {node_id} in {self.cluster_id} overcommitted: "
+                f"{(cpu, memory, gpu)} > {capacity.as_tuple()}"
             )

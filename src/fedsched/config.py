@@ -32,7 +32,7 @@ from .federation import ELECTION_LEAST_ALLOCATED, ELECTION_PREFER_LOCAL, Federat
 from .graph import FederationGraph, LatencyModel, build_burst, build_central, build_decentralized
 from .metascale import BatchJob, MetaScaleParams
 from .profiles import PROFILES, SCALED_PROFILES
-from .resources import ResourceVector, parse_memory
+from .resources import ResourceVector, Triple, parse_memory
 from .scenario import POD_ID_PREFIX, CameraEvent, PodTemplate, load_trace
 from .scheduling import DEFAULT_SCORES, SCORE_PLUGINS
 
@@ -210,14 +210,15 @@ def _check_keys(section, table, path) -> None:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}", path)
 
 
-def record(table: Dict[str, tuple], build: Callable = dict, vector: Optional[str] = None) -> Parser:
+def record(table: Dict[str, tuple], build: Callable = dict, triple: Optional[str] = None) -> Parser:
     """The parser of one record, built from its table.
 
     Each row is `key: (parser, default)` or `key: (parser, default, name)`,
     where `name` is the keyword `build` takes the value as (the key itself
-    when not given). With `vector`, the record's `RESOURCES` rows reach
-    `build` as one `ResourceVector`, keyword `vector`. The record is
-    `build(**values)`.
+    when not given). With `triple`, the record's `RESOURCES` rows reach
+    `build` as one `(cpu, memory, gpu)` tuple, keyword `triple`; their
+    parsers already hold each to a non-negative int, so the tuple needs no
+    check of its own. The record is `build(**values)`.
     """
     rows, defaults, required = {}, {}, []
     for key, (parse, default, *name) in table.items():
@@ -244,10 +245,8 @@ def record(table: Dict[str, tuple], build: Callable = dict, vector: Optional[str
         for key, name in required:
             if name not in values:
                 raise ConfigError("missing required key", (path, key))
-        if vector is not None:
-            values[vector] = ResourceVector(
-                values.pop("cpu"), values.pop("memory"), values.pop("gpu")
-            )
+        if triple is not None:
+            values[triple] = (values.pop("cpu"), values.pop("memory"), values.pop("gpu"))
         return build(**values)
     return parse_record
 
@@ -269,7 +268,7 @@ RESOURCES = {
 }
 
 
-resources = record(RESOURCES, lambda cpu, memory, gpu: ResourceVector(cpu, memory, gpu))
+resources = record(RESOURCES, lambda cpu, memory, gpu: (cpu, memory, gpu))
 
 
 @dataclass
@@ -280,7 +279,7 @@ class ClusterConfig:
     explicit_nodes: Optional[List[dict]]
     initial_batch_nodes: int
     namespace_allowlist: Optional[List[str]]
-    namespace_quota: Dict[str, ResourceVector]
+    namespace_quota: Dict[str, Triple]
     score_weights: Tuple[Tuple[str, float], ...]
 
     def build_nodes(self) -> List[NodeSpec]:
@@ -322,6 +321,12 @@ NODE = {
     "pool": (one_of("pool", (pool.value for pool in NodePool)), "Container"),
 }
 
+
+def _node(capacity: Triple, **node) -> dict:
+    # The one `ResourceVector` a config builds: `NodeSpec.capacity` holds it.
+    return dict(node, capacity=ResourceVector(*capacity))
+
+
 SCORE = {
     "name": (one_of("score plugin", SCORE_PLUGINS), REQUIRED),
     "weight": (number(lo=0.0), 1.0),
@@ -339,7 +344,7 @@ CLUSTER = {
     "id": (string, REQUIRED, "cluster_id"),
     "profile": (one_of("profile", PROFILES), None),
     "scale_divisor": (integer(1), None),
-    "nodes": (list_of(record(NODE, vector="capacity"), non_empty=True), None,
+    "nodes": (list_of(record(NODE, _node, triple="capacity"), non_empty=True), None,
               "explicit_nodes"),
     "initial_batch_nodes": (integer(0), 0),
     "namespace_allowlist": (list_of(string), None),
@@ -448,7 +453,7 @@ class PodEntry:
     namespace: str
     submit_time: int
     duration: int
-    request: ResourceVector
+    req: Triple
     node_selector: Dict[str, str]
     federated: bool
 
@@ -456,7 +461,7 @@ class PodEntry:
         return PodSpec(
             pod_id=self.pod_id,
             namespace=self.namespace,
-            request=self.request,
+            req=self.req,
             node_selector=self.node_selector,
             federation_eligible=self.federated,
             duration=self.duration,
@@ -569,7 +574,7 @@ def _scenario(trace, trace_file, pods, batch_jobs, **values) -> ScenarioConfig:
     return config
 
 
-template = record(TEMPLATE, PodTemplate, vector="request")
+template = record(TEMPLATE, PodTemplate, triple="req")
 
 SCENARIO = {
     "namespace": (string, None),
@@ -586,7 +591,7 @@ SCENARIO = {
     "trace_file": (string, None),
     "retrain": (template, None),
     "ensemble_member": (template, None),
-    "pods": (list_of(record(POD, PodEntry, vector="request")), []),
+    "pods": (list_of(record(POD, PodEntry, triple="req")), []),
     "batch_jobs": (list_of(record(BATCH_JOB, BatchJob)), []),
 }
 

@@ -324,12 +324,8 @@ class FederationProtocol:
     def _aggregate_score(self, proxy: ProxyPod, target: str) -> int:
         vnode = self.virtual_nodes[(proxy.source, target)]
         cpu, memory, gpu = vnode.allocatable
-        request = proxy.pod.request
-        free_after = (
-            max(0, cpu - request.cpu_millicores),
-            max(0, memory - request.memory_bytes),
-            max(0, gpu - request.gpu_count),
-        )
+        want_cpu, want_memory, want_gpu = proxy.pod.req
+        free_after = (max(0, cpu - want_cpu), max(0, memory - want_memory), max(0, gpu - want_gpu))
         return least_allocated_score(free_after, vnode.capacity)
 
     def _elect(self, proxy: ProxyPod, reserved: List[str]) -> None:

@@ -20,7 +20,7 @@ from typing import Dict, List
 
 from . import engine
 from .cluster import NodePool, NodeState, PodSpec
-from .resources import Triple
+from .resources import ZERO, Triple, add_triples
 
 
 log = logging.getLogger("fedsched.metascale")
@@ -142,12 +142,9 @@ class MetaScaler:
         container demand the cluster can see."""
         # Batch demand is the queued jobs' node count; container demand,
         # the summed pending requests in average-node units.
-        cpu = memory = gpu = 0
+        demand = ZERO
         for pod in pending:
-            request = pod.request
-            cpu += request.cpu_millicores
-            memory += request.memory_bytes
-            gpu += request.gpu_count
+            demand = add_triples(demand, pod.req)
         batch_short = max(
             0,
             sum(job.node_count for job in self.queue)
@@ -156,7 +153,7 @@ class MetaScaler:
         )
         container_short = max(
             0,
-            self._node_equivalents((cpu, memory, gpu))
+            self._node_equivalents(demand)
             - self._repurposing_count(NodePool.CONTAINER),
         )
         if container_short > batch_short:

@@ -24,7 +24,7 @@ first and then its shape's fields in order, as a parsed record has them.
 Both encode to the same JSON. The report reads a `PodSubmit`'s fields from
 a live Event's `args` and from a record's payload alike, reads effects by
 position, turning a record's effect into its shape's tuple first, and keeps
-the triples it reads, `PodRow.request`, `SeriesRow.used` and
+the triples it reads, `PodRow.req`, `SeriesRow.used` and
 `SeriesRow.capacity`, as tuples either way.
 
 A live Event's line is a compiled head per kind and a compiled writer per
@@ -64,7 +64,7 @@ class PodRow:
     source_cluster: str
     federated: bool
     submit_time: int
-    request: Triple
+    req: Triple
     bind_time: Optional[int] = None
     bound_cluster: Optional[str] = None
     bound_node: Optional[str] = None
@@ -371,7 +371,7 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
         if isinstance(event, Event):
             t, kind, effects = event.time, event.kind, event.effects
             if kind == POD_SUBMIT:
-                pod_id, cluster, namespace, federated, role, request = event.args
+                pod_id, cluster, namespace, federated, role, req = event.args
         else:
             t, kind = event["t"], event["kind"]
             effects = []
@@ -385,7 +385,7 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
             if kind == POD_SUBMIT:
                 payload = event["payload"]
                 pod_id, cluster, namespace = payload["pod"], payload["cluster"], payload["ns"]
-                federated, request = payload["federated"], tuple(payload["req"])
+                federated, req = payload["federated"], tuple(payload["req"])
                 role = payload.get("role", "workload")
         if t > end:
             end = t
@@ -398,7 +398,7 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
                 source_cluster=cluster,
                 federated=federated,
                 submit_time=t,
-                request=request,
+                req=req,
             )
             pending[cluster] += 1
             rows[(t, cluster)] = (used[cluster], cap[cluster], pending[cluster])
@@ -499,7 +499,7 @@ def write_pods_csv(path: str, report: MetricsReport) -> None:
                     "" if row.time_to_bind is None else row.time_to_bind,
                     row.bound_cluster or "", row.bound_node or "",
                     "" if row.complete_time is None else row.complete_time,
-                    row.final_phase, *row.request,
+                    row.final_phase, *row.req,
                 ]
             )
 

@@ -2,12 +2,13 @@
 
 Three dimensions: CPU millicores, memory bytes, whole GPU devices.
 
-A ``ResourceVector`` is built, and validated, where config is parsed: the
-config's parsers read each quantity once (a repeated memory string once),
-and the slotted vector checks that its three fields are non-negative ints
-and not bools, so one built in code is held to the same rules. At run time
-every figure is a plain ``(cpu, memory, gpu)`` int triple, added and
-subtracted with ``add_triples`` and ``subtract_triples``.
+The config's parsers read each quantity once (a repeated memory string
+once) and hold it to a non-negative int, not a bool. From there on every
+figure, a pod's request and a namespace quota included, is a plain
+``(cpu, memory, gpu)`` int triple, added and subtracted with
+``add_triples`` and ``subtract_triples``. A ``ResourceVector`` is only a
+node's capacity, built once per node; it checks its fields by the same
+rules, so a profile's capacities are held to them too.
 """
 
 from __future__ import annotations

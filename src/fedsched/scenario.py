@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 
 from . import engine
 from .cluster import PodSpec
-from .resources import ResourceVector
+from .resources import Triple
 
 # Every pod the trigger submits has an id starting with this, so a
 # configured pod may not (`config` rejects one when wildfire is enabled).
@@ -36,7 +36,7 @@ def sensor_args(event: CameraEvent) -> tuple:
 
 @dataclass(frozen=True)
 class PodTemplate:
-    request: ResourceVector
+    req: Triple
     node_selector: Dict[str, str]
     duration: int
 
@@ -44,7 +44,7 @@ class PodTemplate:
         return PodSpec(
             pod_id=pod_id,
             namespace=namespace,
-            request=self.request,
+            req=self.req,
             node_selector=self.node_selector,
             federation_eligible=True,
             duration=self.duration,

@@ -34,7 +34,7 @@ def make_pod(pod_id, cpu=1000, mem=GIB, gpu=0, ns="default", selector=None,
     return PodSpec(
         pod_id=pod_id,
         namespace=ns,
-        request=ResourceVector(cpu, mem, gpu),
+        req=(cpu, mem, gpu),
         node_selector=selector or {},
         federation_eligible=federated,
         duration=duration,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fedsched import engine
 from fedsched.cluster import (
     ClusterSpec,
     ClusterState,
@@ -18,9 +19,11 @@ from fedsched.errors import (
     PhaseTransitionError,
     QuotaExceeded,
 )
-from fedsched.resources import GIB, ResourceVector, subtract_triples
+from fedsched.config import validate_config
+from fedsched.resources import GIB, subtract_triples
+from fedsched.sim import Simulation
 
-from conftest import make_node, make_pod
+from conftest import base_config, make_node, make_pod, node_cfg, pod_cfg
 
 
 def state_of(*nodes, allowlist=None, quota=None) -> ClusterState:
@@ -62,7 +65,7 @@ class TestNodeAllocatable:
         assert state.allocatable("n1") == node.capacity.as_tuple()
         # The accounting subtraction itself refuses to go below zero.
         with pytest.raises(OvercommitError):
-            subtract_triples(node.capacity.as_tuple(), pod.request.as_tuple())
+            subtract_triples(node.capacity.as_tuple(), pod.req)
 
     def test_monotone_non_increasing_in_bound_set(self):
         rng = random.Random(11)
@@ -109,10 +112,11 @@ class TestFits:
             for key, want in pod.node_selector.items():
                 if node.labels.get(key) != want:
                     return False
+            want_cpu, want_memory, want_gpu = pod.req
             return (
-                pod.request.cpu_millicores <= free.cpu_millicores
-                and pod.request.memory_bytes <= free.memory_bytes
-                and pod.request.gpu_count <= free.gpu_count
+                want_cpu <= free.cpu_millicores
+                and want_memory <= free.memory_bytes
+                and want_gpu <= free.gpu_count
             )
 
         nodes = [
@@ -138,7 +142,7 @@ class TestBind:
         pod = make_pod("p1", 1000, 2 * GIB)
         state.bind(pod, "n1", at=0)
         assert pod.phase is PodPhase.BOUND
-        assert pod.bound_node == "n1" and state.bound["n1"] == {"p1": pod.request}
+        assert pod.bound_node == "n1" and state.bound["n1"] == {"p1": pod.req}
         assert state.allocatable("n1") == (3000, 6 * GIB, 0)
 
     def test_unbind_where_the_pod_is_not_bound_raises(self):
@@ -165,8 +169,8 @@ class TestBind:
             assert second.phase is PodPhase.PENDING
 
     def test_quota_barely_below_request_rejects(self):
-        request = ResourceVector(1000, GIB, 0)
-        quota = ResourceVector(1000, GIB - 1, 0)  # request minus epsilon
+        request = (1000, GIB, 0)
+        quota = (1000, GIB - 1, 0)  # request minus epsilon
         state = state_of(make_node("n1"), quota={"team": quota})
         pod = make_pod("p1", 1000, GIB, ns="team")
         with pytest.raises(QuotaExceeded):
@@ -180,7 +184,7 @@ class TestBind:
             state.bind(pod, "n1", at=0)
 
     def test_quota_frees_on_unbind(self):
-        quota = {"team": ResourceVector(1000, GIB, 0)}
+        quota = {"team": (1000, GIB, 0)}
         state = state_of(make_node("n1"), quota=quota)
         pod = make_pod("p1", 1000, GIB, ns="team")
         state.bind(pod, "n1", at=0)
@@ -279,9 +283,9 @@ class TestIncrementalAccounting:
         if include_reservations:
             holds += list(state.reserved[node_id].values())
         capacity = state.nodes()[node_id].capacity.as_tuple()
-        return ResourceVector(*(
-            capacity[d] - sum(h.as_tuple()[d] for h in holds) for d in range(3)
-        )).as_tuple()
+        free = tuple(capacity[d] - sum(h[d] for h in holds) for d in range(3))
+        assert min(free) >= 0, free
+        return free
 
     def assert_matches_scratch(self, state):
         aggregate = [0, 0, 0]
@@ -305,11 +309,11 @@ class TestIncrementalAccounting:
                 for pod_id, request in node_holds.items():
                     ns = namespace_of[pod_id]
                     usage[ns] = [u + r for u, r in
-                                 zip(usage.get(ns, (0, 0, 0)), request.as_tuple())]
+                                 zip(usage.get(ns, (0, 0, 0)), request)]
         for ns in ("default", "capped"):
             assert state.namespace_used(ns) == tuple(usage.get(ns, (0, 0, 0))), ns
         capped = usage.get("capped", (0, 0, 0))
-        assert all(u <= q for u, q in zip(capped, quota.as_tuple())), capped
+        assert all(u <= q for u, q in zip(capped, quota)), capped
 
     def test_random_operation_sequences_match_scratch_sums(self):
         rng = random.Random(624)
@@ -319,7 +323,7 @@ class TestIncrementalAccounting:
             for i in range(4)
         ]
         nodes.append(make_node("b0", cpu=8000, mem=8 * GIB, pool="Batch"))
-        quota = ResourceVector(6000, 6 * GIB, 1)
+        quota = (6000, 6 * GIB, 1)
         state = state_of(*nodes, quota={"capped": quota})
         namespace_of = {}  # pod id -> namespace, for every pod made
         reserved = {}  # pod id -> (pod, node id)
@@ -395,8 +399,12 @@ class TestIncrementalAccounting:
         capacity = state.nodes()["n1"].capacity.as_tuple()
         state._allocatable["n1"] = capacity
         state._unbound["n1"] = capacity
-        with pytest.raises(OvercommitError, match="overcommitted"):
+        with pytest.raises(OvercommitError) as err:
             state.bind(make_pod("p2", 2000, GIB), "n1", at=1)
+        # The held sum and the node spec's capacity, both as triples.
+        assert str(err.value) == (
+            f"node n1 in c1 overcommitted: {(5000, 2 * GIB, 0)} > {(4000, 4 * GIB, 0)}"
+        )
 
 
 class TestPodPhases:
@@ -423,10 +431,37 @@ class TestPodPhases:
 
 
 def test_a_pods_req_is_its_request_triple_built_once():
-    pod = make_pod("p", cpu=2000, mem=4 * GIB, gpu=1)
-    triple = pod.req
-    assert triple == pod.request.as_tuple() == (2000, 4 * GIB, 1) and type(triple) is tuple
-    state = state_of(make_node("n1", gpu=1))
-    state.bind(pod, "n1", 0)
-    assert pod.req is triple and state.allocatable("n1") == (8000, 28 * GIB, 0)
-    assert "req=" not in repr(pod)
+    # The triple the pod's config record builds is the one object the run
+    # submits, logs and holds: no step builds another.
+    raw = base_config(
+        [{"id": c, "nodes": [node_cfg(f"{c}-n1", gpu=1)]} for c in ("a", "b")],
+        pairs=[("a", "b"), ("b", "a"), ("a", "a"), ("b", "b")],
+        pods=[pod_cfg("p", "a", cpu=2000, mem="4GiB", gpu=1)],
+    )
+    config = validate_config(raw)
+    triple = config.scenario.pods[0].req
+    assert triple == (2000, 4 * GIB, 1) and type(triple) is tuple
+    sim = Simulation(config)
+    pod = sim.pod_objects["p"]
+    assert pod.req is triple
+    assert "req=(2000, 4294967296, 1)" in repr(pod) and repr(pod).count("2000") == 1
+    submit_req = engine.FIELDS[engine.POD_SUBMIT].index("req")
+    seen = set()
+    while sim.ctx.queue.due(config.duration_ms):
+        event = sim.step()
+        if event.kind == engine.POD_SUBMIT:
+            assert event.args[submit_req] is triple
+            seen.add(event.kind)
+        for fx in event.effects:
+            op, names = engine.EFFECT_FIELDS[fx[0]]
+            if "req" in names:
+                assert fx[1 + names.index("req")] is triple, fx
+                seen.add(op)
+        for state in sim.clusters.values():
+            for held in ("reserved", "bound"):
+                for pods in getattr(state, held).values():
+                    if "p" in pods:
+                        assert pods["p"] is triple
+                        seen.add(held)
+    assert pod.phase is PodPhase.COMPLETED
+    assert seen == {engine.POD_SUBMIT, "reserve", "bind", "unbind", "reserved", "bound"}

@@ -14,6 +14,7 @@ from fedsched.cli import EXIT_CONFIG, EXIT_OK, _apply_overrides, main
 from fedsched.config import RunConfig, parse_config, parse_time, validate_config
 from fedsched.errors import ConfigError
 from fedsched.metrics import serialize_event
+from fedsched.resources import ResourceVector
 from fedsched.sim import Simulation
 
 from conftest import base_config, node_cfg, pod_cfg, run_raw
@@ -469,6 +470,14 @@ LOCATION_CASES = [
     # Valid jobs, but the base leaves metascale, which runs them, disabled.
     ("profile", "scenario.batch_jobs",
      [{"id": "j1", "cluster": "a", "submit": "1m", "node_count": 1, "duration": "5m"}]),
+    # A bool or a float for a request or a quota: the parsers refuse it, as
+    # they must, since no `ResourceVector` checks a triple after them.
+    ("rich", "scenario.pods[0].cpu", True),
+    ("rich", "scenario.pods[0].cpu", 1.5),
+    ("rich", "scenario.retrain.gpu", True),
+    ("rich", "scenario.retrain.gpu", 1.5),
+    ("rich", "topology.clusters[0].namespace_quota.default.cpu", True),
+    ("rich", "topology.clusters[0].namespace_quota.default.cpu", 1.5),
 ]
 
 BASES = {"rich": rich_config, "central": lambda: kind_config("central"),
@@ -497,6 +506,15 @@ def test_wrong_value_is_located(base, location, value):
     with pytest.raises(ConfigError) as err:
         validate_config(raw)
     assert err.value.location == location
+
+
+@pytest.mark.parametrize("value", [True, 1.5])
+@pytest.mark.parametrize("location", ["scenario.pods[0].cpu", "scenario.retrain.gpu",
+                                      "topology.clusters[0].namespace_quota.default.cpu"])
+def test_a_request_or_quota_that_is_no_integer_reads_as_the_parser_words_it(location, value):
+    with pytest.raises(ConfigError) as err:
+        validate_config(set_at(rich_config(), location, value))
+    assert str(err.value) == f"{location}: must be an integer, got {value!r}"
 
 
 @pytest.mark.parametrize("location", ["metascale.tick", "federation.retry_backoff"])
@@ -808,6 +826,27 @@ def test_a_valid_config_formats_no_location(config, monkeypatch):
     # The patched formatter is the one an error goes through.
     with pytest.raises(AssertionError, match="formatted location"):
         validate_config(set_at(config(), "sim.seed", "x"))
+
+
+@pytest.mark.parametrize("config,nodes", [(lambda: json.loads(BUNDLED.read_text()), 11),
+                                          (local_wide_shaped_config, 64)],
+                         ids=["bundled", "local-wide-shaped"])
+def test_only_node_capacities_build_resource_vectors(config, nodes, monkeypatch):
+    # A pod's request, a template's and a quota are triples from their
+    # record on; a `ResourceVector` is a node's capacity and nothing else.
+    built = []
+    check = ResourceVector.__post_init__
+
+    def counted(vector):
+        built.append(vector)
+        check(vector)
+
+    monkeypatch.setattr(ResourceVector, "__post_init__", counted)
+    sim = Simulation(validate_config(config()))
+    capacities = [node.capacity for state in sim.clusters.values()
+                  for node in state.nodes().values()]
+    assert len(built) == len(capacities) == nodes
+    assert {id(v) for v in built} == {id(v) for v in capacities}
 
 
 @pytest.mark.parametrize("bad", ["lots", "-1GiB", "1GiB!", -1, True, 1.5, [], {}])

@@ -27,7 +27,6 @@ from fedsched.federation import (
 )
 from fedsched.metascale import BatchJob
 from fedsched.metrics import PodRow, SeriesRow, TriggerLatency
-from fedsched.resources import ResourceVector
 from fedsched.sim import Simulation
 
 from conftest import fx_of, make_node, make_pod, seeded
@@ -123,7 +122,7 @@ def record_instances():
     return {
         "PodSpec": pod,
         "NodeSpec": make_node("n1"),
-        "PodEntry": PodEntry("p1", "c1", "default", 0, 1, ResourceVector(1, 1, 0), {}, False),
+        "PodEntry": PodEntry("p1", "c1", "default", 0, 1, (1, 1, 0), {}, False),
         "ProxyPod": proxy,
         "PodChaperon": PodChaperon(proxy=proxy, target="t"),
         "VirtualNode": VirtualNode("t", (1, 1, 0), (1, 1, 0)),

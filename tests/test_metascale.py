@@ -236,7 +236,7 @@ class TestAggregatesUnderRebalance:
                         node_capacity = node.capacity.as_tuple()
                         node_free = list(node_capacity)
                         for request in state.bound[node_id].values():
-                            for d, r in enumerate(request.as_tuple()):
+                            for d, r in enumerate(request):
                                 node_free[d] -= r
                         assert min(node_free) >= 0, (event.time, node_id, node_free)
                         for d in range(3):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fedsched.resources import GIB, ResourceVector
+from fedsched.resources import GIB
 from fedsched.scenario import (
     ModelRegistry,
     PodTemplate,
@@ -165,7 +165,7 @@ class TestGenerateTrace:
 
 
 def test_templates_are_federation_eligible():
-    template = PodTemplate(ResourceVector(1000, GIB, 0), {}, 60_000)
+    template = PodTemplate((1000, GIB, 0), {}, 60_000)
     pod = template.make("p1", "ns", 0)
     assert pod.federation_eligible
 

@@ -7,7 +7,7 @@ from fedsched.cluster import ClusterSpec, ClusterState, NodePool, NodeState, fit
 from fedsched import federation, sim as sim_module
 from fedsched.config import validate_config
 from fedsched.errors import BindError
-from fedsched.resources import GIB, ResourceVector
+from fedsched.resources import GIB
 from fedsched.scheduling import (
     builtin_pipeline,
     least_allocated_score,
@@ -109,7 +109,7 @@ class TestFilters:
         assert schedule_one(pod, snapshot_of(state), builtin_pipeline()) is None
 
     def test_namespace_policy_counts_quota(self):
-        quota = {"team": ResourceVector(1500, 4 * GIB, 0)}
+        quota = {"team": (1500, 4 * GIB, 0)}
         state = cluster_with([make_node("n1")], quota=quota)
         state.bind(make_pod("f", 1000, GIB, ns="team"), "n1", at=0)
         over = make_pod("p", 1000, GIB, ns="team")
@@ -174,11 +174,11 @@ class TestScheduleOne:
                 if not (
                     node.state is NodeState.READY
                     and node.pool is NodePool.CONTAINER
-                    and all(r <= f for r, f in zip(pod.request.as_tuple(), free))
+                    and all(r <= f for r, f in zip(pod.req, free))
                 ):
                     continue
                 free_after = [
-                    f - r for f, r in zip(free, pod.request.as_tuple())
+                    f - r for f, r in zip(free, pod.req)
                 ]
                 score = oracle_least_allocated(free_after, node.capacity.as_tuple())
                 key = (score, [-ord(c) for c in node.node_id])
@@ -234,7 +234,7 @@ class TestWeightedOracle:
                     else:
                         state.unbind(pod)
                     free = model[node_id]["free"]
-                    for d, r in enumerate(pod.request.as_tuple()):
+                    for d, r in enumerate(pod.req):
                         free[d] += r
                 if rng.random() < 0.15:
                     node_id = rng.choice(ids)
@@ -246,7 +246,7 @@ class TestWeightedOracle:
                 pod = make_pod(f"p{trial}-{step}", cpu=rng.choice([0, 1000, 2000, 4000]),
                                mem=rng.choice([0, 1, 2, 4]) * GIB, gpu=rng.choice([0, 0, 1, 2]),
                                selector=rng.choice([{}, {}, {"zone": "a"}]))
-                request = pod.request.as_tuple()
+                request = pod.req
                 best, best_score, tied = None, None, False
                 for node_id in sorted(model):
                     m = model[node_id]
@@ -307,8 +307,7 @@ class TestBindAgreement:
                 if rng.random() < 0.2:
                     node.state = NodeState.REPURPOSING
             quota = {
-                ns: ResourceVector(rng.randint(1, 8) * 1000, rng.randint(1, 8) * GIB,
-                                   rng.randint(0, 2))
+                ns: (rng.randint(1, 8) * 1000, rng.randint(1, 8) * GIB, rng.randint(0, 2))
                 for ns in namespaces if rng.random() < 0.5
             }
             allowlist = rng.choice([None, {"prod"}, {"prod", "team"}])
@@ -362,7 +361,7 @@ def plain_choice(pod, state, pipeline):
     order existed."""
     if state.spec.admission_error(pod, state.ns_usage) is not None:
         return None
-    request = pod.request.as_tuple()
+    request = pod.req
     best, best_score = None, None
     for node_id in sorted(state.nodes()):
         node = state.nodes()[node_id]
@@ -452,8 +451,7 @@ class TestClassOrderDifferential:
                     labels=rng.choice([{}, {}, {"zone": "a"}, {"zone": "b", "rack": "r1"}]),
                     pool=rng.choice(["Container", "Container", "Container", "Batch"])))
             quota = {
-                ns: ResourceVector(rng.randint(4, 24) * 1000, rng.randint(4, 24) * GIB,
-                                   rng.randint(0, 4))
+                ns: (rng.randint(4, 24) * 1000, rng.randint(4, 24) * GIB, rng.randint(0, 4))
                 for ns in namespaces if rng.random() < 0.3
             }
             allowlist = rng.choice([None, None, {"prod", "team"}])
@@ -527,7 +525,7 @@ class TestClassOrderDifferential:
 def ceiling_rejects(pod, snap):
     """Whether the pod's ceiling alone makes `schedule_one` return None."""
     ceiling = snap.ceilings.get(pod.selector_key)
-    return ceiling is not None and any(r > c for r, c in zip(pod.request.as_tuple(), ceiling))
+    return ceiling is not None and any(r > c for r, c in zip(pod.req, ceiling))
 
 
 class TestCeilingDifferential:
