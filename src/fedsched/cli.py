@@ -204,7 +204,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
-    static = static_info_of(parse_config(args.config))
+    static = static_info_of(cfg.build_spec() for cfg in parse_config(args.config).clusters)
     _make_out_dir(args.out)
     line = 0
 

@@ -282,7 +282,7 @@ class ClusterConfig:
     namespace_quota: Dict[str, Triple]
     score_weights: Tuple[Tuple[str, float], ...]
 
-    def build_nodes(self) -> List[NodeSpec]:
+    def build_spec(self) -> ClusterSpec:
         if self.profile is not None:
             scale = {} if self.scale_divisor is None else {"divisor": self.scale_divisor}
             nodes = PROFILES[self.profile](self.cluster_id, **scale)
@@ -299,9 +299,6 @@ class ClusterConfig:
             ]
         for node in nodes[: self.initial_batch_nodes]:
             node.pool = NodePool.BATCH
-        return nodes
-
-    def build_spec(self) -> ClusterSpec:
         spec = ClusterSpec(
             cluster_id=self.cluster_id,
             namespace_allowlist=(
@@ -309,7 +306,7 @@ class ClusterConfig:
             ),
             namespace_quota=dict(self.namespace_quota),
         )
-        for node in self.build_nodes():
+        for node in nodes:
             spec.add_node(node)
         return spec
 

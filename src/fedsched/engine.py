@@ -78,19 +78,19 @@ EVENT_KINDS = frozenset(FIELDS)
 
 # Each effect shape's op and field names, in the order the log writes them.
 # An effect is held as a tuple `(shape, v1, v2, ...)` of its shape and
-# these fields' values; this table is the one place that names them. An op
+# these fields' values; this table is the one place that names them. Each
+# effect is one state change of one record, with the event as its message,
+# so none repeats what its event or another effect of its step holds. An op
 # that logs one field set is its own shape. `proxy` and `job` log several,
 # each a shape named after its op and the field it adds.
 EFFECT_FIELDS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "bind": ("bind", ("pod", "cluster", "node", "ns", "req", "federated", "src", "role")),
+    "bind": ("bind", ("pod", "cluster", "node", "req", "federated", "src")),
     "unbind": ("unbind", ("pod", "cluster", "node", "req")),
     "phase": ("phase", ("pod", "phase")),
     "reserve": ("reserve", ("pod", "cluster", "node", "req")),
     "release": ("release", ("pod", "cluster", "node")),
     "chaperon": ("chaperon", ("pod", "cluster", "state")),
-    "mirror": ("mirror", ("pod", "phase")),
     "unschedulable": ("unschedulable", ("pod",)),
-    "offload": ("offload", ("src", "dst", "pod")),
     "proxy": ("proxy", ("pod", "state")),
     "proxy_targets": ("proxy", ("pod", "state", "targets")),
     "proxy_elected": ("proxy", ("pod", "state", "elected")),

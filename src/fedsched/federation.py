@@ -411,7 +411,6 @@ class FederationProtocol:
         chaperon.state = ChaperonState.DELEGATE
         self.ctx.effect(("chaperon", pod_id, target, chaperon.state._value_))
         self.ctx.bound_pod(proxy.pod, target, node, federated=True, source=proxy.source)
-        self.ctx.effect(("offload", proxy.source, target, pod_id))
         for phase in ("Bound", "Running"):
             self._send_pod_message(
                 proxy, target, "rev", engine.STATUS_MIRROR, (pod_id, target, phase)
@@ -420,7 +419,6 @@ class FederationProtocol:
 
     def on_status_mirror(self, pod_id: str, target: str, phase: str) -> None:
         proxy = self.proxies[pod_id]
-        self.ctx.effect(("mirror", pod_id, phase))
         if (
             phase == "Bound"
             and proxy.state is ProxyState.ELECTED

@@ -144,15 +144,16 @@ class StaticInfo:
     node_pool: Dict[str, Dict[str, str]]
 
 
-def static_info_of(config) -> StaticInfo:
-    """Node capacities and pools as the run's config builds them at t=0,
-    before any rebalancing; a report needs nothing else from the run."""
+def static_info_of(specs) -> StaticInfo:
+    """Node capacities and pools of `specs`, the run's `ClusterSpec`s as
+    its config builds them at t=0, before any rebalancing; a report needs
+    nothing else from the run."""
     capacity = {}
     pool = {}
-    for cluster_cfg in config.clusters:
-        nodes = cluster_cfg.build_nodes()
-        capacity[cluster_cfg.cluster_id] = {n.node_id: n.capacity.as_list() for n in nodes}
-        pool[cluster_cfg.cluster_id] = {n.node_id: n.pool.value for n in nodes}
+    for spec in specs:
+        nodes = spec.nodes.values()
+        capacity[spec.cluster_id] = {n.node_id: n.capacity.as_list() for n in nodes}
+        pool[spec.cluster_id] = {n.node_id: n.pool.value for n in nodes}
     return StaticInfo(node_capacity=capacity, node_pool=pool)
 
 
@@ -307,11 +308,10 @@ def read_event_log(path: str) -> Iterator[dict]:
 # is skipped; one whose op is not there is a ValueError that `fedsched
 # report` locates.
 _READS = {
-    "bind": {"pod", "cluster", "node", "req", "src"},
+    "bind": {"pod", "cluster", "node", "req", "federated", "src"},
     "unbind": {"pod", "cluster", "req"},
     "phase": {"pod", "phase"},
     "unschedulable": {"pod"},
-    "offload": {"src", "dst"},
     "pool_move": {"cluster", "node"},
     "node_ready": {"cluster", "node", "pool"},
     "registry": {"version"},
@@ -327,9 +327,9 @@ _RECORD_FIELDS.update({
     for op, read in _READS.items()
 })
 # The shapes the report does not read: the federation's bookkeeping of
-# chaperons, proxies, status mirrors and reservations, and batch jobs. They
-# are about three quarters of all effects, so one set lookup skips each
-# before the shape comparisons below.
+# chaperons, proxies and reservations, and batch jobs. They are about three
+# quarters of all effects, so one set lookup skips each before the shape
+# comparisons below.
 _UNREAD = frozenset(EFFECT_FIELDS.keys() - _READS.keys())
 
 
@@ -409,7 +409,12 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
             if shape in _UNREAD:
                 continue
             if shape == "bind":
-                _, pod_id, cluster, node, _, request, _, source, _ = fx
+                # A federated bind is its delegate's: one offload from the
+                # pod's source to the cluster it bound in.
+                _, pod_id, cluster, node, request, federated, source = fx
+                if federated:
+                    key = (source, cluster)
+                    report.offloads[key] = report.offloads.get(key, 0) + 1
                 row = pods[pod_id]
                 row.bind_time = t
                 row.bound_cluster = cluster
@@ -433,10 +438,6 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
                 source = row.source_cluster
                 pending[source] -= 1
                 rows[(t, source)] = (used[source], cap[source], pending[source])
-            elif shape == "offload":
-                _, source, target, _ = fx
-                key = (source, target)
-                report.offloads[key] = report.offloads.get(key, 0) + 1
             elif shape == "pool_move":
                 _, cluster, node, _, _ = fx
                 if node_in_container[(cluster, node)]:

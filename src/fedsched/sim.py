@@ -84,10 +84,7 @@ class Context:
 
     def bound_pod(self, pod: PodSpec, cluster: str, node: str, federated: bool, source: str) -> None:
         """Shared post-bind path: record, start running, schedule completion."""
-        self.effect((
-            "bind", pod.pod_id, cluster, node, pod.namespace, pod.req, federated, source,
-            pod.role,
-        ))
+        self.effect(("bind", pod.pod_id, cluster, node, pod.req, federated, source))
         pod.transition(PodPhase.RUNNING)
         self.effect(("phase", pod.pod_id, PodPhase.RUNNING._value_))
         self.at(self.now + pod.duration, engine.POD_COMPLETE, (pod.pod_id, cluster))
@@ -105,10 +102,12 @@ class Simulation:
         self.clusters: Dict[str, ClusterState] = {}
         pipelines: Dict[str, Pipeline] = {}
         freed, moved = set(), set()
-        for cluster_cfg in config.clusters:
-            spec = cluster_cfg.build_spec()
+        specs = [cluster_cfg.build_spec() for cluster_cfg in config.clusters]
+        # What the report needs of the nodes, read before any pool move.
+        self.static = static_info_of(specs)
+        for spec, cluster_cfg in zip(specs, config.clusters):
             self.clusters[spec.cluster_id] = ClusterState(spec, freed, moved)
-            pipelines[cluster_cfg.cluster_id] = builtin_pipeline(cluster_cfg.score_weights)
+            pipelines[spec.cluster_id] = builtin_pipeline(cluster_cfg.score_weights)
         self.ctx = Context(
             EventQueue(), LatencyChannels(self.rngs), self.clusters, pipelines, self.graph,
             freed, moved, self._effects.append,
@@ -235,7 +234,7 @@ class Simulation:
             while queue.due(until):
                 self.step()
             log.info("run complete: %d events in %d ms simulated", len(self.events), self.ctx.now)
-            return build_report(self.events, static_info_of(self.config))
+            return build_report(self.events, self.static)
         finally:
             if gc.get_freeze_count() == 0:
                 gc.freeze()

@@ -294,28 +294,31 @@ def test_report_on_an_effect_missing_a_field_it_reads_names_the_line(config_path
 
 def test_report_on_an_unknown_effect_op_names_the_line(tmp_path, capsys):
     # A one-pod log in which the first "phase" effect's op reads "phaze",
-    # an op no effect has: the report cannot know what it skips.
+    # an op no effect has: the report cannot know what it skips. Nor does
+    # any effect have the op "mirror" any more, so a log written while the
+    # status mirror still logged one exits 1 at that line too.
     raw = base_config([{"id": "a", "nodes": [node_cfg("a-n1")]}],
                       pods=[pod_cfg("p1", "a", federated=False)])
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     run_dir = tmp_path / "run"
     assert main(["run", "--config", str(config), "--out", str(run_dir)]) == EXIT_OK
-    log, number = edit_first_effect(run_dir, tmp_path, "phase", lambda fx: fx.update(op="phaze"))
-    capsys.readouterr()
-    assert main(["report", "--config", str(config), "--log", str(log),
-                 "--out", str(tmp_path / "report")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith(
-        f"error: {log}:{number}: record does not replay: ValueError: unknown effect op 'phaze'"
-    )
-    assert "Traceback" not in err
+    for op in ("phaze", "mirror"):
+        log, number = edit_first_effect(run_dir, tmp_path, "phase", lambda fx: fx.update(op=op))
+        capsys.readouterr()
+        assert main(["report", "--config", str(config), "--log", str(log),
+                     "--out", str(tmp_path / "report")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: {log}:{number}: record does not replay: ValueError: unknown effect op {op!r}"
+        )
+        assert "Traceback" not in err
 
 
 EDITS_THAT_REPLAY = {
-    # The report reads no chaperon effect, nor a bind's namespace or role.
+    # The report reads no chaperon effect, nor an unbind's node.
     "chaperon-with-an-extra-key": ("chaperon", lambda fx: fx.update(extra=[1, {"x": None}])),
-    "bind-without-its-role": ("bind", lambda fx: (fx.pop("role"), fx.pop("ns"))),
+    "unbind-without-its-node": ("unbind", lambda fx: fx.pop("node")),
 }
 
 

@@ -172,7 +172,7 @@ def test_req_objects_tells_copies_apart():
     req = tuple([1, 2, 0])
     submit = Event(0, 0, engine.POD_SUBMIT, ("p", "c", "default", True, "workload", req))
     bind = Event(1, 1, engine.DELEGATE_BIND, ("p", "c"), tuple(
-        ("bind", pod, "c", "n", "default", held, True, "c", "workload")
+        ("bind", pod, "c", "n", held, True, "c")
         for pod, held in (("p", req), ("q", tuple([1, 2, 0])), ("q", tuple([1, 2, 0])))
     ))
     assert {pod: len(ids) for pod, ids in req_objects([submit, bind]).items()} == {"p": 1, "q": 2}

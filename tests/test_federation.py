@@ -425,7 +425,8 @@ class TestMirror:
             (bind_t + 10, "Running"),
             (complete_t + 10, "Completed"),
         ]
-        mirrored = [fx["phase"] for _, fx in effects_of(sim, "mirror") if fx["pod"] == "p1"]
+        mirrored = [e.payload["phase"] for e in events_of(sim, engine.STATUS_MIRROR)
+                    if e.payload["pod"] == "p1"]
         assert mirrored[-1] == "Completed"
 
     def test_no_delegate_updates_leaves_proxy_unchanged(self):
@@ -437,7 +438,7 @@ class TestMirror:
                           pods=[pod_cfg("p1", "s", cpu=5000, mem="4GiB")],
                           duration="2s")  # stop before any retry resolution
         sim, _ = run_raw(raw)
-        assert not [fx for _, fx in effects_of(sim, "mirror") if fx["pod"] == "p1"]
+        assert not [e for e in events_of(sim, engine.STATUS_MIRROR) if e.payload["pod"] == "p1"]
 
 
 class TestReservationFreeMode:

@@ -139,19 +139,19 @@ CASES = {
 }
 
 GOLDEN = {
-    "bundled": "20d588d37c84f104f11f7a29626f3a5933669538833c5b0edec9718c79b1e718",
-    "bundled-trace-seed7": "5f44f006f8863d149893b24a7e6bdfcc912ce6d88118b15b0242c5f19f51bde4",
-    "random-protocol-0": "6fac33edeaba042d88d987d9b79aadbe857e9096c85238bc07b76119fa23bcd9",
-    "random-protocol-1": "6a767a0bbb305d5717f82d4aa23eca096930e7e9d59c019b73b34352e69b6d91",
-    "random-protocol-21-no-reservations": "6234ee5d59295291cb8cfac1aedf7f73361f0888be21879b038a336a9a038d0d",
-    "determinism-0": "469edc8df43797e649f8ecbe95a69f3e2e386647f55602425d7d06041841fe0a",
-    "determinism-5-metascale": "9a1d94eb1b1a1d2b0d6d413337200a9545638a20a6da6bcc420ac9b25ebebe62",
-    "burst-squeezed": "25eb2ba156bf0f639cf37c306a3176f5ce73bfd9a099c3086b094296abc4b559",
-    "oscillating-metascale": "64e743b00803cc4e537e295c31f2524e841d6f8bb4de81c7f837fb793c31ed10",
-    "policy-seed3": "78d33b3a8d8f4d7fae9781e41828d4ae58ed1dfc5c4caf71e24098cff0639d1f",
-    "bind-conflict": "ad4cab3ac07fe20878c67d7701022f1192e9b8c241475881e21a2ae4795aceee",
-    "mesh-overload": "f04b0fdf707c26e2aef1b4a9d584d3d9c5391e738e0efc4b49ae54464a6c23b0",
-    "local-only": "37ac83908ee7abe530beabff82f3b937e48126af5eec369f9a83e31c4c670b5c",
+    "bundled": "e459c593902344cc8f85f8db341898c392d822c34622b40d1c9f461da2e27f05",
+    "bundled-trace-seed7": "4f00efa7a44ed6d7d330db91e06b8e3b38f2472ced6d766dded36e5c5e5fa634",
+    "random-protocol-0": "b3215c6504f42f051d1a74b19ed830580379a44fcf545c723d6e474ba8c6a34c",
+    "random-protocol-1": "dbdaed6ff49e4384ca1c447ff92c82742c9aeaa846f338a0a6fd03f397912f29",
+    "random-protocol-21-no-reservations": "24aa9099b69e5162e378150ce03a85deb5f1621c001e49db5e188a69f1b5e817",
+    "determinism-0": "6c46b6804e4335372dc9934989282a62f8968959d68d39309544eec61b703895",
+    "determinism-5-metascale": "4b446692cf667c1aa087aca474abfad61cb3d3fb662a667cc2e622e9b512bb33",
+    "burst-squeezed": "ac1b56311ac687bbd81a3843f4f581b5ec5df9e913b185b50eaa1e530895bd5e",
+    "oscillating-metascale": "cd0b818da133a87da1e5a2964ce0993703711f28b80abee2cc16707a0b64e860",
+    "policy-seed3": "0d937614aac04682b83d247bce68ebccb4db3a5409bffc978345a4688638b9ea",
+    "bind-conflict": "a2d84772ef13d0be767504fe9703e3efda400678259f688b3c5f5aaf66f4b72d",
+    "mesh-overload": "dcdaef6cdb46321d030ed6af154b2054fbd71a913bbef295aa404abe4c55aeac",
+    "local-only": "fdcfacec149f049dbd0451e40777dcefb495e35b7ea0adbb3abdf863b93b7236",
 }
 
 

@@ -59,14 +59,16 @@ def live_by_log(events):
     protocol still needs."""
     targets, finished, chaperons = {}, set(), {}
     for event in events:
+        if event.kind == engine.STATUS_MIRROR:
+            pod_id, _, phase = event.args
+            if phase == PodPhase.COMPLETED.value:
+                finished.add(pod_id)
         for fx in fx_of(event):
             op = fx["op"]
             if op == "proxy":
                 targets.setdefault(fx["pod"], fx.get("targets", ()))
                 if fx["state"] == ProxyState.UNSCHEDULABLE.value:
                     finished.add(fx["pod"])
-            elif op == "mirror" and fx["phase"] == PodPhase.COMPLETED.value:
-                finished.add(fx["pod"])
             elif op == "chaperon":
                 chaperons[(fx["pod"], fx["cluster"])] = fx["state"]
     proxies = {

@@ -1,4 +1,5 @@
-"""Every payload field written to the event log is read.
+"""Every payload field written to the event log is read, and every effect
+records something new.
 
 A kind's payload fields are `engine.FIELDS[kind]`; an event holds their
 values as `args`, in that order. A field is read when its kind's handler
@@ -10,22 +11,33 @@ or `build_report` reads it:
   a scenario method, and a field is read when that method loads it.
 - `build_report` reads the same fields from a live event's `args` as from
   a record's payload dict (`test_metrics` holds the two reports equal), so
-  it runs here over each run's records, every payload wrapped in a `dict`
-  subclass that records, per event kind, the keys read through `[]` and
-  `get`.
+  it runs here over each run's records, every payload and effect wrapped
+  in a `dict` subclass that records the keys read through `[]` and `get`.
 Each golden config runs to the end. A field that some event kind writes
 but nothing reads fails the guard, unless `EXEMPT` lists it with its
 reason.
+
+An effect is one state change of one record, with its event as the
+message. So each effect shape must, at least once over the golden logs,
+hold a value that neither its event's payload nor another effect of the
+same step holds, unless `REPEATS` lists it. And each key of an effect the
+report reads is read by it, unless `UNREAD_EFFECT_KEYS` lists it. Both
+tables are exact: a listed shape that records something new, or a listed
+key that the report reads, fails too.
 """
 
 import dis
+import functools
 import inspect
+import json
 from collections import defaultdict
+from typing import NamedTuple
 
-from fedsched import engine
+from fedsched import engine, metrics
 from fedsched.config import validate_config
+from fedsched.engine import Event
 from fedsched.federation import FederationProtocol
-from fedsched.metrics import build_report, record_of, static_info_of
+from fedsched.metrics import build_report, record_of
 from fedsched.scenario import WildfireScenario
 from fedsched.sim import Simulation
 
@@ -34,6 +46,23 @@ from test_golden_log import CASES
 
 # (kind, key) -> why the key is written though nothing reads it.
 EXEMPT = {}
+
+# shape -> why its effects may hold nothing new to their step.
+REPEATS = {
+    "unschedulable": "the pod's own phase change; the `proxy_reason` beside it is the "
+                     "proxy's, whose terminal states perfbench/checks.py reads",
+}
+
+# (op, key) -> why an effect the report reads carries a key it does not.
+UNREAD_EFFECT_KEYS = {
+    ("unbind", "node"): "replayed per node by perfbench/checks.py and by the acceptance "
+                        "overcommit check; the report's series is per cluster",
+    ("pool_move", "src"): "the pool the node left, for a reader of the log; the report "
+                          "tracks each node's pool from its static info and node_ready",
+    ("pool_move", "dst"): "the pool the node is bound for, for a reader of the log",
+    ("trigger", "camera"): "which camera fired, for a reader of the log; the report counts "
+                           "triggers and their pods, not cameras",
+}
 
 # kind -> the `WildfireScenario` method its handler passes its fields on
 # to. The method's parameters after `self` are named as the handler's.
@@ -83,47 +112,111 @@ def handler_reads(kind):
     return {field for field, param in zip(fields, params) if param in loaded}
 
 
-def unread_fields(cases):
-    """Run `cases` and return {kind: keys written but never read}, less
-    `EXEMPT`, and the set of kinds written."""
-    written, read = defaultdict(set), defaultdict(set)
+class Recorded(dict):
+    """A payload or effect dict that adds each key read through `[]` or
+    `get` to the set `reads`."""
 
-    class Payload(dict):
-        def __getitem__(self, key):
-            read[self.kind].add(key)
-            return dict.__getitem__(self, key)
+    __slots__ = ("reads",)
 
-        def get(self, key, default=None):
-            read[self.kind].add(key)
-            return dict.get(self, key, default)
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
 
+    def __getitem__(self, key):
+        self.reads.add(key)
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        self.reads.add(key)
+        return dict.get(self, key, default)
+
+
+def news_of(event):
+    """Per effect of `event`, its shape and whether it holds a value that
+    neither the event's payload nor another of its effects holds, each
+    value compared as the log writes it."""
+    payload = {json.dumps(value) for value in event.args}
+    written = [{json.dumps(value) for value in fx[1:]} for fx in event.effects]
+    for i, fx in enumerate(event.effects):
+        held = payload.union(*(values for j, values in enumerate(written) if j != i))
+        yield fx[0], not written[i] <= held
+
+
+class Survey(NamedTuple):
+    unread: dict  # kind -> payload keys written but never read, less `EXEMPT`
+    kinds: set  # the kinds written
+    effect_reads: dict  # op -> the effect keys `build_report` reads
+    news: dict  # shape -> whether some effect of it records something new
+
+
+def survey(cases) -> Survey:
+    """Run `cases` to the end, report each from its records, and return
+    what their logs write and what reads it."""
+    payload_reads, effect_reads = defaultdict(set), defaultdict(set)
+    kinds, news = set(), {}
     for name in sorted(cases):
         raw, seed = cases[name]()
-        config = validate_config(seeded(raw, seed))
-        sim = Simulation(config)
+        sim = Simulation(validate_config(seeded(raw, seed)))
         sim.run()
         records = []
         for event in sim.events:
+            kinds.add(event.kind)
+            for shape, new in news_of(event):
+                news[shape] = news.get(shape, False) or new
             record = record_of(event)
-            payload = record["payload"] = Payload(record["payload"])
-            payload.kind = event.kind
-            written[event.kind].update(payload)
+            record["payload"] = Recorded(record["payload"], payload_reads[event.kind])
+            record["fx"] = [Recorded(fx, effect_reads[fx["op"]]) for fx in record["fx"]]
             records.append(record)
-        build_report(records, static_info_of(config))
+        build_report(records, sim.static)
     unread = {}
-    for kind, keys in written.items():
-        keys = keys - read[kind] - handler_reads(kind)
+    for kind in kinds:
+        keys = set(engine.FIELDS[kind]) - payload_reads[kind] - handler_reads(kind)
         keys = {key for key in keys if (kind, key) not in EXEMPT}
         if keys:
             unread[kind] = keys
-    return unread, set(written)
+    return Survey(unread, kinds, effect_reads, news)
+
+
+@functools.lru_cache(maxsize=None)
+def golden() -> Survey:
+    """The survey of the golden cases, run once for the tests that read it."""
+    return survey(CASES)
 
 
 def test_every_written_payload_field_is_read():
-    unread, kinds = unread_fields(CASES)
-    assert unread == {}
+    assert golden().unread == {}
     # The golden configs write every kind, so the guard covers them all.
-    assert kinds == engine.EVENT_KINDS
+    assert golden().kinds == engine.EVENT_KINDS
+
+
+def test_every_effect_shape_records_something_new():
+    news = golden().news
+    # The golden configs write every shape, so the guard covers them all.
+    assert set(news) == set(engine.EFFECT_FIELDS)
+    repeating = sorted(shape for shape, new in news.items() if not new)
+    assert [shape for shape in repeating if shape not in REPEATS] == []
+    assert repeating == sorted(REPEATS)
+
+
+def test_every_key_of_an_effect_the_report_reads_is_read():
+    reads = golden().effect_reads
+    unread = {
+        (op, key) for op in metrics._READS for key in engine.EFFECT_FIELDS[op][1]
+        if key not in reads[op]
+    }
+    assert sorted(unread - UNREAD_EFFECT_KEYS.keys()) == []
+    assert sorted(UNREAD_EFFECT_KEYS.keys() - unread) == []
+
+
+def test_news_are_values_that_the_step_holds_nowhere_else():
+    # The mirror's Bound proxy repeats the payload's pod and phase; the
+    # phase effect adds "Running", and the bind its node.
+    assert list(news_of(Event(0, 0, engine.STATUS_MIRROR, ("p", "t", "Bound"), (
+        ("proxy", "p", "Bound"), ("phase", "p", "Running"),
+    )))) == [("proxy", False), ("phase", True)]
+    assert list(news_of(Event(0, 0, engine.DELEGATE_BIND, ("p", "t"), (
+        ("chaperon", "p", "t", "Delegate"), ("bind", "p", "t", "n1", (1, 2, 0), True, "t"),
+    )))) == [("chaperon", True), ("bind", True)]
 
 
 def test_guard_reports_a_field_nothing_reads(monkeypatch):
@@ -141,8 +234,7 @@ def test_guard_reports_a_field_nothing_reads(monkeypatch):
     monkeypatch.setitem(engine.FIELDS, kind, (*engine.FIELDS[kind], "node"))
     monkeypatch.setitem(FederationProtocol.HANDLERS, kind, on_delegate_bind)
     monkeypatch.setattr(engine.EventQueue, "push", push_with_node)
-    unread, _ = unread_fields({"bind-conflict": CASES["bind-conflict"]})
-    assert unread == {kind: {"node"}}
+    assert survey({"bind-conflict": CASES["bind-conflict"]}).unread == {kind: {"node"}}
 
 
 def test_a_handler_reads_only_the_parameters_it_loads():
@@ -161,7 +253,7 @@ def test_a_forwarded_field_is_read_only_where_it_is_passed(monkeypatch):
         sensor(self, camera, 0.0)
 
     monkeypatch.setattr(WildfireScenario, "on_sensor", on_sensor)
-    unread, _ = unread_fields({"bundled": CASES["bundled"]})
+    unread = survey({"bundled": CASES["bundled"]}).unread
     assert unread == {engine.SENSOR_MESSAGE: {"probability"}}
     # Nor does `_on_trigger` read the camera it passes on.
     monkeypatch.setattr(WildfireScenario, "on_trigger", lambda self, camera: [])

@@ -13,7 +13,6 @@ from fedsched.metrics import (
     read_event_log,
     record_of,
     serialize_event,
-    static_info_of,
     write_event_log,
 )
 from conftest import base_config, fx_of, node_cfg, pod_cfg, pod_row, run_raw
@@ -66,7 +65,7 @@ def test_report_recomputable_from_exported_log(tmp_path):
         path = tmp_path / f"events-{index}.jsonl"
         write_event_log(str(path), sim.events)
         parsed = read_event_log(str(path))
-        recomputed = build_report(parsed, static_info_of(sim.config))
+        recomputed = build_report(parsed, sim.static)
         assert recomputed == live
 
 
@@ -74,7 +73,7 @@ def test_report_takes_any_iterable_of_records_or_of_events(tmp_path):
     # The input is read once: an empty input, a generator and a list of the
     # same items yield equal reports.
     sim, live = run_raw(metascale_raw())
-    static = static_info_of(sim.config)
+    static = sim.static
     path = tmp_path / "events.jsonl"
     write_event_log(str(path), sim.events)
     from_generator = build_report(read_event_log(str(path)), static)
@@ -92,7 +91,7 @@ def test_a_record_effect_needs_only_the_fields_the_report_reads():
     dropped = set()
     for name in ("bundled", "oscillating-metascale", "mesh-overload"):
         sim, live = run_raw(*CASES[name]())
-        static = static_info_of(sim.config)
+        static = sim.static
         firsts = {}
         for i, event in enumerate(sim.events):
             for j, fx in enumerate(event.effects):
@@ -239,7 +238,7 @@ def test_form_guard_reports_a_misformed_arg():
         Event(2, 2, engine.AGGREGATE_REPORT, ("a", "b", (1, 2), (1, 2.0, 0))),
         Event(3, 3, engine.SENSOR_MESSAGE, ("c", 1)),
         Event(4, 4, engine.DELEGATE_BIND, ("p", "c"), (
-            ("bind", "p", "c", "n", "default", [1, 2, 0], 0, "c", "workload"),
+            ("bind", "p", "c", "n", [1, 2, 0], 0, "c"),
             ("proxy_targets", "p", "CandidatesPending", ("a", 1)),
             ("registry", 2.0),
         )),
@@ -310,14 +309,13 @@ def edge_events():
         Event(9, 9, engine.NODE_READY, (odd, odd)),
         # Effects of every field form, ids and lists holding what json escapes.
         Event(10, 10, engine.DELEGATE_BIND, (odd, odd), (
-            ("bind", odd, odd, odd, odd, (0, 2**40, 8), False, odd, odd),
-            ("bind", odd, odd, odd, odd, (1, 2, 0), True, odd, odd),
+            ("bind", odd, odd, odd, (0, 2**40, 8), False, odd),
+            ("bind", odd, odd, odd, (1, 2, 0), True, odd),
             ("proxy_targets", odd, odd, (odd, "b", "東京")),
             ("proxy_targets", odd, odd, ()),
             ("job_nodes", odd, odd, odd, [odd, "n2"]),
             ("trigger", odd, [odd]),
             ("registry", 2**40),
-            ("offload", odd, odd, odd),
         )),
     ]
 
@@ -409,7 +407,7 @@ def test_unbind_beyond_usage_is_an_overcommit(dim):
          "payload": {"pod": "p", "cluster": "c", "ns": "default", "federated": False,
                      "req": req},
          "fx": [{"op": "bind", "pod": "p", "cluster": "c", "node": "n1", "req": req,
-                 "src": "c"}]},
+                 "federated": False, "src": "c"}]},
         {"t": 5, "seq": 1, "kind": "PodComplete", "payload": {"pod": "p", "cluster": "c"},
          "fx": [{"op": "unbind", "pod": "p", "cluster": "c", "node": "n1", "req": back}]},
     ]
@@ -436,7 +434,7 @@ def test_final_state_matches_log_replay():
 def test_offload_counts_match_delegate_binds():
     sim, report = run_raw(busy_raw())
     delegate_binds = sum(
-        1 for e in sim.events for fx in fx_of(e) if fx["op"] == "offload"
+        1 for e in sim.events for fx in fx_of(e) if fx["op"] == "bind" and fx["federated"]
     )
     assert sum(report.offloads.values()) == delegate_binds
     bound_federated = sum(

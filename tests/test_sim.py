@@ -13,12 +13,27 @@ from fedsched.engine import EventQueue
 from fedsched.errors import EmptyQueue
 from fedsched.federation import ChaperonState, FederationProtocol
 from fedsched.metrics import serialize_event
+from fedsched.profiles import PROFILES
 from fedsched.sim import Simulation
 from fedsched.config import validate_config
 
 from conftest import base_config, fx_of, node_cfg, pod_cfg, push_every_row, run_raw, seeded
 from test_golden_log import CASES
 from test_scenario import wildfire_raw
+
+
+def test_a_run_builds_each_clusters_nodes_once(monkeypatch):
+    # `Simulation()` reads the report's node capacities and pools from the
+    # cluster specs it builds, so a run calls each cluster's profile once.
+    calls = []
+    for name, build in list(PROFILES.items()):
+        def counted(cluster_id, *args, _build=build, **kwargs):
+            calls.append(cluster_id)
+            return _build(cluster_id, *args, **kwargs)
+        monkeypatch.setitem(PROFILES, name, counted)
+    raw, _ = CASES["bundled"]()
+    Simulation(validate_config(raw)).run()
+    assert sorted(calls) == ["expanse", "nautilus"]
 
 
 def log_bytes(sim):
