@@ -39,7 +39,19 @@ encoder, built once at import: the C accelerator that `json.JSONEncoder`
 would otherwise rebuild per call, or, where the interpreter lacks it, a
 plain `JSONEncoder`. `t` and `seq` are ints, and the kind and op are
 those the two tables name, none of which needs escaping. A record read
-back from a log, of any kind, is encoded whole.
+back from a log, of any kind, is encoded whole. `write_event_log` writes a
+live Event's line itself, from the same head and effect writers and
+without a call to `serialize_event`, and an event with one effect without
+a join; a record read back goes through `serialize_event`.
+
+pods.csv and timeseries.csv are the csv module's excel dialect, written
+without it for the rows that need no quoting. Each row is one f-string of
+its fields joined by commas: ints as they print, `federated` as 0/1, ""
+for a missing time, cluster or node. A writer takes `_CHUNK` rows at a
+time and writes a chunk whose lines `_plain` passes as one string, each
+line ended by `\\r\\n`. In any other chunk each such line is written as is
+and each other row goes through `csv.writer`, which quotes it. summary.json
+is one `json.dumps` and one write.
 """
 
 from __future__ import annotations
@@ -275,10 +287,26 @@ def serialize_event(event) -> str:
 
 
 def write_event_log(path: str, events) -> None:
+    """Write each of `events` as its `serialize_event` line. A live Event's
+    line is written here, as `serialize_event` writes it, without a call to
+    it; a record read back from a log goes through it."""
+    heads, writers = _HEADS, _EFFECTS
     with open(path, "w", encoding="utf-8") as handle:
         write = handle.write
         for event in events:
-            write(f"{serialize_event(event)}\n")
+            if not isinstance(event, Event):
+                write(f"{serialize_event(event)}\n")
+                continue
+            effects = event.effects
+            head = heads[event.kind](event.time, event.seq, event.args)
+            if not effects:
+                write(f"{head}[]}}\n")
+            elif len(effects) == 1:
+                effect = effects[0]
+                write(f"{head}[{writers[effect[0]](effect)}]}}\n")
+            else:
+                fx = ",".join([writers[effect[0]](effect) for effect in effects])
+                write(f"{head}[{fx}]}}\n")
 
 
 def read_event_log(path: str) -> Iterator[dict]:
@@ -387,6 +415,12 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
                 pod_id, cluster, namespace = payload["pod"], payload["cluster"], payload["ns"]
                 federated, req = payload["federated"], tuple(payload["req"])
                 role = payload.get("role", "workload")
+                # What a live PodSubmit holds, so that pods.csv writes a
+                # replayed pod as it writes a live one.
+                if type(federated) is not bool:
+                    raise ValueError(f"PodSubmit federated is not a bool: {federated!r}")
+                if len(req) != 3 or any(type(v) is not int for v in req):
+                    raise ValueError(f"PodSubmit req is not three ints: {payload['req']!r}")
         if t > end:
             end = t
 
@@ -480,45 +514,116 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
     return report
 
 
+# The columns of pods.csv and timeseries.csv. No name needs quoting, so a
+# header is the names joined by commas.
+_POD_COLUMNS = (
+    "pod_id", "namespace", "role", "source_cluster", "federated",
+    "submit_ms", "bind_ms", "time_to_bind_ms", "bound_cluster",
+    "bound_node", "complete_ms", "final_phase",
+    "cpu_millicores", "memory_bytes", "gpu_count",
+)
+_SERIES_COLUMNS = (
+    "time_ms", "cluster", "cpu_used", "memory_used", "gpu_used",
+    "cpu_capacity", "memory_capacity", "gpu_capacity", "pending",
+)
+
+# Rows per chunk of pods.csv and timeseries.csv: each chunk is tested and
+# written as one string, so a writer holds no more of its file than that.
+# Chunks of 512 rows wrote `local-wide`'s two files about 0.1 ms faster but
+# raised `fed-mesh-overload`'s peak RSS by 0.12 MiB (`BENCH_34.json`).
+_CHUNK = 128
+
+
+def _plain(text: str, lines: int, commas: int) -> bool:
+    """Whether `text`, the f-string lines of `lines` rows run together, each
+    line its row's fields joined by commas, holds no field that the csv
+    module would write otherwise. It quotes a field that holds a comma, a
+    quote, a `\\r` or a `\\n`, and writes None as an empty field; any other
+    str, int, float or bool it writes as `str` does, as an f-string does.
+    So `text` passes when it holds none of those characters but its
+    `commas` commas per line, and no `None`. A field that holds the string
+    `None` fails too, which costs time, not bytes."""
+    return ('"' not in text and "\r" not in text and "\n" not in text
+            and text.count(",") == commas * lines and "None" not in text)
+
+
+def _write_chunk(handle, lines: List[str], rows: list, commas: int, fields) -> None:
+    """Write `lines`, the f-string lines of `rows`, to `handle` as
+    `csv.writer` writes each row's `fields(row)`: the whole chunk at once
+    when it is plain, else each plain line as is and each other row
+    through `csv.writer`."""
+    if _plain("".join(lines), len(lines), commas):
+        handle.write("\r\n".join(lines))
+        handle.write("\r\n")
+        return
+    writerow = csv.writer(handle).writerow
+    for row, line in zip(rows, lines):
+        if _plain(line, 1, commas):
+            handle.write(f"{line}\r\n")
+        else:
+            writerow(fields(row))
+
+
+def _pod_fields(row: PodRow) -> list:
+    """A pod's pods.csv fields, as `csv.writer` takes them."""
+    return [
+        row.pod_id, row.namespace, row.role, row.source_cluster,
+        int(row.federated), row.submit_time,
+        "" if row.bind_time is None else row.bind_time,
+        "" if row.time_to_bind is None else row.time_to_bind,
+        row.bound_cluster or "", row.bound_node or "",
+        "" if row.complete_time is None else row.complete_time,
+        row.final_phase, *row.req,
+    ]
+
+
+def _series_fields(row: SeriesRow) -> list:
+    """A (time, cluster) row's timeseries.csv fields, as `csv.writer` takes
+    them."""
+    return [row.time, row.cluster, *row.used, *row.capacity, row.pending]
+
+
 def write_pods_csv(path: str, report: MetricsReport) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "pod_id", "namespace", "role", "source_cluster", "federated",
-                "submit_ms", "bind_ms", "time_to_bind_ms", "bound_cluster",
-                "bound_node", "complete_ms", "final_phase",
-                "cpu_millicores", "memory_bytes", "gpu_count",
-            ]
-        )
-        for row in report.pods:
-            writer.writerow(
-                [
-                    row.pod_id, row.namespace, row.role, row.source_cluster,
-                    int(row.federated), row.submit_time,
-                    "" if row.bind_time is None else row.bind_time,
-                    "" if row.time_to_bind is None else row.time_to_bind,
-                    row.bound_cluster or "", row.bound_node or "",
-                    "" if row.complete_time is None else row.complete_time,
-                    row.final_phase, *row.req,
-                ]
-            )
+        handle.write(",".join(_POD_COLUMNS) + "\r\n")
+        pods = report.pods
+        for start in range(0, len(pods), _CHUNK):
+            rows = pods[start:start + _CHUNK]
+            lines = []
+            append = lines.append
+            for row in rows:
+                submit, bind, complete = row.submit_time, row.bind_time, row.complete_time
+                cpu, memory, gpu = row.req
+                append(
+                    f"{row.pod_id},{row.namespace},{row.role},{row.source_cluster},"
+                    f"{int(row.federated)},{submit},{'' if bind is None else bind},"
+                    f"{'' if bind is None else bind - submit},"
+                    f"{row.bound_cluster or ''},{row.bound_node or ''},"
+                    f"{'' if complete is None else complete},{row.final_phase},"
+                    f"{cpu},{memory},{gpu}"
+                )
+            _write_chunk(handle, lines, rows, 14, _pod_fields)
 
 
 def write_series_csv(path: str, report: MetricsReport) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "time_ms", "cluster", "cpu_used", "memory_used", "gpu_used",
-                "cpu_capacity", "memory_capacity", "gpu_capacity", "pending",
-            ]
-        )
-        for row in report.series:
-            writer.writerow([row.time, row.cluster, *row.used, *row.capacity, row.pending])
+        handle.write(",".join(_SERIES_COLUMNS) + "\r\n")
+        series = report.series
+        for start in range(0, len(series), _CHUNK):
+            rows = series[start:start + _CHUNK]
+            lines = []
+            append = lines.append
+            for row in rows:
+                used_cpu, used_memory, used_gpu = row.used
+                cap_cpu, cap_memory, cap_gpu = row.capacity
+                append(
+                    f"{row.time},{row.cluster},{used_cpu},{used_memory},{used_gpu},"
+                    f"{cap_cpu},{cap_memory},{cap_gpu},{row.pending}"
+                )
+            _write_chunk(handle, lines, rows, 8, _series_fields)
 
 
 def write_summary_json(path: str, report: MetricsReport) -> None:
+    text = json.dumps(report.summary(), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report.summary(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(f"{text}\n")

@@ -315,6 +315,38 @@ def test_report_on_an_unknown_effect_op_names_the_line(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+# A PodSubmit payload edited to a value no live PodSubmit holds, and the
+# start of the error it replays as.
+POD_SUBMIT_EDITS = {
+    "federated-yes": (lambda payload: payload.update(federated="yes"),
+                      "ValueError: PodSubmit federated is not a bool: 'yes'"),
+    "req-of-two": (lambda payload: payload.update(req=payload["req"][:2]),
+                   "ValueError: PodSubmit req is not three ints: ["),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POD_SUBMIT_EDITS))
+def test_report_on_a_pod_submit_of_another_shape_names_the_line(case, tmp_path, capsys):
+    from test_golden_log import BUNDLED
+
+    edit, message = POD_SUBMIT_EDITS[case]
+    run_dir = tmp_path / "run"
+    assert main(["run", "--config", str(BUNDLED), "--out", str(run_dir)]) == EXIT_OK
+    lines = (run_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    number = next(n for n, line in enumerate(lines, 1) if '"kind":"PodSubmit"' in line)
+    record = json.loads(lines[number - 1])
+    edit(record["payload"])
+    lines[number - 1] = json.dumps(record, separators=(",", ":"))
+    log = tmp_path / "edited.jsonl"
+    log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", "--config", str(BUNDLED), "--log", str(log),
+                 "--out", str(tmp_path / "report")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {log}:{number}: record does not replay: {message}")
+    assert "Traceback" not in err
+
+
 EDITS_THAT_REPLAY = {
     # The report reads no chaperon effect, nor an unbind's node.
     "chaperon-with-an-extra-key": ("chaperon", lambda fx: fx.update(extra=[1, {"x": None}])),
