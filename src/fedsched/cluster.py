@@ -36,7 +36,6 @@ class NodeState(Enum):
 
 class PodPhase(Enum):
     PENDING = "Pending"
-    BOUND = "Bound"
     RUNNING = "Running"
     COMPLETED = "Completed"
     UNSCHEDULABLE = "Unschedulable"
@@ -46,9 +45,8 @@ class PodPhase(Enum):
 # simulator bug. A tuple, not a dict of sets, so that checking a move
 # compares members by identity instead of calling Enum's Python `__hash__`.
 _LEGAL_MOVES = (
-    (PodPhase.PENDING, PodPhase.BOUND),
+    (PodPhase.PENDING, PodPhase.RUNNING),
     (PodPhase.PENDING, PodPhase.UNSCHEDULABLE),
-    (PodPhase.BOUND, PodPhase.RUNNING),
     (PodPhase.RUNNING, PodPhase.COMPLETED),
 )
 
@@ -505,7 +503,7 @@ class ClusterState:
             self._aggregate_unbound = subtract_triples(self._aggregate_unbound, request)
             self._moved.add(self.cluster_id)
         self.bound[node_id][pod.pod_id] = request
-        pod.transition(PodPhase.BOUND)
+        pod.transition(PodPhase.RUNNING)
         pod.bound_node = node_id
         self._assert_node_capacity(node_id)
 

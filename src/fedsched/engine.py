@@ -80,13 +80,14 @@ EVENT_KINDS = frozenset(FIELDS)
 # An effect is held as a tuple `(shape, v1, v2, ...)` of its shape and
 # these fields' values; this table is the one place that names them. Each
 # effect is one state change of one record, with the event as its message,
-# so none repeats what its event or another effect of its step holds. An op
-# that logs one field set is its own shape. `proxy` and `job` log several,
-# each a shape named after its op and the field it adds.
+# so none repeats what its event or another effect of its step holds: a
+# pod's phase is its `bind` (Running), `unbind` (Completed) or
+# `unschedulable`, not an effect of its own. An op that logs one field set
+# is its own shape. `proxy` and `job` log several, each a shape named after
+# its op and the field it adds.
 EFFECT_FIELDS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "bind": ("bind", ("pod", "cluster", "node", "req", "federated", "src")),
     "unbind": ("unbind", ("pod", "cluster", "node", "req")),
-    "phase": ("phase", ("pod", "phase")),
     "reserve": ("reserve", ("pod", "cluster", "node", "req")),
     "release": ("release", ("pod", "cluster", "node")),
     "chaperon": ("chaperon", ("pod", "cluster", "state")),

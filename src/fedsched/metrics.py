@@ -7,9 +7,12 @@ any iterable, a list or a generator, read once.
 
 Event log line format: one compact JSON object per line, in this field order,
     {"t":<ms>,"seq":<n>,"kind":"<EventKind>","payload":{...},"fx":[...]}
-where "fx" lists the state changes the event's processing produced. Strings
-are ASCII-escaped and non-finite floats are written as `NaN`/`Infinity`, as
-`json.dumps` with `(",", ":")` separators does.
+where "fx" lists the state changes the event's processing produced. A pod's
+phase has no effect of its own: the report reads it from the pod's records,
+Running from its `bind`, Completed from its `unbind` and Unschedulable from
+its `unschedulable`. Strings are ASCII-escaped and non-finite floats are
+written as `NaN`/`Infinity`, as `json.dumps` with `(",", ":")` separators
+does.
 
 A live Event holds no payload dict and no effect dict: its `args` are the
 values of its kind's `engine.FIELDS`, in order, and its `payload` property
@@ -215,7 +218,8 @@ _BOOLS = {True: "true", False: "false"}
 # an f-string fragment of the variable `%(v)s` that holds it. Each form holds
 # only for a value of the field's type: a str, an int `timer` or `version`, a
 # bool `federated`, a (cpu, memory, gpu) tuple of ints, a list or tuple of
-# strs. A field not listed goes through `_encode`.
+# strs. A field not listed goes through `_encode`. `phase` is a StatusMirror
+# payload's.
 _FORMS = {
     **dict.fromkeys(
         ("pod", "cluster", "ns", "role", "job", "target", "status", "phase", "node",
@@ -338,7 +342,6 @@ def read_event_log(path: str) -> Iterator[dict]:
 _READS = {
     "bind": {"pod", "cluster", "node", "req", "federated", "src"},
     "unbind": {"pod", "cluster", "req"},
-    "phase": {"pod", "phase"},
     "unschedulable": {"pod"},
     "pool_move": {"cluster", "node"},
     "node_ready": {"cluster", "node", "pool"},
@@ -402,6 +405,8 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
                 pod_id, cluster, namespace, federated, role, req = event.args
         else:
             t, kind = event["t"], event["kind"]
+            if type(t) is not int:
+                raise ValueError(f"record t is not an int: {t!r}")
             effects = []
             for fx in event["fx"]:
                 op = fx["op"]
@@ -414,9 +419,12 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
                 payload = event["payload"]
                 pod_id, cluster, namespace = payload["pod"], payload["cluster"], payload["ns"]
                 federated, req = payload["federated"], tuple(payload["req"])
-                role = payload.get("role", "workload")
+                role = payload["role"]
                 # What a live PodSubmit holds, so that pods.csv writes a
                 # replayed pod as it writes a live one.
+                for name, value in (("ns", namespace), ("role", role)):
+                    if type(value) is not str:
+                        raise ValueError(f"PodSubmit {name} is not a str: {value!r}")
                 if type(federated) is not bool:
                     raise ValueError(f"PodSubmit federated is not a bool: {federated!r}")
                 if len(req) != 3 or any(type(v) is not int for v in req):
@@ -453,7 +461,7 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
                 row.bind_time = t
                 row.bound_cluster = cluster
                 row.bound_node = node
-                row.final_phase = "Bound"
+                row.final_phase = "Running"
                 used[cluster] = add_triples(used[cluster], request)
                 pending[source] -= 1
                 rows[(t, cluster)] = (used[cluster], cap[cluster], pending[cluster])
@@ -461,11 +469,10 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
             elif shape == "unbind":
                 _, pod_id, cluster, _, request = fx
                 used[cluster] = subtract_triples(used[cluster], request)
-                pods[pod_id].complete_time = t
+                row = pods[pod_id]
+                row.complete_time = t
+                row.final_phase = "Completed"
                 rows[(t, cluster)] = (used[cluster], cap[cluster], pending[cluster])
-            elif shape == "phase":
-                _, pod_id, phase = fx
-                pods[pod_id].final_phase = phase
             elif shape == "unschedulable":
                 row = pods[fx[1]]
                 row.final_phase = "Unschedulable"

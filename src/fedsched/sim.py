@@ -83,10 +83,9 @@ class Context:
         self.queue.push(time, kind, args)
 
     def bound_pod(self, pod: PodSpec, cluster: str, node: str, federated: bool, source: str) -> None:
-        """Shared post-bind path: record, start running, schedule completion."""
+        """Shared post-bind path: record the bind, which is the pod starting
+        to run, and schedule its completion."""
         self.effect(("bind", pod.pod_id, cluster, node, pod.req, federated, source))
-        pod.transition(PodPhase.RUNNING)
-        self.effect(("phase", pod.pod_id, PodPhase.RUNNING._value_))
         self.at(self.now + pod.duration, engine.POD_COMPLETE, (pod.pod_id, cluster))
 
 
@@ -283,7 +282,6 @@ class Simulation:
         state.unbind(pod)
         pod.transition(PodPhase.COMPLETED)
         self.ctx.effect(("unbind", pod.pod_id, cluster_id, pod.bound_node, pod.req))
-        self.ctx.effect(("phase", pod.pod_id, PodPhase.COMPLETED._value_))
         if self.scenario is not None:
             self.scenario.on_pod_complete(pod)
         self.protocol.mirror_completion(pod, cluster_id, PodPhase.COMPLETED._value_)

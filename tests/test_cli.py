@@ -208,7 +208,9 @@ def test_invariant_violation_exits_two(config_path, monkeypatch, capsys):
     assert "invariant" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["bundled", "oscillating-metascale"])
+@pytest.mark.parametrize(
+    "name", ["bundled", "oscillating-metascale", "mesh-overload", "bind-conflict"]
+)
 def test_report_rebuilds_the_run_outputs_from_its_log(name, tmp_path, capsys):
     from test_golden_log import CASES
 
@@ -238,7 +240,7 @@ BAD_LINES = {
     "not-an-object": b"5",
     "unknown-pod": json.dumps(
         {"t": 1, "seq": 1, "kind": "PodComplete", "payload": {},
-         "fx": [{"op": "phase", "pod": "ghost", "phase": "Completed"}]}).encode(),
+         "fx": [{"op": "unschedulable", "pod": "ghost"}]}).encode(),
     "overcommit": json.dumps(
         {"t": 1, "seq": 1, "kind": "PodComplete", "payload": {},
          "fx": [{"op": "unbind", "pod": "ghost", "cluster": "a", "node": "a-n1",
@@ -293,18 +295,19 @@ def test_report_on_an_effect_missing_a_field_it_reads_names_the_line(config_path
 
 
 def test_report_on_an_unknown_effect_op_names_the_line(tmp_path, capsys):
-    # A one-pod log in which the first "phase" effect's op reads "phaze",
+    # A one-pod log in which the first "unbind" effect's op reads "phaze",
     # an op no effect has: the report cannot know what it skips. Nor does
-    # any effect have the op "mirror" any more, so a log written while the
-    # status mirror still logged one exits 1 at that line too.
+    # any effect have the op "mirror" or "phase" any more, so a log written
+    # while the status mirror or a pod's phase change still logged one
+    # exits 1 at that line too.
     raw = base_config([{"id": "a", "nodes": [node_cfg("a-n1")]}],
                       pods=[pod_cfg("p1", "a", federated=False)])
     config = tmp_path / "config.json"
     config.write_text(json.dumps(raw))
     run_dir = tmp_path / "run"
     assert main(["run", "--config", str(config), "--out", str(run_dir)]) == EXIT_OK
-    for op in ("phaze", "mirror"):
-        log, number = edit_first_effect(run_dir, tmp_path, "phase", lambda fx: fx.update(op=op))
+    for op in ("phaze", "mirror", "phase"):
+        log, number = edit_first_effect(run_dir, tmp_path, "unbind", lambda fx: fx.update(op=op))
         capsys.readouterr()
         assert main(["report", "--config", str(config), "--log", str(log),
                      "--out", str(tmp_path / "report")]) == EXIT_CONFIG
@@ -315,13 +318,19 @@ def test_report_on_an_unknown_effect_op_names_the_line(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-# A PodSubmit payload edited to a value no live PodSubmit holds, and the
+# A PodSubmit record edited to a value no live PodSubmit holds, and the
 # start of the error it replays as.
 POD_SUBMIT_EDITS = {
-    "federated-yes": (lambda payload: payload.update(federated="yes"),
+    "federated-yes": (lambda record: record["payload"].update(federated="yes"),
                       "ValueError: PodSubmit federated is not a bool: 'yes'"),
-    "req-of-two": (lambda payload: payload.update(req=payload["req"][:2]),
+    "req-of-two": (lambda record: record["payload"].update(req=record["payload"]["req"][:2]),
                    "ValueError: PodSubmit req is not three ints: ["),
+    "ns-null": (lambda record: record["payload"].update(ns=None),
+                "ValueError: PodSubmit ns is not a str: None"),
+    "role-seven": (lambda record: record["payload"].update(role=7),
+                   "ValueError: PodSubmit role is not a str: 7"),
+    "t-plus-half": (lambda record: record.update(t=record["t"] + 0.5),
+                    "ValueError: record t is not an int: "),
 }
 
 
@@ -335,7 +344,7 @@ def test_report_on_a_pod_submit_of_another_shape_names_the_line(case, tmp_path, 
     lines = (run_dir / "events.jsonl").read_text(encoding="utf-8").splitlines()
     number = next(n for n, line in enumerate(lines, 1) if '"kind":"PodSubmit"' in line)
     record = json.loads(lines[number - 1])
-    edit(record["payload"])
+    edit(record)
     lines[number - 1] = json.dumps(record, separators=(",", ":"))
     log = tmp_path / "edited.jsonl"
     log.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -141,7 +141,7 @@ class TestBind:
         state = state_of(node)
         pod = make_pod("p1", 1000, 2 * GIB)
         state.bind(pod, "n1", at=0)
-        assert pod.phase is PodPhase.BOUND
+        assert pod.phase is PodPhase.RUNNING
         assert pod.bound_node == "n1" and state.bound["n1"] == {"p1": pod.req}
         assert state.allocatable("n1") == (3000, 6 * GIB, 0)
 
@@ -165,7 +165,7 @@ class TestBind:
             state.bind(first, "n1", at=0)
             with pytest.raises(BindConflict):
                 state.bind(second, "n1", at=0)
-            assert first.phase is PodPhase.BOUND
+            assert first.phase is PodPhase.RUNNING
             assert second.phase is PodPhase.PENDING
 
     def test_quota_barely_below_request_rejects(self):
@@ -193,7 +193,7 @@ class TestBind:
         state.unbind(pod)
         p3 = make_pod("p3", 1000, GIB, ns="team")
         state.bind(p3, "n1", at=2)
-        assert p3.phase is PodPhase.BOUND
+        assert p3.phase is PodPhase.RUNNING
 
 
 class TestReservations:
@@ -410,7 +410,7 @@ class TestIncrementalAccounting:
 class TestPodPhases:
     def test_legal_lifecycle_paths(self):
         pod = make_pod("p")
-        for phase in (PodPhase.BOUND, PodPhase.RUNNING, PodPhase.COMPLETED):
+        for phase in (PodPhase.RUNNING, PodPhase.COMPLETED):
             pod.transition(phase)
         other = make_pod("q")
         other.transition(PodPhase.UNSCHEDULABLE)
@@ -418,8 +418,8 @@ class TestPodPhases:
     def test_illegal_transitions_raise(self):
         pod = make_pod("p")
         with pytest.raises(PhaseTransitionError):
-            pod.transition(PodPhase.RUNNING)  # must pass through Bound
-        pod.transition(PodPhase.BOUND)
+            pod.transition(PodPhase.COMPLETED)  # must pass through Running
+        pod.transition(PodPhase.RUNNING)
         with pytest.raises(PhaseTransitionError):
             pod.transition(PodPhase.PENDING)
 

@@ -145,12 +145,12 @@ def test_guard_reports_lists():
     short = Event(7, 5, engine.CHAPERON_CREATE, ("p",))
     payload = Event(8, 6, engine.TRIGGER_FIRED, {"camera": "c"})
     effects = Event(9, 7, engine.POD_COMPLETE, ("p", "c"), (
-        {"op": "phase", "pod": "p", "phase": "Completed"},
-        ("phase", "p"),
+        {"op": "release", "pod": "p", "cluster": "c", "node": "n"},
+        ("release", "p", "c"),
         ("proxy", "p", "Unschedulable", "max_retries"),
         ("ghost", "p"),
         (),
-        ("phase", "p", "Completed"),
+        ("release", "p", "c", "n"),
     ))
     assert held_lists([event, empty, short, payload, effects]) == [
         "AggregateReport seq 3: effects is a list",
@@ -161,7 +161,7 @@ def test_guard_reports_lists():
         "ChaperonCreate seq 5: 1 args for 2 fields",
         "TriggerFired seq 6: args is a dict",
         "PodComplete seq 7: effect 0 is a dict",
-        "PodComplete seq 7: phase effect of 2 items for 2 fields",
+        "PodComplete seq 7: release effect of 3 items for 3 fields",
         "PodComplete seq 7: proxy effect of 4 items for 2 fields",
         "PodComplete seq 7: effect 3 has no shape: ('ghost', 'p')",
         "PodComplete seq 7: effect 4 has no shape: ()",

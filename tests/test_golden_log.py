@@ -139,19 +139,19 @@ CASES = {
 }
 
 GOLDEN = {
-    "bundled": "e459c593902344cc8f85f8db341898c392d822c34622b40d1c9f461da2e27f05",
-    "bundled-trace-seed7": "4f00efa7a44ed6d7d330db91e06b8e3b38f2472ced6d766dded36e5c5e5fa634",
-    "random-protocol-0": "b3215c6504f42f051d1a74b19ed830580379a44fcf545c723d6e474ba8c6a34c",
-    "random-protocol-1": "dbdaed6ff49e4384ca1c447ff92c82742c9aeaa846f338a0a6fd03f397912f29",
-    "random-protocol-21-no-reservations": "24aa9099b69e5162e378150ce03a85deb5f1621c001e49db5e188a69f1b5e817",
-    "determinism-0": "6c46b6804e4335372dc9934989282a62f8968959d68d39309544eec61b703895",
-    "determinism-5-metascale": "4b446692cf667c1aa087aca474abfad61cb3d3fb662a667cc2e622e9b512bb33",
-    "burst-squeezed": "ac1b56311ac687bbd81a3843f4f581b5ec5df9e913b185b50eaa1e530895bd5e",
-    "oscillating-metascale": "cd0b818da133a87da1e5a2964ce0993703711f28b80abee2cc16707a0b64e860",
-    "policy-seed3": "0d937614aac04682b83d247bce68ebccb4db3a5409bffc978345a4688638b9ea",
-    "bind-conflict": "a2d84772ef13d0be767504fe9703e3efda400678259f688b3c5f5aaf66f4b72d",
-    "mesh-overload": "dcdaef6cdb46321d030ed6af154b2054fbd71a913bbef295aa404abe4c55aeac",
-    "local-only": "fdcfacec149f049dbd0451e40777dcefb495e35b7ea0adbb3abdf863b93b7236",
+    "bundled": "c9714929037b581d0455a2cdf3f0aceb3f2e8b95c0ce04c69e83324c4460c9ab",
+    "bundled-trace-seed7": "009557be5bc85f665a9f3cf34e559ee64026b3916336609ddb7ad4f0eac33639",
+    "random-protocol-0": "cc6e500952002b8d1f46fdb750ee227f077b388fb5ee144d94bd3c6e2abbc38c",
+    "random-protocol-1": "31887d4fc8e72f8facbcfa329d3451c789162ccf4107a54c75a713aae79d0d62",
+    "random-protocol-21-no-reservations": "c1b15c88d1e04055c5db8feccc9b9b15ce7f193b233347b2209a9bbb0dfde4b9",
+    "determinism-0": "f63719ed46e1218aa4be5fddac7d9daf5625ee7b718c85bbaed51efe330ecbe2",
+    "determinism-5-metascale": "b82936e83f64a8bc7dfdb18e1a6f3809b58b6a82d2bc20f95e872cfe339cb230",
+    "burst-squeezed": "5cd2d7a031e81179585a44f00a6fe19481a84282db45a5464620d783843e59d2",
+    "oscillating-metascale": "47fe8d3a47aa9b507a36c165b6ccc9f6cfdb6f3bdc37685bee1bda5c783a4827",
+    "policy-seed3": "0da35c6529426252ab4221027d460221ad8dc3c6c1c0a1e3d42778d45803195e",
+    "bind-conflict": "b2ea5b4160c33d90915297aa6469af1c784286105681f6ed1f054889afb017a8",
+    "mesh-overload": "8144de1abe9a9d4a21ae1be92465cd8313cb0d75dd46df2ab2a02ef9b371ceab",
+    "local-only": "f5945e40b974bd7a013329429598e40a91bd07bcf5feffff8c1060269869191f",
 }
 
 

@@ -20,10 +20,14 @@ reason.
 An effect is one state change of one record, with its event as the
 message. So each effect shape must, at least once over the golden logs,
 hold a value that neither its event's payload nor another effect of the
-same step holds, unless `REPEATS` lists it. And each key of an effect the
-report reads is read by it, unless `UNREAD_EFFECT_KEYS` lists it. Both
-tables are exact: a listed shape that records something new, or a listed
-key that the report reads, fails too.
+same step holds, unless `REPEATS` lists it. Nor may a shape only echo
+another: it fails when each of its effects comes right after an effect of
+another shape that names the same record (the same first value) in the
+same step, and its other values are fixed by that shape, unless `REPEATS`
+lists it. And each key of an effect the report reads is read by it, unless
+`UNREAD_EFFECT_KEYS` lists it. Both tables are exact: a listed shape that
+records something new and echoes no other, or a listed key that the report
+reads, fails too.
 """
 
 import dis
@@ -47,7 +51,8 @@ from test_golden_log import CASES
 # (kind, key) -> why the key is written though nothing reads it.
 EXEMPT = {}
 
-# shape -> why its effects may hold nothing new to their step.
+# shape -> why its effects may hold nothing new to their step, and only echo
+# the effect before them.
 REPEATS = {
     "unschedulable": "the pod's own phase change; the `proxy_reason` beside it is the "
                      "proxy's, whose terminal states perfbench/checks.py reads",
@@ -142,18 +147,35 @@ def news_of(event):
         yield fx[0], not written[i] <= held
 
 
+def echoes_of(event):
+    """Per effect of `event`, its shape and, when it comes right after an
+    effect of another shape that names the same record (the same first
+    value), that shape and the effect's other values as the log writes
+    them; None otherwise."""
+    before = None
+    for fx in event.effects:
+        if before is not None and before[0] != fx[0] and before[1] == fx[1]:
+            yield fx[0], (before[0], json.dumps(fx[2:]))
+        else:
+            yield fx[0], None
+        before = fx
+
+
 class Survey(NamedTuple):
     unread: dict  # kind -> payload keys written but never read, less `EXEMPT`
     kinds: set  # the kinds written
     effect_reads: dict  # op -> the effect keys `build_report` reads
     news: dict  # shape -> whether some effect of it records something new
+    # shape -> per shape its effects come right after, their other values;
+    # None once an effect of it comes after no such effect.
+    echoes: dict
 
 
 def survey(cases) -> Survey:
     """Run `cases` to the end, report each from its records, and return
     what their logs write and what reads it."""
     payload_reads, effect_reads = defaultdict(set), defaultdict(set)
-    kinds, news = set(), {}
+    kinds, news, echoes = set(), {}, {}
     for name in sorted(cases):
         raw, seed = cases[name]()
         sim = Simulation(validate_config(seeded(raw, seed)))
@@ -163,6 +185,11 @@ def survey(cases) -> Survey:
             kinds.add(event.kind)
             for shape, new in news_of(event):
                 news[shape] = news.get(shape, False) or new
+            for shape, echo in echoes_of(event):
+                if echo is None:
+                    echoes[shape] = None
+                elif echoes.get(shape, {}) is not None:
+                    echoes.setdefault(shape, defaultdict(set))[echo[0]].add(echo[1])
             record = record_of(event)
             record["payload"] = Recorded(record["payload"], payload_reads[event.kind])
             record["fx"] = [Recorded(fx, effect_reads[fx["op"]]) for fx in record["fx"]]
@@ -174,7 +201,7 @@ def survey(cases) -> Survey:
         keys = {key for key in keys if (kind, key) not in EXEMPT}
         if keys:
             unread[kind] = keys
-    return Survey(unread, kinds, effect_reads, news)
+    return Survey(unread, kinds, effect_reads, news, echoes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -198,6 +225,17 @@ def test_every_effect_shape_records_something_new():
     assert repeating == sorted(REPEATS)
 
 
+def test_no_effect_shape_only_echoes_the_one_before_it():
+    echoes = golden().echoes
+    assert set(echoes) == set(engine.EFFECT_FIELDS)
+    echoing = sorted(
+        shape for shape, after in echoes.items()
+        if after is not None and all(len(values) == 1 for values in after.values())
+    )
+    assert [shape for shape in echoing if shape not in REPEATS] == []
+    assert echoing == sorted(REPEATS)
+
+
 def test_every_key_of_an_effect_the_report_reads_is_read():
     reads = golden().effect_reads
     unread = {
@@ -210,13 +248,28 @@ def test_every_key_of_an_effect_the_report_reads_is_read():
 
 def test_news_are_values_that_the_step_holds_nowhere_else():
     # The mirror's Bound proxy repeats the payload's pod and phase; the
-    # phase effect adds "Running", and the bind its node.
+    # release beside it adds its node.
     assert list(news_of(Event(0, 0, engine.STATUS_MIRROR, ("p", "t", "Bound"), (
-        ("proxy", "p", "Bound"), ("phase", "p", "Running"),
-    )))) == [("proxy", False), ("phase", True)]
+        ("proxy", "p", "Bound"), ("release", "p", "t", "t-n1"),
+    )))) == [("proxy", False), ("release", True)]
     assert list(news_of(Event(0, 0, engine.DELEGATE_BIND, ("p", "t"), (
         ("chaperon", "p", "t", "Delegate"), ("bind", "p", "t", "n1", (1, 2, 0), True, "t"),
     )))) == [("chaperon", True), ("bind", True)]
+
+
+def test_an_echo_follows_another_shape_of_the_same_record():
+    # The bind follows the chaperon of its pod; the release follows a bind,
+    # but of another pod; the proxy follows a reason of its own shape's op
+    # but another shape, then itself.
+    assert list(echoes_of(Event(0, 0, engine.DELEGATE_BIND, ("p", "t"), (
+        ("chaperon", "p", "t", "Delegate"), ("bind", "p", "t", "n1", (1, 2, 0), True, "s"),
+        ("release", "q", "t", "n1"), ("proxy_reason", "p", "Unschedulable", "max_retries"),
+        ("proxy", "p", "Bound"), ("proxy", "p", "Bound"),
+    )))) == [
+        ("chaperon", None), ("bind", ("chaperon", '["t", "n1", [1, 2, 0], true, "s"]')),
+        ("release", None), ("proxy_reason", None), ("proxy", ("proxy_reason", '["Bound"]')),
+        ("proxy", None),
+    ]
 
 
 def test_guard_reports_a_field_nothing_reads(monkeypatch):

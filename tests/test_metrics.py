@@ -20,8 +20,7 @@ from test_golden_log import CASES
 
 # The declared pod phase transition graph, re-stated here as the oracle.
 LEGAL = {
-    "Pending": {"Bound", "Unschedulable"},
-    "Bound": {"Running"},
+    "Pending": {"Running", "Unschedulable"},
     "Running": {"Completed"},
 }
 
@@ -285,7 +284,7 @@ def test_encoder_sees_only_unlisted_fields(encoder, monkeypatch):
     assert serialize_event(quiet) == json_line(quiet)
     assert serialize_event(quiet).endswith(',"fx":[]}') and encoded == []
     busy = Event(7, 4, engine.POD_SUBMIT, args, (
-        ("phase", "pöd-1", "Pending"), ("proxy_targets", "pöd-1", "CandidatesPending", ("a",)),
+        ("unschedulable", "pöd-1"), ("proxy_targets", "pöd-1", "CandidatesPending", ("a",)),
     ))
     assert serialize_event(busy) == json_line(busy)
     assert serialize_event(busy).endswith(',"targets":["a"]}]}') and encoded == []
@@ -302,7 +301,7 @@ def edge_events():
         Event(4, 4, engine.AGGREGATE_REPORT,
               (odd, "b", (64_000, 2**40, 8), (0, 2**40 - 1, 0))),
         Event(5, 5, engine.POD_SUBMIT, (odd, odd, odd, False, odd, (1, 2**40, 0)),
-              (("phase", odd, "Pending"),)),
+              (("unschedulable", odd),)),
         Event(6, 6, engine.ELECTION_TIMEOUT, (odd, 2**40)),
         Event(7, 7, engine.STATUS_MIRROR, (odd, odd, odd)),
         Event(8, 8, engine.BATCH_JOB_SUBMIT, (odd, odd)),
@@ -368,22 +367,27 @@ def test_unschedulable_pod_reported_as_such(tmp_path):
     assert pod_row(report, "too-big").bind_time is None
 
 
+# The phase each pod record's effect moves its pod to.
+PHASE_OF = {"bind": "Running", "unbind": "Completed", "unschedulable": "Unschedulable"}
+
+
 def test_pod_phase_histories_follow_transition_graph():
-    sim, _ = run_raw(busy_raw())
-    phase = {}
+    sim, report = run_raw(busy_raw())
+    phase, moves = {}, set()
     for event in sim.events:
         if event.kind == "PodSubmit":
             phase[event.payload["pod"]] = "Pending"
         for fx in fx_of(event):
-            if fx["op"] == "bind":
-                assert "Bound" in LEGAL[phase[fx["pod"]]]
-                phase[fx["pod"]] = "Bound"
-            elif fx["op"] == "phase":
-                assert fx["phase"] in LEGAL[phase[fx["pod"]]]
-                phase[fx["pod"]] = fx["phase"]
-            elif fx["op"] == "unschedulable":
-                assert "Unschedulable" in LEGAL[phase[fx["pod"]]]
-                phase[fx["pod"]] = "Unschedulable"
+            if fx["op"] in PHASE_OF:
+                move = (phase[fx["pod"]], PHASE_OF[fx["op"]])
+                assert move[1] in LEGAL[move[0]]
+                moves.add(move)
+                phase[fx["pod"]] = move[1]
+    # Every move of the graph is taken, and each pod ends where the report
+    # and the run leave it.
+    assert moves == {(a, b) for a, targets in LEGAL.items() for b in targets}
+    assert phase == {row.pod_id: row.final_phase for row in report.pods}
+    assert phase == {pod_id: pod.phase.value for pod_id, pod in sim.pod_objects.items()}
 
 
 def test_series_usage_never_exceeds_capacity():
@@ -405,7 +409,7 @@ def test_unbind_beyond_usage_is_an_overcommit(dim):
     records = [
         {"t": 0, "seq": 0, "kind": "PodSubmit",
          "payload": {"pod": "p", "cluster": "c", "ns": "default", "federated": False,
-                     "req": req},
+                     "role": "workload", "req": req},
          "fx": [{"op": "bind", "pod": "p", "cluster": "c", "node": "n1", "req": req,
                  "federated": False, "src": "c"}]},
         {"t": 5, "seq": 1, "kind": "PodComplete", "payload": {"pod": "p", "cluster": "c"},
@@ -450,7 +454,7 @@ def test_summary_counts_are_consistent():
     assert (
         summary["pods_bound"]
         == summary["pods_completed"] + sum(
-            1 for p in report.pods if p.final_phase in ("Bound", "Running")
+            1 for p in report.pods if p.final_phase == "Running"
         )
     )
     assert summary["pods_unschedulable"] == 1

@@ -82,7 +82,7 @@ class TestLambdaTrigger:
         _, report = run_raw(raw)
         assert len(report.pods) == 5 * 4
         for row in report.pods:
-            assert row.final_phase in ("Completed", "Running", "Bound", "Unschedulable")
+            assert row.final_phase in ("Completed", "Running", "Unschedulable")
             assert row.final_phase != "Pending"
 
     def test_placement_intent_gpu_and_large_memory(self):

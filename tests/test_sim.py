@@ -363,7 +363,7 @@ def test_a_raising_step_leaks_no_effect_into_the_next_event(monkeypatch):
 
     def record_then_raise(self, *args):
         if args[0] == "p1":
-            self.ctx.effect(("phase", "p1", "Leaked"))
+            self.ctx.effect(("unschedulable", "p1"))
             raise RuntimeError("handler failed")
         submit(self, *args)
 
@@ -373,7 +373,7 @@ def test_a_raising_step_leaks_no_effect_into_the_next_event(monkeypatch):
     assert sim.ctx.effect.__self__ == [] and sim.events == []
     event = sim.step()
     assert event.payload["pod"] == "p2"
-    assert [(fx["op"], fx["pod"]) for fx in fx_of(event)] == [("bind", "p2"), ("phase", "p2")]
+    assert [(fx["op"], fx["pod"]) for fx in fx_of(event)] == [("bind", "p2")]
 
 
 # -- the trace stream against a plain heap ---------------------------------------
