@@ -210,13 +210,12 @@ def cmd_report(args) -> int:
 
     def numbered():
         nonlocal line
-        for line, record in enumerate(read_event_log(args.log), 1):
-            yield record
+        for line, event in enumerate(read_event_log(args.log), 1):
+            yield event
 
     try:
         report = build_report(numbered(), static)
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
-            InvariantViolation) as exc:
+    except (KeyError, InvariantViolation) as exc:
         # A record the config's clusters or the records before it cannot
         # explain: a log of another config, or one edited by hand.
         raise LogError(

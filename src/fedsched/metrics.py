@@ -1,9 +1,9 @@
 """Run metrics, derived entirely from the event log.
 
-The report builder consumes either live Event objects or records parsed back
-from an exported JSONL log; both yield the same report, which is what makes
-metrics recomputable after the fact (`fedsched report`). The input may be
-any iterable, a list or a generator, read once.
+The report builder consumes Events: those of a live run, or those
+`read_event_log` reads back from an exported JSONL log. Both yield the same
+report, which is what makes metrics recomputable after the fact (`fedsched
+report`). The input may be any iterable, a list or a generator, read once.
 
 Event log line format: one compact JSON object per line, in this field order,
     {"t":<ms>,"seq":<n>,"kind":"<EventKind>","payload":{...},"fx":[...]}
@@ -14,38 +14,38 @@ its `unschedulable`. Strings are ASCII-escaped and non-finite floats are
 written as `NaN`/`Infinity`, as `json.dumps` with `(",", ":")` separators
 does.
 
-A live Event holds no payload dict and no effect dict: its `args` are the
+An Event holds no payload dict and no effect dict: its `args` are the
 values of its kind's `engine.FIELDS`, in order, and its `payload` property
 zips the two where a record needs one; its effects are a tuple of effect
 tuples, `(shape, v1, ...)`, the values of the fields
 `engine.EFFECT_FIELDS[shape]` names. Its (cpu, memory, gpu) figures (a
-pod's `req`, a report's `capacity` and `allocatable`) are `Triple`s. A
-record read back from a log holds a payload dict, one dict per effect, and
-lists in place of the tuples. `record_of` gives a live Event's payload in
-`FIELDS` order and its `fx` as a fresh list of effect dicts, each `op`
-first and then its shape's fields in order, as a parsed record has them.
-Both encode to the same JSON. The report reads a `PodSubmit`'s fields from
-a live Event's `args` and from a record's payload alike, reads effects by
-position, turning a record's effect into its shape's tuple first, and keeps
-the triples it reads, `PodRow.req`, `SeriesRow.used` and
-`SeriesRow.capacity`, as tuples either way.
+pod's `req`, a report's `capacity` and `allocatable`) are `Triple`s, and a
+proxy's `targets` a tuple. `record_of` gives an Event's payload in `FIELDS`
+order and its `fx` as a fresh list of effect dicts, each `op` first and
+then its shape's fields in order, as its line writes them.
 
-A live Event's line is a compiled head per kind and a compiled writer per
+`read_event_log` reads each line back to the Event that writes it, and
+refuses a line no Event writes: one that is not an object with the five
+keys in order, whose `t` or `seq` is not an int, whose kind is not in
+`FIELDS` or whose payload keys are not that kind's fields in order, whose
+effects' keys are not an `op` and then one shape's fields in order, or
+that holds a value of another type than its field's form writes. Each
+check comes from `_FORMS`, as each write does.
+
+An Event's line is a compiled head per kind and a compiled writer per
 effect shape. Both are compiled at import, the heads from `engine.FIELDS`
 and the effect writers from `engine.EFFECT_FIELDS`. A head writes
 everything up to `"fx":` straight from the args, an effect writer one
 effect's object from its tuple, each field in the JSON form `_FORMS` gives
 it: strings through `encode_basestring_ascii`, ints as they print, bools
-from a table, triples as `[a,b,c]`, lists of strings as `["a","b"]`. A
-field `_FORMS` does not list (today only `probability`) goes through one
-encoder, built once at import: the C accelerator that `json.JSONEncoder`
-would otherwise rebuild per call, or, where the interpreter lacks it, a
-plain `JSONEncoder`. `t` and `seq` are ints, and the kind and op are
-those the two tables name, none of which needs escaping. A record read
-back from a log, of any kind, is encoded whole. `write_event_log` writes a
-live Event's line itself, from the same head and effect writers and
-without a call to `serialize_event`, and an event with one effect without
-a join; a record read back goes through `serialize_event`.
+from a table, triples as `[a,b,c]`, tuples or lists of strings as
+`["a","b"]`. A field `_FORMS` does not list (today only `probability`)
+goes through one encoder, built once at import: the C accelerator that
+`json.JSONEncoder` would otherwise rebuild per call, or, where the
+interpreter lacks it, a plain `JSONEncoder`. `t` and `seq` are ints, and
+the kind and op are those the two tables name, none of which needs
+escaping. `write_event_log` writes each line itself, from the head and
+effect writers, and an event with one effect without a join.
 
 pods.csv and timeseries.csv are the csv module's excel dialect, written
 without it for the rows that need no quoting. Each row is one f-string of
@@ -172,16 +172,16 @@ def static_info_of(specs) -> StaticInfo:
     return StaticInfo(node_capacity=capacity, node_pool=pool)
 
 
-def record_of(event) -> dict:
-    if isinstance(event, Event):
-        return {
-            "t": event.time,
-            "seq": event.seq,
-            "kind": event.kind,
-            "payload": event.payload,
-            "fx": [_effect_record(fx) for fx in event.effects],
-        }
-    return event
+def record_of(event: Event) -> dict:
+    """An Event as its line writes it: `t`, `seq`, `kind`, its payload in
+    `FIELDS` order and its `fx` as a fresh list of effect dicts."""
+    return {
+        "t": event.time,
+        "seq": event.seq,
+        "kind": event.kind,
+        "payload": event.payload,
+        "fx": [_effect_record(fx) for fx in event.effects],
+    }
 
 
 def _effect_record(fx: tuple) -> dict:
@@ -214,26 +214,55 @@ _encode = _make_encode(c_make_encoder)
 
 _BOOLS = {True: "true", False: "false"}
 
-# How a live Event's writers write each payload and effect field's value, as
-# an f-string fragment of the variable `%(v)s` that holds it. Each form holds
-# only for a value of the field's type: a str, an int `timer` or `version`, a
-# bool `federated`, a (cpu, memory, gpu) tuple of ints, a list or tuple of
-# strs. A field not listed goes through `_encode`. `phase` is a StatusMirror
-# payload's.
+
+def _is(kind: type, noun: str):
+    """The reader of a value that is held as parsed: one of type `kind`."""
+    def read(value):
+        if type(value) is kind:
+            return value
+        raise ValueError(noun)
+    return read
+
+
+def _read_triple(value) -> Triple:
+    if type(value) is list and len(value) == 3 and all(type(v) is int for v in value):
+        return tuple(value)
+    raise ValueError("three ints")
+
+
+def _strs(hold: type):
+    """The reader of a list of strs that a live Event holds as a `hold`."""
+    def read(value):
+        if type(value) is list and all(type(v) is str for v in value):
+            return hold(value)
+        raise ValueError("a list of strs")
+    return read
+
+
+# How each payload and effect field's value is written and read back: the
+# f-string fragment of the variable `%(v)s` that writes it, and the reader
+# of its parsed JSON value, which returns the value a live Event holds or
+# raises ValueError naming what it should be. Each fragment holds only for
+# a value of the field's type: a str, an int `timer` or `version`, a bool
+# `federated`, a (cpu, memory, gpu) tuple of ints, a tuple (`targets`) or
+# list of strs. A field not listed goes through `_encode`, and is read back
+# as a float. `phase` is a StatusMirror payload's.
+_STRS = '[{",".join(map(encode_basestring_ascii, %(v)s))}]'
 _FORMS = {
     **dict.fromkeys(
         ("pod", "cluster", "ns", "role", "job", "target", "status", "phase", "node",
          "source", "camera", "src", "dst", "state", "elected", "reason", "pool"),
-        "{encode_basestring_ascii(%(v)s)}",
+        ("{encode_basestring_ascii(%(v)s)}", _is(str, "a str")),
     ),
-    **dict.fromkeys(("timer", "version"), "{%(v)s}"),
-    "federated": "{_BOOLS[%(v)s]}",
-    **dict.fromkeys(("req", "capacity", "allocatable"), "[{%(v)s[0]},{%(v)s[1]},{%(v)s[2]}]"),
+    **dict.fromkeys(("timer", "version"), ("{%(v)s}", _is(int, "an int"))),
+    "federated": ("{_BOOLS[%(v)s]}", _is(bool, "a bool")),
     **dict.fromkeys(
-        ("targets", "nodes", "pods"), '[{",".join(map(encode_basestring_ascii, %(v)s))}]'
+        ("req", "capacity", "allocatable"), ("[{%(v)s[0]},{%(v)s[1]},{%(v)s[2]}]", _read_triple)
     ),
+    "targets": (_STRS, _strs(tuple)),
+    **dict.fromkeys(("nodes", "pods"), (_STRS, _strs(list))),
 }
-_UNLISTED = "{_encode(%(v)s)}"
+_UNLISTED = ("{_encode(%(v)s)}", _is(float, "a float"))
 
 
 def _fields(names: Tuple[str, ...]) -> str:
@@ -242,7 +271,7 @@ def _fields(names: Tuple[str, ...]) -> str:
     it."""
     assert all(name.isidentifier() for name in names)
     return ",".join(
-        f'"{name}":' + _FORMS.get(name, _UNLISTED) % {"v": f"a{i}"}
+        f'"{name}":' + _FORMS.get(name, _UNLISTED)[0] % {"v": f"a{i}"}
         for i, name in enumerate(names)
     )
 
@@ -282,25 +311,13 @@ _HEADS = {kind: _head_writer(kind, names) for kind, names in FIELDS.items()}
 _EFFECTS = {shape: _effect_writer(*fields) for shape, fields in EFFECT_FIELDS.items()}
 
 
-def serialize_event(event) -> str:
-    if isinstance(event, Event):
-        effects = event.effects
-        fx = ",".join([_EFFECTS[effect[0]](effect) for effect in effects]) if effects else ""
-        return f'{_HEADS[event.kind](event.time, event.seq, event.args)}[{fx}]}}'
-    return _encode(record_of(event))
-
-
 def write_event_log(path: str, events) -> None:
-    """Write each of `events` as its `serialize_event` line. A live Event's
-    line is written here, as `serialize_event` writes it, without a call to
-    it; a record read back from a log goes through it."""
+    """Write each of `events` as its line, from its kind's head writer and
+    its effects' writers."""
     heads, writers = _HEADS, _EFFECTS
     with open(path, "w", encoding="utf-8") as handle:
         write = handle.write
         for event in events:
-            if not isinstance(event, Event):
-                write(f"{serialize_event(event)}\n")
-                continue
             effects = event.effects
             head = heads[event.kind](event.time, event.seq, event.args)
             if not effects:
@@ -313,11 +330,66 @@ def write_event_log(path: str, events) -> None:
                 write(f"{head}[{fx}]}}\n")
 
 
-def read_event_log(path: str) -> Iterator[dict]:
-    """The records of a written log, one per line, read as they are
+_LINE_KEYS = ("t", "seq", "kind", "payload", "fx")
+# Each kind's payload fields and their readers; per (op, keys) of an effect
+# as its line writes them, `op` first, its shape, fields and their readers.
+_KINDS = {
+    kind: (names, [_FORMS.get(name, _UNLISTED)[1] for name in names])
+    for kind, names in FIELDS.items()
+}
+_SHAPES = {
+    (op, ("op", *names)): (shape, names, [_FORMS[name][1] for name in names])
+    for shape, (op, names) in EFFECT_FIELDS.items()
+}
+
+
+def _held(what: str, names, reads, values) -> tuple:
+    """The values an Event holds for `values`, the parsed values of `what`'s
+    fields `names`, each through its reader in `reads`; a ValueError naming
+    the first one its reader refuses."""
+    held = []
+    for name, read, value in zip(names, reads, values):
+        try:
+            held.append(read(value))
+        except ValueError as exc:
+            raise ValueError(f"{what} {name} is not {exc}: {value!r}") from None
+    return tuple(held)
+
+
+def _event_of(record) -> Event:
+    """The Event whose line parses to `record`; a ValueError saying why
+    when no Event writes such a line."""
+    if type(record) is not dict or tuple(record) != _LINE_KEYS:
+        raise ValueError(f"not an object with keys {', '.join(_LINE_KEYS)}, in that order")
+    t, seq, kind, payload, fx = record.values()
+    if type(t) is not int:
+        raise ValueError(f"t is not an int: {t!r}")
+    if type(seq) is not int:
+        raise ValueError(f"seq is not an int: {seq!r}")
+    if type(kind) is not str or kind not in _KINDS:
+        raise ValueError(f"unknown kind {kind!r}")
+    names, reads = _KINDS[kind]
+    if type(payload) is not dict or tuple(payload) != names:
+        raise ValueError(f"{kind} payload is not {', '.join(names)}, in that order: {payload!r}")
+    args = _held(kind, names, reads, payload.values())
+    if type(fx) is not list:
+        raise ValueError(f"fx is not a list: {fx!r}")
+    effects = []
+    for effect in fx:
+        op = effect.get("op") if type(effect) is dict else None
+        found = _SHAPES.get((op, tuple(effect))) if type(op) is str else None
+        if found is None:
+            raise ValueError(f"no effect shape has the op and keys of {effect!r}")
+        shape, names, reads = found
+        effects.append((shape, *_held(shape, names, reads, list(effect.values())[1:])))
+    return Event(t, seq, kind, args, tuple(effects))
+
+
+def read_event_log(path: str) -> Iterator[Event]:
+    """The Events of a written log, one per line, read as they are
     consumed, so a report holds no more of the log than one line. A file
-    that cannot be read, or a line that is not JSON, is a LogError naming
-    the file and line."""
+    that cannot be read, a line that is not JSON, or one that no Event
+    writes is a LogError naming the file and line."""
     try:
         with open(path, "rb") as handle:
             for number, line in enumerate(handle, 1):
@@ -327,48 +399,26 @@ def read_event_log(path: str) -> Iterator[dict]:
                     # ValueError covers malformed JSON and bytes that are not
                     # UTF-8; RecursionError, nesting too deep to decode.
                     raise LogError(f"invalid JSON: {exc}", f"{path}:{number}") from None
-                yield record
+                try:
+                    event = _event_of(record)
+                except ValueError as exc:
+                    raise LogError(f"not a line a run writes: {exc}", f"{path}:{number}") from None
+                yield event
     except OSError as exc:
         raise LogError(f"cannot read event log: {exc.strerror}", path) from None
 
 
-# The effects the report reads, each op with the fields it reads; each is its
-# own shape. A record's effect of one of these ops is read as its shape's
-# tuple: each field the report reads by its key, so that a missing one is a
-# KeyError that `fedsched report` locates, and any other as None, so that a
-# record need not hold it. A record's effect of another op in `EFFECT_FIELDS`
-# is skipped; one whose op is not there is a ValueError that `fedsched
-# report` locates.
-_READS = {
-    "bind": {"pod", "cluster", "node", "req", "federated", "src"},
-    "unbind": {"pod", "cluster", "req"},
-    "unschedulable": {"pod"},
-    "pool_move": {"cluster", "node"},
-    "node_ready": {"cluster", "node", "pool"},
-    "registry": {"version"},
-    "trigger": {"pods"},
-}
-assert all(EFFECT_FIELDS[op][0] == op for op in _READS)
-# Per op of `EFFECT_FIELDS`: for one the report reads, each field of its
-# shape in order, or None where the report does not read it; None for any
-# other op.
-_RECORD_FIELDS = dict.fromkeys(op for op, _ in EFFECT_FIELDS.values())
-_RECORD_FIELDS.update({
-    op: tuple(name if name in read else None for name in EFFECT_FIELDS[op][1])
-    for op, read in _READS.items()
-})
 # The shapes the report does not read: the federation's bookkeeping of
 # chaperons, proxies and reservations, and batch jobs. They are about three
 # quarters of all effects, so one set lookup skips each before the shape
 # comparisons below.
-_UNREAD = frozenset(EFFECT_FIELDS.keys() - _READS.keys())
+_UNREAD = frozenset(EFFECT_FIELDS.keys() - {
+    "bind", "unbind", "unschedulable", "pool_move", "node_ready", "registry", "trigger",
+})
 
 
 def build_report(events, static: StaticInfo) -> MetricsReport:
-    """The report of `events`, an iterable of live Events or of records
-    read back from a log, read once. Each item is tested for being an
-    Event: on Python 3.11 that and four attribute reads cost less than one
-    `operator.attrgetter` call per item (`BENCH_24.json`)."""
+    """The report of `events`, an iterable of Events, read once."""
     report = MetricsReport()
     pods: Dict[str, PodRow] = {}
 
@@ -399,40 +449,12 @@ def build_report(events, static: StaticInfo) -> MetricsReport:
     end = 0
 
     for count, event in enumerate(events, 1):
-        if isinstance(event, Event):
-            t, kind, effects = event.time, event.kind, event.effects
-            if kind == POD_SUBMIT:
-                pod_id, cluster, namespace, federated, role, req = event.args
-        else:
-            t, kind = event["t"], event["kind"]
-            if type(t) is not int:
-                raise ValueError(f"record t is not an int: {t!r}")
-            effects = []
-            for fx in event["fx"]:
-                op = fx["op"]
-                if op not in _RECORD_FIELDS:
-                    raise ValueError(f"unknown effect op {op!r}")
-                names = _RECORD_FIELDS[op]
-                if names is not None:
-                    effects.append((op, *[None if n is None else fx[n] for n in names]))
-            if kind == POD_SUBMIT:
-                payload = event["payload"]
-                pod_id, cluster, namespace = payload["pod"], payload["cluster"], payload["ns"]
-                federated, req = payload["federated"], tuple(payload["req"])
-                role = payload["role"]
-                # What a live PodSubmit holds, so that pods.csv writes a
-                # replayed pod as it writes a live one.
-                for name, value in (("ns", namespace), ("role", role)):
-                    if type(value) is not str:
-                        raise ValueError(f"PodSubmit {name} is not a str: {value!r}")
-                if type(federated) is not bool:
-                    raise ValueError(f"PodSubmit federated is not a bool: {federated!r}")
-                if len(req) != 3 or any(type(v) is not int for v in req):
-                    raise ValueError(f"PodSubmit req is not three ints: {payload['req']!r}")
+        t, kind, effects = event.time, event.kind, event.effects
         if t > end:
             end = t
 
         if kind == POD_SUBMIT:
+            pod_id, cluster, namespace, federated, role, req = event.args
             pods[pod_id] = PodRow(
                 pod_id=pod_id,
                 namespace=namespace,

@@ -7,12 +7,14 @@ surface the CLI uses, so the whole stack is exercised end to end.
 from __future__ import annotations
 
 import copy
+import os
+import tempfile
 
 import pytest
 
 from fedsched.cluster import NodeSpec, PodSpec
 from fedsched.config import validate_config
-from fedsched.metrics import record_of
+from fedsched.metrics import record_of, write_event_log
 from fedsched.resources import GIB, ResourceVector
 from fedsched.sim import Simulation
 
@@ -102,6 +104,15 @@ def push_every_row(queue, kind, rows, args_of):
     """The naive twin of `EventQueue.stream`: push every row now."""
     for row in rows:
         queue.push(row.time, kind, args_of(row))
+
+
+def log_bytes(events) -> bytes:
+    """The bytes of `events`' log, as `write_event_log` writes it."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "events.jsonl")
+        write_event_log(path, events)
+        with open(path, "rb") as handle:
+            return handle.read()
 
 
 def fx_of(event):

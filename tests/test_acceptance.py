@@ -19,10 +19,9 @@ from fedsched import engine
 from fedsched.config import validate_config
 from fedsched.federation import ChaperonState, ProxyState
 from fedsched.graph import build_burst, build_central, build_decentralized
-from fedsched.metrics import serialize_event
 from fedsched.sim import Simulation
 
-from conftest import base_config, fx_of, node_cfg, pod_cfg, pod_row, run_raw
+from conftest import base_config, fx_of, log_bytes, node_cfg, pod_cfg, pod_row, run_raw
 from test_metascale import rebalance_raw
 from test_scheduling import plain_choice
 
@@ -390,10 +389,6 @@ def determinism_configs():
     return configs
 
 
-def log_bytes(sim):
-    return ("\n".join(serialize_event(e) for e in sim.events) + "\n").encode()
-
-
 def delivery_times(sim):
     return [(e.kind, e.time) for e in sim.events if e.kind in DELIVERY_KINDS]
 
@@ -404,7 +399,9 @@ def test_criterion_5_determinism():
             seed = 1000 + index
             sim_a, _ = run_raw(copy.deepcopy(raw), seed=seed)
             sim_b, _ = run_raw(copy.deepcopy(raw), seed=seed)
-            assert log_bytes(sim_a) == log_bytes(sim_b), f"config {index} not reproducible"
+            assert log_bytes(sim_a.events) == log_bytes(sim_b.events), (
+                f"config {index} not reproducible"
+            )
             sim_c, _ = run_raw(copy.deepcopy(raw), seed=seed + 1)
             assert delivery_times(sim_a) != delivery_times(sim_c), (
                 f"config {index}: new seed left jitter-affected timestamps unchanged"

@@ -232,34 +232,58 @@ def test_report_rebuilds_the_run_outputs_from_its_log(name, tmp_path, capsys):
     assert not (report_dir / "events.jsonl").exists()
 
 
-# A second line that breaks a log whose first line is sound.
+def log_line(kind, payload, fx=()):
+    """A log line of `kind` at t=1, seq=1, as `json.dumps` writes it."""
+    record = {"t": 1, "seq": 1, "kind": kind, "payload": payload, "fx": list(fx)}
+    return json.dumps(record, separators=(",", ":")).encode()
+
+
+GHOST = {"pod": "ghost", "cluster": "a"}
+# A second line that breaks a log whose first line is sound, and what the
+# error says after the file and line. The last two are lines a run writes
+# that the records before them do not explain.
 BAD_LINES = {
-    "truncated": b'{"t":0',
-    "blank": b"",
-    "not-utf8": b"\xff\xfe",
-    "not-an-object": b"5",
-    "unknown-pod": json.dumps(
-        {"t": 1, "seq": 1, "kind": "PodComplete", "payload": {},
-         "fx": [{"op": "unschedulable", "pod": "ghost"}]}).encode(),
-    "overcommit": json.dumps(
-        {"t": 1, "seq": 1, "kind": "PodComplete", "payload": {},
-         "fx": [{"op": "unbind", "pod": "ghost", "cluster": "a", "node": "a-n1",
-                 "req": [1000, 0, 0]}]}).encode(),
+    "truncated": (b'{"t":0', "invalid JSON: "),
+    "blank": (b"", "invalid JSON: "),
+    "not-utf8": (b"\xff\xfe", "invalid JSON: "),
+    "not-an-object": (b"5", "not a line a run writes: not an object with keys "),
+    "bogus-kind": (log_line("Bogus", {"camera": "cam-1"}),
+                   "not a line a run writes: unknown kind 'Bogus'"),
+    "foreign-payload": (log_line("CandidateReport", {"nonsense": 1}),
+                        "not a line a run writes: CandidateReport payload is not pod, "),
+    "payload-out-of-order": (log_line("PodComplete", {"cluster": "a", "pod": "p0"}),
+                             "not a line a run writes: PodComplete payload is not pod, "),
+    "effect-with-an-extra-key": (
+        log_line("PodComplete", GHOST, [{"op": "chaperon", "pod": "ghost", "cluster": "a",
+                                         "state": "Delegate", "node": "a-n1"}]),
+        "not a line a run writes: no effect shape has the op and keys of {'op': 'chaperon', "),
+    "effect-not-an-object": (
+        log_line("PodComplete", GHOST, ["unschedulable"]),
+        "not a line a run writes: no effect shape has the op and keys of 'unschedulable'"),
+    "timer-a-string": (log_line("ElectionTimeout", {"pod": "p0", "timer": "5"}),
+                       "not a line a run writes: ElectionTimeout timer is not an int: '5'"),
+    "unknown-pod": (log_line("PodComplete", GHOST, [{"op": "unschedulable", "pod": "ghost"}]),
+                    "record does not replay: KeyError: 'ghost'"),
+    "overcommit": (
+        log_line("PodComplete", GHOST, [{"op": "unbind", "pod": "ghost", "cluster": "a",
+                                         "node": "a-n1", "req": [1000, 0, 0]}]),
+        "record does not replay: OvercommitError: "),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_LINES))
 def test_report_on_a_malformed_log_names_the_file_and_line(case, config_path, tmp_path, capsys):
+    bad, message = BAD_LINES[case]
     run_dir = tmp_path / "run"
     assert main(["run", "--config", config_path, "--out", str(run_dir)]) == EXIT_OK
     first = (run_dir / "events.jsonl").read_bytes().split(b"\n")[0]
     log = tmp_path / "events.jsonl"
-    log.write_bytes(first + b"\n" + BAD_LINES[case] + b"\n")
+    log.write_bytes(first + b"\n" + bad + b"\n")
     capsys.readouterr()
     assert main(["report", "--config", config_path, "--log", str(log),
                  "--out", str(tmp_path / "report")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {log}:2: ")
+    assert err.startswith(f"error: {log}:2: {message}")
     assert "Traceback" not in err
 
 
@@ -290,13 +314,17 @@ def test_report_on_an_effect_missing_a_field_it_reads_names_the_line(config_path
     assert main(["report", "--config", config_path, "--log", str(log),
                  "--out", str(tmp_path / "report")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {log}:{number}: record does not replay: KeyError: 'node'")
+    assert err.startswith(
+        f"error: {log}:{number}: not a line a run writes: no effect shape has the op and keys "
+        "of {'op': 'bind', 'pod': "
+    )
+    assert "'node'" not in err
     assert "Traceback" not in err
 
 
 def test_report_on_an_unknown_effect_op_names_the_line(tmp_path, capsys):
     # A one-pod log in which the first "unbind" effect's op reads "phaze",
-    # an op no effect has: the report cannot know what it skips. Nor does
+    # an op no effect has: no run writes it. Nor does
     # any effect have the op "mirror" or "phase" any more, so a log written
     # while the status mirror or a pod's phase change still logged one
     # exits 1 at that line too.
@@ -313,24 +341,25 @@ def test_report_on_an_unknown_effect_op_names_the_line(tmp_path, capsys):
                      "--out", str(tmp_path / "report")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(
-            f"error: {log}:{number}: record does not replay: ValueError: unknown effect op {op!r}"
+            f"error: {log}:{number}: not a line a run writes: no effect shape has the op and "
+            f"keys of {{'op': {op!r}, "
         )
         assert "Traceback" not in err
 
 
 # A PodSubmit record edited to a value no live PodSubmit holds, and the
-# start of the error it replays as.
+# start of the error that refuses it.
 POD_SUBMIT_EDITS = {
     "federated-yes": (lambda record: record["payload"].update(federated="yes"),
-                      "ValueError: PodSubmit federated is not a bool: 'yes'"),
+                      "PodSubmit federated is not a bool: 'yes'"),
     "req-of-two": (lambda record: record["payload"].update(req=record["payload"]["req"][:2]),
-                   "ValueError: PodSubmit req is not three ints: ["),
+                   "PodSubmit req is not three ints: ["),
     "ns-null": (lambda record: record["payload"].update(ns=None),
-                "ValueError: PodSubmit ns is not a str: None"),
+                "PodSubmit ns is not a str: None"),
     "role-seven": (lambda record: record["payload"].update(role=7),
-                   "ValueError: PodSubmit role is not a str: 7"),
+                   "PodSubmit role is not a str: 7"),
     "t-plus-half": (lambda record: record.update(t=record["t"] + 0.5),
-                    "ValueError: record t is not an int: "),
+                    "t is not an int: "),
 }
 
 
@@ -352,27 +381,34 @@ def test_report_on_a_pod_submit_of_another_shape_names_the_line(case, tmp_path, 
     assert main(["report", "--config", str(BUNDLED), "--log", str(log),
                  "--out", str(tmp_path / "report")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {log}:{number}: record does not replay: {message}")
+    assert err.startswith(f"error: {log}:{number}: not a line a run writes: {message}")
     assert "Traceback" not in err
 
 
-EDITS_THAT_REPLAY = {
-    # The report reads no chaperon effect, nor an unbind's node.
+EDITS_WHERE_THE_REPORT_READS_NOTHING = {
+    # The report reads no chaperon effect, nor an unbind's node, but the
+    # reader refuses a line no run writes.
     "chaperon-with-an-extra-key": ("chaperon", lambda fx: fx.update(extra=[1, {"x": None}])),
     "unbind-without-its-node": ("unbind", lambda fx: fx.pop("node")),
 }
 
 
-@pytest.mark.parametrize("case", sorted(EDITS_THAT_REPLAY))
-def test_report_replays_an_effect_edited_where_it_reads_nothing(case, config_path, tmp_path,
+@pytest.mark.parametrize("case", sorted(EDITS_WHERE_THE_REPORT_READS_NOTHING))
+def test_report_refuses_an_effect_edited_where_it_reads_nothing(case, config_path, tmp_path,
                                                                  capsys):
+    op, edit = EDITS_WHERE_THE_REPORT_READS_NOTHING[case]
     run_dir, report_dir = tmp_path / "run", tmp_path / "report"
     assert main(["run", "--config", config_path, "--out", str(run_dir)]) == EXIT_OK
-    log, _ = edit_first_effect(run_dir, tmp_path, *EDITS_THAT_REPLAY[case])
+    log, number = edit_first_effect(run_dir, tmp_path, op, edit)
+    capsys.readouterr()
     assert main(["report", "--config", config_path, "--log", str(log),
-                 "--out", str(report_dir)]) == EXIT_OK
-    for output in ("pods.csv", "timeseries.csv", "summary.json"):
-        assert (report_dir / output).read_bytes() == (run_dir / output).read_bytes(), output
+                 "--out", str(report_dir)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"error: {log}:{number}: not a line a run writes: no effect shape has the op and keys "
+        f"of {{'op': {op!r}, "
+    )
+    assert "Traceback" not in err
 
 
 def test_report_on_a_missing_log_exits_one(config_path, tmp_path, capsys):

@@ -13,11 +13,10 @@ from fedsched import errors
 from fedsched.cli import EXIT_CONFIG, EXIT_OK, _apply_overrides, main
 from fedsched.config import RunConfig, parse_config, parse_time, validate_config
 from fedsched.errors import ConfigError
-from fedsched.metrics import serialize_event
 from fedsched.resources import ResourceVector
 from fedsched.sim import Simulation
 
-from conftest import base_config, node_cfg, pod_cfg, run_raw
+from conftest import base_config, log_bytes, node_cfg, pod_cfg, run_raw
 
 BUNDLED = importlib.resources.files("fedsched") / "data" / "expanse-nautilus.json"
 
@@ -292,7 +291,7 @@ def test_retired_heartbeat_is_read_and_changes_nothing(tmp_path):
     for heartbeat in (None, "1s", "1h"):
         raw["federation"] = {} if heartbeat is None else {"heartbeat": heartbeat}
         sim, _ = run_raw(raw)
-        logs.add("\n".join(serialize_event(e) for e in sim.events))
+        logs.add(log_bytes(sim.events))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         assert main(["validate", "--config", str(path)]) == EXIT_OK

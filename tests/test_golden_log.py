@@ -18,10 +18,9 @@ import random
 import pytest
 
 from fedsched.config import validate_config
-from fedsched.metrics import serialize_event
 from fedsched.sim import Simulation
 
-from conftest import base_config, node_cfg, pod_cfg, seeded
+from conftest import base_config, log_bytes, node_cfg, pod_cfg, seeded
 from test_acceptance import (
     burst_raw,
     determinism_configs,
@@ -158,11 +157,7 @@ GOLDEN = {
 def log_digest(raw, seed) -> str:
     sim = Simulation(validate_config(seeded(raw, seed)))
     sim.run()
-    digest = hashlib.sha256()
-    for event in sim.events:
-        digest.update(serialize_event(event).encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
+    return hashlib.sha256(log_bytes(sim.events)).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -9,13 +9,15 @@ or `build_report` reads it:
   handler reads a field when its bytecode loads that parameter, unless
   `FORWARDS` lists the kind: such a handler only passes its fields on to
   a scenario method, and a field is read when that method loads it.
-- `build_report` reads the same fields from a live event's `args` as from
-  a record's payload dict (`test_metrics` holds the two reports equal), so
-  it runs here over each run's records, every payload and effect wrapped
-  in a `dict` subclass that records the keys read through `[]` and `get`.
-Each golden config runs to the end. A field that some event kind writes
-but nothing reads fails the guard, unless `EXEMPT` lists it with its
-reason.
+- `build_report` reads a field when it depends on it: the survey replaces
+  that field's value in every event that holds it with another value of
+  its type, and the field is read when the report of the edited events
+  differs from the run's, or cannot be built. An effect field is read by
+  the same test.
+Each golden config runs to the end, and so does `rebalance_raw` of
+`test_metascale`, the one run that brings a node back Ready into the
+Container pool. A field that some event kind writes but nothing reads
+fails the guard, unless `EXEMPT` lists it with its reason.
 
 An effect is one state change of one record, with its event as the
 message. So each effect shape must, at least once over the golden logs,
@@ -37,16 +39,18 @@ import json
 from collections import defaultdict
 from typing import NamedTuple
 
-from fedsched import engine, metrics
+from fedsched import engine
 from fedsched.config import validate_config
 from fedsched.engine import Event
+from fedsched.errors import InvariantViolation
 from fedsched.federation import FederationProtocol
-from fedsched.metrics import build_report, record_of
+from fedsched.metrics import build_report
 from fedsched.scenario import WildfireScenario
 from fedsched.sim import Simulation
 
 from conftest import seeded
 from test_golden_log import CASES
+from test_metascale import rebalance_raw
 
 # (kind, key) -> why the key is written though nothing reads it.
 EXEMPT = {}
@@ -58,7 +62,7 @@ REPEATS = {
                      "proxy's, whose terminal states perfbench/checks.py reads",
 }
 
-# (op, key) -> why an effect the report reads carries a key it does not.
+# (shape, key) -> why an effect the report reads carries a key it does not.
 UNREAD_EFFECT_KEYS = {
     ("unbind", "node"): "replayed per node by perfbench/checks.py and by the acceptance "
                         "overcommit check; the report's series is per cluster",
@@ -117,23 +121,58 @@ def handler_reads(kind):
     return {field for field, param in zip(fields, params) if param in loaded}
 
 
-class Recorded(dict):
-    """A payload or effect dict that adds each key read through `[]` or
-    `get` to the set `reads`."""
+def perturbed(value):
+    """Another value of `value`'s type: a str with "~" added, a bool
+    flipped, a number plus one, each int of a triple plus one, or a list or
+    tuple of ids with one id more."""
+    if type(value) is str:
+        return value + "~"
+    if type(value) is bool:
+        return not value
+    if type(value) in (int, float):
+        return value + 1
+    if value and type(value[0]) is int:
+        return tuple(v + 1 for v in value)
+    return type(value)((*value, "~"))
 
-    __slots__ = ("reads",)
 
-    def __init__(self, items, reads):
-        super().__init__(items)
-        self.reads = reads
+def edited(values, i):
+    """`values`, a tuple, with its i-th value perturbed."""
+    return (*values[:i], perturbed(values[i]), *values[i + 1:])
 
-    def __getitem__(self, key):
-        self.reads.add(key)
-        return dict.__getitem__(self, key)
 
-    def get(self, key, default=None):
-        self.reads.add(key)
-        return dict.get(self, key, default)
+def report_reads(events, static):
+    """The (kind, field) and the (shape, field) pairs that `build_report`
+    reads of `events`: those whose value, perturbed in every event or
+    effect that holds it, changes the report or makes it raise as a log
+    that does not replay does."""
+    live = build_report(events, static)
+
+    def changes(edits):
+        try:
+            return build_report(edits, static) != live
+        except (KeyError, InvariantViolation):
+            return True
+
+    kinds = {event.kind for event in events}
+    shapes = {fx[0] for event in events for fx in event.effects}
+    payload = {
+        (kind, name) for kind in kinds for i, name in enumerate(engine.FIELDS[kind])
+        if changes([
+            Event(e.time, e.seq, e.kind, edited(e.args, i), e.effects) if e.kind == kind else e
+            for e in events
+        ])
+    }
+    effects = {
+        (shape, name) for shape in shapes
+        for i, name in enumerate(engine.EFFECT_FIELDS[shape][1], 1)
+        if changes([
+            Event(e.time, e.seq, e.kind, e.args,
+                  tuple(edited(fx, i) if fx[0] == shape else fx for fx in e.effects))
+            for e in events
+        ])
+    }
+    return payload, effects
 
 
 def news_of(event):
@@ -164,7 +203,7 @@ def echoes_of(event):
 class Survey(NamedTuple):
     unread: dict  # kind -> payload keys written but never read, less `EXEMPT`
     kinds: set  # the kinds written
-    effect_reads: dict  # op -> the effect keys `build_report` reads
+    effect_reads: dict  # shape -> the effect keys `build_report` reads
     news: dict  # shape -> whether some effect of it records something new
     # shape -> per shape its effects come right after, their other values;
     # None once an effect of it comes after no such effect.
@@ -172,15 +211,14 @@ class Survey(NamedTuple):
 
 
 def survey(cases) -> Survey:
-    """Run `cases` to the end, report each from its records, and return
-    what their logs write and what reads it."""
+    """Run `cases` to the end, and return what their logs write and what
+    reads it."""
     payload_reads, effect_reads = defaultdict(set), defaultdict(set)
     kinds, news, echoes = set(), {}, {}
     for name in sorted(cases):
         raw, seed = cases[name]()
         sim = Simulation(validate_config(seeded(raw, seed)))
         sim.run()
-        records = []
         for event in sim.events:
             kinds.add(event.kind)
             for shape, new in news_of(event):
@@ -190,11 +228,11 @@ def survey(cases) -> Survey:
                     echoes[shape] = None
                 elif echoes.get(shape, {}) is not None:
                     echoes.setdefault(shape, defaultdict(set))[echo[0]].add(echo[1])
-            record = record_of(event)
-            record["payload"] = Recorded(record["payload"], payload_reads[event.kind])
-            record["fx"] = [Recorded(fx, effect_reads[fx["op"]]) for fx in record["fx"]]
-            records.append(record)
-        build_report(records, sim.static)
+        payload, effects = report_reads(sim.events, sim.static)
+        for kind, field in payload:
+            payload_reads[kind].add(field)
+        for shape, field in effects:
+            effect_reads[shape].add(field)
     unread = {}
     for kind in kinds:
         keys = set(engine.FIELDS[kind]) - payload_reads[kind] - handler_reads(kind)
@@ -206,8 +244,9 @@ def survey(cases) -> Survey:
 
 @functools.lru_cache(maxsize=None)
 def golden() -> Survey:
-    """The survey of the golden cases, run once for the tests that read it."""
-    return survey(CASES)
+    """The survey of the golden cases and of `rebalance_raw`, run once for
+    the tests that read it."""
+    return survey({**CASES, "rebalance": lambda: (rebalance_raw(), None)})
 
 
 def test_every_written_payload_field_is_read():
@@ -239,8 +278,8 @@ def test_no_effect_shape_only_echoes_the_one_before_it():
 def test_every_key_of_an_effect_the_report_reads_is_read():
     reads = golden().effect_reads
     unread = {
-        (op, key) for op in metrics._READS for key in engine.EFFECT_FIELDS[op][1]
-        if key not in reads[op]
+        (shape, key) for shape in reads for key in engine.EFFECT_FIELDS[shape][1]
+        if key not in reads[shape]
     }
     assert sorted(unread - UNREAD_EFFECT_KEYS.keys()) == []
     assert sorted(UNREAD_EFFECT_KEYS.keys() - unread) == []

@@ -2,6 +2,7 @@
 
 from fedsched.cluster import NodePool, NodeState
 from fedsched.config import validate_config
+from fedsched.metrics import build_report
 from fedsched.sim import Simulation
 
 from conftest import base_config, fx_of, node_cfg, pod_cfg, run_raw
@@ -246,3 +247,22 @@ class TestAggregatesUnderRebalance:
                 assert state.aggregate_allocatable() == tuple(free), (event.time, event.kind)
         assert ops >= {("pool_move", "Batch"), ("pool_move", "Container"),
                        ("node_ready", "Batch"), ("node_ready", "Container")}, ops
+
+
+def test_report_capacity_follows_the_nodes_that_move_both_ways():
+    # The report rebuilds each cluster's Container capacity from its static
+    # info, its `pool_move`s and its `node_ready`s: every series row holds
+    # what the cluster's aggregate was after the last event at its time.
+    sim = Simulation(validate_config(rebalance_raw()))
+    capacity, moves = {}, set()
+    while sim.ctx.queue.due(sim.config.duration_ms):
+        event = sim.step()
+        moves.update((fx[0], fx[-1]) for fx in event.effects
+                     if fx[0] in ("pool_move", "node_ready"))
+        for cluster_id, state in sim.clusters.items():
+            capacity[(event.time, cluster_id)] = state.aggregate_capacity()
+    assert moves == {("pool_move", "Batch"), ("pool_move", "Container"),
+                     ("node_ready", "Batch"), ("node_ready", "Container")}
+    series = build_report(sim.events, sim.static).series
+    assert len(series) > 10
+    assert [row.capacity for row in series] == [capacity[(row.time, row.cluster)] for row in series]

@@ -1,21 +1,15 @@
 """Metrics derivation, log round-tripping, and replay consistency."""
 
 import json
+import re
 
 import pytest
 
 from fedsched import engine, metrics
 from fedsched.engine import Event
-from fedsched.errors import OvercommitError
-from fedsched.metrics import (
-    StaticInfo,
-    build_report,
-    read_event_log,
-    record_of,
-    serialize_event,
-    write_event_log,
-)
-from conftest import base_config, fx_of, node_cfg, pod_cfg, pod_row, run_raw
+from fedsched.errors import LogError, OvercommitError
+from fedsched.metrics import StaticInfo, build_report, read_event_log, record_of, write_event_log
+from conftest import base_config, fx_of, log_bytes, node_cfg, pod_cfg, pod_row, run_raw
 from test_golden_log import CASES
 
 # The declared pod phase transition graph, re-stated here as the oracle.
@@ -83,35 +77,55 @@ def test_report_takes_any_iterable_of_records_or_of_events(tmp_path):
     assert (empty.pods, empty.series, empty.event_count, empty.end_time) == ([], [], 0, 0)
 
 
-def test_a_record_effect_needs_only_the_fields_the_report_reads():
-    # `metrics._READS` names the fields the report reads of each op: a
-    # record whose effect lacks one of them does not replay, and one whose
-    # effect lacks any other field replays to the same report.
-    dropped = set()
+def line_of(event):
+    """The line `write_event_log` writes for `event`, without its newline."""
+    return log_bytes([event]).decode("ascii").removesuffix("\n")
+
+
+def test_an_effect_with_a_field_dropped_or_added_is_refused_at_its_line(tmp_path):
+    # The first effect of each shape loses each of its fields in turn, or
+    # gains one. No Event writes such a line, so the reader refuses it,
+    # unless what is left is another shape of the same op: a `proxy_targets`
+    # without its targets is a `proxy`, and is read as one.
+    shapes = {(op, names): shape for shape, (op, names) in engine.EFFECT_FIELDS.items()}
+    edited, others = set(), set()
     for name in ("bundled", "oscillating-metascale", "mesh-overload"):
-        sim, live = run_raw(*CASES[name]())
-        static = sim.static
+        sim, _ = run_raw(*CASES[name]())
+        lines = log_bytes(sim.events).decode("ascii").splitlines()
         firsts = {}
         for i, event in enumerate(sim.events):
             for j, fx in enumerate(event.effects):
                 firsts.setdefault(fx[0], (i, j))
-        for op in sorted(metrics._READS.keys() & firsts.keys()):
-            i, j = firsts[op]
-            for field in engine.EFFECT_FIELDS[op][1]:
-                records = [record_of(event) for event in sim.events]
-                del records[i]["fx"][j][field]
-                dropped.add((op, field))
-                if field in metrics._READS[op]:
-                    with pytest.raises(KeyError, match=field):
-                        build_report(records, static)
+        for shape, (i, j) in sorted(firsts.items()):
+            op, names = engine.EFFECT_FIELDS[shape]
+            for drop in (*names, None):
+                record = json.loads(lines[i])
+                fx = record["fx"][j]
+                if drop is None:
+                    fx["extra"] = fx[names[-1]]
                 else:
-                    assert build_report(records, static) == live, (name, op, field)
-    assert {op for op, _ in dropped} == set(metrics._READS)
+                    del fx[drop]
+                edited.add((shape, drop))
+                path = tmp_path / "edited.jsonl"
+                path.write_text("\n".join([*lines[:i], json.dumps(record, separators=(",", ":"))]))
+                other = shapes.get((op, tuple(fx)[1:]))
+                if other is not None:
+                    others.add((shape, drop, other))
+                    assert list(read_event_log(str(path)))[i].effects[j][0] == other
+                    continue
+                where = re.escape(f"{path}:{i + 1}: not a line a run writes: ")
+                with pytest.raises(LogError, match=f"^{where}"):
+                    list(read_event_log(str(path)))
+    assert {shape for shape, _ in edited} == set(engine.EFFECT_FIELDS)
+    assert others == {
+        ("proxy_targets", "targets", "proxy"), ("proxy_elected", "elected", "proxy"),
+        ("proxy_reason", "reason", "proxy"), ("job_nodes", "nodes", "job"),
+    }
 
 
 def test_serialized_field_order_is_stable():
     sim, _ = run_raw(busy_raw())
-    line = serialize_event(sim.events[0])
+    line = line_of(sim.events[0])
     assert line.startswith('{"t":')
     assert list(json.loads(line).keys()) == ["t", "seq", "kind", "payload", "fx"]
 
@@ -143,8 +157,8 @@ DIFFERENTIAL = {
 @pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
 def test_serialized_lines_equal_json_dumps(name, encoder, tmp_path, monkeypatch):
-    # Every line, written from a live Event or from a record read back from
-    # the log, is what `json.dumps` with compact separators gives its record.
+    # Every line is what `json.dumps` with compact separators gives its
+    # Event's record, and reads back to an Event of the same record.
     if encoder == "fallback":
         monkeypatch.setattr(metrics, "_encode", metrics._make_encode(None))
     raw, seed = DIFFERENTIAL[name]()
@@ -152,15 +166,14 @@ def test_serialized_lines_equal_json_dumps(name, encoder, tmp_path, monkeypatch)
     path = tmp_path / "events.jsonl"
     write_event_log(str(path), sim.events)
     lines = path.read_text(encoding="utf-8").splitlines()
-    records = list(read_event_log(str(path)))
-    assert len(lines) == len(records) == len(sim.events)
+    back = list(read_event_log(str(path)))
+    assert len(lines) == len(back) == len(sim.events)
     if name == "non-ascii":
         assert any(not event.effects for event in sim.events)
         assert any("\\u00fc" in line for line in lines)
-    for event, record, line in zip(sim.events, records, lines):
-        expected = json.dumps(record_of(event), separators=(",", ":"))
-        assert serialize_event(event) == expected == line
-        assert serialize_event(record) == json.dumps(record, separators=(",", ":")) == line
+    for event, again, line in zip(sim.events, back, lines):
+        assert json.dumps(record_of(event), separators=(",", ":")) == line
+        assert record_of(again) == record_of(event)
 
 
 def test_differential_cases_write_every_kind():
@@ -281,15 +294,15 @@ def test_encoder_sees_only_unlisted_fields(encoder, monkeypatch):
     encoded = counted_encode(encoder, monkeypatch)
     args = ("pöd-1", "zürich", "default", True, "workload", (1000, 2**30, 0))
     quiet = Event(7, 3, engine.POD_SUBMIT, args)
-    assert serialize_event(quiet) == json_line(quiet)
-    assert serialize_event(quiet).endswith(',"fx":[]}') and encoded == []
+    assert line_of(quiet) == json_line(quiet)
+    assert line_of(quiet).endswith(',"fx":[]}') and encoded == []
     busy = Event(7, 4, engine.POD_SUBMIT, args, (
         ("unschedulable", "pöd-1"), ("proxy_targets", "pöd-1", "CandidatesPending", ("a",)),
     ))
-    assert serialize_event(busy) == json_line(busy)
-    assert serialize_event(busy).endswith(',"targets":["a"]}]}') and encoded == []
+    assert line_of(busy) == json_line(busy)
+    assert line_of(busy).endswith(',"targets":["a"]}]}') and encoded == []
     sensor = Event(9, 5, engine.SENSOR_MESSAGE, ("cam-1", 0.97))
-    assert serialize_event(sensor) == json_line(sensor) and encoded == [0.97]
+    assert line_of(sensor) == json_line(sensor) and encoded == [0.97]
 
 
 def edge_events():
@@ -322,7 +335,7 @@ def edge_events():
 @pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
 def test_edge_values_are_written_as_json_dumps_writes_them(encoder, monkeypatch):
     encoded = counted_encode(encoder, monkeypatch)
-    lines = [serialize_event(event) for event in edge_events()]
+    lines = [line_of(event) for event in edge_events()]
     assert lines == [json_line(event) for event in edge_events()]
     # The four probabilities; every effect field has a form.
     assert len(encoded) == 4
@@ -332,18 +345,23 @@ def test_edge_values_are_written_as_json_dumps_writes_them(encoder, monkeypatch)
 
 
 @pytest.mark.parametrize("encoder", ["c-encoder", "fallback"])
-def test_event_of_unknown_kind_is_encoded_whole(encoder, tmp_path, monkeypatch):
-    # Only a live Event gets the hand-written head, and only the engine's
-    # own kinds, which `engine.FIELDS` names, are ever live. A record of any
-    # other kind, read back from a log, is encoded whole.
-    if encoder == "fallback":
-        monkeypatch.setattr(metrics, "_encode", metrics._make_encode(None))
+def test_a_line_of_unknown_kind_is_refused(encoder, tmp_path, monkeypatch):
+    # Only the engine's own kinds, which `engine.FIELDS` names, are ever
+    # written, so a line of any other kind is no Event's: the reader gives
+    # back the line either encoder wrote before it, then stops at it.
+    counted_encode(encoder, monkeypatch)
+    sensor = Event(3, 4, engine.SENSOR_MESSAGE, ("cam-1", 0.97))
+    path = tmp_path / "events.jsonl"
+    write_event_log(str(path), [sensor])
     line = json.dumps({"t": 5, "seq": 9, "kind": 'Odd "kind" ü', "payload": {"x": 0.5},
                        "fx": []}, separators=(",", ":"))
-    path = tmp_path / "events.jsonl"
-    path.write_text(line + "\n", encoding="utf-8")
-    (record,) = read_event_log(str(path))
-    assert serialize_event(record) == json.dumps(record, separators=(",", ":")) == line
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    events = read_event_log(str(path))
+    assert record_of(next(events)) == record_of(sensor)
+    where = re.escape(f"{path}:2: not a line a run writes: unknown kind ")
+    with pytest.raises(LogError, match=f"^{where}"):
+        next(events)
 
 
 def test_every_pod_appears_exactly_once(tmp_path):
@@ -403,21 +421,16 @@ def test_unbind_beyond_usage_is_an_overcommit(dim):
     # took in one dimension, which only a broken log can do.
     static = StaticInfo(node_capacity={"c": {"n1": [8000, 8192, 2]}},
                         node_pool={"c": {"n1": "Container"}})
-    req = [1000, 1024, 1]
-    back = list(req)
-    back[dim] += 1
-    records = [
-        {"t": 0, "seq": 0, "kind": "PodSubmit",
-         "payload": {"pod": "p", "cluster": "c", "ns": "default", "federated": False,
-                     "role": "workload", "req": req},
-         "fx": [{"op": "bind", "pod": "p", "cluster": "c", "node": "n1", "req": req,
-                 "federated": False, "src": "c"}]},
-        {"t": 5, "seq": 1, "kind": "PodComplete", "payload": {"pod": "p", "cluster": "c"},
-         "fx": [{"op": "unbind", "pod": "p", "cluster": "c", "node": "n1", "req": back}]},
+    req = (1000, 1024, 1)
+    back = tuple(v + (d == dim) for d, v in enumerate(req))
+    events = [
+        Event(0, 0, engine.POD_SUBMIT, ("p", "c", "default", False, "workload", req),
+              (("bind", "p", "c", "n1", req, False, "c"),)),
+        Event(5, 1, engine.POD_COMPLETE, ("p", "c"), (("unbind", "p", "c", "n1", back),)),
     ]
-    build_report(records[:1], static)
+    build_report(events[:1], static)
     with pytest.raises(OvercommitError):
-        build_report(records, static)
+        build_report(events, static)
 
 
 def test_final_state_matches_log_replay():

@@ -12,12 +12,13 @@ from fedsched import engine
 from fedsched.engine import EventQueue
 from fedsched.errors import EmptyQueue
 from fedsched.federation import ChaperonState, FederationProtocol
-from fedsched.metrics import serialize_event
 from fedsched.profiles import PROFILES
 from fedsched.sim import Simulation
 from fedsched.config import validate_config
 
-from conftest import base_config, fx_of, node_cfg, pod_cfg, push_every_row, run_raw, seeded
+from conftest import (
+    base_config, fx_of, log_bytes, node_cfg, pod_cfg, push_every_row, run_raw, seeded,
+)
 from test_golden_log import CASES
 from test_scenario import wildfire_raw
 
@@ -34,10 +35,6 @@ def test_a_run_builds_each_clusters_nodes_once(monkeypatch):
     raw, _ = CASES["bundled"]()
     Simulation(validate_config(raw)).run()
     assert sorted(calls) == ["expanse", "nautilus"]
-
-
-def log_bytes(sim):
-    return "\n".join(serialize_event(e) for e in sim.events).encode()
 
 
 def test_empty_scenario_has_only_tick_events(two_cluster_raw):
@@ -61,9 +58,9 @@ def test_same_seed_twice_is_byte_identical():
                       jitter="5ms", duration="3m")
     sim1, _ = run_raw(raw, seed=5)
     sim2, _ = run_raw(raw, seed=5)
-    assert log_bytes(sim1) == log_bytes(sim2)
+    assert log_bytes(sim1.events) == log_bytes(sim2.events)
     sim3, _ = run_raw(raw, seed=6)
-    assert log_bytes(sim1) != log_bytes(sim3)
+    assert log_bytes(sim1.events) != log_bytes(sim3.events)
 
 
 def test_burst_with_sufficient_local_capacity_never_offloads():
@@ -161,7 +158,7 @@ def test_one_runconfig_supports_repeated_simulations():
     first.run()
     second = Simulation(config)
     second.run()
-    assert log_bytes(first) == log_bytes(second)
+    assert log_bytes(first.events) == log_bytes(second.events)
 
 
 def test_no_event_processed_beyond_duration():
@@ -449,7 +446,7 @@ def streamed_and_plain(monkeypatch, raw, seed):
 def test_streamed_trace_logs_as_a_plain_heap(name, monkeypatch, tmp_path):
     raw, seed = TWIN_CASES[name](tmp_path)
     streamed, plain = streamed_and_plain(monkeypatch, raw, seed)
-    assert log_bytes(streamed) == log_bytes(plain)
+    assert log_bytes(streamed.events) == log_bytes(plain.events)
     rows = [e for e in streamed.events if e.kind == engine.SENSOR_MESSAGE]
     assert (rows == []) == (name == "empty-trace")
     if name == "ties-at-the-first-tick":
@@ -481,7 +478,7 @@ def test_twin_catches_trace_seqs_taken_after_the_ticks(monkeypatch, tmp_path):
     mutant.run()
     monkeypatch.undo()
     _, plain = streamed_and_plain(monkeypatch, raw, seed)
-    assert log_bytes(mutant) != log_bytes(plain)
+    assert log_bytes(mutant.events) != log_bytes(plain.events)
 
 
 def test_set_up_leaves_one_trace_row_in_the_heap():

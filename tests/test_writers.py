@@ -3,8 +3,9 @@
 `write_pods_csv` and `write_series_csv` format each row as one f-string
 and hand a row to `csv.writer` only when it needs quoting; the reference
 writers below are the plain `csv.writer` loops they replaced, and every
-byte must equal theirs. `write_event_log` writes a live Event's line
-itself, without `serialize_event`, and must write exactly its lines.
+byte must equal theirs. `write_event_log` writes each Event's line from
+compiled writers; each line must be `json.dumps` of the Event's record,
+and read back to the Event that wrote it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fedsched.metrics import (
     PodRow,
     SeriesRow,
     read_event_log,
-    serialize_event,
+    record_of,
     write_event_log,
     write_pods_csv,
     write_series_csv,
@@ -206,21 +207,24 @@ def test_plain_chunks_reach_no_csv_writer(tmp_path, csv_rows):
     assert check_writers(tmp_path, report, csv_rows) == []
 
 
+def fields(event):
+    return event.time, event.seq, event.kind, event.args, event.effects
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_event_log_lines_are_serialize_event_lines(name, golden_runs, tmp_path):
-    # The inlined writing of a live Event's line and `serialize_event`
-    # cannot drift apart; nor can the writing of a record read back.
+def test_event_log_reads_back_to_the_run_and_writes_the_same_bytes(name, golden_runs, tmp_path):
+    # Each line is its Event's record as `json.dumps` writes it, reads back
+    # to an Event that holds the same values, tuples where the run's holds
+    # tuples, and the Events read back write the same file again.
     sim, _ = golden_runs[name]
     path = tmp_path / "events.jsonl"
     write_event_log(str(path), sim.events)
     text = path.read_text(encoding="utf-8")
-    assert text == "".join(f"{serialize_event(event)}\n" for event in sim.events)
-    records = list(read_event_log(str(path)))
-    mixed = [event if i % 2 else record
-             for i, (event, record) in enumerate(zip(sim.events, records))]
-    mixed_path = tmp_path / "mixed.jsonl"
-    write_event_log(str(mixed_path), mixed)
-    assert mixed_path.read_text(encoding="utf-8") == text
-    assert mixed_path.read_text(encoding="utf-8") == "".join(
-        f"{serialize_event(item)}\n" for item in mixed
+    assert text == "".join(
+        f'{json.dumps(record_of(event), separators=(",", ":"))}\n' for event in sim.events
     )
+    back = list(read_event_log(str(path)))
+    assert [fields(event) for event in back] == [fields(event) for event in sim.events]
+    again = tmp_path / "again.jsonl"
+    write_event_log(str(again), back)
+    assert again.read_bytes() == path.read_bytes()
